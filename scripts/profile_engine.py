@@ -3,11 +3,15 @@
 
 Useful when touching the Groebner kernel: prints wall times for the
 checks that dominate suite runtime so regressions are visible at a
-glance.
+glance, and times the GB of J(sigma-v0-type3) on both coefficient cores
+with a check that the QQ basis reduced mod p is the GF(p) basis.
+
+Run: PYTHONPATH=src python scripts/profile_engine.py
 """
 
 import time
 
+from ribetkit.exactpoly import GF, QQ
 from ribetkit.genmat import Word, det_congruence_check, trace_congruence_check
 from ribetkit.groebner import buchberger
 from ribetkit.brcomplex import br_complexes, build_cd_morphism, check_d2, generic_2xn
@@ -15,10 +19,29 @@ from ribetkit.ribet.formal import build_ideals, check_e_tau_invariance, check_ex
 from ribetkit.ribet.shapes import corpus, shape_one_place_type4, shape_sigma_type3
 
 
-def timed(label, thunk):
+P31 = 2**31 - 1
+
+
+def timed(label, thunk, show=lambda result: result):
     start = time.monotonic()
     result = thunk()
-    print(f"{label:55s} {time.monotonic() - start:8.3f}s  -> {result}")
+    print(f"{label:55s} {time.monotonic() - start:8.3f}s  -> {show(result)}")
+    return result
+
+
+def gb_both_cores():
+    """GB of J(sigma-v0-type3) over QQ and over GF(2^31-1): the two
+    coefficient cores of the one reduction loop, on the same work."""
+    bases = {}
+    for label, ring in (("QQ", QQ), ("GF(2^31-1)", GF(P31))):
+        J = build_ideals(shape_sigma_type3(), ring).J
+        bases[label] = timed(
+            f"GB of J(sigma-v0-type3) over {label}",
+            lambda: buchberger(J).basis,
+            lambda basis: f"{len(basis)} elements",
+        )
+    agree = [g.change_ring(GF(P31)) for g in bases["QQ"]] == list(bases["GF(2^31-1)"])
+    print(f"{'QQ basis mod p equals the GF(p) basis':55s} {'':9s}  -> {agree}")
 
 
 def main():
@@ -31,7 +54,7 @@ def main():
         "tau-invariance negative control",
         lambda: check_e_tau_invariance(shape_one_place_type4(), drop_pair_generator=True),
     )
-    timed("GB of the full relation ideal (small shape)", lambda: len(buchberger(build_ideals(shape_sigma_type3()).J).basis))
+    gb_both_cores()
     timed("BR complexes 2x5 full length + d2", lambda: all(
         check_d2(c) for c in (lambda b: (b.Rf, b.Rdetf))(br_complexes(generic_2xn(5)))
     ))

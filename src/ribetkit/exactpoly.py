@@ -255,19 +255,24 @@ def mono_deg(a: Mono) -> int:
     return sum(a)
 
 
-def mono_is_one(a: Mono) -> bool:
-    return not any(a)
-
-
 # ---------------------------------------------------------------------------
 # Monomial orders.  Each order exposes key(mono) -> sortable; larger keys
 # mean larger monomials.  1 is minimal and keys are multiplication
 # compatible for all orders defined here.
+#
+# Each order is also a matrix order: weight_rows(n) gives rows of
+# non-negative per-variable weights such that comparing the rows' dot
+# products with two exponent vectors, first row first, orders them
+# exactly as key does.  The Groebner engine packs these dot products
+# into one int per monomial.
 
 class MonomialOrder:
     name = "abstract"
 
     def key(self, m: Mono):  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def weight_rows(self, n: int) -> list[tuple[int, ...]]:  # pragma: no cover - interface
         raise NotImplementedError
 
     def leading(self, monos: Iterable[Mono]) -> Mono:
@@ -283,12 +288,32 @@ class Lex(MonomialOrder):
     def key(self, m: Mono):
         return m
 
+    def weight_rows(self, n: int) -> list[tuple[int, ...]]:
+        return _lex_rows(n)
+
+
+def _lex_rows(n: int) -> list[tuple[int, ...]]:
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
+
+
+def _revlex_rows(n: int, weights: Sequence[int]) -> list[tuple[int, ...]]:
+    """Weighted degree, then the weighted partial sums x1..x(k), k = n-1..1.
+
+    With positive weights and the degree tied, a larger partial sum up to
+    x(k) means a smaller x(k+1), which is the reverse-lexicographic
+    tie-break of ``(d, tuple(-e for e in reversed(m)))``.
+    """
+    return [tuple(weights[:k]) + (0,) * (n - k) for k in range(n, 0, -1)]
+
 
 class DegRevLex(MonomialOrder):
     name = "degrevlex"
 
     def key(self, m: Mono):
         return (sum(m), tuple(-e for e in reversed(m)))
+
+    def weight_rows(self, n: int) -> list[tuple[int, ...]]:
+        return _revlex_rows(n, (1,) * n)
 
 
 @dataclass(frozen=True)
@@ -309,6 +334,24 @@ class Block:
             d = sum(w * e for w, e in zip(self.weights, sub))
         return (d, tuple(-e for e in reversed(sub)))
 
+    def weight_rows(self, n: int) -> list[tuple[int, ...]]:
+        """Rows over all n variables, zero outside this block."""
+        k = len(self.vars)
+        if self.mode == "lex":
+            local = _lex_rows(k)
+        else:
+            weights = self.weights if self.weights is not None else (1,) * k
+            if any(w <= 0 for w in weights):
+                raise StructuralError("degrevlex block weights must be positive")
+            local = _revlex_rows(k, weights)
+        rows = []
+        for row in local:
+            full = [0] * n
+            for v, w in zip(self.vars, row):
+                full[v] = w
+            rows.append(tuple(full))
+        return rows
+
 
 class WeightedBlock(MonomialOrder):
     """Block order: compare block keys left to right.
@@ -325,6 +368,9 @@ class WeightedBlock(MonomialOrder):
 
     def key(self, m: Mono):
         return tuple(b.key(m) for b in self.blocks)
+
+    def weight_rows(self, n: int) -> list[tuple[int, ...]]:
+        return [row for b in self.blocks for row in b.weight_rows(n)]
 
 
 LEX = Lex()

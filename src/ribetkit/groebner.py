@@ -4,17 +4,42 @@ quotients, and module syzygies.
 This is the proof oracle for every "lies in the ideal" claim in the
 package.  Scalar ideals use the classic Buchberger loop with the normal
 pair-selection strategy (minimal lcm) plus the product and chain
-criteria.  Over the rationals the inner loop runs on primitive integer
-coefficient dictionaries with gcd-scaled pseudo-reduction, which avoids
-per-operation Fraction overhead; the exact rational normal form is
-recovered by tracking the accumulated scale factor.  Prime-field input
-reduces directly with machine-int modular arithmetic.
+criteria.  One reduction loop serves both coefficient cores; they
+differ only in the step taken once per reducer hit.  Over the rationals
+the loop runs on primitive integer coefficients with gcd-scaled
+pseudo-reduction, which avoids per-operation Fraction overhead; the
+exact rational normal form is recovered by tracking the accumulated
+scale factor.  Over GF(p) a hit multiplies by the inverse of the
+reducer's leading coefficient, and coefficients are reduced mod p
+lazily, when their term reaches the head of the loop.
+
+Packed monomials (Monagan & Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  Inside the
+scalar engine a monomial is one int made of equal-width fields, from
+most significant to least:
+
+    [order rows][exponents, one guard bit each][total degree]
+
+The order rows are the dot products of the exponent vector with
+``order.weight_rows(n)``.  Every field is linear in the exponents, so
+the product of two monomials is ``a + b``, the monomial order is ``<``
+on ints, ``a | b`` iff ``((b | G) - a) & G == G`` (G the guard bits),
+and the degree-cap check reads the bottom field.  The field width comes
+from ``Budget.max_degree`` and the largest input degree: the value bits
+hold every field of a monomial the engine keeps, so the sum of two never
+carries into a neighbouring field.  The one product whose degree no cap
+bounds, an S-polynomial term of an order that is not degree-compatible,
+is checked, and the computation restarts with wider fields if it would
+not fit.  Exponent tuples are packed when polynomials enter
+(``_Engine.to_terms``, ``GroebnerBasis._prepared``) and unpacked when
+results leave (``_Engine.to_polynomial``, ``GroebnerBasis.normal_form``);
+``Polynomial.terms`` keeps tuple keys everywhere else.
 
 Syzygies use the elimination variant of the extended-Buchberger
 construction: augment each column with a unit bookkeeping component,
 run module Buchberger under a position-over-term order whose first
 block dominates, and read off the basis elements supported entirely in
-the bookkeeping block.
+the bookkeeping block.  The module path works on exponent tuples.
 
 Budgets: every reduction step counts against ``Budget.max_steps`` and
 monomials are checked against ``Budget.max_degree``.  Exceeding either
@@ -28,11 +53,13 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from operator import itemgetter, mul
+from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, StructuralError
 from .exactpoly import (
     DEGREVLEX,
+    NEG_INF,
     QQ,
     CoefficientRing,
     Mono,
@@ -73,26 +100,14 @@ class _Counter:
                 f"Groebner step budget exceeded ({self.budget.max_steps})"
             )
 
-    def check_mono(self, m: Mono):
-        if mono_deg(m) > self.budget.max_degree:
+    def check_degree(self, d: int):
+        if d > self.budget.max_degree:
             raise BudgetExceeded(
-                f"degree cap exceeded ({mono_deg(m)} > {self.budget.max_degree})"
+                f"degree cap exceeded ({d} > {self.budget.max_degree})"
             )
 
 
 DEFAULT_BUDGET = Budget()
-
-
-class _Rev:
-    """Max-heap adapter: reverses comparisons of an arbitrary sort key."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k):
-        self.k = k
-
-    def __lt__(self, other):
-        return other.k < self.k
 
 
 @dataclass(frozen=True)
@@ -122,7 +137,55 @@ class IdealSpec:
 
 
 # ---------------------------------------------------------------------------
-# Integer pseudo-reduction core (QQ and ZZ input).
+# Packed monomials.
+
+class _FieldOverflow(Exception):
+    """An S-polynomial term has a degree beyond the packer's room."""
+
+    def __init__(self, room: int):
+        super().__init__(f"monomial degree exceeds the packed field room {room}")
+        self.room = room
+
+
+class _Packer:
+    """One int per monomial for a fixed order, variable count and degree.
+
+    Fields are ``bits`` value bits plus one guard bit wide.  ``room`` is
+    the largest total degree whose every field fits in the value bits;
+    it is at least ``degree``.
+    """
+
+    def __init__(self, order: MonomialOrder, nvars: int, degree: int):
+        rows = order.weight_rows(nvars)
+        # A row's dot product is at most its largest weight times the degree.
+        weight = max([1, *(w for row in rows for w in row)])
+        self.bits = max(1, (weight * degree).bit_length())
+        self.room = ((1 << self.bits) - 1) // weight
+        stride = self.bits + 1
+        self.deg_mask = (1 << stride) - 1
+        self.shifts = [stride * (1 + i) for i in range(nvars)]
+        self.guard = sum(1 << (s + self.bits) for s in self.shifts)
+        top = stride * (1 + nvars + len(rows))
+        self.units = [
+            1 + (1 << self.shifts[i])
+            + sum(row[i] << (top - stride * (r + 1)) for r, row in enumerate(rows))
+            for i in range(nvars)
+        ]
+
+    def pack(self, m: Iterable[int]) -> int:
+        return sum(map(mul, m, self.units))
+
+    def unpack(self, x: int) -> Mono:
+        mask = self.deg_mask
+        return tuple((x >> s) & mask for s in self.shifts)
+
+
+def _max_degree(polys: Sequence[Polynomial]) -> int:
+    return max((sum(m) for f in polys for m in f.terms), default=0)
+
+
+# ---------------------------------------------------------------------------
+# Coefficient helpers for QQ and ZZ input.
 
 def _int_terms(f: Polynomial) -> dict:
     """Primitive integer coefficient dict of a QQ/ZZ polynomial (content
@@ -144,264 +207,157 @@ def _strip_content(terms: dict) -> dict:
     return {m: c // g for m, c in terms.items()}
 
 
-def _zz_reduce(
-    terms: dict,
-    reducers: list[tuple[Mono, int, dict]],
-    order: MonomialOrder,
-    counter: _Counter,
-    head_only: bool = False,
-) -> tuple[dict, int]:
-    """Pseudo-reduce an integer term dict by primitive integer reducers.
-
-    Returns (remainder, scale) with scale > 0 and
-    scale * input = (combination of reducers) + remainder.
-    In head_only mode reduction stops once the leading monomial is
-    irreducible; the untouched tail is returned as part of the remainder.
-    """
-    if not terms or not reducers:
-        return dict(terms), 1
-    keycache: dict[Mono, object] = {}
-    okey = order.key
-
-    def K(m):
-        k = keycache.get(m)
-        if k is None:
-            k = okey(m)
-            keycache[m] = k
-        return k
-
-    work = dict(terms)
-    heap = [(_Rev(K(m)), m) for m in work]
-    heapq.heapify(heap)
-    remainder: dict[Mono, tuple[int, int]] = {}  # mono -> (value, scale at extraction)
-    scale = 1
-    max_deg = counter.budget.max_degree
-    while heap:
-        m = heapq.heappop(heap)[1]
-        c = work.get(m)
-        if c is None:
-            continue
-        hit = None
-        for lm, lc, gterms in reducers:
-            if mono_divides(lm, m):
-                hit = (lm, lc, gterms)
-                break
-        if hit is None:
-            if head_only:
-                work_final = work
-                out = {k: v for k, v in work_final.items()}
-                for mm, (v, s) in remainder.items():
-                    out[mm] = out.get(mm, 0) + v * (scale // s)
-                return out, scale
-            del work[m]
-            remainder[m] = (c, scale)
-            continue
-        lm, lc, gterms = hit
-        counter.tick()
-        del work[m]
-        g0 = gcd(c, lc)
-        a = lc // g0
-        b = c // g0
-        if a < 0:
-            a, b = -a, -b
-        if a != 1:
-            scale *= a
-            for k in work:
-                work[k] *= a
-        shift = mono_div(m, lm)
-        for mt, ct in gterms.items():
-            if mt == lm:
-                continue
-            mm = mono_mul(mt, shift)
-            if sum(mm) > max_deg:
-                raise BudgetExceeded("degree cap exceeded during reduction")
-            prev = work.get(mm)
-            if prev is None:
-                v = -b * ct
-                if v:
-                    work[mm] = v
-                    heapq.heappush(heap, (_Rev(K(mm)), mm))
-            else:
-                v = prev - b * ct
-                if v:
-                    work[mm] = v
-                else:
-                    del work[mm]
-    out = {}
-    for mm, (v, s) in remainder.items():
-        out[mm] = v * (scale // s)
-    return out, scale
-
-
-def _zz_spoly(
-    f: tuple[Mono, int, dict], g: tuple[Mono, int, dict], counter: _Counter
-) -> dict:
-    """Integer S-polynomial of two primitive reducer records."""
-    mf, cf, ft = f
-    mg, cg, gt = g
-    lcm = mono_lcm(mf, mg)
-    counter.check_mono(lcm)
-    uf, ug = mono_div(lcm, mf), mono_div(lcm, mg)
-    g0 = gcd(cf, cg)
-    a, b = cg // g0, cf // g0
-    out: dict = {}
-    for mt, ct in ft.items():
-        out[mono_mul(mt, uf)] = a * ct
-    for mt, ct in gt.items():
-        mm = mono_mul(mt, ug)
-        v = out.get(mm, 0) - b * ct
-        if v:
-            out[mm] = v
-        else:
-            out.pop(mm, None)
-    return out
-
-
-def _record(terms: dict, order: MonomialOrder) -> tuple[Mono, int, dict]:
-    terms = _strip_content(terms)
-    lm = max(terms, key=order.key)
-    return (lm, terms[lm], terms)
-
-
 # ---------------------------------------------------------------------------
-# Prime-field reduction core.
-
-def _gf_reduce(
-    terms: dict,
-    reducers: list[tuple[Mono, int, dict]],
-    order: MonomialOrder,
-    counter: _Counter,
-    p: int,
-    head_only: bool = False,
-) -> dict:
-    if not terms or not reducers:
-        return dict(terms)
-    keycache: dict[Mono, object] = {}
-    okey = order.key
-
-    def K(m):
-        k = keycache.get(m)
-        if k is None:
-            k = okey(m)
-            keycache[m] = k
-        return k
-
-    work = dict(terms)
-    heap = [(_Rev(K(m)), m) for m in work]
-    heapq.heapify(heap)
-    remainder: dict = {}
-    max_deg = counter.budget.max_degree
-    while heap:
-        m = heapq.heappop(heap)[1]
-        c = work.get(m)
-        if c is None:
-            continue
-        hit = None
-        for lm, lc_inv, gterms in reducers:
-            if mono_divides(lm, m):
-                hit = (lm, lc_inv, gterms)
-                break
-        if hit is None:
-            if head_only:
-                out = dict(work)
-                out.update(remainder)
-                return out
-            del work[m]
-            remainder[m] = c
-            continue
-        lm, lc_inv, gterms = hit
-        counter.tick()
-        del work[m]
-        factor = (c * lc_inv) % p
-        shift = mono_div(m, lm)
-        for mt, ct in gterms.items():
-            if mt == lm:
-                continue
-            mm = mono_mul(mt, shift)
-            if sum(mm) > max_deg:
-                raise BudgetExceeded("degree cap exceeded during reduction")
-            prev = work.get(mm)
-            if prev is None:
-                v = (-factor * ct) % p
-                if v:
-                    work[mm] = v
-                    heapq.heappush(heap, (_Rev(K(mm)), mm))
-            else:
-                v = (prev - factor * ct) % p
-                if v:
-                    work[mm] = v
-                else:
-                    del work[mm]
-    return remainder
-
-
-def _gf_record(terms: dict, order: MonomialOrder, p: int) -> tuple[Mono, int, dict]:
-    lm = max(terms, key=order.key)
-    return (lm, pow(terms[lm], p - 2, p), terms)
-
-
-def _gf_spoly(f, g, counter: _Counter, p: int) -> dict:
-    mf, cf_inv, ft = f
-    mg, cg_inv, gt = g
-    lcm = mono_lcm(mf, mg)
-    counter.check_mono(lcm)
-    uf, ug = mono_div(lcm, mf), mono_div(lcm, mg)
-    out: dict = {}
-    for mt, ct in ft.items():
-        out[mono_mul(mt, uf)] = (ct * cf_inv) % p
-    for mt, ct in gt.items():
-        mm = mono_mul(mt, ug)
-        v = (out.get(mm, 0) - ct * cg_inv) % p
-        if v:
-            out[mm] = v
-        else:
-            out.pop(mm, None)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The Buchberger loop, shared by both coefficient cores.
+# The engine: packed monomials with one of the two coefficient cores.
+#
+# A record is (lead, lc, terms, tail, tail_degree): the packed leading
+# monomial, its coefficient (over GF(p) the inverse mod p), the packed
+# term dict, the other terms as a list, and their highest total degree
+# (-inf when there are none: a monomial reducer forms no product).
 
 class _Engine:
-    """Coefficient-core adapter: ZZ pseudo-arithmetic or GF(p)."""
+    """Coefficient core (ZZ pseudo-arithmetic, or GF(p) when p != 0) over
+    packed monomials."""
 
-    def __init__(self, ring: CoefficientRing, order: MonomialOrder):
-        self.order = order
-        self.gf = ring.kind == "GF"
-        self.p = ring.p
+    def __init__(self, ring: CoefficientRing, order: MonomialOrder, nvars: int, degree: int):
         self.ring = ring
-
-    def record(self, terms: dict):
-        return _gf_record(terms, self.order, self.p) if self.gf else _record(terms, self.order)
-
-    def reduce(self, terms, reducers, counter, head_only=False) -> dict:
-        if self.gf:
-            return _gf_reduce(terms, reducers, self.order, counter, self.p, head_only)
-        return _zz_reduce(terms, reducers, self.order, counter, head_only)[0]
-
-    def spoly(self, f, g, counter) -> dict:
-        if self.gf:
-            return _gf_spoly(f, g, counter, self.p)
-        return _zz_spoly(f, g, counter)
+        self.p = ring.p if ring.kind == "GF" else 0
+        self.packer = _Packer(order, nvars, degree)
 
     def to_terms(self, f: Polynomial) -> dict:
-        if self.gf:
-            return dict(f.terms)
-        return _int_terms(f)
+        pack = self.packer.pack
+        terms = f.terms if self.p else _int_terms(f)
+        return {pack(m): c for m, c in terms.items()}
 
     def to_polynomial(self, terms: dict, table) -> Polynomial:
         """Monic polynomial over the engine's field."""
         if not terms:
-            return Polynomial.zero(self.ring if self.gf else QQ, table)
-        lm = max(terms, key=self.order.key)
-        if self.gf:
-            inv = pow(terms[lm], self.p - 2, self.p)
-            return Polynomial(self.ring, table, {m: (c * inv) % self.p for m, c in terms.items()})
-        lc = terms[lm]
-        return Polynomial(QQ, table, {m: Fraction(c, lc) for m, c in terms.items()})
+            return Polynomial.zero(self.ring if self.p else QQ, table)
+        unpack, p = self.packer.unpack, self.p
+        lc = terms[max(terms)]
+        if p:
+            inv = pow(lc, -1, p)
+            return Polynomial(self.ring, table, {unpack(m): c * inv % p for m, c in terms.items()})
+        return Polynomial(QQ, table, {unpack(m): Fraction(c, lc) for m, c in terms.items()})
+
+    def record(self, terms: dict) -> tuple:
+        if not self.p:
+            terms = _strip_content(terms)
+        lm = max(terms)
+        lc = pow(terms[lm], -1, self.p) if self.p else terms[lm]
+        tail = [(m, c) for m, c in terms.items() if m != lm]
+        mask = self.packer.deg_mask
+        return (lm, lc, terms, tail, max((m & mask for m, _ in tail), default=NEG_INF))
+
+    def reduce(
+        self, terms: dict, reducers: list, counter: _Counter, head_only: bool = False
+    ) -> tuple[dict, int]:
+        """Pseudo-reduce a packed term dict by records.
+
+        Returns (remainder, scale) with scale > 0 and
+        scale * input = (combination of reducers) + remainder.  Over GF(p)
+        the scale is 1 and input coefficients may be any representatives:
+        each is reduced mod p when its term is popped, and a term that
+        vanishes mod p is dropped.  In head_only mode reduction stops once
+        the leading monomial is irreducible; the untouched tail is
+        returned as part of the remainder.
+        """
+        if not terms or not reducers:
+            return dict(terms), 1
+        p = self.p
+        guard = self.packer.guard
+        mask = self.packer.deg_mask
+        max_deg = counter.budget.max_degree
+        heappush, heappop = heapq.heappush, heapq.heappop
+        work = dict(terms)
+        heap = [-m for m in work]  # heapq is a min-heap; negate for the largest first
+        heapq.heapify(heap)
+        remainder: dict[int, tuple[int, int]] = {}  # mono -> (value, scale at extraction)
+        scale = 1
+        while heap:
+            m = -heappop(heap)
+            c = work.get(m)
+            if c is None:
+                continue
+            if p:
+                c %= p
+                if not c:
+                    del work[m]
+                    continue
+            mg = m | guard
+            for rec in reducers:
+                if (mg - rec[0]) & guard == guard:
+                    break
+            else:
+                if head_only:
+                    out = {k: v % p for k, v in work.items() if v % p} if p else dict(work)
+                    for mm, (v, s) in remainder.items():
+                        out[mm] = v * (scale // s)
+                    return out, scale
+                del work[m]
+                remainder[m] = (c, scale)
+                continue
+            counter.tick()
+            del work[m]
+            lm, lc, _, tail, tail_deg = rec
+            shift = m - lm
+            if tail_deg + (shift & mask) > max_deg:
+                raise BudgetExceeded("degree cap exceeded during reduction")
+            # The coefficient step, once per hit: b * reducer cancels the head.
+            if p:
+                b = c * lc % p
+            else:
+                g0 = gcd(c, lc)
+                a, b = lc // g0, c // g0
+                if a < 0:
+                    a, b = -a, -b
+                if a != 1:
+                    scale *= a
+                    for k in work:
+                        work[k] *= a
+            for mt, ct in tail:
+                mm = mt + shift
+                prev = work.get(mm)
+                if prev is None:
+                    work[mm] = -b * ct
+                    heappush(heap, -mm)
+                else:
+                    v = prev - b * ct
+                    if v:
+                        work[mm] = v
+                    else:
+                        del work[mm]
+        return {mm: v * (scale // s) for mm, (v, s) in remainder.items()}, scale
+
+    def spoly(self, f: tuple, g: tuple, lcm: int, counter: _Counter) -> dict:
+        """S-polynomial of two records whose leading monomials have the
+        packed lcm ``lcm``; the leading terms cancel and are skipped."""
+        mask = self.packer.deg_mask
+        counter.check_degree(lcm & mask)
+        mf, cf, _, ft, f_deg = f
+        mg, cg, _, gt, g_deg = g
+        uf, ug = lcm - mf, lcm - mg
+        room = self.packer.room
+        if f_deg + (uf & mask) > room or g_deg + (ug & mask) > room:
+            raise _FieldOverflow(room)
+        if self.p:
+            a, b = cf, cg
+        else:
+            g0 = gcd(cf, cg)
+            a, b = cg // g0, cf // g0
+        out = {mt + uf: a * ct for mt, ct in ft}
+        for mt, ct in gt:
+            mm = mt + ug
+            v = out.get(mm, 0) - b * ct
+            if v:
+                out[mm] = v
+            else:
+                out.pop(mm, None)
+        return out
 
 
-def _engine_for(gens: Sequence[Polynomial], order: MonomialOrder) -> tuple[_Engine, list[Polynomial]]:
+def _lift(gens: Sequence[Polynomial]) -> list[Polynomial]:
+    """Generators over one field: ZZ lifts to QQ."""
     lifted = []
     for g in gens:
         if g.ring.kind == "ZZ":
@@ -413,7 +369,23 @@ def _engine_for(gens: Sequence[Polynomial], order: MonomialOrder) -> tuple[_Engi
     for g in lifted:
         if g.ring != ring:
             raise StructuralError("mixed coefficient rings")
-    return _Engine(ring, order), lifted
+    return lifted
+
+
+def _engine_for(gens: Sequence[Polynomial], order: MonomialOrder, degree: int) -> tuple[_Engine, list[Polynomial]]:
+    """Engine whose packed fields hold degree ``degree`` and every input term."""
+    lifted = _lift(gens)
+    degree = max(degree, _max_degree(lifted))
+    return _Engine(lifted[0].ring, order, len(lifted[0].table), degree), lifted
+
+
+def _widening(degree: int, run):
+    """``run(degree)``, retried with twice the room while it overflows."""
+    while True:
+        try:
+            return run(degree)
+        except _FieldOverflow as exc:
+            degree = 2 * exc.room
 
 
 @dataclass
@@ -423,33 +395,35 @@ class GroebnerBasis:
     basis: tuple[Polynomial, ...]
     order: MonomialOrder
     source: IdealSpec
-    _records: list = field(default=None, repr=False, compare=False)
-    _engine: _Engine = field(default=None, repr=False, compare=False)
+    _packed: tuple = field(default=None, repr=False, compare=False)  # (engine, records)
 
-    def _prepared(self):
-        if self._records is None:
-            eng, lifted = _engine_for(self.basis, self.order) if self.basis else (None, [])
-            self._engine = eng
-            self._records = [eng.record(eng.to_terms(g)) for g in lifted] if eng else []
-        return self._engine, self._records
+    def _prepared(self, degree: int) -> tuple[_Engine, list]:
+        """Engine and basis records with room for degree ``degree``."""
+        packed = self._packed
+        if packed is None or packed[0].packer.room < degree:
+            eng, lifted = _engine_for(self.basis, self.order, degree)
+            packed = (eng, [eng.record(eng.to_terms(g)) for g in lifted])
+            self._packed = packed
+        return packed
 
     def normal_form(self, f: Polynomial, budget: Budget = DEFAULT_BUDGET) -> Polynomial:
         """Fully reduced remainder; exact over the basis field."""
         if not self.basis:
             return f
-        eng, records = self._prepared()
         f = _match_field(f, self.basis[0].ring)
+        eng, records = self._prepared(max(budget.max_degree, _max_degree([f])))
+        pack, unpack = eng.packer.pack, eng.packer.unpack
         counter = budget.fresh_counter()
-        if eng.gf:
-            rem = _gf_reduce(dict(f.terms), records, self.order, counter, eng.p)
-            return Polynomial(f.ring, f.table, rem)
+        if eng.p:
+            rem, _ = eng.reduce(eng.to_terms(f), records, counter)
+            return Polynomial(f.ring, f.table, {unpack(m): c for m, c in rem.items()})
         denom = 1
         for c in f.terms.values():
             denom = denom * c.denominator // gcd(denom, c.denominator)
-        int_terms = {m: int(c * denom) for m, c in f.terms.items()}
-        rem, scale = _zz_reduce(int_terms, records, self.order, counter)
+        int_terms = {pack(m): int(c * denom) for m, c in f.terms.items()}
+        rem, scale = eng.reduce(int_terms, records, counter)
         total = Fraction(1, scale * denom)
-        return Polynomial(QQ, f.table, {m: c * total for m, c in rem.items()})
+        return Polynomial(QQ, f.table, {unpack(m): c * total for m, c in rem.items()})
 
     def contains(self, f: Polynomial, budget: Budget = DEFAULT_BUDGET) -> bool:
         if f.is_zero():
@@ -461,18 +435,28 @@ class GroebnerBasis:
     def verify(self, budget: Budget = DEFAULT_BUDGET) -> bool:
         """Re-check the defining invariants: every S-polynomial of basis
         pairs reduces to 0 and every source generator is a member."""
-        eng, records = self._prepared()
-        if eng is None:
+        if not self.basis:
             return not self.source.generators
-        counter = budget.fresh_counter()
-        for i in range(len(records)):
-            for j in range(i + 1, len(records)):
-                s = eng.spoly(records[i], records[j], counter)
-                if eng.reduce(s, records, counter):
-                    return False
+        spolys_vanish = _widening(
+            budget.max_degree, lambda degree: self._spolys_reduce_to_zero(degree, budget)
+        )
+        if not spolys_vanish:
+            return False
         for g in self.source.generators:
             if not self.contains(g, budget):
                 return False
+        return True
+
+    def _spolys_reduce_to_zero(self, degree: int, budget: Budget) -> bool:
+        eng, records = self._prepared(degree)
+        counter = budget.fresh_counter()
+        exps = [eng.packer.unpack(rec[0]) for rec in records]
+        for i in range(len(records)):
+            for j in range(i + 1, len(records)):
+                lcm = eng.packer.pack(map(max, exps[i], exps[j]))
+                s = eng.spoly(records[i], records[j], lcm, counter)
+                if eng.reduce(s, records, counter)[0]:
+                    return False
         return True
 
 
@@ -497,27 +481,42 @@ def buchberger(spec: IdealSpec, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasi
     order = spec.order
     if not spec.generators:
         return GroebnerBasis((), order, spec)
-    eng, lifted = _engine_for(spec.generators, order)
+    lifted = _lift(spec.generators)
+    basis = _widening(
+        budget.max_degree,
+        lambda degree: _buchberger(*_engine_for(lifted, order, degree), budget),
+    )
+    gb = GroebnerBasis(tuple(basis), order, spec)
+    for g in lifted:
+        if not gb.contains(g, budget):
+            raise StructuralError("internal error: source generator escaped its ideal")
+    return gb
+
+
+def _buchberger(eng: _Engine, lifted: list[Polynomial], budget: Budget) -> list[Polynomial]:
     counter = budget.fresh_counter()
     table = lifted[0].table
+    packer = eng.packer
+    guard, mask = packer.guard, packer.deg_mask
 
-    G: list[tuple[Mono, int, dict]] = []
+    G: list[tuple] = []
+    leads: list[int] = []
+    exps: list[Mono] = []  # leading exponent tuples, for the pair lcms
     pair_heap: list = []
     pending: set[tuple[int, int]] = set()
-    okey = order.key
-
-    def push_pairs(idx: int):
-        lm_new = G[idx][0]
-        for i in range(idx):
-            l = mono_lcm(G[i][0], lm_new)
-            heapq.heappush(pair_heap, (okey(l), i, idx))
-            pending.add((i, idx))
 
     def add(terms: dict):
         rec = eng.record(terms)
-        counter.check_mono(rec[0])
+        lm = rec[0]
+        counter.check_degree(lm & mask)
+        idx = len(G)
+        e_new = packer.unpack(lm)
+        for i, e in enumerate(exps):
+            heapq.heappush(pair_heap, (packer.pack(map(max, e, e_new)), i, idx))
+            pending.add((i, idx))
         G.append(rec)
-        push_pairs(len(G) - 1)
+        leads.append(lm)
+        exps.append(e_new)
 
     seen = set()
     for g in lifted:
@@ -529,55 +528,45 @@ def buchberger(spec: IdealSpec, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasi
         add(t)
 
     while pair_heap:
-        _, i, j = heapq.heappop(pair_heap)
-        if (i, j) not in pending:
-            continue
+        lcm, i, j = heapq.heappop(pair_heap)
         pending.discard((i, j))
-        mi, mj = G[i][0], G[j][0]
-        lcm = mono_lcm(mi, mj)
-        if lcm == mono_mul(mi, mj):  # product criterion
+        if lcm == leads[i] + leads[j]:  # product criterion
             continue
+        lg = lcm | guard
         skip = False
-        for k in range(len(G)):  # chain criterion, pending-pair form
-            if k == i or k == j:
-                continue
-            if mono_divides(G[k][0], lcm):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
+        for k, lk in enumerate(leads):  # chain criterion, pending-pair form
+            if (lg - lk) & guard == guard and k != i and k != j:
+                a = (i, k) if i < k else (k, i)
+                b = (j, k) if j < k else (k, j)
                 if a not in pending and b not in pending:
                     skip = True
                     break
         if skip:
             continue
-        s = eng.spoly(G[i], G[j], counter)
+        s = eng.spoly(G[i], G[j], lcm, counter)
         if not s:
             continue
-        r = eng.reduce(s, G, counter, head_only=True)
+        r, _ = eng.reduce(s, G, counter, head_only=True)
         if r:
             add(r)
 
     # Minimalize: drop elements whose leading monomial is divisible by the
     # leading monomial of an element kept earlier (ascending scan).
-    order_idx = sorted(range(len(G)), key=lambda k: okey(G[k][0]))
-    kept: list[tuple[Mono, int, dict]] = []
-    for k in order_idx:
-        lm = G[k][0]
-        if any(mono_divides(h[0], lm) for h in kept):
+    kept: list[tuple] = []
+    for rec in sorted(G, key=itemgetter(0)):
+        lg = rec[0] | guard
+        if any((lg - h[0]) & guard == guard for h in kept):
             continue
-        kept.append(G[k])
+        kept.append(rec)
     # Tail-reduce each survivor against the others and make monic.
-    final: list[Polynomial] = []
+    final: list[tuple[int, Polynomial]] = []
     for i, rec in enumerate(kept):
         others = kept[:i] + kept[i + 1 :]
-        rem = eng.reduce(rec[2], others, counter)
+        rem, _ = eng.reduce(rec[2], others, counter)
         if rem:
-            final.append(eng.to_polynomial(rem, table))
-    final.sort(key=lambda p: okey(p.leading_term(order)[0]), reverse=True)
-    gb = GroebnerBasis(tuple(final), order, spec)
-    for g in lifted:
-        if not gb.contains(g, budget):
-            raise StructuralError("internal error: source generator escaped its ideal")
-    return gb
+            final.append((max(rem), eng.to_polynomial(rem, table)))
+    final.sort(key=itemgetter(0), reverse=True)
+    return [f for _, f in final]
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis, budget: Budget = DEFAULT_BUDGET) -> Polynomial:
@@ -597,11 +586,12 @@ def reduce_by(
     gens = [g for g in gens if not g.is_zero()]
     if not gens or f.is_zero():
         return f
-    eng, lifted = _engine_for(gens, order)
+    lifted = _lift(gens)
     f = _match_field(f, lifted[0].ring)
+    eng, lifted = _engine_for(lifted, order, max(budget.max_degree, _max_degree([f])))
     records = [eng.record(eng.to_terms(g)) for g in lifted]
     counter = budget.fresh_counter()
-    rem = eng.reduce(eng.to_terms(f), records, counter)
+    rem, _ = eng.reduce(eng.to_terms(f), records, counter)
     return eng.to_polynomial(rem, f.table) if rem else Polynomial.zero(f.ring, f.table)
 
 
@@ -686,7 +676,7 @@ def ideal_quotient(spec: IdealSpec, f: Polynomial, budget: Budget = DEFAULT_BUDG
         return IdealSpec([Polynomial.one(ring, table)], spec.order)
     if not spec.generators:
         return IdealSpec([], spec.order)
-    _, lifted = _engine_for(list(spec.generators) + [f], spec.order)
+    lifted = _lift(list(spec.generators) + [f])
     gens, f = lifted[:-1], lifted[-1]
     table = f.table
     ext = table.extend(["_u"], ["param"])

@@ -329,16 +329,34 @@ def _eigenlines(m: M2, p: int) -> list[tuple[int, int]]:
 
 
 def _sqrts(a: int, p: int) -> list[int]:
+    """Square roots of a mod the prime p: [r, p - r] with r the smaller
+    root, [0] for a = 0, [] for a non-residue.  Tonelli-Shanks, with
+    r = a^((p+1)/4) when p = 3 mod 4."""
     a %= p
     if a == 0:
         return [0]
     if pow(a, (p - 1) // 2, p) != 1:
         return []
-    # Tonelli-Shanks is overkill at our prime sizes; p = 10007 default.
-    for x in range(p):
-        if x * x % p == a:
-            return [x, (p - x) % p]
-    return []
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+    elif p == 2:
+        r = a
+    else:
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q, s = q // 2, s + 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2, i = t2 * t2 % p, i + 1
+            b = pow(c, 1 << (s - i - 1), p)
+            s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    r = min(r, p - r)
+    return [r, p - r]
 
 
 def _same_line(v, w, p) -> bool:

@@ -2,9 +2,25 @@
 
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
+import ribetkit.groebner as groebner
 from ribetkit.errors import BudgetExceeded
-from ribetkit.exactpoly import GF, LEX, QQ, ZZ, Polynomial, VariableTable
+from ribetkit.exactpoly import (
+    DEGREVLEX,
+    GF,
+    LEX,
+    QQ,
+    ZZ,
+    Block,
+    Polynomial,
+    VariableTable,
+    WeightedBlock,
+    elimination_order,
+    mono_deg,
+    mono_divides,
+    mono_mul,
+)
 from ribetkit.groebner import (
     Budget,
     FreeModuleMatrix,
@@ -16,9 +32,11 @@ from ribetkit.groebner import (
     module_contains,
     module_gb,
     normal_form,
+    reduce_by,
     syzygies,
 )
 from ribetkit.linalg import kernel_basis
+from ribetkit.ribet import build_ideals, shape_sigma_type3
 
 TXY = VariableTable(["x", "y"])
 
@@ -129,6 +147,134 @@ def test_degree_cap_reports_timeout():
     x, y = V(0), V(1)
     with pytest.raises(BudgetExceeded):
         buchberger(IdealSpec([x ** 5 - y, y ** 5 - x]), Budget(max_degree=4))
+
+
+@pytest.mark.parametrize("cap", [4, 40, 300])
+def test_field_width_follows_the_degree_cap(cap):
+    # The sum of two monomials of the largest degree the fields hold must
+    # not carry into a neighbouring field.
+    packer = groebner._Packer(DEGREVLEX, 3, cap)
+    assert packer.room >= cap
+    a = (packer.room, 0, 0)
+    product = packer.pack(a) + packer.pack(a)
+    assert packer.unpack(product) == mono_mul(a, a)
+    assert product & packer.deg_mask == 2 * packer.room
+    assert (packer.bits > 8) == (cap > 255)
+
+
+def test_large_degree_cap_reduces_exactly():
+    x, y = V(0), V(1)
+    big = Budget(max_degree=300)
+    gb = buchberger(IdealSpec([x**150 - y, y**2 - 2]), big)
+    assert set(gb.basis) == {x**150 - y, y**2 - 2}
+    # Exponents above 255 need fields wider than 8 bits.
+    assert normal_form(x**300 + x**151 * y, gb, big) == 2 * x + 2
+    with pytest.raises(BudgetExceeded):
+        normal_form(x**300, gb)
+
+
+def test_monomial_reducer_forms_no_product():
+    # x^50 is above the default degree cap, but dividing by the monomial x
+    # forms no product for the cap to check.
+    x, y = V(0), V(1)
+    assert reduce_by(x**50, [x]).is_zero()
+    assert normal_form(x**50 * y, buchberger(IdealSpec([x]))).is_zero()
+
+
+@pytest.fixture
+def packer_rooms(monkeypatch):
+    """The room of every packer the engine builds, in order."""
+    rooms = []
+
+    class Recording(groebner._Packer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            rooms.append(self.room)
+
+    monkeypatch.setattr(groebner, "_Packer", Recording)
+    return rooms
+
+
+def test_elimination_tail_above_the_lead_widens_the_fields(packer_rooms):
+    # Under an elimination order a tail can outweigh its leading monomial
+    # in total degree, and S-polynomial tails escape the degree cap: here
+    # one passes the room of the fields sized for max_degree=7, and the
+    # engine must restart with wider fields rather than carry.
+    t = VariableTable(["u", "x", "y", "z"])
+    u, x, y, z = (Polynomial.var(QQ, t, i) for i in range(4))
+    order = elimination_order([0], 4)
+    spec = IdealSpec([2 * y * z**2 + u * z, y**5 - u * y**2], order)
+    gb = buchberger(spec, Budget(max_degree=7))
+    assert packer_rooms[:2] == [7, 15]
+    assert gb.basis == buchberger(spec).basis
+    assert u * z + 2 * y * z**2 in gb.basis
+
+
+def test_ideal_quotient_under_a_small_degree_cap(packer_rooms):
+    # The elimination basis behind (I : f) widens its fields as above.
+    t = VariableTable(["x", "y", "z"])
+    x, y, z = (Polynomial.var(QQ, t, i) for i in range(3))
+    spec, f = IdealSpec([2 * x**2 * y + 1, -x * y * z - y**2]), x * z + 1
+    q = ideal_quotient(spec, f, Budget(max_degree=7))
+    assert packer_rooms[:2] == [7, 15]
+    assert q.generators == ideal_quotient(spec, f).generators
+    assert q.generators == (x**2 * y + Fraction(1, 2), x * y**2 - Fraction(1, 2) * z,
+                            y**3 + Fraction(1, 2) * z**2, x * z + y)
+    gb = buchberger(spec)
+    assert all(gb.contains(g * f) for g in q.generators)
+    with pytest.raises(BudgetExceeded):
+        ideal_quotient(spec, f, Budget(max_degree=6))
+
+
+def test_gf_remainders_drop_terms_that_cancel_mod_p():
+    # Over GF(p) coefficients are reduced when their term is popped; what
+    # the loop returns, head-only or full, holds no multiple of p.
+    p = 101
+    eng = groebner._Engine(GF(p), DEGREVLEX, 2, 40)
+    x2, xy, y2 = (eng.packer.pack(m) for m in ((2, 0), (1, 1), (0, 2)))
+    reducers = [eng.record({y2: 1})]
+    terms = {x2: 3, xy: p, y2: 2 * p + 5}
+    counter = Budget().fresh_counter()
+    assert eng.reduce(terms, reducers, counter, head_only=True) == ({x2: 3, y2: 5}, 1)
+    assert eng.reduce(terms, reducers, counter) == ({x2: 3}, 1)
+    assert counter.steps == 1
+
+
+_PACKED_ORDERS = {
+    "degrevlex": DEGREVLEX,
+    "lex": LEX,
+    "elimination": elimination_order([1, 3], 5),
+    "weighted": WeightedBlock([Block((0, 2), "lex"), Block((1, 3, 4), weights=(2, 1, 3))]),
+}
+_exps = st.tuples(*[st.integers(0, 20)] * 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_PACKED_ORDERS)), _exps, _exps, _exps)
+def test_packed_monomials_agree_with_tuples(name, a, b, c):
+    order = _PACKED_ORDERS[name]
+    packer = groebner._Packer(order, 5, 200)
+    g = packer.guard
+    pa, pb = packer.pack(a), packer.pack(b)
+    assert (pa < pb) == (order.key(a) < order.key(b))
+    assert (pa == pb) == (a == b)
+    assert packer.unpack(pa + pb) == mono_mul(a, b)
+    assert pa & packer.deg_mask == mono_deg(a)
+    for divisor, m in ((a, b), (a, mono_mul(a, c))):
+        pm = packer.pack(m)
+        assert (((pm | g) - packer.pack(divisor)) & g == g) == mono_divides(divisor, m)
+
+
+def test_qq_and_gf_cores_agree_on_a_corpus_ideal():
+    # The first six relations of J(sigma-v0-type3): a 34-element basis,
+    # about 3000 reduction steps, and verify() well under a second.
+    p = 2**31 - 1
+    shape = shape_sigma_type3()
+    qq = buchberger(IdealSpec(build_ideals(shape).J.generators[:6]))
+    gf = buchberger(IdealSpec(build_ideals(shape, GF(p)).J.generators[:6]))
+    assert len(qq.basis) == 34
+    assert [g.change_ring(GF(p)) for g in qq.basis] == list(gf.basis)
+    assert qq.verify() and gf.verify()
 
 
 def test_gf_path():

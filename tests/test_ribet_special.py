@@ -4,11 +4,12 @@ numeric checks."""
 import pytest
 
 from ribetkit.errors import StructuralError
-from ribetkit.exactpoly import GF
+from ribetkit.exactpoly import GF, _is_prime
 from ribetkit.linalg import rank
 from ribetkit.ribet.shapes import RibetShape, RowSpec, shape_r2_two_type2, shape_specialization
 from ribetkit.ribet.specialize import (
     _coefficient_matrix,
+    _sqrts,
     check_specialized,
     generate_specialization,
     perturb_alpha,
@@ -137,3 +138,30 @@ def test_four_free_generators_no_places():
     inst = generate_specialization(sh, 0, P)
     assert rank(_coefficient_matrix(inst), GF(P)) == 4
     assert check_specialized(inst).all_pass()
+
+
+def _sqrts_by_scan(a, p):
+    """Reference: the smallest x with x^2 = a (mod p) by a linear scan."""
+    a %= p
+    if a == 0:
+        return [0]
+    if pow(a, (p - 1) // 2, p) != 1:
+        return []
+    for x in range(p):
+        if x * x % p == a:
+            return [x, (p - x) % p]
+    return []
+
+
+def test_sqrts_matches_the_linear_scan():
+    for p in filter(_is_prime, range(300)):
+        for a in range(p):
+            assert _sqrts(a, p) == _sqrts_by_scan(a, p), (a, p)
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 998244353])  # p = 3 mod 4, p = 1 mod 2^23
+def test_sqrts_at_wide_primes(p):
+    for r in (2, 123456789, p - 5):
+        low = min(r, p - r)
+        assert _sqrts(r * r, p) == [low, p - low]
+    assert _sqrts(3, p) == []
