@@ -3,8 +3,9 @@
 
 Useful when touching the Groebner kernel: prints wall times for the
 checks that dominate suite runtime so regressions are visible at a
-glance, and times the GB of J(sigma-v0-type3) on both coefficient cores
-with a check that the QQ basis reduced mod p is the GF(p) basis.
+glance, times the GB of J(sigma-v0-type3) on both coefficient cores
+with a check that the QQ basis reduced mod p is the GF(p) basis, and
+times the module path (syzygies and symbolic H1) on R(f) 2x4.
 
 Run: PYTHONPATH=src python scripts/profile_engine.py
 """
@@ -13,8 +14,8 @@ import time
 
 from ribetkit.exactpoly import GF, QQ
 from ribetkit.genmat import Word, det_congruence_check, trace_congruence_check
-from ribetkit.groebner import buchberger
-from ribetkit.brcomplex import br_complexes, build_cd_morphism, check_d2, generic_2xn
+from ribetkit.groebner import buchberger, syzygies
+from ribetkit.brcomplex import br_complexes, build_cd_morphism, check_d2, generic_2xn, symbolic_h1
 from ribetkit.ribet.formal import build_ideals, check_e_tau_invariance, check_example_r2
 from ribetkit.ribet.shapes import corpus, shape_one_place_type4, shape_sigma_type3
 
@@ -44,6 +45,18 @@ def gb_both_cores():
     print(f"{'QQ basis mod p equals the GF(p) basis':55s} {'':9s}  -> {agree}")
 
 
+def module_path():
+    """Syzygies of d_1 and the exactness test of H1 on R(f) 2x4: the
+    module side of the one Buchberger loop."""
+    rf = br_complexes(generic_2xn(4)).Rf
+    timed("syzygies of d_1 of R(f) 2x4", lambda: syzygies(rf.diffs[1]), lambda syz: f"{len(syz)} generators")
+    timed(
+        "symbolic H1 of R(f) 2x4",
+        lambda: symbolic_h1(rf),
+        lambda rep: f"{len(rep.h1_generators)} generators, exact {rep.is_exact_at_1}",
+    )
+
+
 def main():
     timed("example-r2 (positive)", check_example_r2)
     timed("example-r2 (negative control)", lambda: check_example_r2(omit_relation=7))
@@ -55,6 +68,7 @@ def main():
         lambda: check_e_tau_invariance(shape_one_place_type4(), drop_pair_generator=True),
     )
     gb_both_cores()
+    module_path()
     timed("BR complexes 2x5 full length + d2", lambda: all(
         check_d2(c) for c in (lambda b: (b.Rf, b.Rdetf))(br_complexes(generic_2xn(5)))
     ))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import StructuralError
 from .exactpoly import Polynomial, VariableTable
-from .groebner import Budget, DEFAULT_BUDGET, GroebnerBasis, IdealSpec, buchberger, in_ideal, normal_form, reduce_by
+from .groebner import Budget, DEFAULT_BUDGET, GroebnerBasis, IdealSpec, buchberger, in_ideal, normal_form
 
 
 @dataclass
@@ -88,12 +88,6 @@ class TauAction:
         return Polynomial.var(ring, self.table, self.param)
 
 
-def apply_tau(f: Polynomial, action: TauAction | None = None) -> Polynomial:
-    """Convenience wrapper: act on f by tau_x for a fresh parameter x."""
-    action = action or TauAction(f.table)
-    return action.apply(f)
-
-
 def adjoint_quadruple_check(
     A: Polynomial, B: Polynomial, C: Polynomial, D: Polynomial,
     action: TauAction | None = None,
@@ -153,27 +147,3 @@ def invariant_mod(
     else:
         nf = f
     return nf.torus_weight() == 0
-
-
-def tau_fixed_mod(
-    f: Polynomial,
-    ideal: IdealSpec,
-    budget: Budget = DEFAULT_BUDGET,
-    action: TauAction | None = None,
-    gb: GroebnerBasis | None = None,
-) -> bool:
-    """Just the unipotent half of invariant_mod: tau_x(f) - f in I.R[x]."""
-    act = action or TauAction(f.table)
-    diff = act.apply(f) - f.lift(act.table)
-    if diff.is_zero():
-        return True
-    lifted = [g.lift(act.table) for g in ideal.generators]
-    if not lifted:
-        return False
-    spec = IdealSpec(lifted, ideal.order)
-    if reduce_by(diff, spec.generators, spec.order, budget).is_zero():
-        return True
-    if gb is not None:
-        lifted_gb = GroebnerBasis(tuple(g.lift(act.table) for g in gb.basis), gb.order, spec)
-        return lifted_gb.contains(diff if diff.ring == lifted_gb.basis[0].ring else diff.change_ring(lifted_gb.basis[0].ring), budget)
-    return in_ideal(diff, spec, budget)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from ..borel import TauAction, adjoint_quadruple_check
 from ..errors import StructuralError
-from ..exactpoly import DEGREVLEX, QQ, CoefficientRing, Polynomial
+from ..exactpoly import QQ, CoefficientRing, Polynomial
 from ..groebner import (
     Budget,
     DEFAULT_BUDGET,
@@ -38,7 +38,7 @@ from ..groebner import (
     IdealSpec,
     buchberger,
 )
-from ..ribet.formal import FormalIdeals, FormalRing, build_ideals
+from ..ribet.formal import FormalIdeals, FormalRing, _sign_canonical, build_ideals
 from ..ribet.shapes import RibetShape
 from .build import br_detf, koszul_general
 from .free_complex import (
@@ -49,15 +49,6 @@ from .free_complex import (
     truncate,
     unit_complex,
 )
-
-
-def _sign_canonical(p: Polynomial) -> Polynomial:
-    if p.is_zero():
-        return p
-    _, c = p.leading_term(DEGREVLEX)
-    if p.ring.kind != "GF" and c < 0:
-        return -p
-    return p
 
 
 def ideal_generator_sets_match(

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import cache
+from typing import Iterable, Mapping, Sequence
 
 from .errors import StructuralError
 
@@ -35,6 +36,7 @@ ROLES = ("a", "b", "c", "d", "nu", "eps", "delta", "x_sigma", "param", "other")
 _DEFAULT_ROLE_WEIGHT = {"b": 1, "c": -1}
 
 
+@cache  # every GF(p) construction asks; trial division is ~23k steps at 2^31 - 1
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -683,9 +685,6 @@ class Polynomial:
             if v != 0:
                 out[m] = v
         return Polynomial._trusted(ring, self.table, out)
-
-    def map_coefficients(self, fn: Callable) -> "Polynomial":
-        return Polynomial(self.ring, self.table, {m: fn(c) for m, c in self.terms.items()})
 
     def content_free(self) -> "Polynomial":
         """Divide out content (ZZ/QQ) and make the degrevlex-leading

@@ -2,23 +2,24 @@
 quotients, and module syzygies.
 
 This is the proof oracle for every "lies in the ideal" claim in the
-package.  Scalar ideals use the classic Buchberger loop with the normal
-pair-selection strategy (minimal lcm) plus the product and chain
-criteria.  One reduction loop serves both coefficient cores; they
-differ only in the step taken once per reducer hit.  Over the rationals
-the loop runs on primitive integer coefficients with gcd-scaled
-pseudo-reduction, which avoids per-operation Fraction overhead; the
-exact rational normal form is recovered by tracking the accumulated
-scale factor.  Over GF(p) a hit multiplies by the inverse of the
-reducer's leading coefficient, and coefficients are reduced mod p
-lazily, when their term reaches the head of the loop.
+package.  One Buchberger loop, with the normal pair-selection strategy
+(minimal lcm) and the product and chain criteria (Gebauer & Moeller,
+JSC 1988), serves ideals, submodules of free modules and syzygies.  One
+reduction loop serves both coefficient cores; they differ only in the
+step taken once per reducer hit.  Over the rationals the loop runs on
+primitive integer coefficients with gcd-scaled pseudo-reduction, which
+avoids per-operation Fraction overhead; the exact rational normal form
+is recovered by tracking the accumulated scale factor.  Over GF(p) a hit
+multiplies by the inverse of the reducer's leading coefficient, and
+coefficients are reduced mod p lazily, when their term reaches the head
+of the loop.
 
 Packed monomials (Monagan & Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007).  Inside the
-scalar engine a monomial is one int made of equal-width fields, from
-most significant to least:
+engine a monomial is one int made of equal-width fields, from most
+significant to least:
 
-    [order rows][exponents, one guard bit each][total degree]
+    [C - c][c][order rows][exponents, one guard bit each][total degree]
 
 The order rows are the dot products of the exponent vector with
 ``order.weight_rows(n)``.  Every field is linear in the exponents, so
@@ -31,15 +32,31 @@ carries into a neighbouring field.  The one product whose degree no cap
 bounds, an S-polynomial term of an order that is not degree-compatible,
 is checked, and the computation restarts with wider fields if it would
 not fit.  Exponent tuples are packed when polynomials enter
-(``_Engine.to_terms``, ``GroebnerBasis._prepared``) and unpacked when
-results leave (``_Engine.to_polynomial``, ``GroebnerBasis.normal_form``);
+(``_Engine.to_terms``, ``_Engine.vector_terms``,
+``GroebnerBasis._prepared``) and unpacked when results leave
+(``_Engine.to_vector``, ``GroebnerBasis.normal_form``);
 ``Polynomial.terms`` keeps tuple keys everywhere else.
+
+Modules.  The two guarded fields on top hold a module element's
+component c of a rank-C module, as C - c and c; scalars have neither.
+With C - c on top the order is position over term, component 0 largest.
+Divisibility needs both fields of the divisor to fit under the
+multiple's, so it forces equal components, and S-pairs are only formed
+within one component.  Neither field adds to the degree.  The chain
+criterion holds for modules as it does for ideals.  The product
+criterion does not, but it never fires: the sum of two leads of
+component c has component fields (2(C - c), 2c), which no lcm has.
 
 Syzygies use the elimination variant of the extended-Buchberger
 construction: augment each column with a unit bookkeeping component,
-run module Buchberger under a position-over-term order whose first
-block dominates, and read off the basis elements supported entirely in
-the bookkeeping block.  The module path works on exponent tuples.
+run the loop under the position-over-term order, in which the column
+components dominate, and read off the basis elements whose leading
+component is a bookkeeping one.  Module bases are neither minimalized
+nor interreduced, since the syzygies returned are exactly these
+elements (interreducing would change their number, for R(f) 2x4 from 12
+to 4); instead each new element is reduced in full as it is added, and
+every one of its terms is checked against the degree cap, since a
+module order is not degree-compatible.
 
 Budgets: every reduction step counts against ``Budget.max_steps`` and
 monomials are checked against ``Budget.max_degree``.  Exceeding either
@@ -52,7 +69,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
@@ -66,12 +83,9 @@ from .exactpoly import (
     MonomialOrder,
     Polynomial,
     elimination_order,
-    mono_deg,
     mono_div,
     mono_divides,
-    mono_lcm,
     mono_mul,
-    mono_one,
 )
 
 
@@ -152,25 +166,30 @@ class _Packer:
 
     Fields are ``bits`` value bits plus one guard bit wide.  ``room`` is
     the largest total degree whose every field fits in the value bits;
-    it is at least ``degree``.
+    it is at least ``degree``.  For a module of rank ``components`` > 0,
+    ``components[c]`` is added to a packed monomial to put it in
+    component c; everything from bit ``top`` up is the component.
     """
 
-    def __init__(self, order: MonomialOrder, nvars: int, degree: int):
+    def __init__(self, order: MonomialOrder, nvars: int, degree: int, components: int = 0):
         rows = order.weight_rows(nvars)
         # A row's dot product is at most its largest weight times the degree.
         weight = max([1, *(w for row in rows for w in row)])
-        self.bits = max(1, (weight * degree).bit_length())
+        self.bits = max(1, (weight * degree).bit_length(), components.bit_length())
         self.room = ((1 << self.bits) - 1) // weight
         stride = self.bits + 1
         self.deg_mask = (1 << stride) - 1
         self.shifts = [stride * (1 + i) for i in range(nvars)]
-        self.guard = sum(1 << (s + self.bits) for s in self.shifts)
-        top = stride * (1 + nvars + len(rows))
+        top = self.top = stride * (1 + nvars + len(rows))
         self.units = [
             1 + (1 << self.shifts[i])
             + sum(row[i] << (top - stride * (r + 1)) for r, row in enumerate(rows))
             for i in range(nvars)
         ]
+        # Component c of a rank-C module: the fields (C - c) and c.
+        self.components = [((components - c) << (top + stride)) + (c << top) for c in range(components)]
+        guarded = self.shifts + ([top, top + stride] if components else [])
+        self.guard = sum(1 << (s + self.bits) for s in guarded)
 
     def pack(self, m: Iterable[int]) -> int:
         return sum(map(mul, m, self.units))
@@ -178,6 +197,9 @@ class _Packer:
     def unpack(self, x: int) -> Mono:
         mask = self.deg_mask
         return tuple((x >> s) & mask for s in self.shifts)
+
+    def component(self, x: int) -> int:
+        return (x >> self.top) & self.deg_mask
 
 
 def _max_degree(polys: Sequence[Polynomial]) -> int:
@@ -219,26 +241,40 @@ class _Engine:
     """Coefficient core (ZZ pseudo-arithmetic, or GF(p) when p != 0) over
     packed monomials."""
 
-    def __init__(self, ring: CoefficientRing, order: MonomialOrder, nvars: int, degree: int):
+    def __init__(
+        self, ring: CoefficientRing, order: MonomialOrder, nvars: int, degree: int, components: int = 0
+    ):
         self.ring = ring
         self.p = ring.p if ring.kind == "GF" else 0
-        self.packer = _Packer(order, nvars, degree)
+        self.packer = _Packer(order, nvars, degree, components)
 
     def to_terms(self, f: Polynomial) -> dict:
         pack = self.packer.pack
         terms = f.terms if self.p else _int_terms(f)
         return {pack(m): c for m, c in terms.items()}
 
-    def to_polynomial(self, terms: dict, table) -> Polynomial:
-        """Monic polynomial over the engine's field."""
-        if not terms:
-            return Polynomial.zero(self.ring if self.p else QQ, table)
-        unpack, p = self.packer.unpack, self.p
+    def vector_terms(self, v: Sequence[Polynomial]) -> dict:
+        """Packed term dict of the module element with v[c] in component c;
+        over QQ the whole vector is scaled to integer coefficients."""
+        pack, units = self.packer.pack, self.packer.components
+        terms = {pack(m) + units[c]: x for c, f in enumerate(v) for m, x in f.terms.items()}
+        if self.p:
+            return terms
+        denom = lcm(*(x.denominator for x in terms.values()))
+        return {m: int(x * denom) for m, x in terms.items()}
+
+    def to_vector(self, terms: dict, table, first: int = 0, count: int = 1) -> list[Polynomial]:
+        """Components first .. first+count-1 of a nonzero packed element
+        over the engine's field, scaled so that its leading coefficient is
+        1.  A scalar polynomial is component 0 of 1."""
+        unpack, component, p = self.packer.unpack, self.packer.component, self.p
         lc = terms[max(terms)]
-        if p:
-            inv = pow(lc, -1, p)
-            return Polynomial(self.ring, table, {unpack(m): c * inv % p for m, c in terms.items()})
-        return Polynomial(QQ, table, {unpack(m): Fraction(c, lc) for m, c in terms.items()})
+        inv = pow(lc, -1, p) if p else None
+        parts: list[dict] = [{} for _ in range(count)]
+        for m, c in terms.items():
+            parts[component(m) - first][unpack(m)] = c * inv % p if p else Fraction(c, lc)
+        ring = self.ring if p else QQ
+        return [Polynomial(ring, table, t) for t in parts]
 
     def record(self, terms: dict) -> tuple:
         if not self.p:
@@ -372,11 +408,23 @@ def _lift(gens: Sequence[Polynomial]) -> list[Polynomial]:
     return lifted
 
 
-def _engine_for(gens: Sequence[Polynomial], order: MonomialOrder, degree: int) -> tuple[_Engine, list[Polynomial]]:
+def _engine_for(
+    gens: Sequence[Polynomial], order: MonomialOrder, degree: int, components: int = 0
+) -> tuple[_Engine, list[Polynomial]]:
     """Engine whose packed fields hold degree ``degree`` and every input term."""
     lifted = _lift(gens)
     degree = max(degree, _max_degree(lifted))
-    return _Engine(lifted[0].ring, order, len(lifted[0].table), degree), lifted
+    return _Engine(lifted[0].ring, order, len(lifted[0].table), degree, components), lifted
+
+
+def _module_engine(
+    vectors: Sequence[Sequence[Polynomial]], order: MonomialOrder, degree: int, rank: int
+) -> tuple[_Engine, list[list[Polynomial]]]:
+    """Engine for elements of a rank-``rank`` free module, and the vectors
+    over its field."""
+    n = len(vectors[0])
+    eng, flat = _engine_for([e for v in vectors for e in v], order, degree, rank)
+    return eng, [flat[i : i + n] for i in range(0, len(flat), n)]
 
 
 def _widening(degree: int, run):
@@ -417,9 +465,7 @@ class GroebnerBasis:
         if eng.p:
             rem, _ = eng.reduce(eng.to_terms(f), records, counter)
             return Polynomial(f.ring, f.table, {unpack(m): c for m, c in rem.items()})
-        denom = 1
-        for c in f.terms.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
+        denom = lcm(*(c.denominator for c in f.terms.values()))
         int_terms = {pack(m): int(c * denom) for m, c in f.terms.items()}
         rem, scale = eng.reduce(int_terms, records, counter)
         total = Fraction(1, scale * denom)
@@ -482,22 +528,28 @@ def buchberger(spec: IdealSpec, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasi
     if not spec.generators:
         return GroebnerBasis((), order, spec)
     lifted = _lift(spec.generators)
-    basis = _widening(
-        budget.max_degree,
-        lambda degree: _buchberger(*_engine_for(lifted, order, degree), budget),
-    )
-    gb = GroebnerBasis(tuple(basis), order, spec)
+    table = lifted[0].table
+
+    def run(degree: int) -> list[Polynomial]:
+        eng, gens = _engine_for(lifted, order, degree)
+        counter = budget.fresh_counter()
+        G = _buchberger(eng, [eng.to_terms(g) for g in gens], counter)
+        return _reduced_basis(eng, G, counter, table)
+
+    gb = GroebnerBasis(tuple(_widening(budget.max_degree, run)), order, spec)
     for g in lifted:
         if not gb.contains(g, budget):
             raise StructuralError("internal error: source generator escaped its ideal")
     return gb
 
 
-def _buchberger(eng: _Engine, lifted: list[Polynomial], budget: Budget) -> list[Polynomial]:
-    counter = budget.fresh_counter()
-    table = lifted[0].table
+def _buchberger(eng: _Engine, inputs: list[dict], counter: _Counter, head_only: bool = True) -> list[tuple]:
+    """Records of a Groebner basis of the packed inputs, in the order they
+    were added: neither minimal nor interreduced.  With ``head_only``
+    False every new element is fully reduced, and its every term is
+    checked against the degree cap."""
     packer = eng.packer
-    guard, mask = packer.guard, packer.deg_mask
+    guard, mask, top = packer.guard, packer.deg_mask, packer.top
 
     G: list[tuple] = []
     leads: list[int] = []
@@ -508,21 +560,22 @@ def _buchberger(eng: _Engine, lifted: list[Polynomial], budget: Budget) -> list[
     def add(terms: dict):
         rec = eng.record(terms)
         lm = rec[0]
-        counter.check_degree(lm & mask)
+        counter.check_degree(lm & mask if head_only else max(lm & mask, rec[4]))
         idx = len(G)
         e_new = packer.unpack(lm)
+        position = lm >> top  # the module component; 0 for scalars
         for i, e in enumerate(exps):
-            heapq.heappush(pair_heap, (packer.pack(map(max, e, e_new)), i, idx))
-            pending.add((i, idx))
+            if leads[i] >> top == position:  # pairs only within one component
+                heapq.heappush(pair_heap, (packer.pack(map(max, e, e_new)) + (position << top), i, idx))
+                pending.add((i, idx))
         G.append(rec)
         leads.append(lm)
         exps.append(e_new)
 
     seen = set()
-    for g in lifted:
-        t = eng.to_terms(g)
+    for t in inputs:
         key = frozenset(t.items())
-        if key in seen:
+        if not t or key in seen:
             continue
         seen.add(key)
         add(t)
@@ -530,7 +583,10 @@ def _buchberger(eng: _Engine, lifted: list[Polynomial], budget: Budget) -> list[
     while pair_heap:
         lcm, i, j = heapq.heappop(pair_heap)
         pending.discard((i, j))
-        if lcm == leads[i] + leads[j]:  # product criterion
+        # Product criterion.  It is false for module elements, but cannot
+        # fire on them: the sum has component fields (2(C-c), 2c), the lcm
+        # (C-c, c).
+        if lcm == leads[i] + leads[j]:
             continue
         lg = lcm | guard
         skip = False
@@ -546,10 +602,15 @@ def _buchberger(eng: _Engine, lifted: list[Polynomial], budget: Budget) -> list[
         s = eng.spoly(G[i], G[j], lcm, counter)
         if not s:
             continue
-        r, _ = eng.reduce(s, G, counter, head_only=True)
+        r, _ = eng.reduce(s, G, counter, head_only)
         if r:
             add(r)
+    return G
 
+
+def _reduced_basis(eng: _Engine, G: list[tuple], counter: _Counter, table) -> list[Polynomial]:
+    """The reduced basis of an ideal from the records of a Groebner basis."""
+    guard = eng.packer.guard
     # Minimalize: drop elements whose leading monomial is divisible by the
     # leading monomial of an element kept earlier (ascending scan).
     kept: list[tuple] = []
@@ -564,7 +625,7 @@ def _buchberger(eng: _Engine, lifted: list[Polynomial], budget: Budget) -> list[
         others = kept[:i] + kept[i + 1 :]
         rem, _ = eng.reduce(rec[2], others, counter)
         if rem:
-            final.append((max(rem), eng.to_polynomial(rem, table)))
+            final.append((max(rem), eng.to_vector(rem, table)[0]))
     final.sort(key=itemgetter(0), reverse=True)
     return [f for _, f in final]
 
@@ -592,7 +653,7 @@ def reduce_by(
     records = [eng.record(eng.to_terms(g)) for g in lifted]
     counter = budget.fresh_counter()
     rem, _ = eng.reduce(eng.to_terms(f), records, counter)
-    return eng.to_polynomial(rem, f.table) if rem else Polynomial.zero(f.ring, f.table)
+    return eng.to_vector(rem, f.table)[0] if rem else Polynomial.zero(f.ring, f.table)
 
 
 def in_ideal(
@@ -758,157 +819,40 @@ class FreeModuleMatrix:
         return all(e.is_zero() for row in self.entries for e in row)
 
 
-# Internal module-element representation: dict[(component, mono)] -> coeff.
-_VP = dict
-
-
-def _vp_from_vector(v: Sequence[Polynomial], offset: int = 0) -> _VP:
-    out: _VP = {}
-    for c_idx, poly in enumerate(v):
-        for m, c in poly.terms.items():
-            out[(c_idx + offset, m)] = c
-    return out
-
-
-def _vp_key(order: MonomialOrder):
-    k = order.key
-    return lambda t: (-t[0], k(t[1]))
-
-
-def _vp_lead(v: _VP, keyfn):
-    return max(v, key=keyfn)
-
-
-def _vp_scale_shift(v: _VP, ring, coeff, shift: Mono) -> _VP:
-    return {(c, mono_mul(m, shift)): ring.mul(x, coeff) for (c, m), x in v.items()}
-
-
-def _vp_sub(a: _VP, b: _VP, ring) -> _VP:
-    out = dict(a)
-    for key, x in b.items():
-        s = ring.sub(out.get(key, ring.zero()), x)
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return out
-
-
-def _vp_monic(v: _VP, ring, keyfn) -> _VP:
-    lt = _vp_lead(v, keyfn)
-    inv = ring.inv(v[lt])
-    if inv == ring.one():
-        return v
-    return {k: ring.mul(x, inv) for k, x in v.items()}
-
-
-def _vp_reduce(v: _VP, G: list[_VP], ring, keyfn, counter: _Counter) -> _VP:
-    leads = [(_vp_lead(g, keyfn), g) for g in G]
-    work = dict(v)
-    remainder: _VP = {}
-    while work:
-        key = max(work, key=keyfn)
-        coeff = work.pop(key)
-        comp, m = key
-        hit = None
-        for (gc, gm), g in leads:
-            if gc == comp and mono_divides(gm, m):
-                hit = ((gc, gm), g)
-                break
-        if hit is None:
-            remainder[key] = coeff
-            continue
-        (gc, gm), g = hit
-        counter.tick()
-        shift = mono_div(m, gm)
-        factor = ring.div(coeff, g[(gc, gm)])
-        for (tc, tm), tx in g.items():
-            if (tc, tm) == (gc, gm):
-                continue
-            kk = (tc, mono_mul(tm, shift))
-            s = ring.sub(work.get(kk, ring.zero()), ring.mul(factor, tx))
-            if s == 0:
-                work.pop(kk, None)
-            else:
-                work[kk] = s
-    return remainder
-
-
-def _module_buchberger(vectors: list[_VP], ring, order: MonomialOrder, counter: _Counter) -> list[_VP]:
-    keyfn = _vp_key(order)
-    G = [_vp_monic(v, ring, keyfn) for v in vectors if v]
-    pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
-    while pairs:
-        best, best_key = None, None
-        for p in pairs:
-            (ci, mi) = _vp_lead(G[p[0]], keyfn)
-            (cj, mj) = _vp_lead(G[p[1]], keyfn)
-            if ci != cj:
-                continue
-            k = keyfn((ci, mono_lcm(mi, mj)))
-            if best is None or k < best_key:
-                best, best_key = p, k
-        if best is None:
-            break
-        pairs.discard(best)
-        i, j = best
-        (ci, mi) = _vp_lead(G[i], keyfn)
-        (cj, mj) = _vp_lead(G[j], keyfn)
-        lcm = mono_lcm(mi, mj)
-        ui, uj = mono_div(lcm, mi), mono_div(lcm, mj)
-        s = _vp_sub(
-            _vp_scale_shift(G[i], ring, ring.one(), ui),
-            _vp_scale_shift(G[j], ring, ring.one(), uj),
-            ring,
-        )
-        if not s:
-            continue
-        r = _vp_reduce(s, G, ring, keyfn, counter)
-        if r:
-            for (_c, mono) in r:
-                if mono_deg(mono) > counter.budget.max_degree:
-                    raise BudgetExceeded("module degree cap exceeded")
-            idx = len(G)
-            G.append(_vp_monic(r, ring, keyfn))
-            pairs.update((k, idx) for k in range(idx))
-    return G
-
-
-def _field_columns(columns) -> list[list[Polynomial]]:
-    out = []
-    for col in columns:
-        out.append([e.change_ring(QQ) if e.ring.kind == "ZZ" else e for e in col])
-    return out
-
-
 def module_gb(
     columns: list[list[Polynomial]],
     order: MonomialOrder = DEGREVLEX,
     budget: Budget = DEFAULT_BUDGET,
-) -> list[_VP]:
-    """Groebner basis of the submodule of R^m generated by the columns."""
-    cols = _field_columns(columns)
-    ring = cols[0][0].ring
-    counter = budget.fresh_counter()
-    vectors = [_vp_from_vector(c) for c in cols]
-    return _module_buchberger([v for v in vectors if v], ring, order, counter)
+) -> list[list[Polynomial]]:
+    """Groebner basis of the submodule of R^m generated by the columns, as
+    vectors over the coefficient field (not interreduced)."""
+    rank = len(columns[0])
+    table = columns[0][0].table
+
+    def run(degree: int) -> list[list[Polynomial]]:
+        eng, vectors = _module_engine(columns, order, degree, rank)
+        counter = budget.fresh_counter()
+        G = _buchberger(eng, [eng.vector_terms(v) for v in vectors], counter, head_only=False)
+        return [eng.to_vector(rec[2], table, 0, rank) for rec in G]
+
+    return _widening(budget.max_degree, run)
 
 
 def module_contains(
     v: list[Polynomial],
-    gb_vectors: list[_VP],
+    gb_vectors: list[list[Polynomial]],
     order: MonomialOrder = DEGREVLEX,
     budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
-    v = _field_columns([v])[0]
-    ring = v[0].ring
-    vp = _vp_from_vector(v)
-    if not vp:
+    """Membership of ``v`` in the submodule with Groebner basis ``gb_vectors``."""
+    if all(e.is_zero() for e in v):
         return True
     if not gb_vectors:
         return False
-    r = _vp_reduce(vp, gb_vectors, ring, _vp_key(order), budget.fresh_counter())
-    return not r
+    eng, vectors = _module_engine([v, *gb_vectors], order, budget.max_degree, len(v))
+    terms = [eng.vector_terms(g) for g in vectors]
+    rem, _ = eng.reduce(terms[0], [eng.record(t) for t in terms[1:] if t], budget.fresh_counter())
+    return not rem
 
 
 def syzygies(
@@ -921,24 +865,22 @@ def syzygies(
     m, k = M.rows, M.cols
     if k == 0:
         return []
-    cols = _field_columns([M.column(j) for j in range(k)])
-    ring = cols[0][0].ring
-    table = cols[0][0].table
-    counter = budget.fresh_counter()
-    vectors = []
-    for j, col in enumerate(cols):
-        vp = _vp_from_vector(col)
-        vp[(m + j, mono_one(len(table)))] = ring.one()
-        vectors.append(vp)
-    G = _module_buchberger(vectors, ring, order, counter)
-    out = []
-    for g in G:
-        if all(c >= m for (c, _mono) in g):
-            vec = []
-            for j in range(k):
-                terms = {mono: x for (c, mono), x in g.items() if c == m + j}
-                vec.append(Polynomial(ring, table, terms))
-            out.append(vec)
+    table = M.entries[0][0].table
+
+    def run(degree: int) -> tuple[list[list[Polynomial]], list[list[Polynomial]]]:
+        eng, cols = _module_engine([M.column(j) for j in range(k)], order, degree, m + k)
+        one, zero = Polynomial.one(eng.ring, table), Polynomial.zero(eng.ring, table)
+        # Column j with the bookkeeping unit in component m + j.
+        inputs = [
+            eng.vector_terms([*col, *(one if i == j else zero for i in range(k))])
+            for j, col in enumerate(cols)
+        ]
+        counter = budget.fresh_counter()
+        G = _buchberger(eng, inputs, counter, head_only=False)
+        found = [eng.to_vector(rec[2], table, m, k) for rec in G if eng.packer.component(rec[0]) >= m]
+        return found, cols
+
+    out, cols = _widening(budget.max_degree, run)
     lifted = FreeModuleMatrix([[cols[j][i] for j in range(k)] for i in range(m)])
     for v in out:
         for e in lifted.apply(v):

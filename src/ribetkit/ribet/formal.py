@@ -457,8 +457,10 @@ def check_quotient_presentation(shape: RibetShape, ring: CoefficientRing = QQ) -
 
 
 def _sign_canonical(p: Polynomial) -> Polynomial:
-    m, c = p.leading_term(DEGREVLEX)
-    if (c < 0) if p.ring.kind != "GF" else False:
+    if p.is_zero():
+        return p
+    _, c = p.leading_term(DEGREVLEX)
+    if p.ring.kind != "GF" and c < 0:
         return -p
     return p
 

@@ -58,7 +58,6 @@ class SuiteConfig:
     prime: int = 10007
     seeds: list[int] = field(default_factory=lambda: list(range(20)))
     budget: Budget = field(default_factory=Budget)
-    retries: int = 100
     out_path: str | None = None
     jobs: int = 1
     degree_cap: int = 2  # morphism materialization cap
@@ -128,7 +127,6 @@ def load_config(
         prime=prime if prime is not None else int(single("prime", 10007)),
         seeds=seeds,
         budget=budget,
-        retries=int(single("retries", 100)),
         out_path=out if out is not None else single("out", None),
         jobs=jobs if jobs is not None else int(single("jobs", 1)),
         degree_cap=int(single("degree_cap", 2)),

@@ -181,6 +181,29 @@ def test_symbolic_h1_examples():
     assert not symbolic_h1(crippled).is_exact_at_1
 
 
+def _br_exact_instance():
+    from ribetkit.veriharness.suites import _br_exact_instance
+
+    return _br_exact_instance()
+
+
+@pytest.mark.parametrize("build, count, terms", [
+    (lambda: koszul(bvars(2)[1]), 1, 2),
+    (lambda: br_complexes(generic_2xn(3)).Rf, 2, 12),
+    (_br_exact_instance, 1, 5),
+    (lambda: br_complexes(generic_2xn(4)).Rf, 12, 72),
+], ids=["koszul-2", "rf-2x3", "br-exact", "rf-2x4"])
+def test_symbolic_h1_generator_counts(build, count, terms):
+    # The reports print these counts as witnesses.  The module basis is
+    # not interreduced, so its pair order fixes them; every new element is
+    # fully reduced, which fixes their terms (head-only reduction leaves
+    # 82 on R(f) 2x4).
+    rep = symbolic_h1(build())
+    assert rep.is_exact_at_1
+    assert len(rep.h1_generators) == count
+    assert sum(len(e.terms) for v in rep.h1_generators for e in v) == terms
+
+
 def test_subcomplex_closure():
     M, b, bp = bvars(2)
     K = koszul(b)

@@ -35,6 +35,7 @@ from ribetkit.groebner import (
     reduce_by,
     syzygies,
 )
+from ribetkit.brcomplex import br_complexes, generic_2xn
 from ribetkit.linalg import kernel_basis
 from ribetkit.ribet import build_ideals, shape_sigma_type3
 
@@ -265,6 +266,23 @@ def test_packed_monomials_agree_with_tuples(name, a, b, c):
         assert (((pm | g) - packer.pack(divisor)) & g == g) == mono_divides(divisor, m)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_PACKED_ORDERS)), _exps, _exps, st.integers(0, 2), st.integers(0, 2))
+def test_packed_module_monomials_are_position_over_term(name, a, b, ca, cb):
+    # Component fields above the order rows: component 0 is largest,
+    # divisibility forces equal components, and neither field adds to the
+    # degree.
+    order = _PACKED_ORDERS[name]
+    packer = groebner._Packer(order, 5, 200, 3)
+    g = packer.guard
+    pa, pb = packer.pack(a) + packer.components[ca], packer.pack(b) + packer.components[cb]
+    assert (pa < pb) == ((-ca, order.key(a)) < (-cb, order.key(b)))
+    assert (packer.component(pa), packer.unpack(pa)) == (ca, a)
+    assert pa & packer.deg_mask == mono_deg(a)
+    pm = packer.pack(mono_mul(a, b)) + packer.components[cb]
+    assert (((pm | g) - pa) & g == g) == (ca == cb)
+
+
 def test_qq_and_gf_cores_agree_on_a_corpus_ideal():
     # The first six relations of J(sigma-v0-type3): a 34-element basis,
     # about 3000 reduction steps, and verify() well under a second.
@@ -300,6 +318,56 @@ def test_syzygy_zero_matrix():
     syz = syzygies(FreeModuleMatrix([[z]]))
     gb = module_gb(syz)
     assert module_contains([Polynomial.one(QQ, TXY)], gb)
+
+
+def test_module_degree_cap_bounds_the_spair_lcm():
+    # The S-pair of x^3 e0 and y^3 e0 has lcm x^3 y^3 of degree 6: the cap
+    # bounds intermediate degrees, as it does for ideals.
+    x, y = V(0), V(1)
+    M = FreeModuleMatrix([[x**3, y**3]])
+    with pytest.raises(BudgetExceeded):
+        syzygies(M, budget=Budget(max_degree=4))
+    assert syzygies(M, budget=Budget(max_degree=6)) == syzygies(M) == [[y**3, -(x**3)]]
+
+
+def test_module_degree_cap_counts_every_term_of_a_new_element():
+    # S = y v1 - x v2 = (0, y, y^5) leads with y e1 of degree 1, but a
+    # module order is not degree-compatible: its tail y^5 e2 passes a cap
+    # of 4 without any product of the reduction reaching it.
+    x, y = V(0), V(1)
+    one, zero = Polynomial.one(QQ, TXY), Polynomial.zero(QQ, TXY)
+    cols = [[x, one, y**4], [y, zero, zero]]
+    with pytest.raises(BudgetExceeded):
+        module_gb(cols, budget=Budget(max_degree=4))
+    assert module_gb(cols, budget=Budget(max_degree=5))[2] == [zero, y, y**5]
+
+
+def test_syzygies_of_columns_with_different_denominators():
+    # Over QQ each input is scaled to integers as a whole, bookkeeping
+    # unit included, so the syzygy read back is one of M itself.
+    x, y = V(0), V(1)
+    M = FreeModuleMatrix([[Fraction(1, 2) * x, Fraction(1, 3) * y]])
+    assert syzygies(M) == [[y, Fraction(-3, 2) * x]]
+
+
+def test_module_pairs_with_coprime_leads_are_not_skipped():
+    # The leads x e0 and y e0 are coprime, yet the S-pair is (0, y): the
+    # product criterion does not hold for module elements.
+    x, y = V(0), V(1)
+    one, zero = Polynomial.one(QQ, TXY), Polynomial.zero(QQ, TXY)
+    gb = module_gb([[x, one], [y, zero]])
+    assert module_contains([zero, y], gb)
+    assert not module_contains([zero, x], gb)
+    assert not module_contains([zero, y], [])
+
+
+def test_gf_syzygies_are_the_qq_syzygies_mod_p():
+    p = 2**31 - 1
+    d1 = br_complexes(generic_2xn(3)).Rf.diffs[1]
+    qq = syzygies(d1)
+    gf = syzygies(FreeModuleMatrix([[e.change_ring(GF(p)) for e in row] for row in d1.entries]))
+    assert len(qq) == 2
+    assert gf == [[e.change_ring(GF(p)) for e in v] for v in qq]
 
 
 def _bp_table(n):
