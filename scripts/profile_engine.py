@@ -4,8 +4,10 @@
 Useful when touching the Groebner kernel: prints wall times for the
 checks that dominate suite runtime so regressions are visible at a
 glance, times the GB of J(sigma-v0-type3) on both coefficient cores
-with a check that the QQ basis reduced mod p is the GF(p) basis, and
-times the module path (syzygies and symbolic H1) on R(f) 2x4.
+with a check that the QQ basis reduced mod p is the GF(p) basis, times
+the module path (syzygies and symbolic H1) on R(f) 2x4, the C -> D
+morphism of full-mixed at cap 3, and the specialization suite at the
+default prime and at p = 1000003.
 
 Run: PYTHONPATH=src python scripts/profile_engine.py
 """
@@ -17,7 +19,8 @@ from ribetkit.genmat import Word, det_congruence_check, trace_congruence_check
 from ribetkit.groebner import buchberger, syzygies
 from ribetkit.brcomplex import br_complexes, build_cd_morphism, check_d2, generic_2xn, symbolic_h1
 from ribetkit.ribet.formal import build_ideals, check_e_tau_invariance, check_example_r2
-from ribetkit.ribet.shapes import corpus, shape_one_place_type4, shape_sigma_type3
+from ribetkit.ribet.shapes import corpus, shape_full_mixed, shape_one_place_type4, shape_sigma_type3
+from ribetkit.veriharness import SuiteConfig, run_suite
 
 
 P31 = 2**31 - 1
@@ -57,6 +60,17 @@ def module_path():
     )
 
 
+def specialization_suite():
+    """One run_suite of the specialization suite per prime: instance
+    generation, the numeric checks and the J evaluation, once per seed."""
+    for p in (10007, 1000003):
+        timed(
+            f"specialization suite at p={p}",
+            lambda: run_suite(SuiteConfig(suite="specialization", prime=p)),
+            lambda report: report.summary(),
+        )
+
+
 def main():
     timed("example-r2 (positive)", check_example_r2)
     timed("example-r2 (negative control)", lambda: check_example_r2(omit_relation=7))
@@ -74,6 +88,8 @@ def main():
     ))
     for sh in corpus():
         timed(f"cd-morphism cap 2 [{sh.name}]", lambda s=sh: build_cd_morphism(s, cap=2).all_pass())
+    timed("cd-morphism cap 3 [full-mixed]", lambda: build_cd_morphism(shape_full_mixed(), cap=3).all_pass())
+    specialization_suite()
 
 
 if __name__ == "__main__":

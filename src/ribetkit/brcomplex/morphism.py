@@ -181,17 +181,6 @@ def build_cd_morphism(
         C_factors.append(P)
         D_factors.append(Pt)
 
-    def fold(factors: list[FreeComplex]) -> FreeComplex:
-        acc = factors[0]
-        for f in factors[1:]:
-            acc = truncate(tensor(acc, f), cap)
-        if acc.components is None:
-            acc.components = [[(k, 0, 0, acc.ranks[k], 1)] for k in range(acc.top_degree + 1)]
-        return acc
-
-    C = fold(C_factors)
-    D = fold(D_factors)
-
     # Per-factor inclusions.
     def koszul_map(k, lab):
         return tuple((rownum, "B") for (_tag, rownum) in lab)

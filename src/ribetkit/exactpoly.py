@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .errors import StructuralError
@@ -621,19 +622,27 @@ class Polynomial:
         return acc
 
     def evaluate(self, point: Mapping[int, object]):
-        """Exact value at a full assignment of this polynomial's variables."""
+        """Exact value at a full assignment of this polynomial's variables.
+
+        Entries for other variables are ignored; each value is normalized
+        into the ring the first time a term reads it."""
         ring = self.ring
-        need = self.variables()
-        missing = [self.table.names[i] for i in need if i not in point]
-        if missing:
-            raise StructuralError(f"missing assignment for {missing}")
-        vals = {i: ring.normalize(v) for i, v in point.items()}
+        p = ring.p if ring.kind == "GF" else None
+        slots = range(len(self.table))
+        vals: dict[int, object] = {}
         total = ring.zero()
         for m, c in self.terms.items():
             acc = c
-            for i, e in enumerate(m):
-                if e:
-                    acc = ring.mul(acc, pow(vals[i], e, ring.p) if ring.kind == "GF" else vals[i] ** e)
+            for i in compress(slots, m):  # the variables with m[i] > 0
+                v = vals.get(i)
+                if v is None:
+                    try:
+                        v = vals[i] = ring.normalize(point[i])
+                    except KeyError:
+                        missing = [self.table.names[j] for j in sorted(self.variables())
+                                   if j not in point]
+                        raise StructuralError(f"missing assignment for {missing}") from None
+                acc = ring.mul(acc, pow(v, m[i], p) if p else v ** m[i])
             total = ring.add(total, acc)
         return total
 

@@ -70,6 +70,14 @@ class RibetShape:
         object.__setattr__(self, "sigma_v", dict(self.sigma_v))
         self._validate()
 
+    def __hash__(self):
+        # A value hash consistent with the generated __eq__; sigma_v is a
+        # dict, so the dataclass cannot hash it itself.
+        return hash(
+            (self.name, self.r, self.rows, self.sigma_places, self.p_places,
+             tuple(sorted(self.sigma_v.items())))
+        )
+
     # -- derived quantities -------------------------------------------------
     @property
     def s(self) -> int:

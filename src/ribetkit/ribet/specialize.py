@@ -22,6 +22,7 @@ representation has no common eigenvector, and every D_v is nonzero.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -568,16 +569,20 @@ def _check_cocycle(inst: SpecializedInstance, word_samples: int) -> bool:
 
 def _check_j_vanishes(inst: SpecializedInstance) -> bool:
     """Every relation-ideal generator evaluates to zero at the instance."""
+    generators, table = _relation_ideal(inst.shape, inst.p)
+    point = _instance_point(inst, table)
+    return all(g.evaluate(point) == 0 for g in generators)
+
+
+@functools.lru_cache(maxsize=8)
+def _relation_ideal(shape: RibetShape, p: int):
+    """The generators of J over GF(p) and the formal variable table,
+    built once per (shape, p).  The key is the shape's value, not its
+    identity: perturb_alpha deep-copies the instance, shape included."""
     from .formal import build_ideals
 
-    shape = inst.shape
-    ring = GF(inst.p)
-    ideals = build_ideals(shape, ring)
-    point = _instance_point(inst, ideals.ring.table)
-    for g in ideals.J.generators:
-        if g.evaluate(point) != 0:
-            return False
-    return True
+    ideals = build_ideals(shape, GF(p))
+    return tuple(ideals.J.generators), ideals.ring.table
 
 
 def _instance_point(inst: SpecializedInstance, table) -> dict[int, int]:

@@ -8,6 +8,8 @@ the engine is recorded as a timeout for that check, never a crash.
 
 from __future__ import annotations
 
+import functools
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product as iproduct
@@ -32,6 +34,7 @@ from ..brcomplex import (
 from ..groebner import FreeModuleMatrix, module_contains, module_gb
 from ..ribet import (
     FormalRing,
+    SpecializedChecks,
     build_ideals,
     check_e_tau_invariance,
     check_example_r2,
@@ -149,27 +152,32 @@ def _suite_specialization(cfg: SuiteConfig) -> list[Check]:
     shapes = cfg.load_shapes() or [shape_specialization()]
     sh = shapes[0]
     fields = (
-        ("detE-factorization", "e:zidef"),
-        ("detEprime-zero", "l:detzero"),
-        ("cocycle", "s:cocycle"),
-        ("J-vanishes", "e:pibst"),
+        ("detE-factorization", "e:zidef", "detE_factorization"),
+        ("detEprime-zero", "l:detzero", "detEprime_zero"),
+        ("cocycle", "s:cocycle", "cocycle"),
+        ("J-vanishes", "e:pibst", "J_vanishes"),
     )
+
+    # One generation and one check per seed for this run: the four field
+    # checks of a seed read the same result.  A GenerationFailure is not
+    # cached, so each of the four checks raises it again, with the same
+    # witness.  The lock keeps concurrent checks of one seed from each
+    # doing the work under --jobs.
+    lock = threading.Lock()
+
+    @functools.cache
+    def run_once(seed: int) -> SpecializedChecks:
+        return check_specialized(generate_specialization(sh, seed, cfg.prime))
+
+    def run(seed: int) -> SpecializedChecks:
+        with lock:
+            return run_once(seed)
+
     checks: list[Check] = []
     for seed in cfg.seeds:
-        def run(seed=seed):
-            inst = generate_specialization(sh, seed, cfg.prime)
-            return check_specialized(inst)
-
-        for field_name, anchor in fields:
-            def one(seed=seed, field_name=field_name):
-                res = run(seed)
-                value = {
-                    "detE-factorization": res.detE_factorization,
-                    "detEprime-zero": res.detEprime_zero,
-                    "cocycle": res.cocycle,
-                    "J-vanishes": res.J_vanishes,
-                }[field_name]
-                return value, ""
+        for field_name, anchor, attr in fields:
+            def one(seed=seed, attr=attr):
+                return getattr(run(seed), attr), ""
             checks.append((f"spec-seed{seed:03d}-{field_name}", anchor, one))
 
     def perturbed():

@@ -88,6 +88,17 @@ def test_evaluate_examples():
     assert ((x + y) ** 2).evaluate({0: 1, 1: 2}) == 9
     with pytest.raises(StructuralError):
         (x + y).evaluate({0: 1})
+    # Over GF(p) point values are reduced mod p: -1 -> 6 and 9 -> 2 in GF(7).
+    gx, gy = V(0, GF(7)), V(1, GF(7))
+    assert (gx * gy + 3).evaluate({0: -1, 1: 9}) == 1
+    assert (gx ** 3).evaluate({0: 7 * 5 + 3}) == 27 % 7
+    assert gx.evaluate({0: Fraction(9)}) == 2
+    # Entries for variables the polynomial does not use are never read.
+    assert (x + y).evaluate({0: 1, 1: 2, 2: None}) == 3
+    assert (gx + 1).evaluate({0: 1, 1: None, 2: None}) == 2
+    # A missing variable is named in the error, however many terms read it.
+    with pytest.raises(StructuralError, match=r"missing assignment for \['y', 'z'\]"):
+        (x * y + y * V(2) + x).evaluate({0: 1})
 
 
 def test_torus_weight_examples():

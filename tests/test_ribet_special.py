@@ -1,14 +1,24 @@
 """Finite-field specializations: generation invariants and the four
 numeric checks."""
 
+import copy
+
 import pytest
 
+import ribetkit.ribet.formal as formal
 from ribetkit.errors import StructuralError
 from ribetkit.exactpoly import GF, _is_prime
 from ribetkit.linalg import rank
-from ribetkit.ribet.shapes import RibetShape, RowSpec, shape_r2_two_type2, shape_specialization
+from ribetkit.ribet.shapes import (
+    RibetShape,
+    RowSpec,
+    shape_one_place_type4,
+    shape_r2_two_type2,
+    shape_specialization,
+)
 from ribetkit.ribet.specialize import (
     _coefficient_matrix,
+    _relation_ideal,
     _sqrts,
     check_specialized,
     generate_specialization,
@@ -74,6 +84,54 @@ def test_perturbed_instance_fails_det_eprime():
     assert not bad.detEprime_zero
     # Block structure is untouched, so the factorization still holds.
     assert bad.detE_factorization
+
+
+def test_relation_ideal_is_built_once_per_shape_and_prime(monkeypatch):
+    calls = []
+    real = formal.build_ideals
+
+    def counting(shape, ring):
+        calls.append((shape.name, ring))
+        return real(shape, ring)
+
+    monkeypatch.setattr(formal, "build_ideals", counting)
+    _relation_ideal.cache_clear()
+    try:
+        insts = [generate_specialization(shape_specialization(), seed, P) for seed in range(5)]
+        for inst in insts:
+            assert check_specialized(inst).J_vanishes
+        # The control deep-copies the instance, shape included.
+        assert check_specialized(perturb_alpha(insts[0])).J_vanishes
+        assert calls == [("spec-r4", GF(P))]
+        assert _relation_ideal.cache_info().currsize == 1
+    finally:
+        _relation_ideal.cache_clear()
+
+
+def test_shape_hash_is_a_value_hash():
+    from ribetkit.veriharness.config import parse_flat_config
+
+    sh = shape_specialization()
+    copied = copy.deepcopy(sh)
+    round_trip = RibetShape.from_mapping(parse_flat_config(sh.to_config_text())[""])
+    assert copied == sh and round_trip == sh
+    assert hash(copied) == hash(sh) == hash(round_trip)
+    _relation_ideal.cache_clear()
+    try:
+        for shape in (sh, copied, round_trip):
+            _relation_ideal(shape, 101)
+        info = _relation_ideal.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    finally:
+        _relation_ideal.cache_clear()
+
+
+def test_shapes_differing_only_in_sigma_v_are_unequal():
+    a = shape_one_place_type4()
+    b = RibetShape(a.name, a.r, a.rows, a.sigma_places, a.p_places, {"v1": 1})
+    assert a.sigma_v != b.sigma_v
+    assert a != b
+    assert len({a, b}) == 2
 
 
 def test_replay_determinism():

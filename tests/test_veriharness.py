@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -115,6 +116,45 @@ def test_specialization_suite_counts():
     # 2 seeds x 4 fields + perturbed control.
     assert len(report.checks) == 9
     assert report.summary() == {"pass": 9, "fail": 0, "timeout": 0}
+
+
+@pytest.mark.parametrize("jobs", [1, 8])
+def test_specialization_generates_and_checks_each_seed_once(monkeypatch, jobs):
+    import ribetkit.veriharness.suites as suites
+
+    # list.append is atomic, so the record loses no call under threads.
+    generated, checked = [], []
+    generate, check = suites.generate_specialization, suites.check_specialized
+
+    def counting_generate(shape, seed, p):
+        generated.append(seed)
+        time.sleep(0.01)  # lets the other checks of the seed start meanwhile
+        return generate(shape, seed, p)
+
+    def counting_check(inst):
+        checked.append(inst.seed)
+        return check(inst)
+
+    monkeypatch.setattr(suites, "generate_specialization", counting_generate)
+    monkeypatch.setattr(suites, "check_specialized", counting_check)
+    # Under jobs=8 the four checks of a seed overlap; none may repeat its run.
+    report = run_suite(SuiteConfig(suite="specialization", seeds=[0, 1], jobs=jobs))
+    assert report.summary() == {"pass": 9, "fail": 0, "timeout": 0}
+    # One run per seed plus one for the perturbed control (seed 0).
+    assert sorted(generated) == sorted(checked) == [0, 0, 1]
+
+
+def test_generation_failure_fails_all_four_checks_of_a_seed(monkeypatch):
+    import ribetkit.ribet.specialize as specialize
+
+    monkeypatch.setattr(specialize, "_try_generate", lambda *args: None)
+    report = run_suite(SuiteConfig(suite="specialization", seeds=[0, 1]))
+    witness = (
+        f"no consistent instance for shape 'spec-r4' after {specialize.RETRY_BUDGET} rerolls"
+    )
+    assert len(report.checks) == 9
+    for c in report.checks:
+        assert (c.status, c.witness) == ("fail", witness), c.id
 
 
 def test_jobs_parallel_matches_serial():
