@@ -72,11 +72,6 @@ class FreeComplex:
             [list(l) for l in self.labels], self.shift + delta, self.components,
         )
 
-    def diff_or_zero(self, k: int) -> FreeModuleMatrix | None:
-        if k < 1 or k > self.top_degree:
-            return None
-        return self.diffs[k]
-
     def zero_entry(self) -> Polynomial:
         return Polynomial.zero(self.ring, self.table)
 

@@ -225,9 +225,6 @@ class VariableTable:
             self.weights + new_weights,
         )
 
-    def indices_with_role(self, role: str) -> list[int]:
-        return [i for i, r in enumerate(self.roles) if r == role]
-
 
 # ---------------------------------------------------------------------------
 # Monomials: dense exponent tuples.
@@ -248,10 +245,6 @@ def mono_divides(a: Mono, b: Mono) -> bool:
 def mono_div(a: Mono, b: Mono) -> Mono:
     """a / b, assuming b | a."""
     return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def mono_deg(a: Mono) -> int:

@@ -35,6 +35,7 @@ from ..groebner import FreeModuleMatrix, module_contains, module_gb
 from ..ribet import (
     FormalRing,
     SpecializedChecks,
+    SpecializedInstance,
     build_ideals,
     check_e_tau_invariance,
     check_example_r2,
@@ -159,15 +160,20 @@ def _suite_specialization(cfg: SuiteConfig) -> list[Check]:
     )
 
     # One generation and one check per seed for this run: the four field
-    # checks of a seed read the same result.  A GenerationFailure is not
-    # cached, so each of the four checks raises it again, with the same
-    # witness.  The lock keeps concurrent checks of one seed from each
-    # doing the work under --jobs.
+    # checks of a seed read the same result, and the perturbed control
+    # reuses the instance of the first seed (perturb_alpha deep-copies
+    # it).  A GenerationFailure is not cached, so each of the four checks
+    # raises it again, with the same witness.  The lock keeps concurrent
+    # checks of one seed from each doing the work under --jobs.
     lock = threading.Lock()
 
     @functools.cache
+    def instance(seed: int) -> SpecializedInstance:
+        return generate_specialization(sh, seed, cfg.prime)
+
+    @functools.cache
     def run_once(seed: int) -> SpecializedChecks:
-        return check_specialized(generate_specialization(sh, seed, cfg.prime))
+        return check_specialized(instance(seed))
 
     def run(seed: int) -> SpecializedChecks:
         with lock:
@@ -181,7 +187,8 @@ def _suite_specialization(cfg: SuiteConfig) -> list[Check]:
             checks.append((f"spec-seed{seed:03d}-{field_name}", anchor, one))
 
     def perturbed():
-        inst = generate_specialization(sh, cfg.seeds[0], cfg.prime)
+        with lock:
+            inst = instance(cfg.seeds[0])
         res = check_specialized(perturb_alpha(inst))
         return (not res.detEprime_zero), "perturbed coefficient must break det(E')=0"
 

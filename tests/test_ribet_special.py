@@ -2,12 +2,13 @@
 numeric checks."""
 
 import copy
+import random
 
 import pytest
 
 import ribetkit.ribet.formal as formal
 from ribetkit.errors import StructuralError
-from ribetkit.exactpoly import GF, _is_prime
+from ribetkit.exactpoly import GF
 from ribetkit.linalg import rank
 from ribetkit.ribet.shapes import (
     RibetShape,
@@ -17,9 +18,14 @@ from ribetkit.ribet.shapes import (
     shape_specialization,
 )
 from ribetkit.ribet.specialize import (
+    SpecializedInstance,
     _coefficient_matrix,
+    _m2_add_scalar,
+    _m2_inv,
+    _m2_mul,
+    _m2_scale,
+    _rand_gl2,
     _relation_ideal,
-    _sqrts,
     check_specialized,
     generate_specialization,
     perturb_alpha,
@@ -198,28 +204,70 @@ def test_four_free_generators_no_places():
     assert check_specialized(inst).all_pass()
 
 
-def _sqrts_by_scan(a, p):
-    """Reference: the smallest x with x^2 = a (mod p) by a linear scan."""
-    a %= p
-    if a == 0:
-        return [0]
-    if pow(a, (p - 1) // 2, p) != 1:
-        return []
-    for x in range(p):
-        if x * x % p == a:
-            return [x, (p - x) % p]
-    return []
+def _kappa_unscaled(self, word):
+    """rho(w) - psi(w), missing the psi(w)^{-1} scale."""
+    pw = self.char_word(self.psi, word)
+    return _m2_add_scalar(self.rho_word(word), -pw % self.p, self.p)
 
 
-def test_sqrts_matches_the_linear_scan():
-    for p in filter(_is_prime, range(300)):
-        for a in range(p):
-            assert _sqrts(a, p) == _sqrts_by_scan(a, p), (a, p)
+def _kappa_of_chi(self, word):
+    """chi(w)^{-1} (rho(w) - chi(w)): kappa built from the wrong character."""
+    p = self.p
+    cw = self.char_word(self.chi, word)
+    return _m2_scale(_m2_add_scalar(self.rho_word(word), -cw % p, p), pow(cw, p - 2, p), p)
 
 
-@pytest.mark.parametrize("p", [2**31 - 1, 998244353])  # p = 3 mod 4, p = 1 mod 2^23
-def test_sqrts_at_wide_primes(p):
-    for r in (2, 123456789, p - 5):
-        low = min(r, p - r)
-        assert _sqrts(r * r, p) == [low, p - low]
-    assert _sqrts(3, p) == []
+@pytest.mark.parametrize("kappa", [_kappa_unscaled, _kappa_of_chi])
+def test_cocycle_check_rejects_a_wrong_kappa(monkeypatch, kappa):
+    insts = [generate_specialization(shape_specialization(), seed, P) for seed in range(5)]
+    assert all(check_specialized(inst).cocycle for inst in insts)
+    monkeypatch.setattr(SpecializedInstance, "kappa", kappa)
+    for inst in insts:
+        checks = check_specialized(inst)
+        assert not checks.cocycle, inst.seed
+        assert checks.detE_factorization and checks.J_vanishes
+
+
+def test_cocycle_check_accepts_a_cohomologous_kappa(monkeypatch):
+    # psi(w)^{-1} (rho(w) - chi(w)) is kappa plus w -> 1 - chi psi^{-1}(w),
+    # a coboundary for the chi psi^{-1}-twisted action, so it satisfies
+    # the same cocycle identity exactly: no exact check of it can reject it.
+    def kappa_shifted_by_chi(self, word):
+        p = self.p
+        m = _m2_add_scalar(self.rho_word(word), -self.char_word(self.chi, word) % p, p)
+        return _m2_scale(m, pow(self.char_word(self.psi, word), p - 2, p), p)
+
+    monkeypatch.setattr(SpecializedInstance, "kappa", kappa_shifted_by_chi)
+    for seed in range(5):
+        inst = generate_specialization(shape_specialization(), seed, P)
+        assert check_specialized(inst).cocycle, seed
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 10007])
+def test_images_sharing_an_eigenline_do_not_span(p):
+    # Generation keeps only instances whose shifted images span M_2(F_p).
+    # Images fixing one line M e_2 are M (lower triangular) M^{-1}: they
+    # lie in a 3-dimensional Borel subalgebra, so they never span and a
+    # reducible instance is always rerolled.
+    sh = shape_specialization()
+    rng = random.Random(f"eigenline:{p}")
+    for _ in range(200):
+        M = _rand_gl2(rng, p)
+        Minv = _m2_inv(M, p)
+        images = {}
+        for g in range(1, sh.r + 1):
+            lower = (rng.randrange(1, p), 0, rng.randrange(p), rng.randrange(1, p))
+            images[g] = _m2_mul(_m2_mul(M, lower, p), Minv, p)
+        inst = SpecializedInstance(
+            shape=sh,
+            p=p,
+            seed=0,
+            rho_images=images,
+            chi={g: rng.randrange(1, p) for g in images},
+            psi={g: rng.randrange(1, p) for g in images},
+            places={},
+            eps=[],
+            delta={},
+            alpha={},
+        )
+        assert rank(_coefficient_matrix(inst), GF(p)) <= 3

@@ -140,8 +140,29 @@ def test_specialization_generates_and_checks_each_seed_once(monkeypatch, jobs):
     # Under jobs=8 the four checks of a seed overlap; none may repeat its run.
     report = run_suite(SuiteConfig(suite="specialization", seeds=[0, 1], jobs=jobs))
     assert report.summary() == {"pass": 9, "fail": 0, "timeout": 0}
-    # One run per seed plus one for the perturbed control (seed 0).
-    assert sorted(generated) == sorted(checked) == [0, 0, 1]
+    # One generation per seed; the perturbed control checks a perturbed
+    # copy of seed 0's instance.
+    assert sorted(generated) == [0, 1]
+    assert sorted(checked) == [0, 0, 1]
+
+
+def test_perturbed_control_waits_for_the_seed_instance(monkeypatch):
+    import ribetkit.veriharness.suites as suites
+
+    # With one seed and 8 workers, the control starts while the seed's
+    # checks are still generating; it must wait for that instance.
+    generated = []
+    generate = suites.generate_specialization
+
+    def slow_generate(shape, seed, p):
+        generated.append(seed)
+        time.sleep(0.05)
+        return generate(shape, seed, p)
+
+    monkeypatch.setattr(suites, "generate_specialization", slow_generate)
+    report = run_suite(SuiteConfig(suite="specialization", seeds=[0], jobs=8))
+    assert report.summary() == {"pass": 5, "fail": 0, "timeout": 0}
+    assert generated == [0]
 
 
 def test_generation_failure_fails_all_four_checks_of_a_seed(monkeypatch):
