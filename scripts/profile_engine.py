@@ -6,8 +6,10 @@ checks that dominate suite runtime so regressions are visible at a
 glance, times the GB of J(sigma-v0-type3) on both coefficient cores
 with a check that the QQ basis reduced mod p is the GF(p) basis, times
 the module path (syzygies and symbolic H1) on R(f) 2x4, the C -> D
-morphism of full-mixed at cap 3, and the specialization suite at the
-default prime and at p = 1000003.
+morphism of full-mixed at cap 3 (with its d^2 = 0 check on D and its
+commuting squares timed again on their own, the two sparse matrix
+product workloads), and the specialization suite at the default prime
+and at p = 1000003.
 
 Run: PYTHONPATH=src python scripts/profile_engine.py
 """
@@ -88,7 +90,10 @@ def main():
     ))
     for sh in corpus():
         timed(f"cd-morphism cap 2 [{sh.name}]", lambda s=sh: build_cd_morphism(s, cap=2).all_pass())
-    timed("cd-morphism cap 3 [full-mixed]", lambda: build_cd_morphism(shape_full_mixed(), cap=3).all_pass())
+    cd = timed("cd-morphism cap 3 [full-mixed]", lambda: build_cd_morphism(shape_full_mixed(), cap=3),
+               lambda cd: cd.all_pass())
+    timed("  check_d2(D) [full-mixed, cap 3]", lambda: check_d2(cd.D))
+    timed("  inclusion.check_commutes() [full-mixed, cap 3]", cd.inclusion.check_commutes)
     specialization_suite()
 
 

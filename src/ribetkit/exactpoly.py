@@ -2,9 +2,12 @@
 
 A polynomial is a dictionary mapping dense exponent tuples (one entry per
 variable of its table) to nonzero coefficients in an exact coefficient
-ring: arbitrary-precision integers, rationals (``fractions.Fraction``),
-or a prime field with p < 2**31 (plain Python ints reduced mod p).
-There is no floating point anywhere.
+ring: arbitrary-precision integers, rationals, or a prime field with
+p < 2**31 (plain Python ints reduced mod p).  A rational coefficient is
+an ``int`` when it is integral and a ``fractions.Fraction`` otherwise;
+``CoefficientRing`` keeps that form canonical, and since ``2`` and
+``Fraction(2)`` print, compare and hash alike, nothing outside the ring
+operations depends on it.  There is no floating point anywhere.
 
 The zero polynomial is the empty term map; equal polynomials have
 identical term maps, so ``==`` is canonical-form comparison.  Values are
@@ -51,6 +54,13 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _demote(c):
+    """An integral Fraction as its int numerator; anything else as is."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
 class CoefficientRing:
     """Exact coefficient ring: integers, rationals, or a prime field.
 
@@ -94,7 +104,9 @@ class CoefficientRing:
         if self.kind == "GF":
             return int(c) % self.p
         if self.kind == "QQ":
-            return c if isinstance(c, Fraction) else Fraction(c)
+            if type(c) is int:
+                return c
+            return _demote(c if isinstance(c, Fraction) else Fraction(c))
         if isinstance(c, Fraction):
             if c.denominator != 1:
                 raise StructuralError(f"{c} is not an integer")
@@ -102,19 +114,19 @@ class CoefficientRing:
         return int(c)
 
     def zero(self):
-        return 0 if self.kind != "QQ" else Fraction(0)
+        return 0
 
     def one(self):
-        return 1 if self.kind != "QQ" else Fraction(1)
+        return 1
 
     def add(self, a, b):
-        return (a + b) % self.p if self.kind == "GF" else a + b
+        return (a + b) % self.p if self.kind == "GF" else _demote(a + b)
 
     def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "GF" else a - b
+        return (a - b) % self.p if self.kind == "GF" else _demote(a - b)
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "GF" else a * b
+        return (a * b) % self.p if self.kind == "GF" else _demote(a * b)
 
     def neg(self, a):
         return (-a) % self.p if self.kind == "GF" else -a
@@ -125,7 +137,7 @@ class CoefficientRing:
                 raise ZeroDivisionError("inverse of 0 in GF(p)")
             return pow(a, self.p - 2, self.p)
         if self.kind == "QQ":
-            return Fraction(1) / a
+            return _demote(Fraction(1) / a)
         raise StructuralError("ZZ is not a field")
 
     def div(self, a, b):
@@ -467,6 +479,8 @@ class Polynomial:
         return used
 
     def _check_compatible(self, other: "Polynomial"):
+        if self.ring is other.ring and self.table is other.table:
+            return
         if self.ring != other.ring:
             raise StructuralError("coefficient ring mismatch")
         if self.table != other.table:
@@ -702,7 +716,7 @@ class Polynomial:
                 g = gcd(g, c.numerator)
                 l = l * c.denominator // gcd(l, c.denominator)
             scale = Fraction(l, g)
-            terms = {m: c * scale for m, c in self.terms.items()}
+            terms = {m: _demote(c * scale) for m, c in self.terms.items()}
         else:
             g = 0
             for c in self.terms.values():

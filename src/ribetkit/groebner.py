@@ -759,7 +759,10 @@ def ideal_quotient(spec: IdealSpec, f: Polynomial, budget: Budget = DEFAULT_BUDG
 
 @dataclass(frozen=True)
 class FreeModuleMatrix:
-    """Rectangular matrix of polynomials sharing one ring and table."""
+    """Rectangular matrix of polynomials sharing one ring and table.
+
+    Products are sparse: only pairs of nonzero entries are multiplied,
+    and an output entry that no pair reaches is one shared zero."""
 
     entries: tuple[tuple[Polynomial, ...], ...]
 
@@ -771,9 +774,12 @@ class FreeModuleMatrix:
                 raise StructuralError("matrix must be rectangular")
             probe = rows[0][0] if width else None
             if probe is not None:
+                ring, table = probe.ring, probe.table
                 for r in rows:
                     for e in r:
-                        if e.ring != probe.ring or e.table != probe.table:
+                        if e.ring is ring and e.table is table:
+                            continue
+                        if e.ring != ring or e.table != table:
                             raise StructuralError("matrix entries must share ring and table")
         object.__setattr__(self, "entries", rows)
 
@@ -788,31 +794,46 @@ class FreeModuleMatrix:
     def column(self, j: int) -> list[Polynomial]:
         return [self.entries[i][j] for i in range(self.rows)]
 
+    def _zero(self) -> Polynomial:
+        probe = self.entries[0][0]
+        return Polynomial.zero(probe.ring, probe.table)
+
     def apply(self, v: Sequence[Polynomial]) -> list[Polynomial]:
         if len(v) != self.cols:
             raise StructuralError("vector length mismatch")
+        if not v:  # no entry to take a ring from: one None per row
+            return [None] * self.rows
+        zero = self._zero()
+        pairs = [(j, x) for j, x in enumerate(v) if x.terms]
         out = []
-        for i in range(self.rows):
+        for row in self.entries:
             acc = None
-            for j in range(self.cols):
-                t = self.entries[i][j] * v[j]
-                acc = t if acc is None else acc + t
-            out.append(acc)
+            for j, x in pairs:
+                a = row[j]
+                if a.terms:
+                    t = a * x
+                    acc = t if acc is None else acc + t
+            out.append(zero if acc is None else acc)
         return out
 
     def matmul(self, other: "FreeModuleMatrix") -> "FreeModuleMatrix":
         if self.cols != other.rows:
             raise StructuralError("matrix dimension mismatch")
+        if not other.cols:  # covers a zero inner dimension: a factor with no rows has no columns
+            return FreeModuleMatrix([[] for _ in range(self.rows)])
+        zero = self._zero()
+        # The nonzero (j, entry) pairs of each row of the right factor.
+        right = [[(j, b) for j, b in enumerate(row) if b.terms] for row in other.entries]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = None
-                for k in range(self.cols):
-                    t = self.entries[i][k] * other.entries[k][j]
-                    acc = t if acc is None else acc + t
-                row.append(acc)
-            out.append(row)
+        for row in self.entries:
+            acc: dict[int, Polynomial] = {}
+            for a, pairs in zip(row, right):
+                if not a.terms:
+                    continue
+                for j, b in pairs:
+                    t = a * b
+                    acc[j] = acc[j] + t if j in acc else t
+            out.append([acc.get(j, zero) for j in range(other.cols)])
         return FreeModuleMatrix(out)
 
     def is_zero(self) -> bool:

@@ -1,8 +1,9 @@
 """Exact dense linear algebra over the field coefficient rings.
 
-Plain Gaussian elimination on lists of lists.  Entries are Fractions
-(QQ) or ints reduced mod p (GF).  Matrices here are small (a handful of
-rows/columns), so clarity beats asymptotics.
+Plain Gaussian elimination on lists of lists.  Entries are rationals
+(QQ: ints when integral, Fractions otherwise) or ints reduced mod p
+(GF).  Matrices here are small (a handful of rows/columns), so clarity
+beats asymptotics.
 """
 
 from __future__ import annotations
@@ -103,25 +104,6 @@ def det(rows: list[list], ring: CoefficientRing):
                 f = ring.mul(M[i][col], inv)
                 M[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(M[i], M[col])]
     return ring.mul(sign, acc)
-
-
-def mat_mul(A: list[list], B: list[list], ring: CoefficientRing) -> list[list]:
-    if not A or not B:
-        return []
-    return [
-        [
-            _dot(row, [B[k][j] for k in range(len(B))], ring)
-            for j in range(len(B[0]))
-        ]
-        for row in A
-    ]
-
-
-def _dot(u: list, v: list, ring: CoefficientRing):
-    s = ring.zero()
-    for a, b in zip(u, v):
-        s = ring.add(s, ring.mul(a, b))
-    return s
 
 
 def mat_inv_2x2(M: list[list], ring: CoefficientRing) -> list[list]:

@@ -445,8 +445,8 @@ def _check_cocycle(inst: SpecializedInstance, word_samples: int) -> bool:
 
 def _check_j_vanishes(inst: SpecializedInstance) -> bool:
     """Every relation-ideal generator evaluates to zero at the instance."""
-    generators, table = _relation_ideal(inst.shape, inst.p)
-    point = _instance_point(inst, table)
+    generators, _ = _relation_ideal(inst.shape, inst.p)
+    point = _instance_point(inst)
     return all(g.evaluate(point) == 0 for g in generators)
 
 
@@ -461,27 +461,35 @@ def _relation_ideal(shape: RibetShape, p: int):
     return tuple(ideals.J.generators), ideals.ring.table
 
 
-def _instance_point(inst: SpecializedInstance, table) -> dict[int, int]:
-    """Map formal-ring variables to the instance's field values."""
-    shape, p = inst.shape, inst.p
-    point: dict[int, int] = {}
-    type_i_seen = 0
-    for name in table.names:
-        idx = table.index(name)
+@functools.lru_cache(maxsize=8)
+def _point_plan(shape: RibetShape, p: int) -> tuple:
+    """(index, reader) for each formal variable, reader(inst) being its
+    value at an instance.  The names are parsed once per (shape, p),
+    keyed like _relation_ideal."""
+    _, table = _relation_ideal(shape, p)
+    plan = []
+    for idx, name in enumerate(table.names):
         if name.startswith("nu"):
-            point[idx] = inst.nu(int(name[2:]))
+            g = int(name[2:])
+            read = lambda inst, g=g: inst.nu(g)
         elif name.startswith("eps"):
-            block, i = name[3:].split("_")
-            point[idx] = inst.eps[int(block) - 1][int(i) - 1]
+            block, i = (int(s) - 1 for s in name[3:].split("_"))
+            read = lambda inst, block=block, i=i: inst.eps[block][i]
         elif name.startswith("delta"):
-            i, j, k = name[5:].split("_")
-            point[idx] = inst.delta[(int(i), int(j))][int(k) - 1]
+            i, j, k = (int(s) for s in name[5:].split("_"))
+            read = lambda inst, pair=(i, j), k=k - 1: inst.delta[pair][k]
         elif name.startswith("x"):
-            point[idx] = inst.x_val(int(name[1:]))
-        elif name[0] in "abcd":
             g = int(name[1:])
-            comp = "abcd".index(name[0])
-            point[idx] = inst.rho_shift(g)[comp]
+            read = lambda inst, g=g: inst.x_val(g)
+        elif name[0] in "abcd":
+            g, comp = int(name[1:]), "abcd".index(name[0])
+            read = lambda inst, g=g, comp=comp: inst.rho_shift(g)[comp]
         else:
             raise StructuralError(f"unexpected formal variable {name!r}")
-    return point
+        plan.append((idx, read))
+    return tuple(plan)
+
+
+def _instance_point(inst: SpecializedInstance) -> dict[int, int]:
+    """Map formal-ring variables to the instance's field values."""
+    return {idx: read(inst) for idx, read in _point_plan(inst.shape, inst.p)}

@@ -143,6 +143,38 @@ def test_text_round_trip_bit_exact():
     assert from_text(to_text(g), GF(11), T3) == g
 
 
+def test_integral_qq_coefficients_are_ints():
+    m = (1, 0, 0)
+    assert type(Polynomial(QQ, T3, {m: Fraction(4, 2)}).terms[m]) is int
+    assert type(Polynomial(QQ, T3, {m: Fraction(1, 2)}).terms[m]) is Fraction
+    half = V(0) * Fraction(1, 2)
+    total = half + half
+    assert total == V(0) and type(total.terms[m]) is int
+    assert type((half * 2).terms[m]) is int
+    assert type((half * V(0) * 4).content_free().terms[(2, 0, 0)]) is int
+    assert [type(c) for c in (QQ.zero(), QQ.one(), QQ.inv(Fraction(1, 3)))] == [int] * 3
+
+
+def test_text_round_trip_keeps_the_integral_form():
+    f = Fraction(3, 4) * V(0) * V(0) * V(1) - V(2) + 7
+    text = to_text(f)
+    assert text == "3/4*x^2*y + -1*z + 7"
+    back = from_text(text, QQ, T3)
+    assert back == f and to_text(back) == text
+    assert [type(c) for _, c in back.sorted_terms()] == [Fraction, int, int]
+
+
+def test_int_and_fraction_coefficients_make_one_polynomial():
+    m = (0, 2, 1)
+    a = Polynomial(QQ, T3, {m: 2})
+    b = Polynomial(QQ, T3, {m: Fraction(2)})
+    assert a == b and hash(a) == hash(b) and to_text(a) == to_text(b)
+    # A Fraction(2) held as is (no normalization) still prints, compares
+    # and hashes as the int.
+    raw = Polynomial._trusted(QQ, T3, {m: Fraction(2)})
+    assert raw == a and hash(raw) == hash(a) and to_text(raw) == to_text(a)
+
+
 def test_zz_rejects_fractions():
     with pytest.raises(StructuralError):
         Polynomial.const(ZZ, T3, Fraction(1, 2))

@@ -303,6 +303,68 @@ def test_gf_path():
     assert gb.verify()
 
 
+# -- sparse matrix products ----------------------------------------------------
+
+def _dense_matmul(A, B, zero):
+    """Reference product: every entry pair multiplied, in order."""
+    return [
+        [sum((A[i][k] * B[k][j] for k in range(len(B))), zero) for j in range(len(B[0]))]
+        for i in range(len(A))
+    ]
+
+
+def _entry_pool(ring):
+    x, y = V(0, ring), V(1, ring)
+    one, zero = Polynomial.one(ring, TXY), Polynomial.zero(ring, TXY)
+    third = Fraction(1, 3) if ring == QQ else 5  # 5 = 1/3 in GF(7)
+    # Zeros are common, and x, -x and x + y, -y let products cancel.
+    return [zero, zero, zero, one, -one, x, -x, y, x + y, -y, x * y * third, x * x - third]
+
+
+@st.composite
+def _matrix_products(draw):
+    ring = draw(st.sampled_from([QQ, GF(7)]))
+    pool = _entry_pool(ring)
+    zero = pool[0]
+    m, n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    entry = st.sampled_from(pool)
+    A = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    B = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=n, max_size=n))
+    v = draw(st.lists(entry, min_size=n, max_size=n))
+    for i in draw(st.sets(st.integers(0, m - 1))):
+        A[i] = [zero] * n
+    for j in draw(st.sets(st.integers(0, k - 1))) if k else ():
+        for row in B:
+            row[j] = zero
+    return ring, A, B, v
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrix_products())
+def test_sparse_products_match_the_dense_reference(case):
+    ring, A, B, v = case
+    zero = Polynomial.zero(ring, TXY)
+    MA = FreeModuleMatrix(A)
+    assert MA.matmul(FreeModuleMatrix(B)).entries == tuple(map(tuple, _dense_matmul(A, B, zero)))
+    assert MA.apply(v) == [row[0] for row in _dense_matmul(A, [[e] for e in v], zero)]
+
+
+def test_sparse_product_zero_entries_keep_the_ring():
+    x, y = V(0, GF(7)), V(1, GF(7))
+    z = Polynomial.zero(GF(7), TXY)
+    P = FreeModuleMatrix([[x, z], [z, z], [x, x]]).matmul(FreeModuleMatrix([[z, y], [x, -y]]))
+    # Row 2, column 1 is x*y - x*y: products that cancel.
+    assert P.entries == ((z, x * y), (z, z), (x * x, z))
+    assert all(e.ring == GF(7) and e.table == TXY for row in P.entries for e in row)
+
+
+def test_matmul_with_no_output_columns_keeps_the_shape():
+    x = V(0)
+    for A, B in (([[], []], []), ([[x, x], [x, x]], [[], []])):
+        P = FreeModuleMatrix(A).matmul(FreeModuleMatrix(B))
+        assert P.entries == ((), ())
+
+
 # -- syzygies -----------------------------------------------------------------
 
 def test_syzygy_koszul_pair():

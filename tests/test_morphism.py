@@ -1,9 +1,11 @@
 """The inclusion of the b-coefficient resolution into the relation
 complex: squares, images, adjoint law."""
 
+from dataclasses import replace
+
 from ribetkit.brcomplex import build_cd_morphism, check_d2, ideal_generator_sets_match
 from ribetkit.exactpoly import DEGREVLEX, QQ, Polynomial, VariableTable
-from ribetkit.groebner import IdealSpec
+from ribetkit.groebner import FreeModuleMatrix, IdealSpec
 from ribetkit.ribet.shapes import corpus, shape_full_mixed, shape_r2_two_type2
 
 
@@ -66,3 +68,28 @@ def test_place_factor_degree1_images_are_quadruple_entries():
     images = {canon(p) for p in d1 if not p.is_zero()}
     for f in (A, B, C, D):
         assert canon(f) in images
+
+
+def test_check_commutes_fails_when_one_inclusion_entry_changes():
+    # Changing entry (i, j) of maps[1] changes column j of d^D_1 . maps[1]
+    # by +-(column i of d^D_1) and leaves maps[0] . d^C_1 alone, so with
+    # column i of d^D_1 nonzero the square in degree 1 cannot close.
+    cd = build_cd_morphism(shape_full_mixed(), cap=3)
+    m1, dD1 = cd.inclusion.maps[1], cd.D.diffs[1]
+    ring, table = m1.entries[0][0].ring, m1.entries[0][0].table
+    one, zero = Polynomial.one(ring, table), Polynomial.zero(ring, table)
+    live = [i for i in range(dD1.cols) if any(not e.is_zero() for e in dD1.column(i))]
+
+    def changed(i, j, value):
+        rows = [list(r) for r in m1.entries]
+        rows[i][j] = value
+        maps = list(cd.inclusion.maps)
+        maps[1] = FreeModuleMatrix(rows)
+        return replace(cd.inclusion, maps=maps)
+
+    slots = [(i, j) for i in live for j in range(m1.cols)]
+    i, j = next((i, j) for i, j in slots if m1.entries[i][j] == one)
+    assert not changed(i, j, zero).check_commutes()
+    i, j = next((i, j) for i, j in slots if m1.entries[i][j].is_zero())
+    assert not changed(i, j, one).check_commutes()
+    assert cd.inclusion.check_commutes()

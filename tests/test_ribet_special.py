@@ -24,6 +24,8 @@ from ribetkit.ribet.specialize import (
     _m2_inv,
     _m2_mul,
     _m2_scale,
+    _instance_point,
+    _point_plan,
     _rand_gl2,
     _relation_ideal,
     check_specialized,
@@ -112,6 +114,40 @@ def test_relation_ideal_is_built_once_per_shape_and_prime(monkeypatch):
         assert _relation_ideal.cache_info().currsize == 1
     finally:
         _relation_ideal.cache_clear()
+
+
+def _point_by_names(inst):
+    """Reference: parse every formal variable name at each instance."""
+    _, table = _relation_ideal(inst.shape, inst.p)
+    point = {}
+    for name in table.names:
+        idx = table.index(name)
+        if name.startswith("nu"):
+            point[idx] = inst.nu(int(name[2:]))
+        elif name.startswith("eps"):
+            block, i = name[3:].split("_")
+            point[idx] = inst.eps[int(block) - 1][int(i) - 1]
+        elif name.startswith("delta"):
+            i, j, k = name[5:].split("_")
+            point[idx] = inst.delta[(int(i), int(j))][int(k) - 1]
+        elif name.startswith("x"):
+            point[idx] = inst.x_val(int(name[1:]))
+        else:
+            point[idx] = inst.rho_shift(int(name[1:]))["abcd".index(name[0])]
+    return point
+
+
+def test_instance_point_parses_the_names_once_per_shape_and_prime():
+    _point_plan.cache_clear()
+    try:
+        insts = [generate_specialization(shape_specialization(), seed, P) for seed in range(6)]
+        insts.append(perturb_alpha(insts[0]))
+        for inst in insts:
+            assert _instance_point(inst) == _point_by_names(inst)
+        info = _point_plan.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+    finally:
+        _point_plan.cache_clear()
 
 
 def test_shape_hash_is_a_value_hash():
