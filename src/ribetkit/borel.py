@@ -26,6 +26,12 @@ from .exactpoly import Polynomial, VariableTable
 from .groebner import Budget, DEFAULT_BUDGET, GroebnerBasis, IdealSpec, buchberger, in_ideal, normal_form
 
 
+def _tau_images(a, b, c, d, x) -> tuple[Polynomial, ...]:
+    """tau_x of a generic matrix [[a, b], [c, d]]: the four entries of
+    [[1, 0], [x, 1]]-conjugation, as listed in the module docstring."""
+    return a + b * x, b, c + (d - a) * x - b * x * x, d - b * x
+
+
 @dataclass
 class TauAction:
     """Substitution action of the unipotent tau_x on one variable table.
@@ -46,34 +52,29 @@ class TauAction:
         self.table = self.base.extend([name], ["param"])
         self.param = len(self.base)
 
-    def _quadruple(self, ring, suffix: str) -> dict[str, Polynomial]:
+    def _quadruple(self, ring, suffix: str) -> list[Polynomial]:
         """The (a, b, c, d) variables sharing a name suffix; a deleted
         entry (name absent from the table) reads as 0."""
-        out = {}
+        out = []
         for tag in "abcd":
             name = tag + suffix
             if name in self.base._index:
-                out[tag] = Polynomial.var(ring, self.table, self.base.index(name))
+                out.append(Polynomial.var(ring, self.table, self.base.index(name)))
             else:
-                out[tag] = Polynomial.zero(ring, self.table)
+                out.append(Polynomial.zero(ring, self.table))
         return out
 
     def _maps(self, ring) -> dict[int, Polynomial]:
-        x = Polynomial.var(ring, self.table, self.param)
+        x = self.x_var(ring)
+        images: dict[str, tuple[Polynomial, ...]] = {}  # name suffix -> tau_x(a, b, c, d)
         mapping: dict[int, Polynomial] = {}
         for i, role in enumerate(self.base.roles):
             if role not in ("a", "b", "c", "d"):
                 continue
-            q = self._quadruple(ring, self.base.names[i][1:])
-            a, b, c, d = q["a"], q["b"], q["c"], q["d"]
-            if role == "a":
-                mapping[i] = a + b * x
-            elif role == "b":
-                mapping[i] = b
-            elif role == "c":
-                mapping[i] = c + (d - a) * x - b * x * x
-            else:
-                mapping[i] = d - b * x
+            suffix = self.base.names[i][1:]
+            if suffix not in images:
+                images[suffix] = _tau_images(*self._quadruple(ring, suffix), x)
+            mapping[i] = images[suffix]["abcd".index(role)]
         return mapping
 
     def apply(self, f: Polynomial) -> Polynomial:
@@ -105,16 +106,9 @@ def adjoint_quadruple_check(
         if f.table != table or f.ring != A.ring:
             raise StructuralError("quadruple entries must share ring and table")
     act = action or TauAction(table)
-    x = act.x_var(A.ring)
-    ext = act.table
-    Ae, Be, Ce, De = (f.lift(ext) for f in (A, B, C, D))
-    if act.apply(A) != Ae + Be * x:
-        return False
-    if act.apply(B) != Be:
-        return False
-    if act.apply(C) != Ce + (De - Ae) * x - Be * x * x:
-        return False
-    if act.apply(D) != De - Be * x:
+    lifted = [f.lift(act.table) for f in (A, B, C, D)]
+    images = _tau_images(*lifted, act.x_var(A.ring))
+    if any(act.apply(f) != img for f, img in zip((A, B, C, D), images)):
         return False
     weights = (A.torus_weight(), B.torus_weight(), C.torus_weight(), D.torus_weight())
     return weights == (0, 1, -1, 0)

@@ -329,14 +329,9 @@ def regularity_check(f: FreeModuleMatrix, budget: Budget = DEFAULT_BUDGET) -> bo
         target_gens = [
             _r_of(cols, i, j) for i in range(k - 1) for j in range(i + 1, k - 1)
         ]
-        target = IdealSpec(target_gens)
-        gb = buchberger(target, budget) if target.generators else None
-        for q in quotient.generators:
-            if gb is None:
-                if not q.is_zero():
-                    return False
-            elif not gb.contains(q, budget):
-                return False
+        gb = buchberger(IdealSpec(target_gens), budget)
+        if not all(gb.contains(q, budget) for q in quotient.generators):
+            return False
     return True
 
 

@@ -7,6 +7,11 @@ matrices d_k : C_k -> C_{k-1} for k >= 1, a basis label per summand
 Twists never alter differentials; they are metadata for the grading
 arguments that live outside this package's scope.
 
+A tensor product stores no layout of its own: ``_tensor_layout`` derives
+the block offsets from the factor ranks, for ``tensor`` and for
+``tensor_morphism`` alike, and ``_add_kron`` writes every Kronecker block
+(d (x) id, id (x) d and phi (x) psi).
+
 d^2 = 0 is checked, not assumed: construction functions return whatever
 their formulas produce and ``check_d2`` verifies the complex axiom
 symbolically.
@@ -40,7 +45,6 @@ class FreeComplex:
     diffs: list[FreeModuleMatrix | None]  # diffs[k]: C_k -> C_{k-1}; diffs[0] is None
     labels: list[list]  # labels[k][i]: basis label of the i-th summand of C_k
     shift: int = 0
-    components: list[list[tuple]] | None = None  # tensor layout, see tensor()
 
     def __post_init__(self):
         if len(self.diffs) != len(self.ranks) or len(self.labels) != len(self.ranks):
@@ -69,7 +73,7 @@ class FreeComplex:
         """Same complex with the twist bookkeeping shifted by delta."""
         return FreeComplex(
             self.ring, self.table, list(self.ranks), list(self.diffs),
-            [list(l) for l in self.labels], self.shift + delta, self.components,
+            [list(l) for l in self.labels], self.shift + delta,
         )
 
     def zero_entry(self) -> Polynomial:
@@ -190,88 +194,92 @@ def subcomplex(C: FreeComplex, keep: Callable[[object], bool]) -> FreeComplex:
     return FreeComplex(C.ring, C.table, new_ranks, new_diffs, new_labels, C.shift)
 
 
+def _tensor_layout(r1: list[int], r2: list[int], top: int) -> tuple[list[dict], list[int]]:
+    """Block layout of the total complex of factors with ranks r1 and r2,
+    in degrees 0..top.
+
+    ``layout[n]`` maps each (p, q = n - p) with r1[p] and r2[q] nonzero to
+    the offset of its block in degree n, by ascending p; ``ranks[n]`` is
+    the total rank.  Inside a block, basis (j1, j2) sits at j1 * r2[q] + j2.
+    """
+    layout, ranks = [], []
+    for n in range(top + 1):
+        blocks, size = {}, 0
+        for p in range(max(0, n - len(r2) + 1), min(n, len(r1) - 1) + 1):
+            q = n - p
+            if r1[p] and r2[q]:
+                blocks[(p, q)] = size
+                size += r1[p] * r2[q]
+        layout.append(blocks)
+        ranks.append(size)
+    return layout, ranks
+
+
+def _nonzero(M: FreeModuleMatrix | None) -> list[tuple]:
+    """The nonzero (i, j, entry) triples of M (none for a missing map)."""
+    if M is None:
+        return []
+    return [(i, j, e) for i, row in enumerate(M.entries) for j, e in enumerate(row) if e.terms]
+
+
+def _identity(n: int) -> list[tuple]:
+    """Triples of the n x n identity; the entry None stands for 1."""
+    return [(i, i, None) for i in range(n)]
+
+
+def _add_kron(grid, row: int, col: int, A, B, b_shape: tuple[int, int], negate: bool = False):
+    """Add A (x) B, or its negative, into ``grid`` with its top-left
+    corner at (row, col).
+
+    A and B are triple lists (``_nonzero``, ``_identity``) and B is
+    b_shape = (rows, cols), so A[i1][j1] B[i2][j2] lands at
+    (row + i1 * rows + i2, col + j1 * cols + j2).  An identity entry is
+    never multiplied: the other factor's entry is used as it is.
+    """
+    b_rows, b_cols = b_shape
+    for i1, j1, a in A:
+        r0, c0 = row + i1 * b_rows, col + j1 * b_cols
+        for i2, j2, b in B:
+            e = b if a is None else a if b is None else a * b
+            r, c = r0 + i2, c0 + j2
+            grid[r][c] = grid[r][c] - e if negate else grid[r][c] + e
+
+
 def tensor(C1: FreeComplex, C2: FreeComplex) -> FreeComplex:
     """Total complex of the double complex C1 (x) C2 with the Koszul sign
     convention d(a (x) b) = da (x) b + (-1)^{deg a} a (x) db.
 
-    Degree-n summands are ordered by ascending first-factor degree p
-    (then row-major within the (p, q = n-p) block); twists add through
-    the shift bookkeeping.  The component layout is recorded on the
-    result for morphism assembly.
+    Degree-n summands are ordered by ascending first-factor degree p, then
+    row-major within the (p, q = n-p) block (``_tensor_layout``); twists
+    add through the shift bookkeeping.
     """
     if C1.ring != C2.ring or C1.table != C2.table:
         raise StructuralError("tensor factors must share ring and table")
-    n1, n2 = C1.top_degree, C2.top_degree
-    n = n1 + n2
+    r1, r2 = C1.ranks, C2.ranks
+    layout, ranks = _tensor_layout(r1, r2, C1.top_degree + C2.top_degree)
+    labels = [
+        [("tensor", p, q, l1, l2) for p, q in blocks for l1 in C1.labels[p] for l2 in C2.labels[q]]
+        for blocks in layout
+    ]
     zero = C1.zero_entry()
-    ranks, labels, layout = [], [], []
-    offsets: dict[tuple[int, int], int] = {}
-    for total in range(n + 1):
-        rank = 0
-        labs = []
-        comps = []
-        for p in range(total + 1):
-            q = total - p
-            if p > n1 or q > n2 or C1.ranks[p] == 0 or C2.ranks[q] == 0:
-                continue
-            offsets[(p, q)] = rank
-            comps.append((p, q, rank, C1.ranks[p], C2.ranks[q]))
-            rank += C1.ranks[p] * C2.ranks[q]
-            for l1 in C1.labels[p]:
-                for l2 in C2.labels[q]:
-                    labs.append(("tensor", p, q, l1, l2))
-        ranks.append(rank)
-        labels.append(labs)
-        layout.append(comps)
-
     diffs: list[FreeModuleMatrix | None] = [None]
-    for total in range(1, n + 1):
-        if ranks[total] == 0 or ranks[total - 1] == 0:
+    for n in range(1, len(ranks)):
+        if ranks[n] == 0 or ranks[n - 1] == 0:
             diffs.append(None)
             continue
-        M = [[zero] * ranks[total] for _ in range(ranks[total - 1])]
-        for (p, q, off, r1, r2) in layout[total]:
+        M = [[zero] * ranks[n] for _ in range(ranks[n - 1])]
+        below = layout[n - 1]
+        for (p, q), off in layout[n].items():
             # d1 (x) id: (p, q) -> (p - 1, q)
-            if p >= 1 and (p - 1, q) in _layout_index(layout[total - 1]):
-                d1 = C1.diffs[p]
-                if d1 is not None:
-                    toff = _layout_index(layout[total - 1])[(p - 1, q)]
-                    for i1 in range(C1.ranks[p - 1]):
-                        for j1 in range(r1):
-                            e = d1.entries[i1][j1]
-                            if e.is_zero():
-                                continue
-                            for j2 in range(r2):
-                                M[toff + i1 * r2 + j2][off + j1 * r2 + j2] = (
-                                    M[toff + i1 * r2 + j2][off + j1 * r2 + j2] + e
-                                )
+            if (p - 1, q) in below:
+                A, B = _nonzero(C1.diffs[p]), _identity(r2[q])
+                _add_kron(M, below[(p - 1, q)], off, A, B, (r2[q], r2[q]))
             # (-1)^p id (x) d2: (p, q) -> (p, q - 1)
-            if q >= 1 and (p, q - 1) in _layout_index(layout[total - 1]):
-                d2 = C2.diffs[q]
-                if d2 is not None:
-                    toff = _layout_index(layout[total - 1])[(p, q - 1)]
-                    r2t = C2.ranks[q - 1]
-                    sign = 1 if p % 2 == 0 else -1
-                    for i2 in range(r2t):
-                        for j2 in range(r2):
-                            e = d2.entries[i2][j2]
-                            if e.is_zero():
-                                continue
-                            if sign < 0:
-                                e = -e
-                            for j1 in range(r1):
-                                M[toff + j1 * r2t + i2][off + j1 * r2 + j2] = (
-                                    M[toff + j1 * r2t + i2][off + j1 * r2 + j2] + e
-                                )
+            if (p, q - 1) in below:
+                A, B = _identity(r1[p]), _nonzero(C2.diffs[q])
+                _add_kron(M, below[(p, q - 1)], off, A, B, (r2[q - 1], r2[q]), negate=p % 2 == 1)
         diffs.append(FreeModuleMatrix(M))
-    out = FreeComplex(
-        C1.ring, C1.table, ranks, diffs, labels, C1.shift + C2.shift, layout
-    )
-    return out
-
-
-def _layout_index(comps: list[tuple]) -> dict[tuple[int, int], int]:
-    return {(p, q): off for (p, q, off, _r1, _r2) in comps}
+    return FreeComplex(C1.ring, C1.table, ranks, diffs, labels, C1.shift + C2.shift)
 
 
 def truncate(C: FreeComplex, cap: int) -> FreeComplex:
@@ -285,7 +293,6 @@ def truncate(C: FreeComplex, cap: int) -> FreeComplex:
         C.diffs[: cap + 1],
         C.labels[: cap + 1],
         C.shift,
-        C.components[: cap + 1] if C.components else None,
     )
 
 
@@ -316,11 +323,7 @@ class ComplexMorphism:
                 if (lhs or rhs) is not None and not (lhs or rhs).is_zero():
                     return False
                 continue
-            diff_rows = [
-                [lhs.entries[i][j] - rhs.entries[i][j] for j in range(lhs.cols)]
-                for i in range(lhs.rows)
-            ]
-            if not FreeModuleMatrix(diff_rows).is_zero():
+            if lhs.entries != rhs.entries:
                 return False
         return True
 
@@ -328,39 +331,26 @@ class ComplexMorphism:
 def tensor_morphism(
     phi: ComplexMorphism, psi: ComplexMorphism, sourceT: FreeComplex, targetT: FreeComplex
 ) -> ComplexMorphism:
-    """Tensor of chain maps, matched to the layouts produced by tensor()."""
+    """Tensor of chain maps between tensor(phi.source, psi.source) and
+    tensor(phi.target, psi.target), or truncations of them, given as
+    sourceT and targetT.  Raises if their ranks do not fit the factors."""
+    src_layout, src_ranks = _tensor_layout(phi.source.ranks, psi.source.ranks, sourceT.top_degree)
+    tgt_layout, tgt_ranks = _tensor_layout(phi.target.ranks, psi.target.ranks, targetT.top_degree)
+    if src_ranks != sourceT.ranks or tgt_ranks != targetT.ranks:
+        raise StructuralError("tensor morphism: complexes do not match the factor layouts")
+    s2, t2 = psi.source.ranks, psi.target.ranks
     zero = sourceT.zero_entry()
     maps: list[FreeModuleMatrix | None] = []
-    for total in range(sourceT.top_degree + 1):
-        if sourceT.ranks[total] == 0:
+    for n, blocks in enumerate(src_layout):
+        if src_ranks[n] == 0:
             maps.append(None)
             continue
-        rows = targetT.ranks[total] if total <= targetT.top_degree else 0
-        M = [[zero] * sourceT.ranks[total] for _ in range(rows)]
-        src_layout = sourceT.components[total]
-        tgt_index = _layout_index(targetT.components[total]) if total <= targetT.top_degree else {}
-        tgt_blocks = {
-            (p, q): (r1, r2)
-            for (p, q, _off, r1, r2) in (targetT.components[total] if total <= targetT.top_degree else [])
-        }
-        for (p, q, off, r1, r2) in src_layout:
-            if (p, q) not in tgt_index:
-                continue
-            toff = tgt_index[(p, q)]
-            t1, t2 = tgt_blocks[(p, q)]
-            mp, mq = phi.maps[p], psi.maps[q]
-            for i1 in range(t1):
-                for j1 in range(r1):
-                    e1 = mp.entries[i1][j1] if mp is not None else zero
-                    if e1.is_zero():
-                        continue
-                    for i2 in range(t2):
-                        for j2 in range(r2):
-                            e2 = mq.entries[i2][j2] if mq is not None else zero
-                            if e2.is_zero():
-                                continue
-                            M[toff + i1 * t2 + i2][off + j1 * r2 + j2] = (
-                                M[toff + i1 * t2 + i2][off + j1 * r2 + j2] + e1 * e2
-                            )
+        targets = tgt_layout[n] if n < len(tgt_layout) else {}
+        rows = tgt_ranks[n] if n < len(tgt_ranks) else 0
+        M = [[zero] * src_ranks[n] for _ in range(rows)]
+        for (p, q), off in blocks.items():
+            if (p, q) in targets:
+                A, B = _nonzero(phi.maps[p]), _nonzero(psi.maps[q])
+                _add_kron(M, targets[(p, q)], off, A, B, (t2[q], s2[q]))
         maps.append(FreeModuleMatrix(M))
     return ComplexMorphism(sourceT, targetT, maps)

@@ -61,15 +61,10 @@ def ideal_generator_sets_match(
     set_b = {_sign_canonical(g) for g in b.generators}
     if set_a == set_b:
         return True
-    gb_a = buchberger(a, budget) if a.generators else None
-    gb_b = buchberger(b, budget) if b.generators else None
-    for g in a.generators:
-        if gb_b is None or not gb_b.contains(g, budget):
-            return False
-    for g in b.generators:
-        if gb_a is None or not gb_a.contains(g, budget):
-            return False
-    return True
+    gb_a, gb_b = buchberger(a, budget), buchberger(b, budget)
+    return all(gb_b.contains(g, budget) for g in a.generators) and all(
+        gb_a.contains(g, budget) for g in b.generators
+    )
 
 
 def _identity_on_labels(
@@ -208,10 +203,6 @@ def build_cd_morphism(
         inc = tensor_morphism(inc, morphisms[idx], newC, newD)
         accC, accD = newC, newD
     C, D = accC, accD
-    if C.components is None:
-        C.components = [[(k, 0, 0, C.ranks[k], 1)] for k in range(C.top_degree + 1)]
-    if D.components is None:
-        D.components = [[(k, 0, 0, D.ranks[k], 1)] for k in range(D.top_degree + 1)]
 
     commutes = inc.check_commutes()
 

@@ -102,6 +102,13 @@ class CoefficientRing:
     # -- element operations -------------------------------------------
     def normalize(self, c):
         if self.kind == "GF":
+            if type(c) is int:
+                return c % self.p
+            if isinstance(c, Fraction):
+                den = c.denominator % self.p
+                if den == 0:
+                    raise StructuralError("denominator not invertible mod p")
+                return c.numerator * pow(den, self.p - 2, self.p) % self.p
             return int(c) % self.p
         if self.kind == "QQ":
             if type(c) is int:
@@ -690,14 +697,7 @@ class Polynomial:
             return self
         out = {}
         for m, c in self.terms.items():
-            if ring.kind == "GF" and isinstance(c, Fraction):
-                den = c.denominator % ring.p
-                if den == 0:
-                    raise StructuralError("denominator not invertible mod p")
-                v = c.numerator * pow(den, ring.p - 2, ring.p)
-            else:
-                v = c
-            v = ring.normalize(v)
+            v = ring.normalize(c)
             if v != 0:
                 out[m] = v
         return Polynomial._trusted(ring, self.table, out)

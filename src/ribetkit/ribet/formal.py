@@ -398,13 +398,7 @@ def check_e_tau_invariance(
     diff = act.apply(det_ep) - det_ep.lift(act.table)
     if diff.is_zero():
         return True
-    lifted = [g.lift(act.table) for g in jp]
-    if not lifted:
-        return False
-    spec = IdealSpec(lifted, DEGREVLEX)
-    if reduce_by(diff, spec.generators, DEGREVLEX, budget).is_zero():
-        return True
-    return in_ideal(diff, spec, budget)
+    return in_ideal(diff, IdealSpec([g.lift(act.table) for g in jp], DEGREVLEX), budget)
 
 
 def quotient_presentation_images(ideals: FormalIdeals) -> list[Polynomial]:

@@ -89,7 +89,12 @@ def load_config(
     out: str | None = None,
 ) -> SuiteConfig:
     """Build a SuiteConfig from an optional config file plus CLI
-    overrides.  VERIFY_BUDGET_STEPS overrides the step budget."""
+    overrides.  VERIFY_BUDGET_STEPS overrides the step budget.
+
+    The keys above the first ``[section]`` apply to every suite, and the
+    ``[suite]`` section overrides them.  So ``suite="all"`` reads only
+    those top-level keys (and an ``[all]`` section): a ``degree_cap``
+    under ``[cd-morphism]`` does not reach ``verify run all``."""
     section: dict[str, list[str]] = {}
     if path is not None:
         if not os.path.exists(path):

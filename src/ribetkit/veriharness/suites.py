@@ -31,7 +31,7 @@ from ..brcomplex import (
     symbolic_h1,
     tensor,
 )
-from ..groebner import FreeModuleMatrix, module_contains, module_gb
+from ..groebner import FreeModuleMatrix
 from ..ribet import (
     FormalRing,
     SpecializedChecks,
@@ -256,16 +256,10 @@ def _suite_koszul_br(cfg: SuiteConfig) -> list[Check]:
     checks.append(("koszul-b1b2-exact-at-1", "p:br-exact", koszul_exact))
 
     def rf_kernel():
-        M = generic_2xn(3)
-        rf = br_complexes(M).Rf
-        rep = symbolic_h1(rf, cfg.budget)
+        # symbolic_h1 tests every syzygy of d_1 against the module of the d_123 columns.
+        rep = symbolic_h1(br_complexes(generic_2xn(3)).Rf, cfg.budget)
         if not rep.is_exact_at_1:
             return False, "R(f) 2x3 not exact at degree 1"
-        cols = [c for c in (rf.diffs[2].column(j) for j in range(rf.diffs[2].cols))]
-        gb = module_gb(cols, budget=cfg.budget)
-        for v in rep.h1_generators:
-            if not module_contains(v, gb, budget=cfg.budget):
-                return False, "a syzygy escapes the d_123 module"
         return True, f"{len(rep.h1_generators)} syzygy generators"
     checks.append(("br-f-2x3-kernel-d123", "p:br-exact", rf_kernel))
 

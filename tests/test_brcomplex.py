@@ -5,6 +5,7 @@ import random
 import pytest
 
 from ribetkit.brcomplex import (
+    ComplexMorphism,
     br_complexes,
     br_f,
     check_d2,
@@ -16,11 +17,12 @@ from ribetkit.brcomplex import (
     subcomplex,
     symbolic_h1,
     tensor,
+    tensor_morphism,
     truncate,
     unit_complex,
 )
 from ribetkit.errors import StructuralError
-from ribetkit.exactpoly import QQ
+from ribetkit.exactpoly import QQ, Polynomial
 from ribetkit.groebner import FreeModuleMatrix, module_contains, module_gb
 from ribetkit.brcomplex.build import regularity_check
 
@@ -141,6 +143,77 @@ def test_tensor_rank_convolution_and_twists():
     assert T.twists() == [k + A.shift + B.shift for k in range(6)]
     tw = tensor(A.twist(-1), B)
     assert tw.twists() == [k - 1 for k in range(6)]
+
+
+def _dense_tensor_differential(K1, K2, n):
+    """d_n of K1 (x) K2 written entry by entry: summands (p, q, j1, j2) by
+    ascending p, row-major inside a block, and
+    d(e1 (x) e2) = d e1 (x) e2 + (-1)^p e1 (x) d e2."""
+    def basis(total):
+        return [
+            (p, total - p, j1, j2)
+            for p in range(len(K1.ranks))
+            if 0 <= total - p < len(K2.ranks)
+            for j1 in range(K1.ranks[p])
+            for j2 in range(K2.ranks[total - p])
+        ]
+
+    zero = K1.zero_entry()
+    rows, cols = basis(n - 1), basis(n)
+    M = [[zero] * len(cols) for _ in rows]
+    for c, (p, q, j1, j2) in enumerate(cols):
+        for r, (pt, qt, i1, i2) in enumerate(rows):
+            if (pt, qt) == (p - 1, q) and i2 == j2:
+                M[r][c] = K1.diffs[p].entries[i1][j1]
+            elif (pt, qt) == (p, q - 1) and i1 == j1:
+                e = K2.diffs[q].entries[i2][j2]
+                M[r][c] = -e if p % 2 else e
+    return M
+
+
+def test_tensor_differentials_match_dense_koszul_sign_reference():
+    M, b, bp = bvars(2)
+    K1, K2 = koszul(b), koszul(bp)
+    T = tensor(K1, K2)
+    assert T.ranks == [1, 4, 6, 4, 1]
+    # The (1, 1) block of degree 2 is 2 x 2, so its row-major order matters.
+    assert T.labels[2][1:5] == [("tensor", 1, 1, (i,), (j,)) for i in (1, 2) for j in (1, 2)]
+    for n in range(1, 5):
+        assert [list(row) for row in T.diffs[n].entries] == _dense_tensor_differential(K1, K2, n)
+    assert check_d2(T)
+
+
+def _identity_morphism(K):
+    one, zero = Polynomial.one(K.ring, K.table), K.zero_entry()
+    maps = [
+        FreeModuleMatrix([[one if i == j else zero for j in range(r)] for i in range(r)])
+        for r in K.ranks
+    ]
+    return ComplexMorphism(K, K, maps)
+
+
+def test_tensor_morphism_of_identities_is_identity():
+    M, b, bp = bvars(3)
+    K1, K2 = koszul(b), koszul(bp[:2])
+    T = tensor(K1, K2)
+    f = tensor_morphism(_identity_morphism(K1), _identity_morphism(K2), T, T)
+    assert f.maps == _identity_morphism(T).maps
+    assert f.check_commutes()
+    # A truncation is a prefix of the layout.
+    T2 = truncate(T, 2)
+    g = tensor_morphism(_identity_morphism(K1), _identity_morphism(K2), T2, T2)
+    assert g.maps == _identity_morphism(T2).maps
+
+
+def test_tensor_morphism_rejects_complexes_that_do_not_fit_the_factors():
+    M, b, bp = bvars(3)
+    K1, K2 = koszul(b[:2]), koszul(bp[:2])
+    phi, psi = _identity_morphism(K1), _identity_morphism(K2)
+    T = tensor(K1, K2)
+    wrong = tensor(K1, koszul(bp))
+    for source, target in ((wrong, T), (T, wrong), (koszul(b), T)):
+        with pytest.raises(StructuralError):
+            tensor_morphism(phi, psi, source, target)
 
 
 def test_check_d2_detects_corruption():

@@ -180,6 +180,16 @@ def test_zz_rejects_fractions():
         Polynomial.const(ZZ, T3, Fraction(1, 2))
 
 
+def test_gf_fractions_invert_the_denominator():
+    gf7 = GF(7)
+    assert gf7.normalize(Fraction(1, 2)) == 4
+    assert V(0, gf7) * Fraction(3, 2) == V(0, gf7) * 5
+    assert Polynomial.const(gf7, T3, Fraction(-1, 3)) == Polynomial.const(gf7, T3, 2)
+    assert (V(0) * Fraction(3, 2)).change_ring(gf7) == V(0, gf7) * 5
+    with pytest.raises(StructuralError, match="not invertible"):
+        gf7.normalize(Fraction(1, 7))
+
+
 def test_gf_requires_prime():
     with pytest.raises(StructuralError):
         GF(10)

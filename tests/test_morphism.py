@@ -50,6 +50,12 @@ def test_generator_sets_match_fallback():
     b = IdealSpec([x, y])
     assert ideal_generator_sets_match(a, b)
     assert not ideal_generator_sets_match(IdealSpec([x]), IdealSpec([y]))
+    # An empty presentation generates the zero ideal.
+    zero = Polynomial.zero(QQ, t)
+    assert ideal_generator_sets_match(IdealSpec([]), IdealSpec([]))
+    assert ideal_generator_sets_match(IdealSpec([zero]), IdealSpec([]))
+    assert not ideal_generator_sets_match(IdealSpec([x]), IdealSpec([]))
+    assert not ideal_generator_sets_match(IdealSpec([]), IdealSpec([x, y]))
 
 
 def test_place_factor_degree1_images_are_quadruple_entries():
