@@ -5,14 +5,14 @@ This is the proof oracle for every "lies in the ideal" claim in the
 package.  One Buchberger loop, with the normal pair-selection strategy
 (minimal lcm) and the product and chain criteria (Gebauer & Moeller,
 JSC 1988), serves ideals, submodules of free modules and syzygies.  One
-reduction loop serves both coefficient cores; they differ only in the
-step taken once per reducer hit.  Over the rationals the loop runs on
-primitive integer coefficients with gcd-scaled pseudo-reduction, which
-avoids per-operation Fraction overhead; the exact rational normal form
-is recovered by tracking the accumulated scale factor.  Over GF(p) a hit
-multiplies by the inverse of the reducer's leading coefficient, and
-coefficients are reduced mod p lazily, when their term reaches the head
-of the loop.
+reduction loop, ``_Engine.reduce``, serves both coefficient cores and
+every division in the package; the cores differ only in the step taken
+once per reducer hit.  Over the rationals the loop runs on integer
+coefficients with gcd-scaled pseudo-reduction, which avoids
+per-operation Fraction overhead, and returns the accumulated scale
+factor with the remainder.  Over GF(p) a hit multiplies by the inverse
+of the reducer's leading coefficient, and coefficients are reduced mod p
+lazily, when their term reaches the head of the loop.
 
 Packed monomials (Monagan & Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007).  Inside the
@@ -31,11 +31,14 @@ hold every field of a monomial the engine keeps, so the sum of two never
 carries into a neighbouring field.  The one product whose degree no cap
 bounds, an S-polynomial term of an order that is not degree-compatible,
 is checked, and the computation restarts with wider fields if it would
-not fit.  Exponent tuples are packed when polynomials enter
-(``_Engine.to_terms``, ``_Engine.vector_terms``,
-``GroebnerBasis._prepared``) and unpacked when results leave
-(``_Engine.to_vector``, ``GroebnerBasis.normal_form``);
-``Polynomial.terms`` keeps tuple keys everywhere else.
+not fit.
+
+Polynomials enter the engine only through ``_Engine.pack``, which packs
+a module element or a scalar passed as ``[f]`` and over QQ scales it to
+integers by the lcm of its denominators.  Results leave only through
+``_Engine.to_vector``, which divides by that denominator times the
+scale ``reduce`` returned, for the exact value, or by default by the
+leading coefficient, for a monic one.
 
 Modules.  The two guarded fields on top hold a module element's
 component c of a rank-C module, as C - c and c; scalars have neither.
@@ -57,6 +60,11 @@ elements (interreducing would change their number, for R(f) 2x4 from 12
 to 4); instead each new element is reduced in full as it is added, and
 every one of its terms is checked against the degree cap, since a
 module order is not degree-compatible.
+
+Exact division is the same lift with one bookkeeping component:
+reducing (g, 0) by (f, -1) under position over term leaves (0, k q)
+exactly when g = q f, and stops at the first term of g's component that
+the lead of f does not divide when f does not divide g.
 
 Budgets: every reduction step counts against ``Budget.max_steps`` and
 monomials are checked against ``Budget.max_degree``.  Exceeding either
@@ -83,9 +91,6 @@ from .exactpoly import (
     MonomialOrder,
     Polynomial,
     elimination_order,
-    mono_div,
-    mono_divides,
-    mono_mul,
 )
 
 
@@ -186,8 +191,9 @@ class _Packer:
             + sum(row[i] << (top - stride * (r + 1)) for r, row in enumerate(rows))
             for i in range(nvars)
         ]
-        # Component c of a rank-C module: the fields (C - c) and c.
-        self.components = [((components - c) << (top + stride)) + (c << top) for c in range(components)]
+        # Component c of a rank-C module: the fields (C - c) and c.  A
+        # scalar is component 0 of a module with neither field.
+        self.components = [((components - c) << (top + stride)) + (c << top) for c in range(components or 1)]
         guarded = self.shifts + ([top, top + stride] if components else [])
         self.guard = sum(1 << (s + self.bits) for s in guarded)
 
@@ -204,18 +210,6 @@ class _Packer:
 
 def _max_degree(polys: Sequence[Polynomial]) -> int:
     return max((sum(m) for f in polys for m in f.terms), default=0)
-
-
-# ---------------------------------------------------------------------------
-# Coefficient helpers for QQ and ZZ input.
-
-def _int_terms(f: Polynomial) -> dict:
-    """Primitive integer coefficient dict of a QQ/ZZ polynomial (content
-    removed; sign of the degrevlex-leading coefficient positive)."""
-    g = f.content_free()
-    if g.ring.kind == "QQ":
-        return {m: int(c) for m, c in g.terms.items()}
-    return dict(g.terms)
 
 
 def _strip_content(terms: dict) -> dict:
@@ -248,33 +242,44 @@ class _Engine:
         self.p = ring.p if ring.kind == "GF" else 0
         self.packer = _Packer(order, nvars, degree, components)
 
-    def to_terms(self, f: Polynomial) -> dict:
-        pack = self.packer.pack
-        terms = f.terms if self.p else _int_terms(f)
-        return {pack(m): c for m, c in terms.items()}
-
-    def vector_terms(self, v: Sequence[Polynomial]) -> dict:
-        """Packed term dict of the module element with v[c] in component c;
-        over QQ the whole vector is scaled to integer coefficients."""
+    def pack(self, v: Sequence[Polynomial]) -> tuple[dict, int]:
+        """The packed term dict of the module element with v[c] in
+        component c (a scalar f is passed as ``[f]``), and the denominator
+        it was scaled by: over QQ the lcm of the denominators of all its
+        coefficients, so that the packed coefficients are integers; over
+        GF(p), 1."""
         pack, units = self.packer.pack, self.packer.components
         terms = {pack(m) + units[c]: x for c, f in enumerate(v) for m, x in f.terms.items()}
         if self.p:
-            return terms
+            return terms, 1
         denom = lcm(*(x.denominator for x in terms.values()))
-        return {m: int(x * denom) for m, x in terms.items()}
+        return {m: int(x * denom) for m, x in terms.items()}, denom
 
-    def to_vector(self, terms: dict, table, first: int = 0, count: int = 1) -> list[Polynomial]:
-        """Components first .. first+count-1 of a nonzero packed element
-        over the engine's field, scaled so that its leading coefficient is
-        1.  A scalar polynomial is component 0 of 1."""
+    def to_vector(self, terms: dict, table, first: int = 0, count: int = 1, divisor=None) -> list[Polynomial]:
+        """Components first .. first+count-1 of a packed element, divided
+        by ``divisor`` over the engine's field: by default the leading
+        coefficient, which makes the element monic; the ``k`` of
+        ``divide`` gives its exact value.  A scalar is component 0 of 1."""
         unpack, component, p = self.packer.unpack, self.packer.component, self.p
-        lc = terms[max(terms)]
-        inv = pow(lc, -1, p) if p else None
+        if divisor is None:
+            divisor = terms[max(terms)]
+        inv = pow(divisor, -1, p) if p else None
         parts: list[dict] = [{} for _ in range(count)]
         for m, c in terms.items():
-            parts[component(m) - first][unpack(m)] = c * inv % p if p else Fraction(c, lc)
-        ring = self.ring if p else QQ
-        return [Polynomial(ring, table, t) for t in parts]
+            parts[component(m) - first][unpack(m)] = c * inv % p if p else Fraction(c, divisor)
+        return [Polynomial(self.ring, table, t) for t in parts]
+
+    def records(self, vectors: Iterable[Sequence[Polynomial]]) -> list[tuple]:
+        """Reducer records of the nonzero elements among ``vectors``."""
+        packed = (self.pack(v)[0] for v in vectors)
+        return [self.record(t) for t in packed if t]
+
+    def divide(self, v: Sequence[Polynomial], records: list, counter: _Counter, head_only=False) -> tuple:
+        """Pack ``v`` and reduce it by the records: (remainder, k) with
+        k * v = (combination of the records) + remainder, k > 0."""
+        terms, denom = self.pack(v)
+        rem, scale = self.reduce(terms, records, counter, head_only)
+        return rem, scale * denom
 
     def record(self, terms: dict) -> tuple:
         if not self.p:
@@ -450,7 +455,7 @@ class GroebnerBasis:
         packed = self._packed
         if packed is None or packed[0].packer.room < degree:
             eng, lifted = _engine_for(self.basis, self.order, degree)
-            packed = (eng, [eng.record(eng.to_terms(g)) for g in lifted])
+            packed = (eng, eng.records([g] for g in lifted))
             self._packed = packed
         return packed
 
@@ -460,16 +465,8 @@ class GroebnerBasis:
             return f
         f = _match_field(f, self.basis[0].ring)
         eng, records = self._prepared(max(budget.max_degree, _max_degree([f])))
-        pack, unpack = eng.packer.pack, eng.packer.unpack
-        counter = budget.fresh_counter()
-        if eng.p:
-            rem, _ = eng.reduce(eng.to_terms(f), records, counter)
-            return Polynomial(f.ring, f.table, {unpack(m): c for m, c in rem.items()})
-        denom = lcm(*(c.denominator for c in f.terms.values()))
-        int_terms = {pack(m): int(c * denom) for m, c in f.terms.items()}
-        rem, scale = eng.reduce(int_terms, records, counter)
-        total = Fraction(1, scale * denom)
-        return Polynomial(QQ, f.table, {unpack(m): c * total for m, c in rem.items()})
+        rem, k = eng.divide([f], records, budget.fresh_counter())
+        return eng.to_vector(rem, f.table, divisor=k)[0]
 
     def contains(self, f: Polynomial, budget: Budget = DEFAULT_BUDGET) -> bool:
         if f.is_zero():
@@ -533,7 +530,7 @@ def buchberger(spec: IdealSpec, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasi
     def run(degree: int) -> list[Polynomial]:
         eng, gens = _engine_for(lifted, order, degree)
         counter = budget.fresh_counter()
-        G = _buchberger(eng, [eng.to_terms(g) for g in gens], counter)
+        G = _buchberger(eng, [eng.pack([g])[0] for g in gens], counter)
         return _reduced_basis(eng, G, counter, table)
 
     gb = GroebnerBasis(tuple(_widening(budget.max_degree, run)), order, spec)
@@ -641,7 +638,7 @@ def reduce_by(
     order: MonomialOrder = DEGREVLEX,
     budget: Budget = DEFAULT_BUDGET,
 ) -> Polynomial:
-    """Division remainder by a raw generator list (not necessarily a
+    """Exact division remainder by a raw generator list (not necessarily a
     Groebner basis).  A zero remainder certifies ideal membership; a
     nonzero remainder proves nothing."""
     gens = [g for g in gens if not g.is_zero()]
@@ -650,10 +647,8 @@ def reduce_by(
     lifted = _lift(gens)
     f = _match_field(f, lifted[0].ring)
     eng, lifted = _engine_for(lifted, order, max(budget.max_degree, _max_degree([f])))
-    records = [eng.record(eng.to_terms(g)) for g in lifted]
-    counter = budget.fresh_counter()
-    rem, _ = eng.reduce(eng.to_terms(f), records, counter)
-    return eng.to_vector(rem, f.table)[0] if rem else Polynomial.zero(f.ring, f.table)
+    rem, k = eng.divide([f], eng.records([g] for g in lifted), budget.fresh_counter())
+    return eng.to_vector(rem, f.table, divisor=k)[0]
 
 
 def in_ideal(
@@ -700,31 +695,19 @@ def gb_to_record(gb: GroebnerBasis) -> dict:
 # elimination presentation of I \cap (f), then exact division by f.
 
 def exact_div(g: Polynomial, f: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    """Quotient g / f when f divides g exactly."""
+    """Quotient g / f when f divides g exactly, by the lift of the module
+    docstring; StructuralError otherwise.  Every term met is a term of g
+    or of a partial product q' f, so the degree cap is the larger of the
+    default cap and deg g.  ZZ input is lifted to QQ."""
     if g.is_zero():
         return g
-    ring = g.ring
-    mf, cf = f.leading_term(order)
-    work = dict(g.terms)
-    quot: dict[Mono, object] = {}
-    while work:
-        m = max(work, key=order.key)
-        c = work.pop(m)
-        if not mono_divides(mf, m):
-            raise StructuralError("exact division failed")
-        shift = mono_div(m, mf)
-        factor = ring.div(c, cf)
-        quot[shift] = factor
-        for mt, ct in f.terms.items():
-            if mt == mf:
-                continue
-            mm = mono_mul(mt, shift)
-            s = ring.sub(work.get(mm, ring.zero()), ring.mul(factor, ct))
-            if s == 0:
-                work.pop(mm, None)
-            else:
-                work[mm] = s
-    return Polynomial(ring, g.table, quot)
+    zero, one = Polynomial.zero(g.ring, g.table), Polynomial.one(g.ring, g.table)
+    budget = Budget(max_degree=max(Budget.max_degree, _max_degree([g])))
+    eng, (gv, fv) = _module_engine([[g, zero], [f, -one]], order, budget.max_degree, 2)
+    rem, k = eng.divide(gv, eng.records([fv]), budget.fresh_counter(), head_only=True)
+    if eng.packer.component(max(rem)) == 0:
+        raise StructuralError("exact division failed")
+    return eng.to_vector(rem, g.table, 1, 1, divisor=k)[0]
 
 
 def ideal_quotient(spec: IdealSpec, f: Polynomial, budget: Budget = DEFAULT_BUDGET) -> IdealSpec:
@@ -853,7 +836,7 @@ def module_gb(
     def run(degree: int) -> list[list[Polynomial]]:
         eng, vectors = _module_engine(columns, order, degree, rank)
         counter = budget.fresh_counter()
-        G = _buchberger(eng, [eng.vector_terms(v) for v in vectors], counter, head_only=False)
+        G = _buchberger(eng, [eng.pack(v)[0] for v in vectors], counter, head_only=False)
         return [eng.to_vector(rec[2], table, 0, rank) for rec in G]
 
     return _widening(budget.max_degree, run)
@@ -871,8 +854,7 @@ def module_contains(
     if not gb_vectors:
         return False
     eng, vectors = _module_engine([v, *gb_vectors], order, budget.max_degree, len(v))
-    terms = [eng.vector_terms(g) for g in vectors]
-    rem, _ = eng.reduce(terms[0], [eng.record(t) for t in terms[1:] if t], budget.fresh_counter())
+    rem, _ = eng.divide(vectors[0], eng.records(vectors[1:]), budget.fresh_counter())
     return not rem
 
 
@@ -893,7 +875,7 @@ def syzygies(
         one, zero = Polynomial.one(eng.ring, table), Polynomial.zero(eng.ring, table)
         # Column j with the bookkeeping unit in component m + j.
         inputs = [
-            eng.vector_terms([*col, *(one if i == j else zero for i in range(k))])
+            eng.pack([*col, *(one if i == j else zero for i in range(k))])[0]
             for j, col in enumerate(cols)
         ]
         counter = budget.fresh_counter()

@@ -350,7 +350,7 @@ SUITES: dict[str, tuple[str, list[str], Callable[[SuiteConfig], list[Check]]]] =
     ),
     "tau-invariance": (
         "unipotent invariance of det(E') modulo the b-coefficient ideal",
-        ["l:ebar", "l:e0", "l:ei"],
+        ["l:ebar", "l:ei"],
         _suite_tau_invariance,
     ),
     "specialization": (

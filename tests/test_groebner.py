@@ -2,10 +2,11 @@
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from itertools import product
+from hypothesis import assume, given, settings, strategies as st
 
 import ribetkit.groebner as groebner
-from ribetkit.errors import BudgetExceeded
+from ribetkit.errors import BudgetExceeded, StructuralError
 from ribetkit.exactpoly import (
     DEGREVLEX,
     GF,
@@ -36,8 +37,16 @@ from ribetkit.groebner import (
     syzygies,
 )
 from ribetkit.brcomplex import br_complexes, generic_2xn
+from ribetkit.genmat import GenericModel, Word, trace_congruence_check
 from ribetkit.linalg import kernel_basis
-from ribetkit.ribet import build_ideals, shape_sigma_type3
+from ribetkit.ribet import (
+    build_ideals,
+    check_e_tau_invariance,
+    check_example_r2,
+    shape_one_place_type4,
+    shape_r2_two_type2,
+    shape_sigma_type3,
+)
 
 TXY = VariableTable(["x", "y"])
 
@@ -96,6 +105,72 @@ def test_exact_division():
     x, y = V(0), V(1)
     f = (x + y) * (x * y - 3)
     assert exact_div(f, x + y) == x * y - 3
+    half, third = Fraction(1, 2), Fraction(1, 3)  # inverted mod p over GF(p)
+    for ring in (QQ, GF(7), GF(2**31 - 1)):
+        x, y = V(0, ring), V(1, ring)
+        f = half * x + third * y * y
+        for order in (DEGREVLEX, LEX):
+            q = x * y - half + 5 * y**3
+            assert exact_div(q * f, f, order) == q
+            # A quotient of degree 45: the cap follows the degree of g.
+            q = x**45 - third * y**44 + 1
+            assert exact_div(q * f, f, order) == q
+            for g in (x * y + 1, q * f + y):
+                with pytest.raises(StructuralError, match="exact division failed"):
+                    exact_div(g, f, order)
+    # Refused at x^2, which x y does not divide; dividing on would reach
+    # y^42, above the degree cap.
+    x, y = V(0), V(1)
+    with pytest.raises(StructuralError, match="exact division failed"):
+        exact_div(x**2 + x * y**38, x * y + y**5, LEX)
+    # ZZ input is lifted to QQ, as at every engine entry.
+    x, y = V(0, ZZ), V(1, ZZ)
+    q = exact_div((2 * x + y) * (x - 3 * y), 2 * x + y)
+    assert q.ring == QQ and q == V(0) - 3 * V(1)
+    assert exact_div(3 * x * y, 2 * x) == Fraction(3, 2) * V(1)
+
+
+def test_exact_division_counts_its_steps(monkeypatch):
+    counters = []
+    fresh = Budget.fresh_counter
+
+    def recording(budget):
+        counters.append(fresh(budget))
+        return counters[-1]
+
+    monkeypatch.setattr(Budget, "fresh_counter", recording)
+    x, y = V(0), V(1)
+    exact_div((x + y) * (x * y - 3), x + y)
+    assert [c.steps for c in counters] == [2]
+
+
+_coefficients = st.integers(-4, 4).filter(bool) | st.fractions(-3, 3, max_denominator=4).filter(bool)
+_small_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), _coefficients, min_size=1, max_size=4
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]), st.sampled_from([DEGREVLEX, LEX]), _small_polys, _small_polys)
+def test_exact_division_inverts_multiplication(ring, order, f_terms, g_terms):
+    f, g = Polynomial(ring, TXY, f_terms), Polynomial(ring, TXY, g_terms)
+    assume(not f.is_zero() and not g.is_zero())
+    assert exact_div(f * g, g, order) == f
+
+
+def test_reduce_by_returns_the_exact_remainder():
+    x, y = V(0), V(1)
+    assert reduce_by(7 * x * x + 3 * y, [2 * x]) == 3 * y
+    f = Fraction(1, 2) * x * y + Fraction(1, 5) * y * y
+    assert reduce_by(f, [3 * x - 1]) == Fraction(1, 6) * y + Fraction(1, 5) * y * y
+
+
+def test_normal_form_of_fractions_is_exact():
+    # x^2 - y/3 alone is a Groebner basis; x^3/2 = (x/2) x^2 = xy/6 mod it.
+    x, y = V(0), V(1)
+    gb = buchberger(IdealSpec([x * x - Fraction(1, 3) * y]))
+    f = Fraction(1, 2) * x**3 + Fraction(1, 5) * y
+    assert normal_form(f, gb) == Fraction(1, 6) * x * y + Fraction(1, 5) * y
 
 
 def test_ideal_quotient_examples():
@@ -293,6 +368,38 @@ def test_qq_and_gf_cores_agree_on_a_corpus_ideal():
     assert len(qq.basis) == 34
     assert [g.change_ring(GF(p)) for g in qq.basis] == list(gf.basis)
     assert qq.verify() and gf.verify()
+
+
+def _membership_verdicts(ring):
+    """The verdict of every membership check the QQ/GF(p) differential
+    test compares, keyed by a label."""
+    verdicts = {"example-r2": check_example_r2(ring)}
+    for k in range(8):
+        verdicts[f"example-r2-omit-{k}"] = check_example_r2(ring, omit_relation=k)
+    for shape in (shape_r2_two_type2(), shape_one_place_type4()):
+        verdicts[f"tau-{shape.name}"] = check_e_tau_invariance(shape, ring)
+    verdicts["tau-drop-pair"] = check_e_tau_invariance(
+        shape_one_place_type4(), ring, drop_pair_generator=True
+    )
+    model = GenericModel(2, ring)
+    for length in (1, 2, 3):
+        for letters in product((1, 2), repeat=length):
+            verdicts[f"trace-{letters}"] = trace_congruence_check(Word(letters), 2, model=model)
+    return verdicts
+
+
+def test_qq_and_gf_membership_verdicts_agree():
+    # Both coefficient cores enter the engine through the same pack, so
+    # the ideal membership verdicts of the formal checks must not depend
+    # on the field.  Omitting relation 3 or 7 of the r=2 example, and the
+    # local pair generator of J', are the rejections.
+    qq = _membership_verdicts(QQ)
+    assert len(qq) == 26
+    assert sorted(k for k, v in qq.items() if not v) == [
+        "example-r2-omit-3", "example-r2-omit-7", "tau-drop-pair"
+    ]
+    for p in (2**31 - 1, 998244353):
+        assert _membership_verdicts(GF(p)) == qq, p
 
 
 def test_gf_path():

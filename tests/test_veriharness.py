@@ -10,7 +10,7 @@ from ribetkit.errors import StructuralError
 from ribetkit.ribet.shapes import RibetShape, shape_specialization
 from ribetkit.veriharness.cli import main
 from ribetkit.veriharness.config import SuiteConfig, load_config, parse_flat_config
-from ribetkit.veriharness.suites import list_suites, run_suite
+from ribetkit.veriharness.suites import SUITES, list_suites, run_suite
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_CFG = os.path.join(ROOT, "configs", "default.cfg")
@@ -208,8 +208,15 @@ def test_cli_with_default_config():
 
 
 def test_every_suite_has_anchors():
+    # The anchors a suite lists are exactly those its checks carry: none
+    # is listed without a check that certifies it.
     for entry in list_suites():
-        assert entry["anchors"], entry["name"]
+        name = entry["name"]
+        assert entry["anchors"], name
+        builders = [b for _d, _a, b in SUITES.values()] if name == "all" else [SUITES[name][2]]
+        cfg = load_config(name)
+        carried = {anchor for build in builders for _cid, anchor, _thunk in build(cfg)}
+        assert set(entry["anchors"]) == carried, name
 
 
 def test_budget_timeout_exit_code(monkeypatch, tmp_path):
