@@ -476,31 +476,19 @@ class GroebnerBasis:
         return self.normal_form(f, budget).is_zero()
 
     def verify(self, budget: Budget = DEFAULT_BUDGET) -> bool:
-        """Re-check the defining invariants: every S-polynomial of basis
-        pairs reduces to 0 and every source generator is a member."""
+        """Re-check the defining invariants: every S-pair that the product
+        and chain criteria keep reduces to 0 (``_buchberger``'s pair loop)
+        and every source generator is a member."""
         if not self.basis:
             return not self.source.generators
-        spolys_vanish = _widening(
-            budget.max_degree, lambda degree: self._spolys_reduce_to_zero(degree, budget)
-        )
-        if not spolys_vanish:
-            return False
-        for g in self.source.generators:
-            if not self.contains(g, budget):
-                return False
-        return True
 
-    def _spolys_reduce_to_zero(self, degree: int, budget: Budget) -> bool:
-        eng, records = self._prepared(degree)
-        counter = budget.fresh_counter()
-        exps = [eng.packer.unpack(rec[0]) for rec in records]
-        for i in range(len(records)):
-            for j in range(i + 1, len(records)):
-                lcm = eng.packer.pack(map(max, exps[i], exps[j]))
-                s = eng.spoly(records[i], records[j], lcm, counter)
-                if eng.reduce(s, records, counter)[0]:
-                    return False
-        return True
+        def run(degree: int):
+            eng, records = self._prepared(degree)
+            return _buchberger(eng, [rec[2] for rec in records], budget.fresh_counter(), check=True)
+
+        if _widening(budget.max_degree, run) is None:
+            return False
+        return all(self.contains(g, budget) for g in self.source.generators)
 
 
 def _match_field(f: Polynomial, ring: CoefficientRing) -> Polynomial:
@@ -540,11 +528,15 @@ def buchberger(spec: IdealSpec, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasi
     return gb
 
 
-def _buchberger(eng: _Engine, inputs: list[dict], counter: _Counter, head_only: bool = True) -> list[tuple]:
+def _buchberger(
+    eng: _Engine, inputs: list[dict], counter: _Counter, head_only: bool = True, check: bool = False
+) -> list[tuple] | None:
     """Records of a Groebner basis of the packed inputs, in the order they
     were added: neither minimal nor interreduced.  With ``head_only``
     False every new element is fully reduced, and its every term is
-    checked against the degree cap."""
+    checked against the degree cap.  With ``check`` the inputs are taken
+    for a basis: the first S-polynomial that does not reduce to zero
+    returns None instead of being added."""
     packer = eng.packer
     guard, mask, top = packer.guard, packer.deg_mask, packer.top
 
@@ -601,6 +593,8 @@ def _buchberger(eng: _Engine, inputs: list[dict], counter: _Counter, head_only: 
             continue
         r, _ = eng.reduce(s, G, counter, head_only)
         if r:
+            if check:
+                return None
             add(r)
     return G
 

@@ -105,15 +105,3 @@ def det(rows: list[list], ring: CoefficientRing):
                 M[i] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(M[i], M[col])]
     return ring.mul(sign, acc)
 
-
-def mat_inv_2x2(M: list[list], ring: CoefficientRing) -> list[list]:
-    a, b = M[0]
-    c, d = M[1]
-    det = ring.sub(ring.mul(a, d), ring.mul(b, c))
-    if det == 0:
-        raise ZeroDivisionError("singular 2x2 matrix")
-    i = ring.inv(det)
-    return [
-        [ring.mul(i, d), ring.mul(i, ring.neg(b))],
-        [ring.mul(i, ring.neg(c)), ring.mul(i, a)],
-    ]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from ..errors import GenerationFailure, StructuralError
 from ..exactpoly import GF, CoefficientRing
-from ..linalg import det, kernel_basis, mat_inv_2x2, rank, solve
+from ..linalg import det, kernel_basis, rank, solve
 from .shapes import RibetShape
 
 M2 = tuple  # (a, b, c, d) flattened 2x2 matrix over F_p
@@ -282,8 +282,8 @@ def _try_generate(shape, seed, p, ring, rng) -> SpecializedInstance | None:
 
 
 def _m2_inv(m: M2, p: int) -> M2:
-    inv = mat_inv_2x2([[m[0], m[1]], [m[2], m[3]]], GF(p))
-    return (inv[0][0], inv[0][1], inv[1][0], inv[1][1])
+    i = pow((m[0] * m[3] - m[1] * m[2]) % p, -1, p)
+    return (m[3] * i % p, -m[1] * i % p, -m[2] * i % p, m[0] * i % p)
 
 
 def _coefficient_matrix(inst: SpecializedInstance) -> list[list[int]]:

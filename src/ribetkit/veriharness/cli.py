@@ -4,6 +4,7 @@
                        [--jobs N] [--out PATH]
     verify list
 
+--jobs N runs the checks in up to min(N, CPU count) worker processes.
 Exit codes: 0 when every executed check passes, 2 on any failure,
 3 on a timeout with no failure.  VERIFY_BUDGET_STEPS overrides the
 engine step budget.
@@ -31,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--config", help="flat key=value config file", default=None)
     runp.add_argument("--seed", type=int, default=None, help="base seed for randomized checks")
     runp.add_argument("--prime", type=int, default=None, help="specialization prime")
-    runp.add_argument("--jobs", type=int, default=None, help="concurrent checks")
+    runp.add_argument("--jobs", type=int, default=None, help="worker processes, capped at the CPU count")
     runp.add_argument("--out", default=None, help="report output path (JSON)")
 
     sub.add_parser("list", help="list suites with anchors")

@@ -1,17 +1,20 @@
 """Named verification suites.
 
-Each suite expands to a list of independent checks (id, anchor, thunk).
-Anchors are the verbatim statement labels the checks certify.  Checks
-run concurrently up to the configured job limit; a BudgetExceeded from
-the engine is recorded as a timeout for that check, never a crash.
+Each suite expands to a list of ``Check`` records: a module-level
+function, the plain data it is called with, and the (id, anchor) pairs
+its verdicts certify.  Anchors are the verbatim statement labels the
+checks certify.  Records pickle, so at ``--jobs N`` they run in up to
+min(N, CPU count) worker processes; at ``--jobs 1`` they run in this
+process.  A BudgetExceeded from the engine is recorded as a timeout for
+every id of its record, never a crash.
 """
 
 from __future__ import annotations
 
-import functools
-import threading
+import os
+import random
 import time
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable
 
@@ -31,11 +34,10 @@ from ..brcomplex import (
     symbolic_h1,
     tensor,
 )
-from ..groebner import FreeModuleMatrix
+from ..groebner import Budget, FreeModuleMatrix
 from ..ribet import (
     FormalRing,
-    SpecializedChecks,
-    SpecializedInstance,
+    RibetShape,
     build_ideals,
     check_e_tau_invariance,
     check_example_r2,
@@ -52,169 +54,79 @@ from ..ribet import (
 from .config import SuiteConfig
 from .report import CheckResult, Report
 
-Check = tuple[str, str, Callable[[], tuple[bool, str]]]
+
+@dataclass(frozen=True)
+class Check:
+    """``fn(*args)`` certifies ``ids``, a tuple of (id, anchor) pairs.
+
+    ``fn`` returns one verdict per id, a bool or a (bool, witness) pair;
+    with a single id the verdict is returned bare.  ``fn`` is a
+    module-level function and ``args`` plain data, so the record pickles.
+    """
+
+    ids: tuple[tuple[str, str], ...]
+    fn: Callable
+    args: tuple = ()
 
 
-def _ok(flag: bool, witness: str = "") -> tuple[bool, str]:
-    return flag, witness
+def _check(cid: str, anchor: str, fn: Callable, *args) -> Check:
+    return Check(((cid, anchor),), fn, args)
+
+
+def _rejects(witness: str, fn: Callable, *args) -> tuple[bool, str]:
+    """Negative control: passes when ``fn(*args)`` is False."""
+    return not fn(*args), witness
 
 
 # ---------------------------------------------------------------------------
-# Suite builders.
+# Check functions.
 
-def _suite_trace_identities(cfg: SuiteConfig) -> list[Check]:
-    checks: list[Check] = []
-    for r in (2, 3):
-        for length in (1, 2, 3):
-            for letters in iproduct(range(1, r + 1), repeat=length):
-                word = Word(tuple(letters))
-                cid = f"trace-r{r}-{word}"
-                checks.append(
-                    (
-                        cid,
-                        "l:tr-char",
-                        lambda w=word, rr=r: _ok(
-                            trace_congruence_check(w, rr, cfg.budget)
-                        ),
-                    )
-                )
-    checks.append(
-        ("det-single-1", "l:dets", lambda: _ok(det_congruence_check(2, [1], budget=cfg.budget)))
-    )
-    checks.append(
-        ("det-single-2", "l:dets", lambda: _ok(det_congruence_check(2, [2], budget=cfg.budget)))
-    )
-    checks.append(
-        (
-            "det-pair-12",
-            "l:dets",
-            lambda: _ok(det_congruence_check(2, [1, 2], word_cap=2, budget=cfg.budget)),
-        )
-    )
-    return checks
+def _example_r2(budget: Budget) -> bool:
+    return check_example_r2(budget=budget)
 
 
-def _suite_example_r2(cfg: SuiteConfig) -> list[Check]:
-    return [
-        (
-            "example-r2",
-            "e:example",
-            lambda: _ok(check_example_r2(budget=cfg.budget)),
-        )
-    ]
+def _stability(shape: RibetShape) -> tuple[bool, str]:
+    ideals = build_ideals(shape)
+    act = TauAction(ideals.ring.table)
+    for q in ideals.quadruples:
+        if not adjoint_quadruple_check(*q.matrix.entries(), action=act):
+            return False, f"quadruple {q.origin} fails the adjoint law"
+    return True, f"{len(ideals.quadruples)} quadruples"
 
 
-def _suite_stability(cfg: SuiteConfig) -> list[Check]:
-    shapes = cfg.load_shapes() or corpus()
-    checks: list[Check] = []
-    for sh in shapes:
-        def run(shape=sh):
-            ideals = build_ideals(shape)
-            act = TauAction(ideals.ring.table)
-            for q in ideals.quadruples:
-                if not adjoint_quadruple_check(*q.matrix.entries(), action=act):
-                    return False, f"quadruple {q.origin} fails the adjoint law"
-            return True, f"{len(ideals.quadruples)} quadruples"
-        checks.append((f"stability-{sh.name}", "l:stable", run))
-
-    def negative():
-        sh = shape_r2_two_type2()
-        F = FormalRing(sh)
-        bad = adjoint_quadruple_check(F.a(1), F.b(1), F.c(1), F.zero())
-        return (not bad), "corrupted quadruple must fail"
-
-    checks.append(("stability-negative-control", "l:stable", negative))
-    return checks
+def _corrupted_quadruple_is_adjoint() -> bool:
+    F = FormalRing(shape_r2_two_type2())
+    return adjoint_quadruple_check(F.a(1), F.b(1), F.c(1), F.zero())
 
 
-def _suite_tau_invariance(cfg: SuiteConfig) -> list[Check]:
-    shapes = cfg.load_shapes() or [shape_r2_two_type2(), shape_one_place_type4()]
-    checks: list[Check] = []
-    for sh in shapes:
-        checks.append(
-            (
-                f"tau-invariance-{sh.name}",
-                "l:ebar",
-                lambda s=sh: _ok(check_e_tau_invariance(s, budget=cfg.budget)),
-            )
-        )
-
-    def negative():
-        ok = check_e_tau_invariance(
-            shape_one_place_type4(), budget=cfg.budget, drop_pair_generator=True
-        )
-        return (not ok), "membership must fail without the pair generator"
-
-    checks.append(("tau-invariance-negative-control", "l:ei", negative))
-    return checks
+def _tau_invariance(shape: RibetShape, budget: Budget, drop_pair_generator: bool = False) -> bool:
+    return check_e_tau_invariance(shape, budget=budget, drop_pair_generator=drop_pair_generator)
 
 
-def _suite_specialization(cfg: SuiteConfig) -> list[Check]:
-    shapes = cfg.load_shapes() or [shape_specialization()]
-    sh = shapes[0]
-    fields = (
-        ("detE-factorization", "e:zidef", "detE_factorization"),
-        ("detEprime-zero", "l:detzero", "detEprime_zero"),
-        ("cocycle", "s:cocycle", "cocycle"),
-        ("J-vanishes", "e:pibst", "J_vanishes"),
-    )
-
-    # One generation and one check per seed for this run: the four field
-    # checks of a seed read the same result, and the perturbed control
-    # reuses the instance of the first seed (perturb_alpha deep-copies
-    # it).  A GenerationFailure is not cached, so each of the four checks
-    # raises it again, with the same witness.  The lock keeps concurrent
-    # checks of one seed from each doing the work under --jobs.
-    lock = threading.Lock()
-
-    @functools.cache
-    def instance(seed: int) -> SpecializedInstance:
-        return generate_specialization(sh, seed, cfg.prime)
-
-    @functools.cache
-    def run_once(seed: int) -> SpecializedChecks:
-        return check_specialized(instance(seed))
-
-    def run(seed: int) -> SpecializedChecks:
-        with lock:
-            return run_once(seed)
-
-    checks: list[Check] = []
-    for seed in cfg.seeds:
-        for field_name, anchor, attr in fields:
-            def one(seed=seed, attr=attr):
-                return getattr(run(seed), attr), ""
-            checks.append((f"spec-seed{seed:03d}-{field_name}", anchor, one))
-
-    def perturbed():
-        with lock:
-            inst = instance(cfg.seeds[0])
-        res = check_specialized(perturb_alpha(inst))
-        return (not res.detEprime_zero), "perturbed coefficient must break det(E')=0"
-
-    checks.append(("spec-perturbed-control", "l:detzero", perturbed))
-    return checks
+_SPEC_FIELDS = (
+    ("detE-factorization", "e:zidef"),
+    ("detEprime-zero", "l:detzero"),
+    ("cocycle", "s:cocycle"),
+    ("J-vanishes", "e:pibst"),
+)
 
 
-def _suite_quotient_presentation(cfg: SuiteConfig) -> list[Check]:
-    shapes = cfg.load_shapes() or corpus()
-    checks: list[Check] = []
-    for sh in shapes:
-        checks.append(
-            (
-                f"quotient-presentation-{sh.name}",
-                "l:pia",
-                lambda s=sh: _ok(check_quotient_presentation(s)),
-            )
-        )
+def _specialization(shape: RibetShape, seed: int, p: int, control: bool) -> list:
+    """The four numeric checks of one seed's instance, in ``_SPEC_FIELDS``
+    order, and with ``control`` the perturbed control on a copy of it."""
+    inst = generate_specialization(shape, seed, p)
+    res = check_specialized(inst)
+    verdicts: list = [res.detE_factorization, res.detEprime_zero, res.cocycle, res.J_vanishes]
+    if control:
+        broken = check_specialized(perturb_alpha(inst))  # perturb_alpha deep-copies
+        verdicts.append((not broken.detEprime_zero, "perturbed coefficient must break det(E')=0"))
+    return verdicts
 
-        def elem(s=sh):
-            # element_e raises if det(E') - det(E) escapes I_R.
-            e = element_e(s, budget=cfg.budget)
-            return True, f"{e.num_terms()} terms"
 
-        checks.append((f"element-e-in-IR-{sh.name}", "l:pia", elem))
-    return checks
+def _element_e(shape: RibetShape, budget: Budget) -> tuple[bool, str]:
+    # element_e raises if det(E') - det(E) escapes I_R.
+    e = element_e(shape, budget=budget)
+    return True, f"{e.num_terms()} terms"
 
 
 def _br_exact_instance():
@@ -236,100 +148,172 @@ def _br_exact_instance():
     return tensor(block, lin)
 
 
+def _koszul_d2(n: int) -> bool:
+    return check_d2(koszul(list(generic_2xn(n).entries[0])))
+
+
+def _br_d2(n: int) -> bool:
+    brs = br_complexes(generic_2xn(n), cap=3)
+    return check_d2(brs.Rf) and check_d2(brs.Rdetf)
+
+
+def _koszul_exact_at_1(budget: Budget) -> bool:
+    return symbolic_h1(koszul(list(generic_2xn(2).entries[0])), budget).is_exact_at_1
+
+
+def _rf_kernel(budget: Budget) -> tuple[bool, str]:
+    # symbolic_h1 tests every syzygy of d_1 against the module of the d_123 columns.
+    rep = symbolic_h1(br_complexes(generic_2xn(3)).Rf, budget)
+    if not rep.is_exact_at_1:
+        return False, "R(f) 2x3 not exact at degree 1"
+    return True, f"{len(rep.h1_generators)} syzygy generators"
+
+
+def _br_exact_points(seed: int, p: int) -> tuple[bool, str]:
+    C = _br_exact_instance()
+    rng = random.Random(seed)
+    for _ in range(20):
+        point = {i: rng.randrange(p) for i in range(len(C.table))}
+        dims = homology_at_point(C, point, p)
+        if any(dims[k] != 0 for k in range(1, len(dims))):
+            return False, f"H at {point} = {dims}"
+    return True, "20 points"
+
+
+def _br_exact_symbolic(budget: Budget) -> bool:
+    return symbolic_h1(_br_exact_instance(), budget).is_exact_at_1
+
+
+def _regularity_generic(n: int, budget: Budget) -> bool:
+    return regularity_check(generic_2xn(n), budget)
+
+
+def _degenerate_is_regular(budget: Budget) -> bool:
+    M = generic_2xn(3)
+    b1, bp1 = M.entries[0][0], M.entries[1][0]
+    bad = FreeModuleMatrix([[b1, b1, M.entries[0][2]], [bp1, bp1, M.entries[1][2]]])
+    return regularity_check(bad, budget)
+
+
+def _cd_morphism(shape: RibetShape, cap: int, budget: Budget) -> tuple[bool, str]:
+    cd = build_cd_morphism(shape, cap=cap, budget=budget)
+    if not cd.commutes:
+        return False, "a square fails to commute"
+    if not cd.im_c1_is_jprime:
+        return False, "im(C1 -> C0) differs from the b-coefficient ideal"
+    if not cd.im_d1_is_j:
+        return False, "im(D1 -> D0) differs from the relation ideal"
+    if not cd.quadruples_adjoint:
+        return False, "a relation quadruple fails the adjoint law"
+    return True, f"C ranks {cd.C.ranks}, D ranks {cd.D.ranks}"
+
+
+# ---------------------------------------------------------------------------
+# Suite builders.
+
+def _suite_trace_identities(cfg: SuiteConfig) -> list[Check]:
+    checks: list[Check] = []
+    for r in (2, 3):
+        for length in (1, 2, 3):
+            for letters in iproduct(range(1, r + 1), repeat=length):
+                word = Word(tuple(letters))
+                checks.append(
+                    _check(f"trace-r{r}-{word}", "l:tr-char", trace_congruence_check, word, r, cfg.budget)
+                )
+    checks.append(_check("det-single-1", "l:dets", det_congruence_check, 2, (1,), None, cfg.budget))
+    checks.append(_check("det-single-2", "l:dets", det_congruence_check, 2, (2,), None, cfg.budget))
+    checks.append(_check("det-pair-12", "l:dets", det_congruence_check, 2, (1, 2), 2, cfg.budget))
+    return checks
+
+
+def _suite_example_r2(cfg: SuiteConfig) -> list[Check]:
+    return [_check("example-r2", "e:example", _example_r2, cfg.budget)]
+
+
+def _suite_stability(cfg: SuiteConfig) -> list[Check]:
+    shapes = cfg.load_shapes() or corpus()
+    checks = [_check(f"stability-{sh.name}", "l:stable", _stability, sh) for sh in shapes]
+    checks.append(
+        _check(
+            "stability-negative-control", "l:stable",
+            _rejects, "corrupted quadruple must fail", _corrupted_quadruple_is_adjoint,
+        )
+    )
+    return checks
+
+
+def _suite_tau_invariance(cfg: SuiteConfig) -> list[Check]:
+    shapes = cfg.load_shapes() or [shape_r2_two_type2(), shape_one_place_type4()]
+    checks = [
+        _check(f"tau-invariance-{sh.name}", "l:ebar", _tau_invariance, sh, cfg.budget) for sh in shapes
+    ]
+    checks.append(
+        _check(
+            "tau-invariance-negative-control", "l:ei",
+            _rejects, "membership must fail without the pair generator",
+            _tau_invariance, shape_one_place_type4(), cfg.budget, True,
+        )
+    )
+    return checks
+
+
+def _suite_specialization(cfg: SuiteConfig) -> list[Check]:
+    # One record per seed: its instance is generated and checked once for
+    # the four field ids, and the first seed's record also runs the
+    # perturbed control on that instance.  A GenerationFailure fails every
+    # id of the record with the same witness.
+    sh = (cfg.load_shapes() or [shape_specialization()])[0]
+    checks: list[Check] = []
+    for k, seed in enumerate(cfg.seeds):
+        ids = [(f"spec-seed{seed:03d}-{name}", anchor) for name, anchor in _SPEC_FIELDS]
+        if k == 0:
+            ids.append(("spec-perturbed-control", "l:detzero"))
+        checks.append(Check(tuple(ids), _specialization, (sh, seed, cfg.prime, k == 0)))
+    return checks
+
+
+def _suite_quotient_presentation(cfg: SuiteConfig) -> list[Check]:
+    shapes = cfg.load_shapes() or corpus()
+    checks: list[Check] = []
+    for sh in shapes:
+        checks.append(_check(f"quotient-presentation-{sh.name}", "l:pia", check_quotient_presentation, sh))
+        checks.append(_check(f"element-e-in-IR-{sh.name}", "l:pia", _element_e, sh, cfg.budget))
+    return checks
+
+
 def _suite_koszul_br(cfg: SuiteConfig) -> list[Check]:
     checks: list[Check] = []
     for n in (2, 3, 4):
-        def d2_koszul(n=n):
-            M = generic_2xn(n)
-            return _ok(check_d2(koszul(list(M.entries[0]))))
-        checks.append((f"koszul-d2-n{n}", "p:br-exact", d2_koszul))
-
-        def d2_br(n=n):
-            brs = br_complexes(generic_2xn(n), cap=3)
-            return _ok(check_d2(brs.Rf) and check_d2(brs.Rdetf))
-        checks.append((f"br-d2-n{n}", "p:br-exact", d2_br))
-
-    def koszul_exact():
-        M = generic_2xn(2)
-        rep = symbolic_h1(koszul(list(M.entries[0])), cfg.budget)
-        return _ok(rep.is_exact_at_1)
-    checks.append(("koszul-b1b2-exact-at-1", "p:br-exact", koszul_exact))
-
-    def rf_kernel():
-        # symbolic_h1 tests every syzygy of d_1 against the module of the d_123 columns.
-        rep = symbolic_h1(br_complexes(generic_2xn(3)).Rf, cfg.budget)
-        if not rep.is_exact_at_1:
-            return False, "R(f) 2x3 not exact at degree 1"
-        return True, f"{len(rep.h1_generators)} syzygy generators"
-    checks.append(("br-f-2x3-kernel-d123", "p:br-exact", rf_kernel))
-
-    def br_exact_points():
-        C = _br_exact_instance()
-        import random
-
-        rng = random.Random(cfg.seeds[0])
-        p = cfg.prime
-        for _ in range(20):
-            point = {i: rng.randrange(p) for i in range(len(C.table))}
-            dims = homology_at_point(C, point, p)
-            if any(dims[k] != 0 for k in range(1, len(dims))):
-                return False, f"H at {point} = {dims}"
-        return True, "20 points"
-    checks.append(("br-exact-instance-points", "l:tensor", br_exact_points))
-
-    def br_exact_symbolic():
-        C = _br_exact_instance()
-        rep = symbolic_h1(C, cfg.budget)
-        return _ok(rep.is_exact_at_1)
-    checks.append(("br-exact-instance-symbolic", "p:br-exact", br_exact_symbolic))
+        checks.append(_check(f"koszul-d2-n{n}", "p:br-exact", _koszul_d2, n))
+        checks.append(_check(f"br-d2-n{n}", "p:br-exact", _br_d2, n))
+    checks.append(_check("koszul-b1b2-exact-at-1", "p:br-exact", _koszul_exact_at_1, cfg.budget))
+    checks.append(_check("br-f-2x3-kernel-d123", "p:br-exact", _rf_kernel, cfg.budget))
+    checks.append(_check("br-exact-instance-points", "l:tensor", _br_exact_points, cfg.seeds[0], cfg.prime))
+    checks.append(_check("br-exact-instance-symbolic", "p:br-exact", _br_exact_symbolic, cfg.budget))
     return checks
 
 
 def _suite_regularity(cfg: SuiteConfig) -> list[Check]:
-    checks: list[Check] = []
-    checks.append(
-        ("regularity-generic-2x2", "l:reg", lambda: _ok(regularity_check(generic_2xn(2), cfg.budget)))
-    )
-    checks.append(
-        ("regularity-generic-2x3", "c:genericb", lambda: _ok(regularity_check(generic_2xn(3), cfg.budget)))
-    )
-
-    def degenerate():
-        M = generic_2xn(3)
-        b1, bp1 = M.entries[0][0], M.entries[1][0]
-        bad = FreeModuleMatrix(
-            [[b1, b1, M.entries[0][2]], [bp1, bp1, M.entries[1][2]]]
-        )
-        return (not regularity_check(bad, cfg.budget)), "degenerate matrix must fail"
-    checks.append(("regularity-degenerate-control", "l:reg", degenerate))
-
-    checks.append(
-        (
-            "regularity-inhomogeneous-m2n2",
-            "p:regular-seq-inhomog",
-            lambda: _ok(inhomogeneous_regular_check(2, 2, cfg.budget)),
-        )
-    )
-    return checks
+    return [
+        _check("regularity-generic-2x2", "l:reg", _regularity_generic, 2, cfg.budget),
+        _check("regularity-generic-2x3", "c:genericb", _regularity_generic, 3, cfg.budget),
+        _check(
+            "regularity-degenerate-control", "l:reg",
+            _rejects, "degenerate matrix must fail", _degenerate_is_regular, cfg.budget,
+        ),
+        _check(
+            "regularity-inhomogeneous-m2n2", "p:regular-seq-inhomog",
+            inhomogeneous_regular_check, 2, 2, cfg.budget,
+        ),
+    ]
 
 
 def _suite_cd_morphism(cfg: SuiteConfig) -> list[Check]:
     shapes = cfg.load_shapes() or corpus()
-    checks: list[Check] = []
-    for sh in shapes:
-        def run(shape=sh):
-            cd = build_cd_morphism(shape, cap=cfg.degree_cap, budget=cfg.budget)
-            if not cd.commutes:
-                return False, "a square fails to commute"
-            if not cd.im_c1_is_jprime:
-                return False, "im(C1 -> C0) differs from the b-coefficient ideal"
-            if not cd.im_d1_is_j:
-                return False, "im(D1 -> D0) differs from the relation ideal"
-            if not cd.quadruples_adjoint:
-                return False, "a relation quadruple fails the adjoint law"
-            return True, f"C ranks {cd.C.ranks}, D ranks {cd.D.ranks}"
-        checks.append((f"cd-morphism-{sh.name}", "t:comm", run))
-    return checks
+    return [
+        _check(f"cd-morphism-{sh.name}", "t:comm", _cd_morphism, sh, cfg.degree_cap, cfg.budget)
+        for sh in shapes
+    ]
 
 
 SUITES: dict[str, tuple[str, list[str], Callable[[SuiteConfig], list[Check]]]] = {
@@ -395,6 +379,25 @@ def list_suites() -> list[dict]:
     return out
 
 
+def _execute(check: Check) -> list[CheckResult]:
+    """Run one record: one result per id, the first carrying the runtime."""
+    start = time.monotonic()
+    try:
+        out = check.fn(*check.args)
+        verdicts = out if len(check.ids) > 1 else [out]
+        outcomes = [v if isinstance(v, tuple) else (v, "") for v in verdicts]
+        outcomes = [("pass" if ok else "fail", witness) for ok, witness in outcomes]
+    except BudgetExceeded as exc:
+        outcomes = [("timeout", str(exc))] * len(check.ids)
+    except GenerationFailure as exc:
+        outcomes = [("fail", str(exc))] * len(check.ids)
+    runtime = round(time.monotonic() - start, 3)
+    return [
+        CheckResult(cid, anchor, status, runtime if k == 0 else 0.0, witness)
+        for k, ((cid, anchor), (status, witness)) in enumerate(zip(check.ids, outcomes, strict=True))
+    ]
+
+
 def run_suite(cfg: SuiteConfig) -> Report:
     """Execute one suite (or "all") and return the finalized report."""
     if cfg.suite == "all":
@@ -403,28 +406,17 @@ def run_suite(cfg: SuiteConfig) -> Report:
         builders = [SUITES[cfg.suite][2]]
     else:
         raise StructuralError(f"unknown suite {cfg.suite!r}")
-    checks: list[Check] = []
-    for b in builders:
-        checks.extend(b(cfg))
+    checks = [c for b in builders for c in b(cfg)]
 
-    def execute(check: Check) -> CheckResult:
-        cid, anchor, thunk = check
-        start = time.monotonic()
-        try:
-            ok, witness = thunk()
-            status = "pass" if ok else "fail"
-        except BudgetExceeded as exc:
-            status, witness = "timeout", str(exc)
-        except GenerationFailure as exc:
-            status, witness = "fail", str(exc)
-        return CheckResult(cid, anchor, status, round(time.monotonic() - start, 3), witness)
+    workers = min(cfg.jobs, os.cpu_count() or 1, len(checks))
+    if workers > 1:
+        # Imported here so that a --jobs 1 run never loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
 
-    results: list[CheckResult]
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(execute, checks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            runs = list(pool.map(_execute, checks))
     else:
-        results = [execute(c) for c in checks]
+        runs = [_execute(c) for c in checks]
 
     report = Report(
         suite=cfg.suite,
@@ -432,7 +424,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
         seeds=list(cfg.seeds),
         budget_steps=cfg.budget.max_steps,
         budget_degree=cfg.budget.max_degree,
-        checks=results,
+        checks=[r for run in runs for r in run],
     ).finalize()
     if cfg.out_path:
         report.write(cfg.out_path)

@@ -25,6 +25,7 @@ from ribetkit.exactpoly import (
 from ribetkit.groebner import (
     Budget,
     FreeModuleMatrix,
+    GroebnerBasis,
     IdealSpec,
     buchberger,
     exact_div,
@@ -368,6 +369,25 @@ def test_qq_and_gf_cores_agree_on_a_corpus_ideal():
     assert len(qq.basis) == 34
     assert [g.change_ring(GF(p)) for g in qq.basis] == list(gf.basis)
     assert qq.verify() and gf.verify()
+
+
+def test_verify_keeps_the_criteria_of_buchberger():
+    # The first six relations of J(p1-type4): a 39-element basis.  A
+    # verify() that reduced all 741 S-pairs took about 25 s here.
+    gb = buchberger(IdealSpec(build_ideals(shape_one_place_type4()).J.generators[:6]))
+    assert len(gb.basis) == 39
+    assert gb.verify()
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(2**31 - 1)], ids=["QQ", "GF"])
+def test_verify_rejects_a_basis_missing_an_element(ring):
+    gb = buchberger(IdealSpec(build_ideals(shape_r2_two_type2(), ring).J.generators))
+    assert len(gb.basis) == 51 and gb.verify()
+    rest = gb.basis[:-1]
+    assert not GroebnerBasis(rest, gb.order, gb.source).verify()
+    # With the truncated set as its own source every generator is a
+    # member, so the S-pair that fails to reduce to zero is what rejects.
+    assert not GroebnerBasis(rest, gb.order, IdealSpec(rest, gb.order)).verify()
 
 
 def _membership_verdicts(ring):

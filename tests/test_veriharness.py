@@ -2,6 +2,9 @@
 
 import json
 import os
+import pickle
+import subprocess
+import sys
 import time
 
 import pytest
@@ -119,38 +122,47 @@ def test_specialization_suite_counts():
 
 
 @pytest.mark.parametrize("jobs", [1, 8])
-def test_specialization_generates_and_checks_each_seed_once(monkeypatch, jobs):
+def test_specialization_generates_and_checks_each_seed_once(monkeypatch, tmp_path, jobs):
     import ribetkit.veriharness.suites as suites
 
-    # list.append is atomic, so the record loses no call under threads.
-    generated, checked = [], []
+    # The counters append lines to files, so calls made in worker
+    # processes under --jobs are counted too.
+    generated, checked = tmp_path / "generated", tmp_path / "checked"
     generate, check = suites.generate_specialization, suites.check_specialized
 
+    def count(path, seed):
+        with open(path, "a") as fh:
+            fh.write(f"{seed}\n")
+
     def counting_generate(shape, seed, p):
-        generated.append(seed)
-        time.sleep(0.01)  # lets the other checks of the seed start meanwhile
+        count(generated, seed)
+        time.sleep(0.01)  # lets the other records start meanwhile
         return generate(shape, seed, p)
 
     def counting_check(inst):
-        checked.append(inst.seed)
+        count(checked, inst.seed)
         return check(inst)
+
+    def counts(path):
+        return sorted(int(line) for line in path.read_text().split())
 
     monkeypatch.setattr(suites, "generate_specialization", counting_generate)
     monkeypatch.setattr(suites, "check_specialized", counting_check)
-    # Under jobs=8 the four checks of a seed overlap; none may repeat its run.
+    # Under jobs=8 the records run concurrently; none may repeat a run.
     report = run_suite(SuiteConfig(suite="specialization", seeds=[0, 1], jobs=jobs))
     assert report.summary() == {"pass": 9, "fail": 0, "timeout": 0}
     # One generation per seed; the perturbed control checks a perturbed
     # copy of seed 0's instance.
-    assert sorted(generated) == [0, 1]
-    assert sorted(checked) == [0, 0, 1]
+    assert counts(generated) == [0, 1]
+    assert counts(checked) == [0, 0, 1]
 
 
 def test_perturbed_control_waits_for_the_seed_instance(monkeypatch):
     import ribetkit.veriharness.suites as suites
 
-    # With one seed and 8 workers, the control starts while the seed's
-    # checks are still generating; it must wait for that instance.
+    # The control runs inside the record of the first seed, after that
+    # seed's checks, on the instance they used: even with 8 jobs the seed
+    # is generated once.
     generated = []
     generate = suites.generate_specialization
 
@@ -179,11 +191,42 @@ def test_generation_failure_fails_all_four_checks_of_a_seed(monkeypatch):
 
 
 def test_jobs_parallel_matches_serial():
-    serial = run_suite(SuiteConfig(suite="regularity", jobs=1))
-    parallel = run_suite(SuiteConfig(suite="regularity", jobs=4))
-    assert [(c.id, c.status) for c in serial.checks] == [
-        (c.id, c.status) for c in parallel.checks
-    ]
+    def outcome(report):
+        return [(c.id, c.anchor, c.status, c.witness) for c in report.checks]
+
+    serial = run_suite(SuiteConfig(suite="all", jobs=1))
+    parallel = run_suite(SuiteConfig(suite="all", jobs=2))
+    assert outcome(parallel) == outcome(serial)
+
+
+def test_every_check_record_pickles():
+    cfg = load_config("all")
+    checks = [c for _d, _a, build in SUITES.values() for c in build(cfg)]
+    assert sum(len(c.ids) for c in checks) == 176
+    for c in checks:
+        assert pickle.loads(pickle.dumps(c)) == c, c.ids
+
+
+def test_serial_run_does_not_load_multiprocessing():
+    code = (
+        "import sys\n"
+        "from ribetkit.veriharness import SuiteConfig, run_suite\n"
+        "run_suite(SuiteConfig(suite='regularity', jobs=1))\n"
+        "assert 'multiprocessing' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_structural_error_in_a_check_exits_2(tmp_path, capsys, jobs):
+    # generate_specialization refuses a shape with 2 free generators; the
+    # error reaches the CLI from a worker process as from this one.
+    shape = os.path.join(ROOT, "configs", "shapes", "r2-two-type2.cfg")
+    cfg_file = tmp_path / "two.cfg"
+    cfg_file.write_text(f"[specialization]\nshapes = {shape}\nseeds = 0 1\n")
+    assert main(["run", "specialization", "--config", str(cfg_file), "--jobs", jobs]) == 2
+    assert "has 2 free generators" in capsys.readouterr().err
 
 
 def test_cli_list_and_run(capsys, tmp_path):
@@ -215,7 +258,7 @@ def test_every_suite_has_anchors():
         assert entry["anchors"], name
         builders = [b for _d, _a, b in SUITES.values()] if name == "all" else [SUITES[name][2]]
         cfg = load_config(name)
-        carried = {anchor for build in builders for _cid, anchor, _thunk in build(cfg)}
+        carried = {anchor for build in builders for check in build(cfg) for _cid, anchor in check.ids}
         assert set(entry["anchors"]) == carried, name
 
 
