@@ -8,17 +8,20 @@ with a check that the QQ basis reduced mod p is the GF(p) basis, times
 the module path (syzygies and symbolic H1) on R(f) 2x4, the C -> D
 morphism of full-mixed at cap 3 (with its d^2 = 0 check on D and its
 commuting squares timed again on their own, the two sparse matrix
-product workloads), and the specialization suite at the default prime
-and at p = 1000003.
+product workloads), the trace-identities suite with the number of
+membership questions it decided against its number of ids, and the
+specialization suite at the default prime and at p = 1000003.
 
 Run: PYTHONPATH=src python scripts/profile_engine.py
 """
 
 import time
 
+import ribetkit.genmat as genmat
+import ribetkit.veriharness.suites as suites
 from ribetkit.exactpoly import GF, QQ
 from ribetkit.genmat import Word, det_congruence_check, trace_congruence_check
-from ribetkit.groebner import buchberger, syzygies
+from ribetkit.groebner import buchberger, in_ideal, syzygies
 from ribetkit.brcomplex import br_complexes, build_cd_morphism, check_d2, generic_2xn, symbolic_h1
 from ribetkit.ribet.formal import build_ideals, check_e_tau_invariance, check_example_r2
 from ribetkit.ribet.shapes import corpus, shape_full_mixed, shape_one_place_type4, shape_sigma_type3
@@ -62,6 +65,29 @@ def module_path():
     )
 
 
+def trace_suite():
+    """One run_suite of trace-identities.  Each in_ideal call decides one
+    membership question; the rotations of a word share theirs."""
+    decided = []
+
+    def counting_in_ideal(*args, **kwargs):
+        decided.append(args[0])
+        return in_ideal(*args, **kwargs)
+
+    for module in (genmat, suites):
+        module.in_ideal = counting_in_ideal
+    try:
+        report = timed(
+            "trace-identities suite",
+            lambda: run_suite(SuiteConfig(suite="trace-identities")),
+            lambda report: report.summary(),
+        )
+    finally:
+        for module in (genmat, suites):
+            module.in_ideal = in_ideal
+    print(f"{'  questions decided / ids':55s} {'':9s}  -> {len(decided)} / {len(report.checks)}")
+
+
 def specialization_suite():
     """One run_suite of the specialization suite per prime: instance
     generation, the numeric checks and the J evaluation, once per seed."""
@@ -94,6 +120,7 @@ def main():
                lambda cd: cd.all_pass())
     timed("  check_d2(D) [full-mixed, cap 3]", lambda: check_d2(cd.D))
     timed("  inclusion.check_commutes() [full-mixed, cap 3]", cd.inclusion.check_commutes)
+    trace_suite()
     specialization_suite()
 
 

@@ -28,7 +28,7 @@ from ..groebner import (
     Budget,
     DEFAULT_BUDGET,
     FreeModuleMatrix,
-    module_contains,
+    _module_contains_all,
     module_gb,
     syzygies,
 )
@@ -153,7 +153,7 @@ def symbolic_h1(C: FreeComplex, budget: Budget = DEFAULT_BUDGET) -> H1Report:
     d2 = C.diffs[2]
     columns = [d2.column(j) for j in range(d2.cols)]
     gb = module_gb(columns, DEGREVLEX, budget)
-    exact = all(module_contains(v, gb, DEGREVLEX, budget) for v in syz)
+    exact = _module_contains_all(syz, gb, DEGREVLEX, budget)
     return H1Report(syz, exact)
 
 

@@ -282,18 +282,18 @@ def v_map(w: Word, nu: Mapping[int, Polynomial]) -> Polynomial:
     return acc
 
 
-def trace_congruence_check(
-    w: Word,
-    r: int,
-    budget: Budget = DEFAULT_BUDGET,
-    model: GenericModel | None = None,
-) -> bool:
-    """Check tr(prod rho_j) - prod(chi_j - psi_j) lies in the ideal of
-    trace defects of the nonempty subsequences of w.
+def trace_congruence_question(
+    w: Word, r: int, model: GenericModel | None = None
+) -> tuple[Polynomial, IdealSpec]:
+    """The membership question of the trace congruence of w: the target
+    tr(prod rho_j) - prod(chi_j - psi_j) and the ideal of trace defects of
+    the nonempty subsequences of w.
 
     The generating subsequences mirror the telescoping expansion of the
     shifted product, so the cap on generator words is exactly the length
-    of the word under test.
+    of the word under test.  Target and generator set are invariant
+    under rotation of w (a trace is, and chi and psi commute); only the
+    order of the generators follows the word.
     """
     if not w.letters:
         raise StructuralError("trace congruence needs a nonempty word")
@@ -307,7 +307,19 @@ def trace_congruence_check(
         for subset in combinations(positions, size):
             letters = [w.letters[p] for p in subset]
             gens.append(model.trace_defect(letters))
-    return in_ideal(target, IdealSpec(gens, DEGREVLEX), budget)
+    return target, IdealSpec(gens, DEGREVLEX)
+
+
+def trace_congruence_check(
+    w: Word,
+    r: int,
+    budget: Budget = DEFAULT_BUDGET,
+    model: GenericModel | None = None,
+) -> bool:
+    """Check tr(prod rho_j) - prod(chi_j - psi_j) lies in the ideal of
+    trace defects of the nonempty subsequences of w
+    (``trace_congruence_question``)."""
+    return in_ideal(*trace_congruence_question(w, r, model), budget)
 
 
 def _char_diff_product(model: GenericModel, letters: Sequence[int]) -> Polynomial:

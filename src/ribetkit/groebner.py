@@ -843,13 +843,27 @@ def module_contains(
     budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
     """Membership of ``v`` in the submodule with Groebner basis ``gb_vectors``."""
-    if all(e.is_zero() for e in v):
+    return _module_contains_all([v], gb_vectors, order, budget)
+
+
+def _module_contains_all(
+    vs: Sequence[Sequence[Polynomial]],
+    gb_vectors: Sequence[Sequence[Polynomial]],
+    order: MonomialOrder,
+    budget: Budget,
+) -> bool:
+    """Whether every vector of ``vs`` lies in the submodule with Groebner
+    basis ``gb_vectors``.  The basis is packed once for all of them; each
+    vector is reduced with a fresh step counter, and the test stops at
+    the first non-member."""
+    vs = [v for v in vs if any(not e.is_zero() for e in v)]
+    if not vs:
         return True
     if not gb_vectors:
         return False
-    eng, vectors = _module_engine([v, *gb_vectors], order, budget.max_degree, len(v))
-    rem, _ = eng.divide(vectors[0], eng.records(vectors[1:]), budget.fresh_counter())
-    return not rem
+    eng, vectors = _module_engine([*vs, *gb_vectors], order, budget.max_degree, len(vs[0]))
+    records = eng.records(vectors[len(vs):])
+    return all(not eng.divide(v, records, budget.fresh_counter())[0] for v in vectors[: len(vs)])
 
 
 def syzygies(

@@ -7,6 +7,12 @@ checks certify.  Records pickle, so at ``--jobs N`` they run in up to
 min(N, CPU count) worker processes; at ``--jobs 1`` they run in this
 process.  A BudgetExceeded from the engine is recorded as a timeout for
 every id of its record, never a crash.
+
+Records that certify several ids share work between them: the four
+numeric checks of one specialization seed run on one generated
+instance, and the trace congruences of the rotations of one word
+(X1.X2.X3, X2.X3.X1, X3.X1.X2), which pose the same membership
+question, decide each distinct question once.
 """
 
 from __future__ import annotations
@@ -21,7 +27,13 @@ from typing import Callable
 from ..borel import TauAction, adjoint_quadruple_check
 from ..errors import BudgetExceeded, GenerationFailure, StructuralError
 from ..exactpoly import QQ, Polynomial
-from ..genmat import Word, det_congruence_check, trace_congruence_check
+from ..genmat import (
+    GenericModel,
+    Word,
+    det_congruence_check,
+    trace_congruence_check,
+    trace_congruence_question,
+)
 from ..brcomplex import (
     br_complexes,
     build_cd_morphism,
@@ -34,7 +46,7 @@ from ..brcomplex import (
     symbolic_h1,
     tensor,
 )
-from ..groebner import Budget, FreeModuleMatrix
+from ..groebner import Budget, FreeModuleMatrix, in_ideal
 from ..ribet import (
     FormalRing,
     RibetShape,
@@ -80,6 +92,29 @@ def _rejects(witness: str, fn: Callable, *args) -> tuple[bool, str]:
 
 # ---------------------------------------------------------------------------
 # Check functions.
+
+def _trace_class(words: tuple[Word, ...], r: int, budget: Budget) -> list[bool]:
+    """Trace congruences of the words of one rotation class, one verdict
+    per word.
+
+    Each word's question is built on its own; a question whose target and
+    generator set are exactly equal to one already decided in this call
+    takes that verdict, any other is decided by ``in_ideal`` with the
+    word's own generators.  Rotations pose equal questions, so a class is
+    decided once, with the generator order of its first word.  The record
+    of decided questions lives only for this call.
+    """
+    model = GenericModel(r)
+    decided: dict[tuple, bool] = {}
+    verdicts = []
+    for w in words:
+        target, spec = trace_congruence_question(w, r, model)
+        key = (target, frozenset(spec.generators))
+        if key not in decided:
+            decided[key] = in_ideal(target, spec, budget)
+        verdicts.append(decided[key])
+    return verdicts
+
 
 def _example_r2(budget: Budget) -> bool:
     return check_example_r2(budget=budget)
@@ -211,15 +246,28 @@ def _cd_morphism(shape: RibetShape, cap: int, budget: Budget) -> tuple[bool, str
 # ---------------------------------------------------------------------------
 # Suite builders.
 
+def _rotation_classes(r: int, length: int) -> list[tuple[Word, ...]]:
+    """The words of ``length`` letters in 1..r grouped by their least
+    rotation, classes and words within them in product order."""
+    classes: dict[tuple[int, ...], list[Word]] = {}
+    for letters in iproduct(range(1, r + 1), repeat=length):
+        least = min(letters[k:] + letters[:k] for k in range(length))
+        classes.setdefault(least, []).append(Word(letters))
+    return [tuple(words) for words in classes.values()]
+
+
 def _suite_trace_identities(cfg: SuiteConfig) -> list[Check]:
+    # One record per rotation class of words: the rotations share one
+    # target and one generator set, so _trace_class decides them once.
     checks: list[Check] = []
     for r in (2, 3):
         for length in (1, 2, 3):
-            for letters in iproduct(range(1, r + 1), repeat=length):
-                word = Word(tuple(letters))
-                checks.append(
-                    _check(f"trace-r{r}-{word}", "l:tr-char", trace_congruence_check, word, r, cfg.budget)
-                )
+            for words in _rotation_classes(r, length):
+                ids = tuple((f"trace-r{r}-{w}", "l:tr-char") for w in words)
+                if len(words) == 1:
+                    checks.append(_check(*ids[0], trace_congruence_check, words[0], r, cfg.budget))
+                else:
+                    checks.append(Check(ids, _trace_class, (words, r, cfg.budget)))
     checks.append(_check("det-single-1", "l:dets", det_congruence_check, 2, (1,), None, cfg.budget))
     checks.append(_check("det-single-2", "l:dets", det_congruence_check, 2, (2,), None, cfg.budget))
     checks.append(_check("det-pair-12", "l:dets", det_congruence_check, 2, (1, 2), 2, cfg.budget))

@@ -408,6 +408,18 @@ def _membership_verdicts(ring):
     return verdicts
 
 
+def _r3_trace_verdicts(ring):
+    """The 20 distinct r=3 trace congruence questions of words of length
+    1 to 3: one word per rotation class, the least rotation."""
+    model = GenericModel(3, ring)
+    verdicts = {}
+    for length in (1, 2, 3):
+        for letters in product((1, 2, 3), repeat=length):
+            if letters == min(letters[k:] + letters[:k] for k in range(length)):
+                verdicts[f"trace-r3-{letters}"] = trace_congruence_check(Word(letters), 3, model=model)
+    return verdicts
+
+
 def test_qq_and_gf_membership_verdicts_agree():
     # Both coefficient cores enter the engine through the same pack, so
     # the ideal membership verdicts of the formal checks must not depend
@@ -420,6 +432,10 @@ def test_qq_and_gf_membership_verdicts_agree():
     ]
     for p in (2**31 - 1, 998244353):
         assert _membership_verdicts(GF(p)) == qq, p
+    qq_r3 = _r3_trace_verdicts(QQ)
+    assert len(qq_r3) == 20 and all(qq_r3.values())
+    for p in (2**31 - 1, 998244353):
+        assert _r3_trace_verdicts(GF(p)) == qq_r3, p
 
 
 def test_gf_path():

@@ -10,6 +10,9 @@ import time
 import pytest
 
 from ribetkit.errors import StructuralError
+from ribetkit.exactpoly import Polynomial
+from ribetkit.genmat import Word, trace_congruence_check
+from ribetkit.groebner import Budget
 from ribetkit.ribet.shapes import RibetShape, shape_specialization
 from ribetkit.veriharness.cli import main
 from ribetkit.veriharness.config import SuiteConfig, load_config, parse_flat_config
@@ -188,6 +191,64 @@ def test_generation_failure_fails_all_four_checks_of_a_seed(monkeypatch):
     assert len(report.checks) == 9
     for c in report.checks:
         assert (c.status, c.witness) == ("fail", witness), c.id
+
+
+def test_trace_suite_decides_each_distinct_question_once(monkeypatch):
+    import ribetkit.genmat as genmat
+    import ribetkit.veriharness.suites as suites
+
+    # A rotation class of words is one record; its words pose one
+    # question, decided by one in_ideal call.  The 3 det checks make up
+    # the rest: 29 + 3 calls for 53 + 3 ids.
+    calls = []
+    real = genmat.in_ideal
+
+    def counting_in_ideal(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(genmat, "in_ideal", counting_in_ideal)
+    monkeypatch.setattr(suites, "in_ideal", counting_in_ideal)
+    cfg = SuiteConfig(suite="trace-identities")
+    trace = [c for c in suites._suite_trace_identities(cfg) if c.ids[0][1] == "l:tr-char"]
+    assert (len(trace), sum(len(c.ids) for c in trace)) == (29, 53)
+    report = run_suite(cfg)
+    assert len(calls) == 32
+    assert report.summary() == {"pass": 56, "fail": 0, "timeout": 0}
+
+
+def test_trace_class_decides_each_word_on_its_own_question(monkeypatch):
+    import ribetkit.veriharness.suites as suites
+
+    # X2.X3.X1 is the middle word of its class; with its target moved off
+    # the ideal its question differs from the class's, so it is decided
+    # on its own and fails while its rotations still pass.
+    question = suites.trace_congruence_question
+
+    def moved(w, r, model=None):
+        target, spec = question(w, r, model)
+        if (r, w.letters) == (3, (2, 3, 1)):
+            target = target + Polynomial.one(target.ring, target.table)
+        return target, spec
+
+    monkeypatch.setattr(suites, "trace_congruence_question", moved)
+    report = run_suite(SuiteConfig(suite="trace-identities"))
+    failed = [c.id for c in report.checks if c.status != "pass"]
+    assert failed == ["trace-r3-X2.X3.X1"]
+
+
+def test_trace_class_matches_the_word_by_word_check():
+    from ribetkit.veriharness.suites import _rotation_classes, _trace_class
+
+    budget = Budget()
+    for r, lengths in ((2, (1, 2, 3)), (3, (1, 2))):
+        for length in lengths:
+            for words in _rotation_classes(r, length):
+                expected = [trace_congruence_check(w, r, budget) for w in words]
+                assert _trace_class(words, r, budget) == expected, words
+    # Words of different classes in one call are decided separately.
+    words = (Word((1, 2)), Word((1, 1)), Word((2, 1)), Word((1, 2, 2)))
+    assert _trace_class(words, 2, budget) == [trace_congruence_check(w, 2, budget) for w in words]
 
 
 def test_jobs_parallel_matches_serial():
