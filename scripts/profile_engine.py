@@ -9,18 +9,29 @@ the module path (syzygies and symbolic H1) on R(f) 2x4, the C -> D
 morphism of full-mixed at cap 3 (with its d^2 = 0 check on D and its
 commuting squares timed again on their own, the two sparse matrix
 product workloads), the trace-identities suite with the number of
-membership questions it decided against its number of ids, and the
-specialization suite at the default prime and at p = 1000003.
+membership questions it decided against its number of ids, the 24
+rotation classes of r = 3 trace words of length 4 and a degree-4
+negative control in the full J(p1-type4), both decided on a basis
+truncated at the target's degree (the full basis of that J exhausts the
+step budget), and the specialization suite at the default prime and at
+p = 1000003.
 
 Run: PYTHONPATH=src python scripts/profile_engine.py
 """
 
 import time
+from itertools import product
 
 import ribetkit.genmat as genmat
 import ribetkit.veriharness.suites as suites
 from ribetkit.exactpoly import GF, QQ
-from ribetkit.genmat import Word, det_congruence_check, trace_congruence_check
+from ribetkit.genmat import (
+    GenericModel,
+    Word,
+    det_congruence_check,
+    trace_congruence_check,
+    trace_congruence_question,
+)
 from ribetkit.groebner import buchberger, in_ideal, syzygies
 from ribetkit.brcomplex import br_complexes, build_cd_morphism, check_d2, generic_2xn, symbolic_h1
 from ribetkit.ribet.formal import build_ideals, check_e_tau_invariance, check_example_r2
@@ -88,6 +99,25 @@ def trace_suite():
     print(f"{'  questions decided / ids':55s} {'':9s}  -> {len(decided)} / {len(report.checks)}")
 
 
+def truncated_membership():
+    """Homogeneous questions that in_ideal decides on a basis truncated
+    at the target's degree: one word per rotation class of the r = 3
+    trace words of length 4, and a member of J(p1-type4) plus
+    nu1^2 nu2^2, which J cannot contain since it vanishes where every
+    matrix entry and x_g does."""
+    model = GenericModel(3)
+    classes = [w for w in product((1, 2, 3), repeat=4) if w == min(w[k:] + w[:k] for k in range(4))]
+    timed(
+        "trace classes of length 4 over r=3 (truncated)",
+        lambda: [in_ideal(*trace_congruence_question(Word(w), 3, model)) for w in classes],
+        lambda verdicts: f"{sum(verdicts)} of {len(verdicts)} members",
+    )
+    ideals = build_ideals(shape_one_place_type4())
+    J, F = ideals.J, ideals.ring
+    control = J.generators[1] * J.generators[4] + F.nu(1) ** 2 * F.nu(2) ** 2
+    timed("degree-4 negative control in full J(p1-type4)", lambda: in_ideal(control, J))
+
+
 def specialization_suite():
     """One run_suite of the specialization suite per prime: instance
     generation, the numeric checks and the J evaluation, once per seed."""
@@ -121,6 +151,7 @@ def main():
     timed("  check_d2(D) [full-mixed, cap 3]", lambda: check_d2(cd.D))
     timed("  inclusion.check_commutes() [full-mixed, cap 3]", cd.inclusion.check_commutes)
     trace_suite()
+    truncated_membership()
     specialization_suite()
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import compress
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import StructuralError
@@ -253,7 +254,7 @@ def mono_one(n: int) -> Mono:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
@@ -501,14 +502,18 @@ class Polynomial:
             return NotImplemented
         self._check_compatible(other)
         out = dict(self.terms)
-        ring = self.ring
+        get, p = out.get, self.ring.p
         for m, c in other.terms.items():
-            s = ring.add(out.get(m, ring.zero()), c)
-            if s == 0:
-                out.pop(m, None)
-            else:
+            s = get(m, 0) + c
+            if p:
+                s %= p
+            elif type(s) is not int:
+                s = _demote(s)
+            if s:
                 out[m] = s
-        return Polynomial._trusted(ring, self.table, out)
+            else:
+                out.pop(m, None)
+        return Polynomial._trusted(self.ring, self.table, out)
 
     __radd__ = __add__
 
@@ -538,20 +543,24 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        ring = self.ring
         out: dict[Mono, object] = {}
+        get, p = out.get, self.ring.p
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                m = mono_mul(m1, m2)
-                s = ring.add(out.get(m, ring.zero()), ring.mul(c1, c2))
-                if s == 0:
-                    out.pop(m, None)
-                else:
+                m = tuple(map(add, m1, m2))
+                s = get(m, 0) + c1 * c2
+                if p:
+                    s %= p
+                elif type(s) is not int:
+                    s = _demote(s)
+                if s:
                     out[m] = s
-        return Polynomial._trusted(ring, self.table, out)
+                else:
+                    out.pop(m, None)
+        return Polynomial._trusted(self.ring, self.table, out)
 
     __rmul__ = __mul__
 

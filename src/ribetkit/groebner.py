@@ -66,6 +66,18 @@ reducing (g, 0) by (f, -1) under position over term leaves (0, k q)
 exactly when g = q f, and stops at the first term of g's component that
 the lead of f does not divide when f does not divide g.
 
+Homogeneous membership (Becker & Weispfenning, "Groebner Bases", 1993,
+on d-bases; Kreuzer & Robbiano, "Computational Commutative Algebra 2",
+2005, ch. 4).  When every generator is homogeneous, every S-polynomial
+and every remainder is homogeneous, of the degree of its pair's lcm.
+Pairs whose lcm has degree above d cannot change the basis in degrees
+up to d, so the loop run over the pairs of degree at most d leaves a
+d-basis: its leading terms generate those of the ideal in every degree
+up to d.  A homogeneous f of degree d then lies in the ideal exactly
+when it reduces to zero against that d-basis, in both directions.
+``in_ideal`` decides such questions this way, and never builds the
+full basis for them.
+
 Budgets: every reduction step counts against ``Budget.max_steps`` and
 monomials are checked against ``Budget.max_degree``.  Exceeding either
 raises :class:`BudgetExceeded` -- a resource report, never a wrong
@@ -186,6 +198,9 @@ class _Packer:
         self.deg_mask = (1 << stride) - 1
         self.shifts = [stride * (1 + i) for i in range(nvars)]
         top = self.top = stride * (1 + nvars + len(rows))
+        # A first row of ones (DEGREVLEX) is the total degree, and in a
+        # scalar it is the top field: packed scalars sort by degree first.
+        self.graded = not components and rows[:1] == [(1,) * nvars]
         self.units = [
             1 + (1 << self.shifts[i])
             + sum(row[i] << (top - stride * (r + 1)) for r, row in enumerate(rows))
@@ -529,14 +544,22 @@ def buchberger(spec: IdealSpec, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasi
 
 
 def _buchberger(
-    eng: _Engine, inputs: list[dict], counter: _Counter, head_only: bool = True, check: bool = False
+    eng: _Engine,
+    inputs: list[dict],
+    counter: _Counter,
+    head_only: bool = True,
+    check: bool = False,
+    degree_bound: int | None = None,
 ) -> list[tuple] | None:
     """Records of a Groebner basis of the packed inputs, in the order they
     were added: neither minimal nor interreduced.  With ``head_only``
     False every new element is fully reduced, and its every term is
     checked against the degree cap.  With ``check`` the inputs are taken
     for a basis: the first S-polynomial that does not reduce to zero
-    returns None instead of being added."""
+    returns None instead of being added.  With ``degree_bound`` d, pairs
+    whose lcm has degree above d are skipped, which leaves a d-basis of
+    homogeneous inputs (module docstring); a graded packing pops pairs in
+    degree order, so the first such pair ends the loop."""
     packer = eng.packer
     guard, mask, top = packer.guard, packer.deg_mask, packer.top
 
@@ -572,6 +595,10 @@ def _buchberger(
     while pair_heap:
         lcm, i, j = heapq.heappop(pair_heap)
         pending.discard((i, j))
+        if degree_bound is not None and lcm & mask > degree_bound:
+            if packer.graded:
+                break
+            continue
         # Product criterion.  It is false for module elements, but cannot
         # fire on them: the sum has component fields (2(C-c), 2c), the lcm
         # (C-c, c).
@@ -652,7 +679,10 @@ def in_ideal(
     gb: GroebnerBasis | None = None,
 ) -> bool:
     """Ideal membership.  Tries a plain division certificate first (cheap,
-    sound when it hits zero) and falls back to a Groebner basis."""
+    sound when it hits zero).  Without ``gb``, when f and every generator
+    are homogeneous, it then decides on a basis truncated at deg f, exact
+    in both directions (module docstring); otherwise it falls back to the
+    reduced Groebner basis."""
     if f.is_zero():
         return True
     if gb is None:
@@ -660,8 +690,31 @@ def in_ideal(
             return False
         if reduce_by(f, spec.generators, spec.order, budget).is_zero():
             return True
+        if all(_is_homogeneous(g) for g in (f, *spec.generators)):
+            return _in_ideal_truncated(f, spec, budget)
         gb = buchberger(spec, budget)
     return gb.contains(f, budget)
+
+
+def _is_homogeneous(f: Polynomial) -> bool:
+    return len({sum(m) for m in f.terms}) <= 1
+
+
+def _in_ideal_truncated(f: Polynomial, spec: IdealSpec, budget: Budget) -> bool:
+    """Membership of a homogeneous f in an ideal with homogeneous
+    generators: f reduces to zero against a deg f-basis.  One counter
+    covers the basis and the reduction."""
+    lifted = _lift(spec.generators)
+    f = _match_field(f, lifted[0].ring)
+    d = _max_degree([f])
+
+    def run(degree: int) -> bool:
+        eng, gens = _engine_for(lifted, spec.order, max(degree, d))
+        counter = budget.fresh_counter()
+        G = _buchberger(eng, [eng.pack([g])[0] for g in gens], counter, degree_bound=d)
+        return not eng.reduce(eng.pack([f])[0], G, counter)[0]
+
+    return _widening(budget.max_degree, run)
 
 
 def spec_to_record(spec: IdealSpec) -> dict:

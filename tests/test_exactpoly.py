@@ -19,6 +19,7 @@ from ribetkit.exactpoly import (
     to_text,
 )
 
+T2 = VariableTable(["x", "y"])
 T3 = VariableTable(["x", "y", "z"])
 TBC = VariableTable(["a1", "b1", "c1", "d1"], ["a", "b", "c", "d"])
 
@@ -252,6 +253,63 @@ def test_torus_weight_additive_on_isobaric(f, g):
     if wf is None or wg is None or f.is_zero() or g.is_zero():
         return
     assert (f * g).torus_weight() == wf + wg
+
+
+# The sum and product loops as they were written before the kernels
+# inlined the ring operations: one ``ring.add``/``ring.mul`` dispatch per
+# term and a zip-based monomial product.  Kept as the reference.
+
+def _reference_add(f, g):
+    ring, out = f.ring, dict(f.terms)
+    for m, c in g.terms.items():
+        s = ring.add(out.get(m, ring.zero()), c)
+        if s == 0:
+            out.pop(m, None)
+        else:
+            out[m] = s
+    return out
+
+
+def _reference_mul(f, g):
+    ring, out = f.ring, {}
+    a, b = f.terms, g.terms
+    if len(a) > len(b):
+        a, b = b, a
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            s = ring.add(out.get(m, ring.zero()), ring.mul(c1, c2))
+            if s == 0:
+                out.pop(m, None)
+            else:
+                out[m] = s
+    return out
+
+
+def _operand_pairs(ring, coeffs):
+    # Two variables of degree at most 2: terms collide and cancel often.
+    monos = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    poly = st.dictionaries(monos, coeffs, max_size=6).map(lambda terms: Polynomial(ring, T2, terms))
+    return st.tuples(poly, poly)
+
+
+_P31 = 2**31 - 1
+_KERNEL_OPERANDS = st.one_of(
+    _operand_pairs(ZZ, st.integers(-3, 3)),
+    _operand_pairs(QQ, st.fractions(-2, 2, max_denominator=3)),
+    _operand_pairs(GF(2), st.integers(0, 1)),
+    _operand_pairs(GF(_P31), st.sampled_from([1, 2, _P31 - 1, _P31 - 2]) | st.integers(0, _P31 - 1)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_KERNEL_OPERANDS)
+def test_sum_and_product_kernels_match_the_ring_loop(operands):
+    f, g = operands
+    for got, want in ((f + g, _reference_add(f, g)), (f * g, _reference_mul(f, g))):
+        assert got.terms == want
+        assert list(got.terms) == list(want)
+        assert [type(c) for c in got.terms.values()] == [type(c) for c in want.values()]
 
 
 @settings(max_examples=60, deadline=None)

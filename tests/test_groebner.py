@@ -2,6 +2,7 @@
 
 import pytest
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from hypothesis import assume, given, settings, strategies as st
 
@@ -38,18 +39,20 @@ from ribetkit.groebner import (
     syzygies,
 )
 from ribetkit.brcomplex import br_complexes, generic_2xn
-from ribetkit.genmat import GenericModel, Word, trace_congruence_check
+from ribetkit.genmat import GenericModel, Word, trace_congruence_check, trace_congruence_question
 from ribetkit.linalg import kernel_basis
 from ribetkit.ribet import (
     build_ideals,
     check_e_tau_invariance,
     check_example_r2,
+    shape_full_mixed,
     shape_one_place_type4,
     shape_r2_two_type2,
     shape_sigma_type3,
 )
 
 TXY = VariableTable(["x", "y"])
+TXYZ = VariableTable(["x", "y", "z"])
 
 
 def V(i, ring=QQ, table=TXY):
@@ -444,6 +447,94 @@ def test_gf_path():
     gb = buchberger(IdealSpec([x * x - 1, x * y - 1], LEX))
     assert normal_form(x * x, gb) == Polynomial.one(GF(p), TXY)
     assert gb.verify()
+
+
+# -- homogeneous membership on a d-basis -----------------------------------------
+
+def test_truncated_path_decides_the_length_4_r3_classes_like_the_full_basis():
+    # One word per rotation class, the least rotation: 24 classes, each
+    # a degree-4 target over homogeneous trace defects.
+    model = GenericModel(3)
+    classes = [w for w in product((1, 2, 3), repeat=4) if w == min(w[k:] + w[:k] for k in range(4))]
+    assert len(classes) == 24
+    for letters in classes:
+        target, spec = trace_congruence_question(Word(letters), 3, model)
+        full = buchberger(spec).contains(target)
+        assert groebner._in_ideal_truncated(target, spec, Budget()) == full, letters
+        assert in_ideal(target, spec) == full, letters
+
+
+@cache  # building a strategy per draw would cost more than the test
+def _forms(ring, d):
+    """Homogeneous forms of degree d in x, y, z with one to three terms."""
+    monos = [m for m in product(range(d + 1), repeat=3) if sum(m) == d]
+    coeffs = st.fractions(-2, 2, max_denominator=2).filter(bool) if ring == QQ else st.integers(1, 100)
+    return st.dictionaries(st.sampled_from(monos), coeffs, min_size=1, max_size=3).map(
+        lambda terms: Polynomial(ring, TXYZ, terms)
+    )
+
+
+@st.composite
+def _homogeneous_questions(draw):
+    ring = draw(st.sampled_from([QQ, GF(101)]))
+    gens = [draw(_forms(ring, draw(st.integers(1, 2)))) for _ in range(draw(st.integers(1, 3)))]
+    d = draw(st.integers(1, 4))
+    # A combination of the generators of degree d, plus possibly a form
+    # that takes it out of the ideal.
+    f = Polynomial.zero(ring, TXYZ)
+    for g in gens:
+        if not g.is_zero() and g.total_degree() <= d:
+            f = f + draw(_forms(ring, d - g.total_degree())) * g
+    if draw(st.booleans()):
+        f = f + draw(_forms(ring, d))
+    return f, gens
+
+
+@settings(max_examples=120, deadline=None)
+@given(_homogeneous_questions(), st.sampled_from([DEGREVLEX, LEX]))
+def test_truncated_verdicts_equal_full_basis_verdicts(question, order):
+    f, gens = question
+    spec = IdealSpec(gens, order)
+    assume(spec.generators and not f.is_zero())
+    full = buchberger(spec).contains(f)
+    assert groebner._in_ideal_truncated(f, spec, Budget()) == full
+    assert in_ideal(f, spec) == full
+
+
+def test_lex_truncation_skips_pairs_above_the_bound_and_goes_on():
+    # Under lex the pair of lcm y^3 z^2 (degree 5) pops before the pair
+    # of lcm xyz (degree 3), whose S-polynomial y^3 - z^3 with y^3 + z^3
+    # puts z^3 in the ideal.  Stopping at the first pair above degree 3
+    # would miss it.
+    x, y, z = (Polynomial.var(QQ, TXYZ, i) for i in range(3))
+    spec = IdealSpec([y**3 + z**3, y * z * z, x * y - z * z, x * z - y * y], LEX)
+    assert not reduce_by(z**3, spec.generators, LEX).is_zero()
+    assert groebner._in_ideal_truncated(z**3, spec, Budget())
+    assert buchberger(spec).contains(z**3)
+
+
+@pytest.mark.parametrize("shape", [shape_one_place_type4(), shape_full_mixed()], ids=lambda s: s.name)
+def test_full_j_decides_degree_4_questions_on_a_d_basis(shape, monkeypatch):
+    # The full basis of these J exhausts the default step budget (20-40 s
+    # before it gives up); their 4-bases take a fraction of a second.
+    ideals = build_ideals(shape)
+    J, F = ideals.J, ideals.ring
+    member = J.generators[1] * J.generators[4]
+    non_member = member + F.nu(1) ** 2 * F.nu(2) ** 2
+    # J vanishes where every matrix entry and every x_g is zero, and the
+    # non-member does not: that, not the engine, proves it is outside J.
+    entries = {i: F.zero() for i, role in enumerate(F.table.roles) if role in ("a", "b", "c", "d", "x_sigma")}
+    assert all(g.substitute(entries).is_zero() for g in J.generators)
+    assert not non_member.substitute(entries).is_zero()
+
+    def no_full_basis(*args, **kwargs):
+        raise AssertionError("a homogeneous question built the full basis")
+
+    monkeypatch.setattr(groebner, "buchberger", no_full_basis)
+    assert not reduce_by(member, J.generators).is_zero()
+    assert in_ideal(member, J)
+    assert not reduce_by(non_member, J.generators).is_zero()
+    assert not in_ideal(non_member, J)
 
 
 # -- sparse matrix products ----------------------------------------------------
