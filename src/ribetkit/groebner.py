@@ -198,9 +198,6 @@ class _Packer:
         self.deg_mask = (1 << stride) - 1
         self.shifts = [stride * (1 + i) for i in range(nvars)]
         top = self.top = stride * (1 + nvars + len(rows))
-        # A first row of ones (DEGREVLEX) is the total degree, and in a
-        # scalar it is the top field: packed scalars sort by degree first.
-        self.graded = not components and rows[:1] == [(1,) * nvars]
         self.units = [
             1 + (1 << self.shifts[i])
             + sum(row[i] << (top - stride * (r + 1)) for r, row in enumerate(rows))
@@ -558,8 +555,7 @@ def _buchberger(
     for a basis: the first S-polynomial that does not reduce to zero
     returns None instead of being added.  With ``degree_bound`` d, pairs
     whose lcm has degree above d are skipped, which leaves a d-basis of
-    homogeneous inputs (module docstring); a graded packing pops pairs in
-    degree order, so the first such pair ends the loop."""
+    homogeneous inputs (module docstring)."""
     packer = eng.packer
     guard, mask, top = packer.guard, packer.deg_mask, packer.top
 
@@ -596,8 +592,6 @@ def _buchberger(
         lcm, i, j = heapq.heappop(pair_heap)
         pending.discard((i, j))
         if degree_bound is not None and lcm & mask > degree_bound:
-            if packer.graded:
-                break
             continue
         # Product criterion.  It is false for module elements, but cannot
         # fire on them: the sum has component fields (2(C-c), 2c), the lcm
