@@ -10,11 +10,11 @@ morphism of full-mixed at cap 3 (with its d^2 = 0 check on D and its
 commuting squares timed again on their own, the two sparse matrix
 product workloads), the trace-identities suite with the number of
 membership questions it decided against its number of ids, the 24
-rotation classes of r = 3 trace words of length 4 and a degree-4
-negative control in the full J(p1-type4), both decided on a basis
-truncated at the target's degree (the full basis of that J exhausts the
-step budget), and the specialization suite at the default prime and at
-p = 1000003.
+rotation classes of r = 3 trace words of length 4, a degree-4 negative
+control in the full J(p1-type4) and the generator sets of that J against
+its presentation scaled by 2, all decided on a basis truncated at the
+target's degree (the full basis of that J exhausts the step budget),
+and the specialization suite at the default prime and at p = 1000003.
 
 Run: PYTHONPATH=src python scripts/profile_engine.py
 """
@@ -32,8 +32,15 @@ from ribetkit.genmat import (
     trace_congruence_check,
     trace_congruence_question,
 )
-from ribetkit.groebner import buchberger, in_ideal, syzygies
-from ribetkit.brcomplex import br_complexes, build_cd_morphism, check_d2, generic_2xn, symbolic_h1
+from ribetkit.groebner import IdealSpec, buchberger, in_ideal, syzygies
+from ribetkit.brcomplex import (
+    br_complexes,
+    build_cd_morphism,
+    check_d2,
+    generic_2xn,
+    ideal_generator_sets_match,
+    symbolic_h1,
+)
 from ribetkit.ribet.formal import build_ideals, check_e_tau_invariance, check_example_r2
 from ribetkit.ribet.shapes import corpus, shape_full_mixed, shape_one_place_type4, shape_sigma_type3
 from ribetkit.veriharness import SuiteConfig, run_suite
@@ -100,11 +107,12 @@ def trace_suite():
 
 
 def truncated_membership():
-    """Homogeneous questions that in_ideal decides on a basis truncated
-    at the target's degree: one word per rotation class of the r = 3
-    trace words of length 4, and a member of J(p1-type4) plus
-    nu1^2 nu2^2, which J cannot contain since it vanishes where every
-    matrix entry and x_g does."""
+    """Homogeneous questions decided on a basis truncated at the target's
+    degree: one word per rotation class of the r = 3 trace words of
+    length 4; a member of J(p1-type4) plus nu1^2 nu2^2, which J cannot
+    contain since it vanishes where every matrix entry and x_g does; and
+    the generator sets of J(p1-type4) against the same generators times
+    2."""
     model = GenericModel(3)
     classes = [w for w in product((1, 2, 3), repeat=4) if w == min(w[k:] + w[:k] for k in range(4))]
     timed(
@@ -116,6 +124,8 @@ def truncated_membership():
     J, F = ideals.J, ideals.ring
     control = J.generators[1] * J.generators[4] + F.nu(1) ** 2 * F.nu(2) ** 2
     timed("degree-4 negative control in full J(p1-type4)", lambda: in_ideal(control, J))
+    scaled = IdealSpec([2 * g for g in J.generators])
+    timed("generator sets of J(p1-type4) and 2 J(p1-type4) match", lambda: ideal_generator_sets_match(scaled, J))
 
 
 def specialization_suite():

@@ -36,7 +36,7 @@ from ..groebner import (
     DEFAULT_BUDGET,
     FreeModuleMatrix,
     IdealSpec,
-    buchberger,
+    _ideal_contains_all,
 )
 from ..ribet.formal import FormalIdeals, FormalRing, _sign_canonical, build_ideals
 from ..ribet.shapes import RibetShape
@@ -55,15 +55,14 @@ def ideal_generator_sets_match(
     a: IdealSpec, b: IdealSpec, budget: Budget = DEFAULT_BUDGET
 ) -> bool:
     """Two-way membership of generator sets.  The sign-canonical set
-    comparison is a sound fast path; mismatches fall back to Groebner
-    membership in both directions."""
+    comparison is a sound fast path; mismatches fall back to
+    ``_ideal_contains_all`` in both directions."""
     set_a = {_sign_canonical(g) for g in a.generators}
     set_b = {_sign_canonical(g) for g in b.generators}
     if set_a == set_b:
         return True
-    gb_a, gb_b = buchberger(a, budget), buchberger(b, budget)
-    return all(gb_b.contains(g, budget) for g in a.generators) and all(
-        gb_a.contains(g, budget) for g in b.generators
+    return _ideal_contains_all(b, a.generators, budget) and _ideal_contains_all(
+        a, b.generators, budget
     )
 
 

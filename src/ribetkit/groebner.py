@@ -74,9 +74,10 @@ Pairs whose lcm has degree above d cannot change the basis in degrees
 up to d, so the loop run over the pairs of degree at most d leaves a
 d-basis: its leading terms generate those of the ideal in every degree
 up to d.  A homogeneous f of degree d then lies in the ideal exactly
-when it reduces to zero against that d-basis, in both directions.
-``in_ideal`` decides such questions this way, and never builds the
-full basis for them.
+when it reduces to zero against that d-basis, in both directions, and
+so does one of lower degree.  ``_ideal_contains_all`` decides every
+membership question this way, a batch on one basis truncated at its
+largest degree, unless a target or generator is inhomogeneous.
 
 Budgets: every reduction step counts against ``Budget.max_steps`` and
 monomials are checked against ``Budget.max_degree``.  Exceeding either
@@ -672,41 +673,40 @@ def in_ideal(
     budget: Budget = DEFAULT_BUDGET,
     gb: GroebnerBasis | None = None,
 ) -> bool:
-    """Ideal membership.  Tries a plain division certificate first (cheap,
-    sound when it hits zero).  Without ``gb``, when f and every generator
-    are homogeneous, it then decides on a basis truncated at deg f, exact
-    in both directions (module docstring); otherwise it falls back to the
-    reduced Groebner basis."""
-    if f.is_zero():
-        return True
-    if gb is None:
-        if not spec.generators:
-            return False
-        if reduce_by(f, spec.generators, spec.order, budget).is_zero():
-            return True
-        if all(_is_homogeneous(g) for g in (f, *spec.generators)):
-            return _in_ideal_truncated(f, spec, budget)
-        gb = buchberger(spec, budget)
-    return gb.contains(f, budget)
+    """Ideal membership: the normal form against ``gb`` when it is given,
+    else ``_ideal_contains_all`` (a truncated basis for homogeneous f)."""
+    if gb is not None:
+        return gb.contains(f, budget)
+    return _ideal_contains_all(spec, [f], budget)
 
 
 def _is_homogeneous(f: Polynomial) -> bool:
     return len({sum(m) for m in f.terms}) <= 1
 
 
-def _in_ideal_truncated(f: Polynomial, spec: IdealSpec, budget: Budget) -> bool:
-    """Membership of a homogeneous f in an ideal with homogeneous
-    generators: f reduces to zero against a deg f-basis.  One counter
-    covers the basis and the reduction."""
+def _ideal_contains_all(spec: IdealSpec, targets: Sequence[Polynomial], budget: Budget) -> bool:
+    """Whether every target lies in the ideal of ``spec``.  When targets
+    and generators are all homogeneous, one basis truncated at the
+    largest target degree decides them all (module docstring), under one
+    step counter; otherwise each target is reduced against the reduced
+    Groebner basis.  Stops at the first non-member."""
+    targets = [f for f in targets if not f.is_zero()]
+    if not targets:
+        return True
+    if not spec.generators:
+        return False
+    if not all(_is_homogeneous(g) for g in (*targets, *spec.generators)):
+        gb = buchberger(spec, budget)
+        return all(gb.contains(f, budget) for f in targets)
     lifted = _lift(spec.generators)
-    f = _match_field(f, lifted[0].ring)
-    d = _max_degree([f])
+    targets = [_match_field(f, lifted[0].ring) for f in targets]
+    d = _max_degree(targets)
 
     def run(degree: int) -> bool:
         eng, gens = _engine_for(lifted, spec.order, max(degree, d))
         counter = budget.fresh_counter()
         G = _buchberger(eng, [eng.pack([g])[0] for g in gens], counter, degree_bound=d)
-        return not eng.reduce(eng.pack([f])[0], G, counter)[0]
+        return all(not eng.reduce(eng.pack([f])[0], G, counter)[0] for f in targets)
 
     return _widening(budget.max_degree, run)
 

@@ -204,9 +204,11 @@ def test_quotient_soundness_property():
 def test_in_ideal_quick_path_and_gb_path():
     x, y = V(0), V(1)
     spec = IdealSpec([x * x - 1, x * y - 1])
-    # Plain-division certificate suffices here.
+    # The ideal is not homogeneous, so all three questions are decided on
+    # its reduced Groebner basis: a combination of the generators...
     assert in_ideal((x * x - 1) * y + x * (x * y - 1), spec)
-    # Needs the Groebner fallback.
+    # ...a member that plain division by the generators does not certify...
+    assert not reduce_by(x - y, spec.generators).is_zero()
     assert in_ideal(x - y, spec)
     assert not in_ideal(x, spec)
 
@@ -460,7 +462,7 @@ def test_truncated_path_decides_the_length_4_r3_classes_like_the_full_basis():
     for letters in classes:
         target, spec = trace_congruence_question(Word(letters), 3, model)
         full = buchberger(spec).contains(target)
-        assert groebner._in_ideal_truncated(target, spec, Budget()) == full, letters
+        assert groebner._ideal_contains_all(spec, [target], Budget()) == full, letters
         assert in_ideal(target, spec) == full, letters
 
 
@@ -478,27 +480,32 @@ def _forms(ring, d):
 def _homogeneous_questions(draw):
     ring = draw(st.sampled_from([QQ, GF(101)]))
     gens = [draw(_forms(ring, draw(st.integers(1, 2)))) for _ in range(draw(st.integers(1, 3)))]
-    d = draw(st.integers(1, 4))
-    # A combination of the generators of degree d, plus possibly a form
-    # that takes it out of the ideal.
-    f = Polynomial.zero(ring, TXYZ)
-    for g in gens:
-        if not g.is_zero() and g.total_degree() <= d:
-            f = f + draw(_forms(ring, d - g.total_degree())) * g
-    if draw(st.booleans()):
-        f = f + draw(_forms(ring, d))
-    return f, gens
+    targets = []
+    for d in draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True)):
+        # A combination of the generators of degree d, plus possibly a
+        # form that takes it out of the ideal.
+        f = Polynomial.zero(ring, TXYZ)
+        for g in gens:
+            if not g.is_zero() and g.total_degree() <= d:
+                f = f + draw(_forms(ring, d - g.total_degree())) * g
+        if draw(st.booleans()):
+            f = f + draw(_forms(ring, d))
+        targets.append(f)
+    return targets, gens
 
 
 @settings(max_examples=120, deadline=None)
 @given(_homogeneous_questions(), st.sampled_from([DEGREVLEX, LEX]))
 def test_truncated_verdicts_equal_full_basis_verdicts(question, order):
-    f, gens = question
+    # One to three targets of different degrees, decided as one batch on
+    # a basis truncated at the largest of them.
+    targets, gens = question
     spec = IdealSpec(gens, order)
-    assume(spec.generators and not f.is_zero())
-    full = buchberger(spec).contains(f)
-    assert groebner._in_ideal_truncated(f, spec, Budget()) == full
-    assert in_ideal(f, spec) == full
+    assume(spec.generators and any(not f.is_zero() for f in targets))
+    gb = buchberger(spec)
+    full = [gb.contains(f) for f in targets]
+    assert groebner._ideal_contains_all(spec, targets, Budget()) == all(full)
+    assert [in_ideal(f, spec) for f in targets] == full
 
 
 def test_lex_truncation_skips_pairs_above_the_bound_and_goes_on():
@@ -509,8 +516,12 @@ def test_lex_truncation_skips_pairs_above_the_bound_and_goes_on():
     x, y, z = (Polynomial.var(QQ, TXYZ, i) for i in range(3))
     spec = IdealSpec([y**3 + z**3, y * z * z, x * y - z * z, x * z - y * y], LEX)
     assert not reduce_by(z**3, spec.generators, LEX).is_zero()
-    assert groebner._in_ideal_truncated(z**3, spec, Budget())
+    assert groebner._ideal_contains_all(spec, [z**3], Budget())
     assert buchberger(spec).contains(z**3)
+    # A batch is truncated at its largest target degree: z^3 does not
+    # reduce to zero against a 2-basis, which the quadric target alone
+    # would give.
+    assert groebner._ideal_contains_all(spec, [x * y - z * z, z**3], Budget())
 
 
 @pytest.mark.parametrize("shape", [shape_one_place_type4(), shape_full_mixed()], ids=lambda s: s.name)

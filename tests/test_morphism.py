@@ -3,10 +3,18 @@ complex: squares, images, adjoint law."""
 
 from dataclasses import replace
 
+import ribetkit.groebner as groebner
 from ribetkit.brcomplex import build_cd_morphism, check_d2, ideal_generator_sets_match
 from ribetkit.exactpoly import DEGREVLEX, QQ, Polynomial, VariableTable
 from ribetkit.groebner import FreeModuleMatrix, IdealSpec
-from ribetkit.ribet.shapes import corpus, shape_full_mixed, shape_r2_two_type2
+from ribetkit.linalg import rank
+from ribetkit.ribet.formal import build_ideals
+from ribetkit.ribet.shapes import (
+    corpus,
+    shape_full_mixed,
+    shape_one_place_type4,
+    shape_r2_two_type2,
+)
 
 
 def test_cd_morphism_r2():
@@ -56,6 +64,29 @@ def test_generator_sets_match_fallback():
     assert ideal_generator_sets_match(IdealSpec([zero]), IdealSpec([]))
     assert not ideal_generator_sets_match(IdealSpec([x]), IdealSpec([]))
     assert not ideal_generator_sets_match(IdealSpec([]), IdealSpec([x, y]))
+
+
+def test_generator_sets_of_the_full_j_match_on_a_d_basis(monkeypatch):
+    # The full basis of J(p1-type4) exhausts the default step budget; its
+    # quadric generators are compared on a 2-basis instead.
+    J = build_ideals(shape_one_place_type4()).J
+    gens = list(J.generators)
+    assert len(gens) == 16
+    # The generators are linearly independent quadrics, so the degree-2
+    # part of the ideal of any 15 of them is their span, which misses the
+    # sixteenth: that, not the engine, proves each drop below is a
+    # different ideal.
+    assert all({sum(m) for m in g.terms} == {2} for g in gens)
+    monos = sorted({m for g in gens for m in g.terms})
+    assert rank([[g.terms.get(m, 0) for m in monos] for g in gens], J.ring) == 16
+
+    def no_full_basis(*args, **kwargs):
+        raise AssertionError("a homogeneous comparison built the full basis")
+
+    monkeypatch.setattr(groebner, "buchberger", no_full_basis)
+    assert ideal_generator_sets_match(IdealSpec([2 * g for g in gens]), J)
+    for i in range(16):
+        assert not ideal_generator_sets_match(IdealSpec(gens[:i] + gens[i + 1 :]), J), i
 
 
 def test_place_factor_degree1_images_are_quadruple_entries():
