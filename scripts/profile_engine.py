@@ -13,8 +13,12 @@ membership questions it decided against its number of ids, the 24
 rotation classes of r = 3 trace words of length 4, a degree-4 negative
 control in the full J(p1-type4) and the generator sets of that J against
 its presentation scaled by 2, all decided on a basis truncated at the
-target's degree (the full basis of that J exhausts the step budget),
-and the specialization suite at the default prime and at p = 1000003.
+target's degree (the full basis of that J exhausts the step budget), a
+member of degree 5 of the full J of p1-type4, full-mixed and spec-r4
+and one of degree 6 of J(p1-type4), each decided by
+``_ideal_contains_all`` on its truncated basis, which is nearly all of
+the time, and the specialization suite at the default prime and at
+p = 1000003.
 
 Run: PYTHONPATH=src python scripts/profile_engine.py
 """
@@ -42,7 +46,13 @@ from ribetkit.brcomplex import (
     symbolic_h1,
 )
 from ribetkit.ribet.formal import build_ideals, check_e_tau_invariance, check_example_r2
-from ribetkit.ribet.shapes import corpus, shape_full_mixed, shape_one_place_type4, shape_sigma_type3
+from ribetkit.ribet.shapes import (
+    corpus,
+    shape_full_mixed,
+    shape_one_place_type4,
+    shape_sigma_type3,
+    shape_specialization,
+)
 from ribetkit.veriharness import SuiteConfig, run_suite
 
 
@@ -128,6 +138,24 @@ def truncated_membership():
     timed("generator sets of J(p1-type4) and 2 J(p1-type4) match", lambda: ideal_generator_sets_match(scaled, J))
 
 
+def larger_truncated_bases():
+    """A member of degree 5 of the full J of each of the three larger
+    shapes, and one of degree 6 of J(p1-type4): a product of two
+    generators times a power of nu1.  ``in_ideal`` decides each through
+    ``_ideal_contains_all``, on a basis truncated at the target's degree;
+    a basis missing an element could turn the verdict to False."""
+    for shape, d in (
+        (shape_one_place_type4(), 5),
+        (shape_full_mixed(), 5),
+        (shape_specialization(), 5),
+        (shape_one_place_type4(), 6),
+    ):
+        ideals = build_ideals(shape)
+        J, F = ideals.J, ideals.ring
+        member = J.generators[1] * J.generators[4] * F.nu(1) ** (d - 4)
+        timed(f"degree-{d} member of full J({shape.name})", lambda: in_ideal(member, J))
+
+
 def specialization_suite():
     """One run_suite of the specialization suite per prime: instance
     generation, the numeric checks and the J evaluation, once per seed."""
@@ -162,6 +190,7 @@ def main():
     timed("  inclusion.check_commutes() [full-mixed, cap 3]", cd.inclusion.check_commutes)
     trace_suite()
     truncated_membership()
+    larger_truncated_bases()
     specialization_suite()
 
 

@@ -4,7 +4,10 @@ quotients, and module syzygies.
 This is the proof oracle for every "lies in the ideal" claim in the
 package.  One Buchberger loop, with the normal pair-selection strategy
 (minimal lcm) and the product and chain criteria (Gebauer & Moeller,
-JSC 1988), serves ideals, submodules of free modules and syzygies.  One
+JSC 1988), serves ideals, submodules of free modules and syzygies.  It
+reduces each S-polynomial by the basis records ordered by tail length,
+shortest first, ties in the order they were added: a short reducer adds
+few terms per step.  The basis itself keeps the order of addition.  One
 reduction loop, ``_Engine.reduce``, serves both coefficient cores and
 every division in the package; the cores differ only in the step taken
 once per reducer hit.  Over the rationals the loop runs on integer
@@ -25,7 +28,13 @@ The order rows are the dot products of the exponent vector with
 ``order.weight_rows(n)``.  Every field is linear in the exponents, so
 the product of two monomials is ``a + b``, the monomial order is ``<``
 on ints, ``a | b`` iff ``((b | G) - a) & G == G`` (G the guard bits),
-and the degree-cap check reads the bottom field.  The field width comes
+and the degree-cap check reads the bottom field.  Linearity also gives
+the lcm of two leads sparsely.  Each lead keeps its nonzero exponents as
+(variable, exponent) pairs, at most k of them for degree k, and the lcm
+of lead i with a new lead is the new packed lead plus (e - e_new[v])
+times the packed unit of v, over the pairs (v, e) of lead i with
+e > e_new[v]: bit for bit the packed exponent-wise max, from a few terms
+instead of one per variable.  The field width comes
 from ``Budget.max_degree`` and the largest input degree: the value bits
 hold every field of a monomial the engine keeps, so the sum of two never
 carries into a neighbouring field.  The one product whose degree no cap
@@ -73,7 +82,12 @@ and every remainder is homogeneous, of the degree of its pair's lcm.
 Pairs whose lcm has degree above d cannot change the basis in degrees
 up to d, so the loop run over the pairs of degree at most d leaves a
 d-basis: its leading terms generate those of the ideal in every degree
-up to d.  A homogeneous f of degree d then lies in the ideal exactly
+up to d.  The bound is applied when a pair is formed, so a pair above it
+is never queued or recorded as pending.  The chain criterion decides as
+it would with every pair formed: for a pair (i, j) it only asks whether
+pairs (i, k) and (j, k) with lead k dividing lcm(i, j) are pending, and
+their lcms divide lcm(i, j), so they are at most d in degree and were
+formed.  A homogeneous f of degree d then lies in the ideal exactly
 when it reduces to zero against that d-basis, in both directions, and
 so does one of lower degree.  ``_ideal_contains_all`` decides every
 membership question this way, a batch on one basis truncated at its
@@ -88,6 +102,7 @@ answer.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -216,6 +231,19 @@ class _Packer:
     def unpack(self, x: int) -> Mono:
         mask = self.deg_mask
         return tuple((x >> s) & mask for s in self.shifts)
+
+    def lcm(self, x: int, exps: Mono, support: Iterable[tuple[int, int]]) -> int:
+        """The packed lcm of the packed monomial ``x``, whose exponent
+        tuple is ``exps``, and the monomial of ``x``'s component whose
+        nonzero exponents are the (variable, exponent) pairs ``support``.
+        Packing is linear, so this is ``pack(map(max, exps, e))`` plus the
+        component, from the few variables where the other monomial is
+        larger."""
+        units = self.units
+        for v, e in support:
+            if e > exps[v]:
+                x += (e - exps[v]) * units[v]
+        return x
 
     def component(self, x: int) -> int:
         return (x >> self.top) & self.deg_mask
@@ -550,19 +578,25 @@ def _buchberger(
     degree_bound: int | None = None,
 ) -> list[tuple] | None:
     """Records of a Groebner basis of the packed inputs, in the order they
-    were added: neither minimal nor interreduced.  With ``head_only``
-    False every new element is fully reduced, and its every term is
-    checked against the degree cap.  With ``check`` the inputs are taken
-    for a basis: the first S-polynomial that does not reduce to zero
-    returns None instead of being added.  With ``degree_bound`` d, pairs
-    whose lcm has degree above d are skipped, which leaves a d-basis of
-    homogeneous inputs (module docstring)."""
+    were added: neither minimal nor interreduced.  S-polynomials are
+    reduced by the records shortest tail first (module docstring).  With
+    ``head_only`` False every new element is fully reduced, and its every
+    term is checked against the degree cap.  With ``check`` the inputs are
+    taken for a basis: the first S-polynomial that does not reduce to
+    zero returns None instead of being added.  With ``degree_bound`` d,
+    a pair whose lcm has degree above d is never formed, which leaves a
+    d-basis of homogeneous inputs, and with ``check`` re-checks one
+    (module docstring)."""
     packer = eng.packer
     guard, mask, top = packer.guard, packer.deg_mask, packer.top
+    # No lcm's degree field exceeds the mask, so without a bound every
+    # pair is formed.
+    bound = mask if degree_bound is None else degree_bound
 
     G: list[tuple] = []
+    reducers: list[tuple] = []  # the records of G, shortest tail first
     leads: list[int] = []
-    exps: list[Mono] = []  # leading exponent tuples, for the pair lcms
+    supports: list[list[tuple[int, int]]] = []  # the leads' (variable, exponent) pairs
     pair_heap: list = []
     pending: set[tuple[int, int]] = set()
 
@@ -573,13 +607,16 @@ def _buchberger(
         idx = len(G)
         e_new = packer.unpack(lm)
         position = lm >> top  # the module component; 0 for scalars
-        for i, e in enumerate(exps):
-            if leads[i] >> top == position:  # pairs only within one component
-                heapq.heappush(pair_heap, (packer.pack(map(max, e, e_new)) + (position << top), i, idx))
-                pending.add((i, idx))
+        for i, (lead, support) in enumerate(zip(leads, supports)):
+            if lead >> top == position:  # pairs only within one component
+                lcm = packer.lcm(lm, e_new, support)
+                if lcm & mask <= bound:
+                    heapq.heappush(pair_heap, (lcm, i, idx))
+                    pending.add((i, idx))
         G.append(rec)
+        insort(reducers, rec, key=lambda r: len(r[3]))
         leads.append(lm)
-        exps.append(e_new)
+        supports.append([(v, e) for v, e in enumerate(e_new) if e])
 
     seen = set()
     for t in inputs:
@@ -592,8 +629,6 @@ def _buchberger(
     while pair_heap:
         lcm, i, j = heapq.heappop(pair_heap)
         pending.discard((i, j))
-        if degree_bound is not None and lcm & mask > degree_bound:
-            continue
         # Product criterion.  It is false for module elements, but cannot
         # fire on them: the sum has component fields (2(C-c), 2c), the lcm
         # (C-c, c).
@@ -613,7 +648,7 @@ def _buchberger(
         s = eng.spoly(G[i], G[j], lcm, counter)
         if not s:
             continue
-        r, _ = eng.reduce(s, G, counter, head_only)
+        r, _ = eng.reduce(s, reducers, counter, head_only)
         if r:
             if check:
                 return None

@@ -364,6 +364,18 @@ def test_packed_module_monomials_are_position_over_term(name, a, b, ca, cb):
     assert (((pm | g) - pa) & g == g) == (ca == cb)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_PACKED_ORDERS)), _exps, _exps, st.sampled_from([0, 3]), st.integers(0, 2))
+def test_sparse_lcm_is_the_packed_lcm(name, e, f, rank, c):
+    # The pair lcm, from the (variable, exponent) pairs of one lead and
+    # the packed other lead, is bit for bit the packed exponent-wise max
+    # in that lead's component.  A scalar is component 0 of rank 0.
+    packer = groebner._Packer(_PACKED_ORDERS[name], 5, 200, rank)
+    component = packer.components[c % len(packer.components)]
+    support = [(v, x) for v, x in enumerate(e) if x]
+    assert packer.lcm(packer.pack(f) + component, f, support) == packer.pack(map(max, e, f)) + component
+
+
 def test_qq_and_gf_cores_agree_on_a_corpus_ideal():
     # The first six relations of J(sigma-v0-type3): a 34-element basis,
     # about 3000 reduction steps, and verify() well under a second.
@@ -374,6 +386,16 @@ def test_qq_and_gf_cores_agree_on_a_corpus_ideal():
     assert len(qq.basis) == 34
     assert [g.change_ring(GF(p)) for g in qq.basis] == list(gf.basis)
     assert qq.verify() and gf.verify()
+
+
+def test_full_basis_of_j_sigma_v0_type3_on_both_cores():
+    # The engine-core verdict of the benchmark: 102 elements over QQ and
+    # over GF(2^31 - 1), and the QQ basis reduced mod p is the GF(p) basis.
+    p = 2**31 - 1
+    qq = buchberger(build_ideals(shape_sigma_type3()).J)
+    gf = buchberger(build_ideals(shape_sigma_type3(), GF(p)).J)
+    assert len(qq.basis) == len(gf.basis) == 102
+    assert [g.change_ring(GF(p)) for g in qq.basis] == list(gf.basis)
 
 
 def test_verify_keeps_the_criteria_of_buchberger():
@@ -546,6 +568,25 @@ def test_full_j_decides_degree_4_questions_on_a_d_basis(shape, monkeypatch):
     assert in_ideal(member, J)
     assert not reduce_by(non_member, J.generators).is_zero()
     assert not in_ideal(non_member, J)
+
+
+def test_bounded_check_accepts_a_d_basis_and_rejects_it_short_of_a_remainder():
+    # The records of the 4-basis of J(p1-type4) pass check mode under the
+    # same bound, and fail it without the last record added, an S-pair
+    # remainder.  Unbounded, the check rejects them: the full basis of this
+    # J is far larger.
+    J = build_ideals(shape_one_place_type4()).J
+    eng, gens = groebner._engine_for(groebner._lift(J.generators), DEGREVLEX, Budget().max_degree)
+    G = groebner._buchberger(eng, [eng.pack([g])[0] for g in gens], Budget().fresh_counter(), degree_bound=4)
+    assert len(G) == 113 and len(gens) == 16
+
+    def check(records, degree_bound=4):
+        inputs = [rec[2] for rec in records]
+        return groebner._buchberger(eng, inputs, Budget().fresh_counter(), check=True, degree_bound=degree_bound)
+
+    assert check(G) is not None
+    assert check(G[:-1]) is None
+    assert check(G, None) is None
 
 
 # -- sparse matrix products ----------------------------------------------------
