@@ -17,8 +17,11 @@ target's degree (the full basis of that J exhausts the step budget), a
 member of degree 5 of the full J of p1-type4, full-mixed and spec-r4
 and one of degree 6 of J(p1-type4), each decided by
 ``_ideal_contains_all`` on its truncated basis, which is nearly all of
-the time, and the specialization suite at the default prime and at
-p = 1000003.
+the time, the specialization suite at the default prime and at
+p = 1000003, and the two layers that keep what they build for one check:
+the adjoint law of every relation quadruple of the five corpus shapes
+with one tau_x action per shape, and the trace questions, built but not
+decided, of every r = 3 word of length at most 3 on one generic model.
 
 Run: PYTHONPATH=src python scripts/profile_engine.py
 """
@@ -28,6 +31,7 @@ from itertools import product
 
 import ribetkit.genmat as genmat
 import ribetkit.veriharness.suites as suites
+from ribetkit.borel import TauAction, adjoint_quadruple_check
 from ribetkit.exactpoly import GF, QQ
 from ribetkit.genmat import (
     GenericModel,
@@ -167,6 +171,38 @@ def specialization_suite():
         )
 
 
+def cached_layers():
+    """The adjoint law of every relation quadruple of the five corpus
+    shapes, one TauAction per shape as the stability check makes it (the
+    ideals are built first, untimed); and the trace questions of every
+    r = 3 word of length 1 to 3 on one GenericModel, built, not decided."""
+    all_ideals = [build_ideals(sh) for sh in corpus()]
+
+    def adjoint_laws():
+        verdicts = []
+        for ideals in all_ideals:
+            act = TauAction(ideals.ring.table)
+            verdicts += [adjoint_quadruple_check(*q.matrix.entries(), action=act) for q in ideals.quadruples]
+        return verdicts
+
+    timed(
+        "adjoint law of every quadruple of the corpus shapes",
+        adjoint_laws,
+        lambda verdicts: f"{sum(verdicts)} of {len(verdicts)} hold",
+    )
+    words = [w for n in (1, 2, 3) for w in product((1, 2, 3), repeat=n)]
+
+    def questions():
+        model = GenericModel(3)
+        return [trace_congruence_question(Word(w), 3, model) for w in words]
+
+    timed(
+        "trace questions of r=3 words of length <= 3 (built)",
+        questions,
+        lambda qs: f"{len(qs)} questions, {sum(len(spec.generators) for _, spec in qs)} generators",
+    )
+
+
 def main():
     timed("example-r2 (positive)", check_example_r2)
     timed("example-r2 (negative control)", lambda: check_example_r2(omit_relation=7))
@@ -192,6 +228,7 @@ def main():
     truncated_membership()
     larger_truncated_bases()
     specialization_suite()
+    cached_layers()
 
 
 if __name__ == "__main__":

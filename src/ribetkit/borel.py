@@ -38,12 +38,17 @@ class TauAction:
 
     The parameter variable is appended to the base table (always last, so
     ideal membership in I.R[x] can reuse the base monomial order).
+
+    The substitution map (the tau_x image of every a/b/c/d variable) is
+    built once per coefficient ring and kept on the instance.  An action
+    is made inside one check, so the cache lives for that check.
     """
 
     base: VariableTable
     param_name: str = "x"
     table: VariableTable = field(init=False)
     param: int = field(init=False)
+    _maps_by_ring: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         name = self.param_name
@@ -65,9 +70,12 @@ class TauAction:
         return out
 
     def _maps(self, ring) -> dict[int, Polynomial]:
+        mapping = self._maps_by_ring.get(ring)
+        if mapping is not None:
+            return mapping
         x = self.x_var(ring)
         images: dict[str, tuple[Polynomial, ...]] = {}  # name suffix -> tau_x(a, b, c, d)
-        mapping: dict[int, Polynomial] = {}
+        mapping = {}
         for i, role in enumerate(self.base.roles):
             if role not in ("a", "b", "c", "d"):
                 continue
@@ -75,6 +83,7 @@ class TauAction:
             if suffix not in images:
                 images[suffix] = _tau_images(*self._quadruple(ring, suffix), x)
             mapping[i] = images[suffix]["abcd".index(role)]
+        self._maps_by_ring[ring] = mapping
         return mapping
 
     def apply(self, f: Polynomial) -> Polynomial:

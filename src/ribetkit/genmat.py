@@ -185,12 +185,21 @@ class GenericModel:
 
     Extra variables (for symbolic combination coefficients) can be
     requested at construction.
+
+    Each variable, each word matrix (keyed by its letters and ``hat``,
+    built from the cached matrix of its prefix times one factor) and each
+    trace defect (keyed by its letters) is built once and kept on the
+    instance.  A model is made inside one check, so the cache lives for
+    that check.
     """
 
     r: int
     ring: CoefficientRing = QQ
     extra: tuple[str, ...] = ()
     table: VariableTable = field(init=False)
+    _vars: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _words: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _trace_defects: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         names: list[str] = []
@@ -206,7 +215,10 @@ class GenericModel:
         self.table = VariableTable(names, roles)
 
     def _v(self, name: str) -> Polynomial:
-        return Polynomial.var(self.ring, self.table, self.table.index(name))
+        v = self._vars.get(name)
+        if v is None:
+            v = self._vars[name] = Polynomial.var(self.ring, self.table, self.table.index(name))
+        return v
 
     def rho(self, i: int) -> Mat2:
         """Generic matrix rho_i (the psi-shifted group image minus psi)."""
@@ -235,18 +247,27 @@ class GenericModel:
         return acc
 
     def word_matrix(self, letters: Sequence[int], hat: bool = True) -> Mat2:
-        acc = None
-        for i in letters:
-            m = self.rhohat(i) if hat else self.rho(i)
-            acc = m if acc is None else acc * m
-        if acc is None:
-            return Mat2.identity(self.ring, self.table)
-        return acc
+        word = tuple(letters)
+        m = self._words.get((word, hat))
+        if m is None:
+            if not word:
+                m = Mat2.identity(self.ring, self.table)
+            else:
+                m = self.rhohat(word[-1]) if hat else self.rho(word[-1])
+                if len(word) > 1:
+                    m = self.word_matrix(word[:-1], hat) * m
+            self._words[word, hat] = m
+        return m
 
     # -- congruence ideals ---------------------------------------------
     def trace_defect(self, letters: Sequence[int]) -> Polynomial:
-        m = self.word_matrix(letters)
-        return m.trace() - self.char_product("chi", letters) - self.char_product("psi", letters)
+        key = tuple(letters)
+        f = self._trace_defects.get(key)
+        if f is None:
+            m = self.word_matrix(key)
+            f = m.trace() - self.char_product("chi", key) - self.char_product("psi", key)
+            self._trace_defects[key] = f
+        return f
 
     def det_defect(self, letters: Sequence[int]) -> Polynomial:
         m = self.word_matrix(letters)

@@ -667,15 +667,14 @@ def _reduced_basis(eng: _Engine, G: list[tuple], counter: _Counter, table) -> li
         if any((lg - h[0]) & guard == guard for h in kept):
             continue
         kept.append(rec)
-    # Tail-reduce each survivor against the others and make monic.
-    final: list[tuple[int, Polynomial]] = []
-    for i, rec in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        rem, _ = eng.reduce(rec[2], others, counter)
-        if rem:
-            final.append((max(rem), eng.to_vector(rem, table)[0]))
-    final.sort(key=itemgetter(0), reverse=True)
-    return [f for _, f in final]
+    # Tail-reduce each survivor, in ascending lead order, against the
+    # survivors already reduced: a tail term lies below its lead, so only
+    # a smaller lead can divide it.  Then make monic, largest lead first.
+    reduced: list[tuple] = []
+    for rec in kept:
+        rem, _ = eng.reduce(rec[2], reduced, counter)
+        reduced.append(eng.record(rem))
+    return [eng.to_vector(rec[2], table)[0] for rec in reversed(reduced)]
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis, budget: Budget = DEFAULT_BUDGET) -> Polynomial:

@@ -4,7 +4,7 @@ invariance modulo ideals, and the one-parameter subgroup law."""
 from hypothesis import given, settings, strategies as st
 
 from ribetkit.borel import TauAction, adjoint_quadruple_check, invariant_mod
-from ribetkit.exactpoly import QQ, Polynomial, VariableTable
+from ribetkit.exactpoly import GF, QQ, Polynomial, VariableTable
 from ribetkit.genmat import GenericModel
 from ribetkit.groebner import IdealSpec
 from ribetkit.ribet.formal import FormalRing, build_ideals
@@ -112,3 +112,15 @@ def test_invariant_mod_examples():
     assert invariant_mod(F.a(1), IdealSpec([F.b(1)]))
     # but not modulo the zero ideal.
     assert not invariant_mod(F.a(1), IdealSpec([]))
+
+
+def test_one_action_over_several_rings_matches_fresh_actions():
+    # The substitution map is kept per coefficient ring: after QQ, GF(p)
+    # and GF(q), each image still equals a fresh action's.
+    f = V("a1") * V("d1") - V("b1") * V("c1") + 3 * V("c2") * V("s") + V("a2") ** 2 - 5 * V("d2")
+    act = TauAction(T)
+    for ring in (QQ, GF(101), GF(2**31 - 1), QQ):
+        g = f.change_ring(ring)
+        image = act.apply(g)
+        assert image.ring == ring
+        assert image == TauAction(T).apply(g), ring

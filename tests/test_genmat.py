@@ -1,6 +1,7 @@
 """Generic 2x2 matrices: words, invariants, and the congruence checks."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -136,3 +137,16 @@ def test_mat2_record():
     model = GenericModel(1)
     rec = mat2_to_record(model.rho(1))
     assert rec == {"a": "1*a1", "b": "1*b1", "c": "1*c1", "d": "1*d1"}
+
+
+def test_one_model_answers_like_fresh_models_in_any_order():
+    # Word matrices are kept by (letters, hat) and trace defects by
+    # letters; asking every r=3 word of length at most 3 forward, shifted
+    # first, or backward, unshifted first, gives a fresh model's answers.
+    words = [w for n in range(4) for w in product((1, 2, 3), repeat=n)]
+    for order, hats in ((words, (True, False)), (words[::-1], (False, True))):
+        model = GenericModel(3)
+        for w in order:
+            for hat in hats:
+                assert model.word_matrix(w, hat) == GenericModel(3).word_matrix(w, hat), (w, hat)
+            assert model.trace_defect(w) == GenericModel(3).trace_defect(w), w

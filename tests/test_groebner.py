@@ -388,14 +388,51 @@ def test_qq_and_gf_cores_agree_on_a_corpus_ideal():
     assert qq.verify() and gf.verify()
 
 
+@cache
+def _j_sigma_v0_type3_bases():
+    """The reduced bases of J(sigma-v0-type3) over QQ and GF(2^31 - 1)."""
+    p = 2**31 - 1
+    return buchberger(build_ideals(shape_sigma_type3()).J), buchberger(build_ideals(shape_sigma_type3(), GF(p)).J)
+
+
 def test_full_basis_of_j_sigma_v0_type3_on_both_cores():
     # The engine-core verdict of the benchmark: 102 elements over QQ and
     # over GF(2^31 - 1), and the QQ basis reduced mod p is the GF(p) basis.
     p = 2**31 - 1
-    qq = buchberger(build_ideals(shape_sigma_type3()).J)
-    gf = buchberger(build_ideals(shape_sigma_type3(), GF(p)).J)
+    qq, gf = _j_sigma_v0_type3_bases()
     assert len(qq.basis) == len(gf.basis) == 102
     assert [g.change_ring(GF(p)) for g in qq.basis] == list(gf.basis)
+
+
+def _assert_reduced(gb):
+    """Every element is monic, and no term of any element is divisible by
+    the lead of another."""
+    leads = [g.leading_term(gb.order) for g in gb.basis]
+    for k, g in enumerate(gb.basis):
+        assert leads[k][1] == 1, g
+        others = leads[:k] + leads[k + 1 :]
+        assert not any(mono_divides(lead, m) for m in g.terms for lead, _ in others), g
+
+
+def _small_polys(ring):
+    """Polynomials in x, y, z of degree at most 3 with one to three terms."""
+    monos = [m for m in product(range(4), repeat=3) if sum(m) <= 3]
+    terms = st.dictionaries(st.sampled_from(monos), st.integers(-3, 3).filter(bool), min_size=1, max_size=3)
+    return terms.map(lambda t: Polynomial(ring, TXYZ, t))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(101)]).flatmap(lambda ring: st.lists(_small_polys(ring), min_size=1, max_size=3)),
+    st.sampled_from([DEGREVLEX, LEX]),
+)
+def test_buchberger_returns_a_reduced_basis(gens, order):
+    _assert_reduced(buchberger(IdealSpec(gens, order)))
+
+
+def test_basis_of_j_sigma_v0_type3_is_reduced_on_both_cores():
+    for gb in _j_sigma_v0_type3_bases():
+        _assert_reduced(gb)
 
 
 def test_verify_keeps_the_criteria_of_buchberger():
@@ -587,6 +624,41 @@ def test_bounded_check_accepts_a_d_basis_and_rejects_it_short_of_a_remainder():
     assert check(G) is not None
     assert check(G[:-1]) is None
     assert check(G, None) is None
+
+
+def _checked_d_bases(spec, target, monkeypatch):
+    """The verdict of ``_ideal_contains_all`` on one target, and whether
+    check mode under the same bound accepts the d-basis it built."""
+    built = []
+    buchberger_loop = groebner._buchberger
+
+    def recording(eng, inputs, counter, *args, degree_bound=None, **kwargs):
+        G = buchberger_loop(eng, inputs, counter, *args, degree_bound=degree_bound, **kwargs)
+        built.append((eng, G, degree_bound))
+        return G
+
+    monkeypatch.setattr(groebner, "_buchberger", recording)
+    verdict = groebner._ideal_contains_all(spec, [target], Budget())
+    monkeypatch.undo()
+    ((eng, G, d),) = built
+    assert d == target.total_degree()
+    inputs = [rec[2] for rec in G]
+    return verdict, buchberger_loop(eng, inputs, Budget().fresh_counter(), check=True, degree_bound=d) is not None
+
+
+def test_d_bases_of_the_r3_length_3_trace_questions_pass_the_check(monkeypatch):
+    model = GenericModel(3)
+    for letters in product((1, 2, 3), repeat=3):
+        target, spec = trace_congruence_question(Word(letters), 3, model)
+        assert _checked_d_bases(spec, target, monkeypatch) == (True, True), letters
+
+
+def test_d_basis_of_the_degree_4_negative_control_in_j_p1_type4_passes_the_check(monkeypatch):
+    # The control is outside J (test_full_j_decides_degree_4_questions_on_a_d_basis).
+    ideals = build_ideals(shape_one_place_type4())
+    J, F = ideals.J, ideals.ring
+    control = J.generators[1] * J.generators[4] + F.nu(1) ** 2 * F.nu(2) ** 2
+    assert _checked_d_bases(J, control, monkeypatch) == (False, True)
 
 
 # -- sparse matrix products ----------------------------------------------------
