@@ -22,6 +22,12 @@ p = 1000003, and the two layers that keep what they build for one check:
 the adjoint law of every relation quadruple of the five corpus shapes
 with one tau_x action per shape, and the trace questions, built but not
 decided, of every r = 3 word of length at most 3 on one generic model.
+After the GB of J(sigma-v0-type3), the length-4 trace classes, the
+negative control and each member of the full J it prints the counters
+of the signature loops behind them: the steps charged, the reduction
+steps among them, the pairs formed and queued, the pairs pruned by the
+F5, syzygy, rewrite and one-per-signature criteria, and the reductions
+to zero.
 
 Run: PYTHONPATH=src python scripts/profile_engine.py
 """
@@ -40,7 +46,7 @@ from ribetkit.genmat import (
     trace_congruence_check,
     trace_congruence_question,
 )
-from ribetkit.groebner import IdealSpec, buchberger, in_ideal, syzygies
+from ribetkit.groebner import Budget, IdealSpec, buchberger, in_ideal, syzygies
 from ribetkit.brcomplex import (
     br_complexes,
     build_cd_morphism,
@@ -70,17 +76,45 @@ def timed(label, thunk, show=lambda result: result):
     return result
 
 
+class CountingBudget(Budget):
+    """The default budget, keeping every step counter it hands out."""
+
+    def __init__(self):
+        super().__init__()
+        self.counters = []
+
+    def fresh_counter(self):
+        counter = super().fresh_counter()
+        self.counters.append(counter)
+        return counter
+
+
+def print_counts(budgets):
+    """The work counters of the signature loops run under ``budgets``,
+    summed: the steps charged to their counters, of which the reduction
+    steps (in the loop, then in reducing its records to a reduced basis
+    or the targets by them) and the pairs formed, then the pairs queued,
+    the pairs each criterion pruned and the zero reductions."""
+    counters = [c for budget in budgets for c in budget.counters if c.stats]
+    stats = {key: sum(c.stats[key] for c in counters) for key in counters[0].stats}
+    steps = sum(c.steps for c in counters)
+    counts = {"steps": steps, "reduction steps": steps - stats["pairs"], **stats}
+    print(f"{'  counts':55s} {'':9s}  -> " + ", ".join(f"{k} {n}" for k, n in counts.items()))
+
+
 def gb_both_cores():
     """GB of J(sigma-v0-type3) over QQ and over GF(2^31-1): the two
     coefficient cores of the one reduction loop, on the same work."""
     bases = {}
     for label, ring in (("QQ", QQ), ("GF(2^31-1)", GF(P31))):
         J = build_ideals(shape_sigma_type3(), ring).J
+        budget = CountingBudget()
         bases[label] = timed(
             f"GB of J(sigma-v0-type3) over {label}",
-            lambda: buchberger(J).basis,
+            lambda: buchberger(J, budget).basis,
             lambda basis: f"{len(basis)} elements",
         )
+        print_counts([budget])
     agree = [g.change_ring(GF(P31)) for g in bases["QQ"]] == list(bases["GF(2^31-1)"])
     print(f"{'QQ basis mod p equals the GF(p) basis':55s} {'':9s}  -> {agree}")
 
@@ -129,15 +163,19 @@ def truncated_membership():
     2."""
     model = GenericModel(3)
     classes = [w for w in product((1, 2, 3), repeat=4) if w == min(w[k:] + w[:k] for k in range(4))]
+    budgets = [CountingBudget() for _ in classes]
     timed(
         "trace classes of length 4 over r=3 (truncated)",
-        lambda: [in_ideal(*trace_congruence_question(Word(w), 3, model)) for w in classes],
+        lambda: [in_ideal(*trace_congruence_question(Word(w), 3, model), b) for w, b in zip(classes, budgets)],
         lambda verdicts: f"{sum(verdicts)} of {len(verdicts)} members",
     )
+    print_counts(budgets)
     ideals = build_ideals(shape_one_place_type4())
     J, F = ideals.J, ideals.ring
     control = J.generators[1] * J.generators[4] + F.nu(1) ** 2 * F.nu(2) ** 2
-    timed("degree-4 negative control in full J(p1-type4)", lambda: in_ideal(control, J))
+    budget = CountingBudget()
+    timed("degree-4 negative control in full J(p1-type4)", lambda: in_ideal(control, J, budget))
+    print_counts([budget])
     scaled = IdealSpec([2 * g for g in J.generators])
     timed("generator sets of J(p1-type4) and 2 J(p1-type4) match", lambda: ideal_generator_sets_match(scaled, J))
 
@@ -157,7 +195,9 @@ def larger_truncated_bases():
         ideals = build_ideals(shape)
         J, F = ideals.J, ideals.ring
         member = J.generators[1] * J.generators[4] * F.nu(1) ** (d - 4)
-        timed(f"degree-{d} member of full J({shape.name})", lambda: in_ideal(member, J))
+        budget = CountingBudget()
+        timed(f"degree-{d} member of full J({shape.name})", lambda: in_ideal(member, J, budget))
+        print_counts([budget])
 
 
 def specialization_suite():

@@ -2,18 +2,19 @@
 quotients, and module syzygies.
 
 This is the proof oracle for every "lies in the ideal" claim in the
-package.  One Buchberger loop, with the normal pair-selection strategy
-(minimal lcm) and the product and chain criteria (Gebauer & Moeller,
-JSC 1988), serves ideals, submodules of free modules and syzygies.  It
-reduces each S-polynomial by the basis records ordered by tail length,
+package.  Ideal bases come from a signature loop (below).  A Buchberger
+loop, with the normal pair-selection strategy (minimal lcm) and the
+product and chain criteria (Gebauer & Moeller, JSC 1988), serves
+submodules of free modules and syzygies, and re-checks a basis in
+``check`` mode, which trusts none of the signature criteria.  Both loops
+reduce each S-polynomial by the basis records ordered by tail length,
 shortest first, ties in the order they were added: a short reducer adds
-few terms per step.  The basis itself keeps the order of addition.  One
-reduction loop, ``_Engine.reduce``, serves both coefficient cores and
-every division in the package; the cores differ only in the step taken
-once per reducer hit.  Over the rationals the loop runs on integer
-coefficients with gcd-scaled pseudo-reduction, which avoids
-per-operation Fraction overhead, and returns the accumulated scale
-factor with the remainder.  Over GF(p) a hit multiplies by the inverse
+few terms per step.  One reduction loop, ``_Engine.reduce``, serves both
+coefficient cores and every division in the package; the cores differ
+only in the step taken once per reducer hit.  Over the rationals the
+loop runs on integer coefficients with gcd-scaled pseudo-reduction,
+which avoids per-operation Fraction overhead, and returns the
+accumulated scale factor with the remainder.  Over GF(p) a hit multiplies by the inverse
 of the reducer's leading coefficient, and coefficients are reduced mod p
 lazily, when their term reaches the head of the loop.
 
@@ -75,6 +76,46 @@ reducing (g, 0) by (f, -1) under position over term leaves (0, k q)
 exactly when g = q f, and stops at the first term of g's component that
 the lead of f does not divide when f does not divide g.
 
+The signature loop (Faugere, "A new efficient algorithm for computing
+Groebner bases without reduction to zero (F5)", ISSAC 2002; Gao, Volny
+& Wang, "A new framework for computing Groebner bases", Math. Comp.
+2016; Roune & Stillman, "Practical Groebner basis computation", ISSAC
+2012; Eder & Faugere, "A survey on signature-based algorithms for
+computing Groebner bases", JSC 2017).  An element g of the ideal of
+f_1 .. f_m has the signature t e_i when g = sum h_j f_j with h_j = 0
+for j > i and lm(h_i) = t, the least such; signatures compare position
+over term, index first.  The inputs are taken one phase at a time.
+Phase i starts from a basis of the ideal of the earlier inputs, whose
+records reduce without restriction, and f_i with signature e_i; the
+signature t e_i of each element of the phase is kept in its record as
+the packed monomial t.  Pairs are processed in increasing signature, the
+signature of a pair being the larger of the signatures of its two
+multiples (a pair whose two are equal is dropped).  An S-polynomial
+is reduced regularly: a record reduces a term only when its signature
+times the multiplier is below the S-polynomial's, so the result keeps
+its signature.  A pair is skipped when
+  - F5: the lead of an element g = sum h_j f_j of the earlier phases
+    divides its monomial t (then t e_i is the signature of a multiple
+    of the syzygy g e_i - f_i sum h_j e_j);
+  - syzygy: the signature of a zero reduction divides its signature;
+  - rewrite (Roune & Stillman): an element c of the phase whose
+    signature divides it rewrites the pair's element a, that is
+    lm(c) sig(a) < lm(a) sig(c), ties going to the later element, so
+    that the multiple of c has the smaller lead;
+  - one per signature: a pair of the same signature was reduced.
+A result that is singular top-reducible, whose lead is a multiple of an
+element's of the phase by the same monomial as its signature, adds
+nothing and is dropped; with the rewrite order above this is sound.
+With "latest element first" it is not: J(sigma-v0-type3) then ends with
+107 elements that are no Groebner basis, against the 102 of its
+reduced basis.  When a phase ends, every element whose lead another's
+divides is dropped, and the rest, untouched, start the next phase:
+tail-reducing them (F5C) cost more than it saved on the larger d-bases.
+The reductions to zero, almost all the work of a Buchberger loop on the
+near-complete intersections J, are what these criteria skip.  A
+signature whose degree the packed fields cannot hold restarts the
+computation with wider fields, as an S-polynomial tail does.
+
 Homogeneous membership (Becker & Weispfenning, "Groebner Bases", 1993,
 on d-bases; Kreuzer & Robbiano, "Computational Commutative Algebra 2",
 2005, ch. 4).  When every generator is homogeneous, every S-polynomial
@@ -87,14 +128,20 @@ is never queued or recorded as pending.  The chain criterion decides as
 it would with every pair formed: for a pair (i, j) it only asks whether
 pairs (i, k) and (j, k) with lead k dividing lcm(i, j) are pending, and
 their lcms divide lcm(i, j), so they are at most d in degree and were
-formed.  A homogeneous f of degree d then lies in the ideal exactly
-when it reduces to zero against that d-basis, in both directions, and
-so does one of lower degree.  ``_ideal_contains_all`` decides every
-membership question this way, a batch on one basis truncated at its
-largest degree, unless a target or generator is inhomogeneous.
+formed.  The signature loop obeys the same bound: for homogeneous
+inputs every signature, S-polynomial and reducer multiple met in degree
+k is of degree k, so its criteria only consult what was computed in
+degrees up to k.  A homogeneous f of degree d then lies in the ideal
+exactly when it reduces to zero against that d-basis, in both
+directions, and so does one of lower degree.  ``_ideal_contains_all``
+decides every membership question this way, a batch on one basis
+truncated at its largest degree, unless a target or generator is
+inhomogeneous.
 
-Budgets: every reduction step counts against ``Budget.max_steps`` and
-monomials are checked against ``Budget.max_degree``.  Exceeding either
+Budgets: every reduction step, and every pair the signature loop
+forms, counts against ``Budget.max_steps`` (on a large ideal that
+loop's pair criteria cost more than its reductions), and monomials are
+checked against ``Budget.max_degree``.  Exceeding either
 raises :class:`BudgetExceeded` -- a resource report, never a wrong
 answer.
 """
@@ -102,9 +149,10 @@ answer.
 from __future__ import annotations
 
 import heapq
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
@@ -134,11 +182,16 @@ class Budget:
 
 
 class _Counter:
-    __slots__ = ("budget", "steps")
+    """Steps spent against one budget.  ``stats`` holds the pair and
+    zero-reduction counts of the signature loop that used the counter,
+    if one did (``_signature_basis``)."""
+
+    __slots__ = ("budget", "steps", "stats")
 
     def __init__(self, budget: Budget):
         self.budget = budget
         self.steps = 0
+        self.stats = None
 
     def tick(self, n: int = 1):
         self.steps += n
@@ -267,10 +320,12 @@ def _strip_content(terms: dict) -> dict:
 # ---------------------------------------------------------------------------
 # The engine: packed monomials with one of the two coefficient cores.
 #
-# A record is (lead, lc, terms, tail, tail_degree): the packed leading
-# monomial, its coefficient (over GF(p) the inverse mod p), the packed
-# term dict, the other terms as a list, and their highest total degree
-# (-inf when there are none: a monomial reducer forms no product).
+# A record is (lead, lc, terms, tail, tail_degree, signature): the packed
+# leading monomial, its coefficient (over GF(p) the inverse mod p), the
+# packed term dict, the other terms as a list, their highest total degree
+# (-inf when there are none: a monomial reducer forms no product), and the
+# packed signature monomial of an element of the running phase of the
+# signature loop, None for every other record.
 
 class _Engine:
     """Coefficient core (ZZ pseudo-arithmetic, or GF(p) when p != 0) over
@@ -322,17 +377,22 @@ class _Engine:
         rem, scale = self.reduce(terms, records, counter, head_only)
         return rem, scale * denom
 
-    def record(self, terms: dict) -> tuple:
+    def record(self, terms: dict, signature: int | None = None) -> tuple:
         if not self.p:
             terms = _strip_content(terms)
         lm = max(terms)
         lc = pow(terms[lm], -1, self.p) if self.p else terms[lm]
         tail = [(m, c) for m, c in terms.items() if m != lm]
         mask = self.packer.deg_mask
-        return (lm, lc, terms, tail, max((m & mask for m, _ in tail), default=NEG_INF))
+        return (lm, lc, terms, tail, max((m & mask for m, _ in tail), default=NEG_INF), signature)
 
     def reduce(
-        self, terms: dict, reducers: list, counter: _Counter, head_only: bool = False
+        self,
+        terms: dict,
+        reducers: list,
+        counter: _Counter,
+        head_only: bool = False,
+        signature: int | None = None,
     ) -> tuple[dict, int]:
         """Pseudo-reduce a packed term dict by records.
 
@@ -342,7 +402,9 @@ class _Engine:
         each is reduced mod p when its term is popped, and a term that
         vanishes mod p is dropped.  In head_only mode reduction stops once
         the leading monomial is irreducible; the untouched tail is
-        returned as part of the remainder.
+        returned as part of the remainder.  A record with a signature
+        reduces a term only when its signature times the multiplier is
+        below ``signature``: a regular reduction (module docstring).
         """
         if not terms or not reducers:
             return dict(terms), 1
@@ -368,7 +430,7 @@ class _Engine:
                     continue
             mg = m | guard
             for rec in reducers:
-                if (mg - rec[0]) & guard == guard:
+                if (mg - rec[0]) & guard == guard and (rec[5] is None or rec[5] + m - rec[0] < signature):
                     break
             else:
                 if head_only:
@@ -381,7 +443,7 @@ class _Engine:
                 continue
             counter.tick()
             del work[m]
-            lm, lc, _, tail, tail_deg = rec
+            lm, lc, _, tail, tail_deg, _ = rec
             shift = m - lm
             if tail_deg + (shift & mask) > max_deg:
                 raise BudgetExceeded("degree cap exceeded during reduction")
@@ -416,8 +478,8 @@ class _Engine:
         packed lcm ``lcm``; the leading terms cancel and are skipped."""
         mask = self.packer.deg_mask
         counter.check_degree(lcm & mask)
-        mf, cf, _, ft, f_deg = f
-        mg, cg, _, gt, g_deg = g
+        mf, cf, _, ft, f_deg, _ = f
+        mg, cg, _, gt, g_deg, _ = g
         uf, ug = lcm - mf, lcm - mg
         room = self.packer.room
         if f_deg + (uf & mask) > room or g_deg + (ug & mask) > room:
@@ -543,12 +605,14 @@ def _match_field(f: Polynomial, ring: CoefficientRing) -> Polynomial:
 def buchberger(spec: IdealSpec, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal presented by ``spec``.
 
-    ZZ generators are lifted to QQ.  Selection follows the normal
-    strategy (minimal lcm in the active order); the product criterion
-    and the pending-pair chain criterion prune S-pairs.  On completion
-    every source generator is reduced to zero against the result,
-    certifying two-way ideal equality (each basis element is built from
-    the source generators by ring operations).
+    ZZ generators are lifted to QQ.  The basis comes from the signature
+    loop (module docstring): one phase per generator, pairs in
+    increasing signature, and the F5, syzygy, rewrite and
+    one-per-signature criteria, which skip nearly every S-polynomial
+    that would reduce to zero.  On completion every source generator is
+    reduced to zero against the result, certifying two-way ideal
+    equality (each basis element is built from the source generators by
+    ring operations).
     """
     order = spec.order
     if not spec.generators:
@@ -559,7 +623,7 @@ def buchberger(spec: IdealSpec, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasi
     def run(degree: int) -> list[Polynomial]:
         eng, gens = _engine_for(lifted, order, degree)
         counter = budget.fresh_counter()
-        G = _buchberger(eng, [eng.pack([g])[0] for g in gens], counter)
+        G = _signature_basis(eng, [eng.pack([g])[0] for g in gens], counter)
         return _reduced_basis(eng, G, counter, table)
 
     gb = GroebnerBasis(tuple(_widening(budget.max_degree, run)), order, spec)
@@ -614,16 +678,11 @@ def _buchberger(
                     heapq.heappush(pair_heap, (lcm, i, idx))
                     pending.add((i, idx))
         G.append(rec)
-        insort(reducers, rec, key=lambda r: len(r[3]))
+        insort(reducers, rec, key=_tail_length)
         leads.append(lm)
-        supports.append([(v, e) for v, e in enumerate(e_new) if e])
+        supports.append(_support(e_new))
 
-    seen = set()
-    for t in inputs:
-        key = frozenset(t.items())
-        if not t or key in seen:
-            continue
-        seen.add(key)
+    for t in _distinct(inputs):
         add(t)
 
     while pair_heap:
@@ -656,22 +715,185 @@ def _buchberger(
     return G
 
 
-def _reduced_basis(eng: _Engine, G: list[tuple], counter: _Counter, table) -> list[Polynomial]:
-    """The reduced basis of an ideal from the records of a Groebner basis."""
-    guard = eng.packer.guard
-    # Minimalize: drop elements whose leading monomial is divisible by the
-    # leading monomial of an element kept earlier (ascending scan).
+_SIGNATURE_COUNTS = ("pairs", "queued", "f5", "syzygy", "rewrite", "one-per-signature", "zero")
+
+
+def _signature_basis(
+    eng: _Engine, inputs: list[dict], counter: _Counter, degree_bound: int | None = None
+) -> list[tuple]:
+    """Records of a Groebner basis of the ideal of the packed scalar
+    inputs, minimal but not interreduced: the signature loop of the
+    module docstring, one phase per distinct nonzero input.  With ``degree_bound`` d a pair whose lcm has degree
+    above d is never formed, which leaves a d-basis of homogeneous
+    inputs.  Each pair formed is charged one step.  ``counter.stats``
+    counts the pairs formed and queued, the pairs each criterion pruned
+    (F5, syzygy, rewrite, one per signature) and the zero reductions."""
+    packer = eng.packer
+    guard, mask, room = packer.guard, packer.deg_mask, packer.room
+    bound = mask if degree_bound is None else degree_bound
+    stats = counter.stats = dict.fromkeys(_SIGNATURE_COUNTS, 0)
+    heappush, heappop = heapq.heappush, heapq.heappop
+
+    prev: list[tuple] = []  # a basis of the ideal of the earlier phases
+    for f in _distinct(inputs):
+        # The running phase: signatures are the packed monomials t of
+        # t e_i, for the phase's input f_i.  Every record of ``prev`` has
+        # a smaller signature, so it reduces without restriction.
+        basis = list(prev)
+        first = len(prev)
+        supports = [_support(packer.unpack(rec[0])) for rec in prev]
+        # F5: a lead of the earlier phases that divides t makes t e_i the
+        # signature of a syzygy.  No lead of higher degree divides t.
+        prev_leads = sorted((rec[0] for rec in prev), key=lambda lm: lm & mask)
+        prev_degrees = [lm & mask for lm in prev_leads]
+        reducers = sorted(prev, key=_tail_length)
+        syzygies: list[int] = []  # signatures of the zero reductions
+        pairs: list[tuple] = []
+
+        def add(terms: dict, sig: int):
+            rec = eng.record(terms, sig)
+            lm = rec[0]
+            counter.check_degree(lm & mask)
+            exps = packer.unpack(lm)
+            idx = len(basis)
+            formed = 0
+            # A lead of degree d pairs within the bound d only with the
+            # leads that divide it, and a lead above the bound with none.
+            at_bound, lg = lm & mask == bound, lm | guard
+            for i, (other, support) in enumerate(zip(basis, supports) if lm & mask <= bound else ()):
+                if at_bound:
+                    if (lg - other[0]) & guard != guard:
+                        continue
+                    lcm = lm
+                else:
+                    lcm = packer.lcm(lm, exps, support)
+                    if lcm & mask > bound:
+                        continue
+                formed += 1
+                t, a, b = sig + lcm - lm, idx, i
+                if other[5] is None:
+                    if lcm == lm + other[0]:  # coprime leads: F5 by the lead of b
+                        stats["f5"] += 1
+                        continue
+                else:  # both in the running phase
+                    t_other = other[5] + lcm - other[0]
+                    if t_other == t:  # a singular pair: no S-pair has this signature
+                        continue
+                    if t_other > t:
+                        t, a, b = t_other, i, idx
+                if t & mask > room:
+                    raise _FieldOverflow(room)
+                tg = t | guard
+                for lead in islice(prev_leads, bisect_right(prev_degrees, t & mask)):
+                    if (tg - lead) & guard == guard:
+                        stats["f5"] += 1
+                        break
+                else:
+                    heappush(pairs, (t, a, b, lcm))
+                    stats["queued"] += 1
+            # Each pair formed costs a step: on a large ideal the criteria,
+            # not the reductions, are most of this loop's work.
+            stats["pairs"] += formed
+            counter.tick(formed)
+            basis.append(rec)
+            supports.append(_support(exps))
+            insort(reducers, rec, key=_tail_length)
+
+        r, _ = eng.reduce(f, reducers, counter, head_only=True, signature=0)
+        if r:
+            add(r, 0)  # signature e_i: the packed monomial 1 is 0
+        else:
+            stats["zero"] += 1
+        last = None
+        while pairs:
+            t, a, b, lcm = heappop(pairs)
+            if t == last:
+                stats["one-per-signature"] += 1
+                continue
+            tg = t | guard
+            if any((tg - z) & guard == guard for z in syzygies):
+                stats["syzygy"] += 1
+                continue
+            # Rewrite by ratio: skip the pair unless its signature side has
+            # the largest sig / lead among the elements whose signature
+            # divides t, the later element winning a tie.
+            la, sa = basis[a][0], basis[a][5]
+            for c in range(first, len(basis)):
+                lc_, sc = basis[c][0], basis[c][5]
+                if c != a and (tg - sc) & guard == guard:
+                    x, y = lc_ + sa, la + sc
+                    if x < y or (x == y and c > a):
+                        break
+            else:
+                c = None
+            if c is not None:
+                stats["rewrite"] += 1
+                continue
+            last = t
+            s = eng.spoly(basis[a], basis[b], lcm, counter)
+            r = eng.reduce(s, reducers, counter, head_only=True, signature=t)[0] if s else s
+            if not r:
+                syzygies.append(t)
+                stats["zero"] += 1
+                continue
+            # A singular top-reducible result adds nothing: an element of
+            # the phase already has its lead and signature, up to a multiple.
+            lm = max(r)
+            lg = lm | guard
+            if not any(
+                (lg - basis[c][0]) & guard == guard and lm - basis[c][0] + basis[c][5] == t
+                for c in range(first, len(basis))
+            ):
+                add(r, t)
+        # A lead of ``prev`` divides no lead of the phase, whose elements
+        # it reduced without restriction: only the phase's leads can make
+        # an element redundant.
+        new = _minimal(basis[first:], guard)
+        prev = [
+            rec for rec in prev if not any(((rec[0] | guard) - h[0]) & guard == guard for h in new)
+        ] + [rec[:5] + (None,) for rec in new]
+    return prev
+
+
+def _distinct(inputs: Iterable[dict]) -> Iterable[dict]:
+    """The nonzero packed inputs, each once, in order."""
+    seen = set()
+    for t in inputs:
+        key = frozenset(t.items())
+        if t and key not in seen:
+            seen.add(key)
+            yield t
+
+
+def _support(exps: Mono) -> list[tuple[int, int]]:
+    """The (variable, exponent) pairs of the nonzero exponents."""
+    return [(v, e) for v, e in enumerate(exps) if e]
+
+
+def _tail_length(rec: tuple) -> int:
+    return len(rec[3])
+
+
+def _minimal(G: Iterable[tuple], guard: int) -> list[tuple]:
+    """The records whose lead no other record's lead divides, one for
+    each lead, in ascending lead order."""
     kept: list[tuple] = []
     for rec in sorted(G, key=itemgetter(0)):
         lg = rec[0] | guard
         if any((lg - h[0]) & guard == guard for h in kept):
             continue
         kept.append(rec)
-    # Tail-reduce each survivor, in ascending lead order, against the
-    # survivors already reduced: a tail term lies below its lead, so only
-    # a smaller lead can divide it.  Then make monic, largest lead first.
+    return kept
+
+
+def _reduced_basis(eng: _Engine, G: list[tuple], counter: _Counter, table) -> list[Polynomial]:
+    """The reduced basis of an ideal from the records of a Groebner basis."""
+    # Tail-reduce each element of the minimal basis, in ascending lead
+    # order, against the elements already reduced: a tail term lies below
+    # its lead, so only a smaller lead can divide it.  Then make monic,
+    # largest lead first.
     reduced: list[tuple] = []
-    for rec in kept:
+    for rec in _minimal(G, eng.packer.guard):
         rem, _ = eng.reduce(rec[2], reduced, counter)
         reduced.append(eng.record(rem))
     return [eng.to_vector(rec[2], table)[0] for rec in reversed(reduced)]
@@ -739,7 +961,7 @@ def _ideal_contains_all(spec: IdealSpec, targets: Sequence[Polynomial], budget: 
     def run(degree: int) -> bool:
         eng, gens = _engine_for(lifted, spec.order, max(degree, d))
         counter = budget.fresh_counter()
-        G = _buchberger(eng, [eng.pack([g])[0] for g in gens], counter, degree_bound=d)
+        G = _signature_basis(eng, [eng.pack([g])[0] for g in gens], counter, degree_bound=d)
         return all(not eng.reduce(eng.pack([f])[0], G, counter)[0] for f in targets)
 
     return _widening(budget.max_degree, run)

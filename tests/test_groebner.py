@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ribetkit.groebner as groebner
 from ribetkit.errors import BudgetExceeded, StructuralError
@@ -277,7 +277,24 @@ def packer_rooms(monkeypatch):
     return rooms
 
 
-def test_elimination_tail_above_the_lead_widens_the_fields(packer_rooms):
+@pytest.fixture
+def spoly_overflows(monkeypatch):
+    """The room of every packer whose fields an S-polynomial tail overflowed."""
+    rooms = []
+    spoly = groebner._Engine.spoly
+
+    def recording(self, *args):
+        try:
+            return spoly(self, *args)
+        except groebner._FieldOverflow as exc:
+            rooms.append(exc.room)
+            raise
+
+    monkeypatch.setattr(groebner._Engine, "spoly", recording)
+    return rooms
+
+
+def test_elimination_tail_above_the_lead_widens_the_fields(packer_rooms, spoly_overflows):
     # Under an elimination order a tail can outweigh its leading monomial
     # in total degree, and S-polynomial tails escape the degree cap: here
     # one passes the room of the fields sized for max_degree=7, and the
@@ -285,23 +302,24 @@ def test_elimination_tail_above_the_lead_widens_the_fields(packer_rooms):
     t = VariableTable(["u", "x", "y", "z"])
     u, x, y, z = (Polynomial.var(QQ, t, i) for i in range(4))
     order = elimination_order([0], 4)
-    spec = IdealSpec([2 * y * z**2 + u * z, y**5 - u * y**2], order)
+    spec = IdealSpec([-2 * x**2 * y**3 + z, x**3 * y * z + 2 * u * x**2 * z], order)
     gb = buchberger(spec, Budget(max_degree=7))
     assert packer_rooms[:2] == [7, 15]
+    assert spoly_overflows == [7]
     assert gb.basis == buchberger(spec).basis
-    assert u * z + 2 * y * z**2 in gb.basis
+    assert u * x**2 * z + Fraction(1, 2) * x**3 * y * z in gb.basis
 
 
-def test_ideal_quotient_under_a_small_degree_cap(packer_rooms):
+def test_ideal_quotient_under_a_small_degree_cap(packer_rooms, spoly_overflows):
     # The elimination basis behind (I : f) widens its fields as above.
     t = VariableTable(["x", "y", "z"])
     x, y, z = (Polynomial.var(QQ, t, i) for i in range(3))
-    spec, f = IdealSpec([2 * x**2 * y + 1, -x * y * z - y**2]), x * z + 1
+    spec, f = IdealSpec([-2 * x**3 - 2 * x**2 * z, -2 * y**3 - 2 * x * z**2]), -(y**2) - y
     q = ideal_quotient(spec, f, Budget(max_degree=7))
     assert packer_rooms[:2] == [7, 15]
+    assert spoly_overflows == [7]
     assert q.generators == ideal_quotient(spec, f).generators
-    assert q.generators == (x**2 * y + Fraction(1, 2), x * y**2 - Fraction(1, 2) * z,
-                            y**3 + Fraction(1, 2) * z**2, x * z + y)
+    assert q.generators == (-(x**2) * y**2 - x * y**2 * z, -(x**3) - x**2 * z, -(y**3) - x * z**2)
     gb = buchberger(spec)
     assert all(gb.contains(g * f) for g in q.generators)
     with pytest.raises(BudgetExceeded):
@@ -630,20 +648,20 @@ def _checked_d_bases(spec, target, monkeypatch):
     """The verdict of ``_ideal_contains_all`` on one target, and whether
     check mode under the same bound accepts the d-basis it built."""
     built = []
-    buchberger_loop = groebner._buchberger
+    signature_loop = groebner._signature_basis
 
-    def recording(eng, inputs, counter, *args, degree_bound=None, **kwargs):
-        G = buchberger_loop(eng, inputs, counter, *args, degree_bound=degree_bound, **kwargs)
+    def recording(eng, inputs, counter, degree_bound=None):
+        G = signature_loop(eng, inputs, counter, degree_bound)
         built.append((eng, G, degree_bound))
         return G
 
-    monkeypatch.setattr(groebner, "_buchberger", recording)
+    monkeypatch.setattr(groebner, "_signature_basis", recording)
     verdict = groebner._ideal_contains_all(spec, [target], Budget())
     monkeypatch.undo()
     ((eng, G, d),) = built
     assert d == target.total_degree()
     inputs = [rec[2] for rec in G]
-    return verdict, buchberger_loop(eng, inputs, Budget().fresh_counter(), check=True, degree_bound=d) is not None
+    return verdict, groebner._buchberger(eng, inputs, Budget().fresh_counter(), check=True, degree_bound=d) is not None
 
 
 def test_d_bases_of_the_r3_length_3_trace_questions_pass_the_check(monkeypatch):
@@ -659,6 +677,78 @@ def test_d_basis_of_the_degree_4_negative_control_in_j_p1_type4_passes_the_check
     J, F = ideals.J, ideals.ring
     control = J.generators[1] * J.generators[4] + F.nu(1) ** 2 * F.nu(2) ** 2
     assert _checked_d_bases(J, control, monkeypatch) == (False, True)
+
+
+# -- the signature loop --------------------------------------------------------
+
+@st.composite
+def _ideals(draw):
+    """One to three generators in x, y, z over QQ, GF(101) or GF(7): forms
+    of degree 1 to 3 when the drawn flag is set, else any polynomials of
+    degree at most 3.  Returns the generators and the flag."""
+    ring = draw(st.sampled_from([QQ, GF(101), GF(7)]))
+    homogeneous = draw(st.booleans())
+    count = draw(st.integers(1, 3))
+    if homogeneous:
+        gens = [draw(_forms(ring, draw(st.integers(1, 3)))) for _ in range(count)]
+    else:
+        gens = draw(st.lists(_small_polys(ring), min_size=count, max_size=count))
+    return gens, homogeneous
+
+
+def _both_loops(spec, degree_bound=None):
+    """The engine, and the records that the signature loop and
+    ``_buchberger`` build from the generators of ``spec`` on it; None for
+    the latter when it exceeds the default budget, as it can under lex
+    where the signature loop does not."""
+
+    def run(degree):
+        eng, gens = groebner._engine_for(groebner._lift(spec.generators), spec.order, degree)
+        inputs = [eng.pack([g])[0] for g in gens]
+        signature = groebner._signature_basis(eng, inputs, Budget().fresh_counter(), degree_bound)
+        try:
+            plain = groebner._buchberger(eng, inputs, Budget().fresh_counter(), degree_bound=degree_bound)
+        except BudgetExceeded:
+            plain = None
+        return eng, signature, plain
+
+    return groebner._widening(Budget().max_degree, run)
+
+
+_X, _Y, _Z = (Polynomial.var(QQ, TXYZ, i) for i in range(3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ideals(), st.sampled_from([DEGREVLEX, LEX, elimination_order([0], 3)]), st.integers(1, 4))
+@example(([_X * _Y**2 + _Y, _Y * _Z + _Z**2 + 1, _X * _Y**2 + _Z + 1], False), LEX, 1)
+def test_signature_loop_agrees_with_buchberger(ideal, order, d):
+    # The records of the signature loop give the reduced basis that
+    # _buchberger's records give, and check mode, which trusts none of the
+    # signature criteria, accepts them.  For forms the same holds of the
+    # d-bases, in degrees up to d.  The explicit example loses elements
+    # when the rewrite criterion prefers the latest element instead of the
+    # largest ratio, since results that are singular top-reducible are
+    # dropped.
+    gens, homogeneous = ideal
+    spec = IdealSpec(gens, order)
+    assume(spec.generators)
+    eng, signature, plain = _both_loops(spec)
+    assume(plain is not None)
+
+    def reduced(G):
+        return groebner._reduced_basis(eng, G, Budget().fresh_counter(), spec.table)
+
+    def checked(G, bound=None):
+        inputs = [rec[2] for rec in G]
+        return groebner._buchberger(eng, inputs, Budget().fresh_counter(), check=True, degree_bound=bound) is not None
+
+    assert reduced(signature) == reduced(plain)
+    assert checked(signature)
+    if homogeneous:
+        eng, signature, plain = _both_loops(spec, d)
+        low = [[g for g in reduced(G) if g.total_degree() <= d] for G in (signature, plain)]
+        assert low[0] == low[1]
+        assert checked(signature, d)
 
 
 # -- sparse matrix products ----------------------------------------------------
