@@ -53,6 +53,7 @@ from ribetkit.ribet import (
 
 TXY = VariableTable(["x", "y"])
 TXYZ = VariableTable(["x", "y", "z"])
+_X, _Y, _Z = (Polynomial.var(QQ, TXYZ, i) for i in range(3))
 
 
 def V(i, ring=QQ, table=TXY):
@@ -406,18 +407,35 @@ def test_qq_and_gf_cores_agree_on_a_corpus_ideal():
     assert qq.verify() and gf.verify()
 
 
+class _CountingBudget(Budget):
+    """The default budget, keeping every step counter it hands out."""
+
+    def __init__(self):
+        super().__init__()
+        self.counters = []
+
+    def fresh_counter(self):
+        counter = super().fresh_counter()
+        self.counters.append(counter)
+        return counter
+
+
 @cache
-def _j_sigma_v0_type3_bases():
-    """The reduced bases of J(sigma-v0-type3) over QQ and GF(2^31 - 1)."""
-    p = 2**31 - 1
-    return buchberger(build_ideals(shape_sigma_type3()).J), buchberger(build_ideals(shape_sigma_type3(), GF(p)).J)
+def _j_sigma_v0_type3_runs():
+    """The reduced bases of J(sigma-v0-type3) over QQ and GF(2^31 - 1),
+    each with the step counter of the signature loop that built it."""
+    runs = []
+    for ring in (QQ, GF(2**31 - 1)):
+        budget = _CountingBudget()
+        runs.append((buchberger(build_ideals(shape_sigma_type3(), ring).J, budget), budget.counters[0]))
+    return runs
 
 
 def test_full_basis_of_j_sigma_v0_type3_on_both_cores():
     # The engine-core verdict of the benchmark: 102 elements over QQ and
     # over GF(2^31 - 1), and the QQ basis reduced mod p is the GF(p) basis.
     p = 2**31 - 1
-    qq, gf = _j_sigma_v0_type3_bases()
+    (qq, _), (gf, _) = _j_sigma_v0_type3_runs()
     assert len(qq.basis) == len(gf.basis) == 102
     assert [g.change_ring(GF(p)) for g in qq.basis] == list(gf.basis)
 
@@ -445,12 +463,60 @@ def _small_polys(ring):
     st.sampled_from([DEGREVLEX, LEX]),
 )
 def test_buchberger_returns_a_reduced_basis(gens, order):
-    _assert_reduced(buchberger(IdealSpec(gens, order)))
+    # Under lex an intermediate degree can pass the default cap of 40 (see
+    # the pinned inputs below): a resource report, not a basis to check.
+    try:
+        gb = buchberger(IdealSpec(gens, order))
+    except BudgetExceeded:
+        assume(order is not LEX)
+        raise
+    _assert_reduced(gb)
+
+
+@pytest.mark.parametrize(
+    "gens, degree",
+    [
+        ([_X**2 * _Y + _Z + 1, _Z**3 + _Y**2 + 1, _Y * _Z**2 + _X + 1], 17),
+        ([_Y**3 + 1, _X * _Y * _Z + _Z**3 + _Y, _X**2 * _Y], 18),
+        ([_X * _Y**2, _X**2 * _Z + _Y + 1, _X**3 + _Z**3 + 1], 21),
+    ],
+)
+def test_lex_bases_that_pass_the_default_degree_cap(gens, degree):
+    # Reduced lex bases of degree 17 to 21.  Both loops build them under
+    # the default cap of 40, but reducing one source generator by the
+    # basis, in the check that ends every buchberger run, passes degree
+    # 40: the default cap reports BudgetExceeded, a cap of 50 gives the
+    # basis.
+    spec = IdealSpec(gens, LEX)
+    with pytest.raises(BudgetExceeded, match="degree cap"):
+        buchberger(spec)
+    gb = buchberger(spec, Budget(max_degree=50))
+    _assert_reduced(gb)
+    assert max(g.total_degree() for g in gb.basis) == degree
 
 
 def test_basis_of_j_sigma_v0_type3_is_reduced_on_both_cores():
-    for gb in _j_sigma_v0_type3_bases():
+    for gb, _ in _j_sigma_v0_type3_runs():
         _assert_reduced(gb)
+
+
+def test_work_counts_of_j_sigma_v0_type3_on_both_cores():
+    # The counters are deterministic, so a change to the phase order or to
+    # a criterion shows here as a count diff.  The steps are the pairs
+    # formed plus the reduction steps, in the loop and in reducing its
+    # records to the reduced basis.
+    for _, counter in _j_sigma_v0_type3_runs():
+        assert counter.steps == 10_576
+        assert counter.steps - counter.stats["pairs"] == 1_653
+        assert counter.stats == {
+            "pairs": 8_923,
+            "queued": 828,
+            "f5": 7_980,
+            "syzygy": 2,
+            "rewrite": 675,
+            "one-per-signature": 11,
+            "zero": 1,
+        }
 
 
 def test_verify_keeps_the_criteria_of_buchberger():
@@ -715,9 +781,6 @@ def _both_loops(spec, degree_bound=None):
     return groebner._widening(Budget().max_degree, run)
 
 
-_X, _Y, _Z = (Polynomial.var(QQ, TXYZ, i) for i in range(3))
-
-
 @settings(max_examples=150, deadline=None)
 @given(_ideals(), st.sampled_from([DEGREVLEX, LEX, elimination_order([0], 3)]), st.integers(1, 4))
 @example(([_X * _Y**2 + _Y, _Y * _Z + _Z**2 + 1, _X * _Y**2 + _Z + 1], False), LEX, 1)
@@ -749,6 +812,25 @@ def test_signature_loop_agrees_with_buchberger(ideal, order, d):
         low = [[g for g in reduced(G) if g.total_degree() <= d] for G in (signature, plain)]
         assert low[0] == low[1]
         assert checked(signature, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_homogeneous_questions(), st.sampled_from([DEGREVLEX, elimination_order([0], 3)]), st.data())
+def test_input_order_changes_neither_basis_nor_verdicts(question, order, data):
+    # The signature loop sorts its inputs into phases, so the order they
+    # are passed in changes only the work: the reduced basis, the verdicts
+    # on d-bases and the check of the loop's records stay the same.
+    targets, gens = question
+    spec = IdealSpec(gens, order)
+    assume(spec.generators)
+    shuffled = IdealSpec(data.draw(st.permutations(gens)), order)
+    assert buchberger(shuffled).basis == buchberger(spec).basis
+    for f in targets:
+        verdicts = [groebner._ideal_contains_all(s, [f], Budget()) for s in (spec, shuffled)]
+        assert verdicts[0] == verdicts[1]
+    eng, signature, _ = _both_loops(shuffled)
+    inputs = [rec[2] for rec in signature]
+    assert groebner._buchberger(eng, inputs, Budget().fresh_counter(), check=True) is not None
 
 
 # -- sparse matrix products ----------------------------------------------------
