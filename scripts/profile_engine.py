@@ -22,12 +22,13 @@ p = 1000003, and the two layers that keep what they build for one check:
 the adjoint law of every relation quadruple of the five corpus shapes
 with one tau_x action per shape, and the trace questions, built but not
 decided, of every r = 3 word of length at most 3 on one generic model.
-After the GB of J(sigma-v0-type3), the length-4 trace classes, the
-negative control and each member of the full J it prints the counters
-of the signature loops behind them: the steps charged, the reduction
-steps among them, the pairs formed and queued, the pairs pruned by the
-F5, syzygy, rewrite and one-per-signature criteria, and the reductions
-to zero.
+After the tau-invariance check of p1-type4, an inhomogeneous membership
+question decided on one reduced basis under one step counter, the GB of
+J(sigma-v0-type3), the length-4 trace classes, the negative control and
+each member of the full J it prints the counters of the signature loops
+behind them: the steps charged, the reduction steps among them, the
+pairs formed and queued, the pairs pruned by the F5, syzygy, rewrite and
+one-per-signature criteria, and the reductions to zero.
 
 Run: PYTHONPATH=src python scripts/profile_engine.py
 """
@@ -92,9 +93,11 @@ class CountingBudget(Budget):
 def print_counts(budgets):
     """The work counters of the signature loops run under ``budgets``,
     summed: the steps charged to their counters, of which the reduction
-    steps (in the loop, then in reducing its records to a reduced basis
-    or the targets by them) and the pairs formed, then the pairs queued,
-    the pairs each criterion pruned and the zero reductions."""
+    steps (in the loop, then in reducing its records to a reduced basis,
+    the generators to zero against that basis in the check that
+    certifies it, and the targets by the records) and the pairs formed,
+    then the pairs queued, the pairs each criterion pruned and the zero
+    reductions."""
     counters = [c for budget in budgets for c in budget.counters if c.stats]
     stats = {key: sum(c.stats[key] for c in counters) for key in counters[0].stats}
     steps = sum(c.steps for c in counters)
@@ -248,7 +251,9 @@ def main():
     timed("example-r2 (negative control)", lambda: check_example_r2(omit_relation=7))
     timed("trace X1.X2.X3 over r=3", lambda: trace_congruence_check(Word.parse("X1.X2.X3"), 3))
     timed("det pair cap 2", lambda: det_congruence_check(2, [1, 2], word_cap=2))
-    timed("tau-invariance one-place shape", lambda: check_e_tau_invariance(shape_one_place_type4()))
+    budget = CountingBudget()
+    timed("tau-invariance one-place shape", lambda: check_e_tau_invariance(shape_one_place_type4(), budget=budget))
+    print_counts([budget])
     timed(
         "tau-invariance negative control",
         lambda: check_e_tau_invariance(shape_one_place_type4(), drop_pair_generator=True),

@@ -140,12 +140,15 @@ exactly when it reduces to zero against that d-basis, in both
 directions, and so does one of lower degree.  ``_ideal_contains_all``
 decides every membership question this way, a batch on one basis
 truncated at its largest degree, unless a target or generator is
-inhomogeneous.
+inhomogeneous; then on the reduced basis.  ``_ideal_basis`` builds
+both, and every ``buchberger`` basis, and certifies a reduced basis by
+reducing the generators to zero against it.
 
 Budgets: every reduction step, and every pair the signature loop
 forms, counts against ``Budget.max_steps`` (on a large ideal that
-loop's pair criteria cost more than its reductions), and monomials are
-checked against ``Budget.max_degree``.  Exceeding either
+loop's pair criteria cost more than its reductions), one counter per
+``buchberger`` run or membership batch, and monomials are checked
+against ``Budget.max_degree``.  Exceeding either
 raises :class:`BudgetExceeded` -- a resource report, never a wrong
 answer.
 """
@@ -607,34 +610,35 @@ def _match_field(f: Polynomial, ring: CoefficientRing) -> Polynomial:
 
 
 def buchberger(spec: IdealSpec, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal presented by ``spec``.
-
-    ZZ generators are lifted to QQ.  The basis comes from the signature
-    loop (module docstring): one phase per generator, in increasing lead
-    degree, then fewest terms first, pairs in increasing signature, and
-    the F5, syzygy, rewrite and one-per-signature criteria, which skip
-    nearly every S-polynomial that would reduce to zero.  On completion
-    every source generator is reduced to zero against the result,
-    certifying two-way ideal equality (each basis element is built from
-    the source generators by ring operations).
-    """
-    order = spec.order
+    """Reduced Groebner basis of the ideal presented by ``spec`` (ZZ
+    lifted to QQ), certified by ``_ideal_basis``; it keeps that engine
+    and its records for later normal forms."""
     if not spec.generators:
-        return GroebnerBasis((), order, spec)
-    lifted = _lift(spec.generators)
-    table = lifted[0].table
+        return GroebnerBasis((), spec.order, spec)
+    eng, records, _ = _ideal_basis(spec.generators, spec.order, budget)
+    basis = tuple(eng.to_vector(rec[2], spec.table)[0] for rec in records)
+    return GroebnerBasis(basis, spec.order, spec, (eng, records))
 
-    def run(degree: int) -> list[Polynomial]:
-        eng, gens = _engine_for(lifted, order, degree)
+
+def _ideal_basis(gens, order: MonomialOrder, budget: Budget, degree_bound=None, degree: int = 0) -> tuple:
+    """(engine, records, counter) of a basis of the ideal of ``gens``,
+    with room for degree ``degree``: the signature loop's d-basis under
+    ``degree_bound`` d, else the reduced basis, largest lead first,
+    certified by reducing every generator to zero against it (its
+    elements are built from the generators)."""
+
+    def run(room: int):
+        eng, lifted = _engine_for(gens, order, max(room, degree))
         counter = budget.fresh_counter()
-        G = _signature_basis(eng, [eng.pack([g])[0] for g in gens], counter)
-        return _reduced_basis(eng, G, counter, table)
+        inputs = [eng.pack([g])[0] for g in lifted]
+        records = _signature_basis(eng, inputs, counter, degree_bound)
+        if degree_bound is None:
+            records = _reduced_basis(eng, records, counter)
+            if any(eng.reduce(t, records, counter)[0] for t in inputs):
+                raise StructuralError("internal error: source generator escaped its ideal")
+        return eng, records, counter
 
-    gb = GroebnerBasis(tuple(_widening(budget.max_degree, run)), order, spec)
-    for g in lifted:
-        if not gb.contains(g, budget):
-            raise StructuralError("internal error: source generator escaped its ideal")
-    return gb
+    return _widening(budget.max_degree, run)
 
 
 def _buchberger(
@@ -892,17 +896,17 @@ def _minimal(G: Iterable[tuple], guard: int) -> list[tuple]:
     return kept
 
 
-def _reduced_basis(eng: _Engine, G: list[tuple], counter: _Counter, table) -> list[Polynomial]:
-    """The reduced basis of an ideal from the records of a Groebner basis."""
+def _reduced_basis(eng: _Engine, G: list[tuple], counter: _Counter) -> list[tuple]:
+    """The records of the reduced basis of an ideal, largest lead first,
+    from the records of a Groebner basis."""
     # Tail-reduce each element of the minimal basis, in ascending lead
     # order, against the elements already reduced: a tail term lies below
-    # its lead, so only a smaller lead can divide it.  Then make monic,
-    # largest lead first.
+    # its lead, so only a smaller lead can divide it.
     reduced: list[tuple] = []
     for rec in _minimal(G, eng.packer.guard):
         rem, _ = eng.reduce(rec[2], reduced, counter)
         reduced.append(eng.record(rem))
-    return [eng.to_vector(rec[2], table)[0] for rec in reversed(reduced)]
+    return reduced[::-1]
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis, budget: Budget = DEFAULT_BUDGET) -> Polynomial:
@@ -936,7 +940,7 @@ def in_ideal(
     gb: GroebnerBasis | None = None,
 ) -> bool:
     """Ideal membership: the normal form against ``gb`` when it is given,
-    else ``_ideal_contains_all`` (a truncated basis for homogeneous f)."""
+    else ``_ideal_contains_all``, on one basis and step counter."""
     if gb is not None:
         return gb.contains(f, budget)
     return _ideal_contains_all(spec, [f], budget)
@@ -947,30 +951,21 @@ def _is_homogeneous(f: Polynomial) -> bool:
 
 
 def _ideal_contains_all(spec: IdealSpec, targets: Sequence[Polynomial], budget: Budget) -> bool:
-    """Whether every target lies in the ideal of ``spec``.  When targets
-    and generators are all homogeneous, one basis truncated at the
-    largest target degree decides them all (module docstring), under one
-    step counter; otherwise each target is reduced against the reduced
-    Groebner basis.  Stops at the first non-member."""
+    """Whether every target lies in the ideal of ``spec``, reduced in the
+    engine and under the counter of one ``_ideal_basis``, truncated at the
+    largest target degree when all are homogeneous.  Stops at the first
+    non-member."""
     targets = [f for f in targets if not f.is_zero()]
     if not targets:
         return True
     if not spec.generators:
         return False
-    if not all(_is_homogeneous(g) for g in (*targets, *spec.generators)):
-        gb = buchberger(spec, budget)
-        return all(gb.contains(f, budget) for f in targets)
     lifted = _lift(spec.generators)
     targets = [_match_field(f, lifted[0].ring) for f in targets]
     d = _max_degree(targets)
-
-    def run(degree: int) -> bool:
-        eng, gens = _engine_for(lifted, spec.order, max(degree, d))
-        counter = budget.fresh_counter()
-        G = _signature_basis(eng, [eng.pack([g])[0] for g in gens], counter, degree_bound=d)
-        return all(not eng.reduce(eng.pack([f])[0], G, counter)[0] for f in targets)
-
-    return _widening(budget.max_degree, run)
+    homogeneous = all(_is_homogeneous(g) for g in (*targets, *lifted))
+    eng, records, counter = _ideal_basis(lifted, spec.order, budget, d if homogeneous else None, d)
+    return all(not eng.reduce(eng.pack([f])[0], records, counter)[0] for f in targets)
 
 
 def spec_to_record(spec: IdealSpec) -> dict:

@@ -135,7 +135,8 @@ def test_exact_division():
     assert exact_div(3 * x * y, 2 * x) == Fraction(3, 2) * V(1)
 
 
-def test_exact_division_counts_its_steps(monkeypatch):
+def _recorded_counters(monkeypatch):
+    """A list that collects every step counter handed out from here on."""
     counters = []
     fresh = Budget.fresh_counter
 
@@ -144,9 +145,45 @@ def test_exact_division_counts_its_steps(monkeypatch):
         return counters[-1]
 
     monkeypatch.setattr(Budget, "fresh_counter", recording)
+    return counters
+
+
+def test_exact_division_counts_its_steps(monkeypatch):
+    counters = _recorded_counters(monkeypatch)
     x, y = V(0), V(1)
     exact_div((x + y) * (x * y - 3), x + y)
     assert [c.steps for c in counters] == [2]
+
+
+def test_a_basis_and_an_inhomogeneous_question_each_take_one_counter(monkeypatch):
+    # The basis, the check that every generator reduces to zero against
+    # it and every target's reduction share one step counter: one budget
+    # per buchberger run and per membership question.  The tau-invariance
+    # question of p1-type4 is inhomogeneous, so it is decided on the
+    # reduced basis, not a truncated one.
+    counters = _recorded_counters(monkeypatch)
+    buchberger(build_ideals(shape_r2_two_type2()).J)
+    assert len(counters) == 1
+    counters.clear()
+    assert check_e_tau_invariance(shape_one_place_type4())
+    assert len(counters) == 1
+
+
+def test_a_basis_short_of_an_element_fails_its_certificate(monkeypatch):
+    # A signature loop that loses its first record: the reduced basis no
+    # longer reduces every generator to zero, so an inhomogeneous question
+    # ends in an internal error, never in a verdict.
+    signature_loop = groebner._signature_basis
+
+    def short(eng, inputs, counter, degree_bound=None):
+        return signature_loop(eng, inputs, counter, degree_bound)[1:]
+
+    monkeypatch.setattr(groebner, "_signature_basis", short)
+    with pytest.raises(StructuralError, match="internal error"):
+        check_e_tau_invariance(shape_one_place_type4())
+    x, y = V(0), V(1)
+    with pytest.raises(StructuralError, match="internal error"):
+        in_ideal(y - 1, IdealSpec([x * x - 1, x * y - 1], LEX))
 
 
 _coefficients = st.integers(-4, 4).filter(bool) | st.fractions(-3, 3, max_denominator=4).filter(bool)
@@ -423,11 +460,11 @@ class _CountingBudget(Budget):
 @cache
 def _j_sigma_v0_type3_runs():
     """The reduced bases of J(sigma-v0-type3) over QQ and GF(2^31 - 1),
-    each with the step counter of the signature loop that built it."""
+    each with the step counters its buchberger run took."""
     runs = []
     for ring in (QQ, GF(2**31 - 1)):
         budget = _CountingBudget()
-        runs.append((buchberger(build_ideals(shape_sigma_type3(), ring).J, budget), budget.counters[0]))
+        runs.append((buchberger(build_ideals(shape_sigma_type3(), ring).J, budget), budget.counters))
     return runs
 
 
@@ -503,11 +540,13 @@ def test_basis_of_j_sigma_v0_type3_is_reduced_on_both_cores():
 def test_work_counts_of_j_sigma_v0_type3_on_both_cores():
     # The counters are deterministic, so a change to the phase order or to
     # a criterion shows here as a count diff.  The steps are the pairs
-    # formed plus the reduction steps, in the loop and in reducing its
-    # records to the reduced basis.
-    for _, counter in _j_sigma_v0_type3_runs():
-        assert counter.steps == 10_576
-        assert counter.steps - counter.stats["pairs"] == 1_653
+    # formed plus the reduction steps: in the loop, in reducing its records
+    # to the reduced basis, and the 8 of reducing the generators to zero
+    # against it, all on the run's one counter.
+    for _, counters in _j_sigma_v0_type3_runs():
+        (counter,) = counters
+        assert counter.steps == 10_584
+        assert counter.steps - counter.stats["pairs"] == 1_661
         assert counter.stats == {
             "pairs": 8_923,
             "queued": 828,
@@ -799,7 +838,8 @@ def test_signature_loop_agrees_with_buchberger(ideal, order, d):
     assume(plain is not None)
 
     def reduced(G):
-        return groebner._reduced_basis(eng, G, Budget().fresh_counter(), spec.table)
+        records = groebner._reduced_basis(eng, G, Budget().fresh_counter())
+        return [eng.to_vector(rec[2], spec.table)[0] for rec in records]
 
     def checked(G, bound=None):
         inputs = [rec[2] for rec in G]
@@ -812,6 +852,49 @@ def test_signature_loop_agrees_with_buchberger(ideal, order, d):
         low = [[g for g in reduced(G) if g.total_degree() <= d] for G in (signature, plain)]
         assert low[0] == low[1]
         assert checked(signature, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ideals(), st.sampled_from([DEGREVLEX, LEX, elimination_order([0], 3)]), st.data())
+def test_inhomogeneous_verdicts_agree_with_buchberger_records(ideal, order, data):
+    # An inhomogeneous question is decided on the certified reduced basis
+    # of the signature loop.  Reducing its target by the records of
+    # _buchberger, a Groebner basis that trusts none of the signature
+    # criteria, gives the same verdict.  The target is one of those
+    # records, which may be of low degree and come from pairs of higher
+    # degree, or a combination of the generators, plus possibly a
+    # polynomial that takes it out of the ideal.
+    gens, _ = ideal
+    spec = IdealSpec(gens, order)
+    assume(spec.generators)
+
+    def plain(degree):
+        eng, lifted = groebner._engine_for(spec.generators, order, degree)
+        return eng, groebner._buchberger(eng, [eng.pack([g])[0] for g in lifted], Budget().fresh_counter())
+
+    try:
+        eng, G = groebner._widening(Budget().max_degree, plain)
+    except BudgetExceeded:
+        assume(order is not LEX)
+        raise
+    if data.draw(st.booleans()):
+        f = eng.to_vector(data.draw(st.sampled_from(G))[2], TXYZ)[0]
+    else:
+        one = Polynomial.one(spec.ring, TXYZ)
+        f = Polynomial.zero(spec.ring, TXYZ)
+        for g in spec.generators:
+            f = f + data.draw(st.sampled_from([0 * one, one]) | _small_polys(spec.ring)) * g
+    if data.draw(st.booleans()):
+        f = f + data.draw(_small_polys(spec.ring))
+    assume(not f.is_zero())
+    assume(not all(groebner._is_homogeneous(g) for g in (f, *spec.generators)))
+    try:
+        verdict = groebner._ideal_contains_all(spec, [f], Budget())
+        expected = not eng.reduce(eng.pack([f])[0], G, Budget().fresh_counter())[0]
+    except BudgetExceeded:
+        assume(order is not LEX)
+        raise
+    assert verdict == expected
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,8 +6,9 @@ import pytest
 from ribetkit.borel import TauAction
 from ribetkit.errors import StructuralError
 from ribetkit.exactpoly import DEGREVLEX, GF, QQ
-from ribetkit.groebner import IdealSpec, in_ideal, reduce_by
+from ribetkit.groebner import FreeModuleMatrix, IdealSpec, in_ideal, reduce_by
 from ribetkit.ribet.formal import (
+    FormalMatrices,
     FormalRing,
     build_A_generators,
     build_ideals,
@@ -162,6 +163,30 @@ def test_element_e_trivial_cases():
 def test_element_e_lies_in_ir_for_corpus():
     for sh in corpus():
         element_e(sh)  # raises on membership failure
+
+
+def test_element_e_rejects_a_perturbed_e_prime():
+    # Negative control: E' of the r=2 example with nu1 added to its top
+    # left entry.  I_R vanishes under a_i -> -nu_i, b_i, c_i, d_i -> 0 and
+    # the perturbed e does not: that, not the engine, proves it is
+    # outside I_R.
+    sh = shape_r2_two_type2()
+    mats = build_matrices(sh)
+    F = mats.ring
+    rows = [list(row) for row in mats.Eprime.entries]
+    rows[0][0] = rows[0][0] + F.nu(1)
+    perturbed = FormalMatrices(F, mats.D, mats.E, FreeModuleMatrix(rows))
+    point = {}
+    for k, (name, role) in enumerate(zip(F.table.names, F.table.roles)):
+        if role == "a":
+            point[k] = -F.nu(int(name[1:]))
+        elif role in ("b", "c", "d"):
+            point[k] = F.zero()
+    assert all(g.substitute(point).is_zero() for g in build_ideals(sh).I_R.generators)
+    e = symbolic_det(perturbed.Eprime) - symbolic_det(perturbed.E)
+    assert e.substitute(point) == F.nu(1) * F.delta(2, 1, 2)
+    with pytest.raises(StructuralError, match="escaped I_R"):
+        element_e(sh, matrices=perturbed)
 
 
 def test_check_example_r2_variants():
