@@ -26,14 +26,18 @@ After the tau-invariance check of p1-type4, an inhomogeneous membership
 question decided on one reduced basis under one step counter, the GB of
 J(sigma-v0-type3), the length-4 trace classes, the negative control and
 each member of the full J it prints the counters of the signature loops
-behind them: the steps charged, the reduction steps among them, the
-pairs formed and queued, the pairs pruned by the F5, syzygy, rewrite and
-one-per-signature criteria, and the reductions to zero.
+behind them: the step counters taken, the steps charged, the reduction
+steps among them, the pairs formed and queued, the pairs pruned by the
+F5, syzygy, rewrite and one-per-signature criteria, and the reductions
+to zero.  After symbolic H1 of R(f) 2x4 it prints its counters and
+steps: one counter for the syzygies and one for the membership batch.
+The Buchberger loop behind a module basis keeps no pair counts.
 
 Run: PYTHONPATH=src python scripts/profile_engine.py
 """
 
 import time
+from collections import Counter
 from itertools import product
 
 import ribetkit.genmat as genmat
@@ -91,17 +95,20 @@ class CountingBudget(Budget):
 
 
 def print_counts(budgets):
-    """The work counters of the signature loops run under ``budgets``,
-    summed: the steps charged to their counters, of which the reduction
-    steps (in the loop, then in reducing its records to a reduced basis,
-    the generators to zero against that basis in the check that
-    certifies it, and the targets by the records) and the pairs formed,
-    then the pairs queued, the pairs each criterion pruned and the zero
-    reductions."""
-    counters = [c for budget in budgets for c in budget.counters if c.stats]
-    stats = {key: sum(c.stats[key] for c in counters) for key in counters[0].stats}
+    """The work counters of the engine calls run under ``budgets``,
+    summed: the step counters they took, the steps charged to them, of
+    which the reduction steps (in the loop, then in reducing its records
+    to a reduced basis, the generators to zero against that basis in the
+    check that certifies it, and the targets by the records) and the
+    pairs formed, then the pairs queued, the pairs each criterion pruned
+    and the zero reductions.  The pair counts come from signature loops
+    only."""
+    counters = [c for budget in budgets for c in budget.counters]
+    stats = Counter()
+    for c in counters:
+        stats.update(c.stats or {})
     steps = sum(c.steps for c in counters)
-    counts = {"steps": steps, "reduction steps": steps - stats["pairs"], **stats}
+    counts = {"counters": len(counters), "steps": steps, "reduction steps": steps - stats["pairs"], **stats}
     print(f"{'  counts':55s} {'':9s}  -> " + ", ".join(f"{k} {n}" for k, n in counts.items()))
 
 
@@ -127,11 +134,13 @@ def module_path():
     module side of the one Buchberger loop."""
     rf = br_complexes(generic_2xn(4)).Rf
     timed("syzygies of d_1 of R(f) 2x4", lambda: syzygies(rf.diffs[1]), lambda syz: f"{len(syz)} generators")
+    budget = CountingBudget()
     timed(
         "symbolic H1 of R(f) 2x4",
-        lambda: symbolic_h1(rf),
+        lambda: symbolic_h1(rf, budget),
         lambda rep: f"{len(rep.h1_generators)} generators, exact {rep.is_exact_at_1}",
     )
+    print_counts([budget])
 
 
 def trace_suite():

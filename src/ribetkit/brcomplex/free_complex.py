@@ -29,7 +29,6 @@ from ..groebner import (
     DEFAULT_BUDGET,
     FreeModuleMatrix,
     _module_contains_all,
-    module_gb,
     syzygies,
 )
 from ..linalg import rank as field_rank
@@ -141,20 +140,17 @@ class H1Report:
 
 
 def symbolic_h1(C: FreeComplex, budget: Budget = DEFAULT_BUDGET) -> H1Report:
-    """Syzygies of d_1 tested against the column space of d_2."""
+    """Syzygies of d_1 tested against the submodule that the columns of
+    d_2 generate.  It spends two budgets, one for ``syzygies`` and one
+    for the membership batch, which packs those columns once.  With no syzygies
+    the complex is exact at 1; with no d_2 (or no columns) it is exact
+    exactly when every syzygy is zero."""
     if C.top_degree < 1 or C.diffs[1] is None:
         return H1Report([], True)
     syz = syzygies(C.diffs[1], DEGREVLEX, budget)
-    if not syz:
-        return H1Report([], True)
-    if C.top_degree < 2 or C.diffs[2] is None or C.ranks[2] == 0:
-        nonzero = [v for v in syz if any(not e.is_zero() for e in v)]
-        return H1Report(syz, not nonzero)
-    d2 = C.diffs[2]
-    columns = [d2.column(j) for j in range(d2.cols)]
-    gb = module_gb(columns, DEGREVLEX, budget)
-    exact = _module_contains_all(syz, gb, DEGREVLEX, budget)
-    return H1Report(syz, exact)
+    d2 = C.diffs[2] if C.top_degree >= 2 else None
+    columns = [d2.column(j) for j in range(d2.cols)] if d2 is not None else []
+    return H1Report(syz, _module_contains_all(syz, columns, DEGREVLEX, budget))
 
 
 def subcomplex(C: FreeComplex, keep: Callable[[object], bool]) -> FreeComplex:

@@ -147,10 +147,9 @@ reducing the generators to zero against it.
 Budgets: every reduction step, and every pair the signature loop
 forms, counts against ``Budget.max_steps`` (on a large ideal that
 loop's pair criteria cost more than its reductions), one counter per
-``buchberger`` run or membership batch, and monomials are checked
-against ``Budget.max_degree``.  Exceeding either
-raises :class:`BudgetExceeded` -- a resource report, never a wrong
-answer.
+call, which its widening restarts share, and monomials are checked
+against ``Budget.max_degree``.  Exceeding either raises
+:class:`BudgetExceeded` -- a resource report, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -190,8 +189,8 @@ class Budget:
 
 class _Counter:
     """Steps spent against one budget.  ``stats`` holds the pair and
-    zero-reduction counts of the signature loop that used the counter,
-    if one did (``_signature_basis``)."""
+    zero-reduction counts of the signature loops that used the counter,
+    if any did (``_signature_basis``)."""
 
     __slots__ = ("budget", "steps", "stats")
 
@@ -532,16 +531,6 @@ def _engine_for(
     return _Engine(lifted[0].ring, order, len(lifted[0].table), degree, components), lifted
 
 
-def _module_engine(
-    vectors: Sequence[Sequence[Polynomial]], order: MonomialOrder, degree: int, rank: int
-) -> tuple[_Engine, list[list[Polynomial]]]:
-    """Engine for elements of a rank-``rank`` free module, and the vectors
-    over its field."""
-    n = len(vectors[0])
-    eng, flat = _engine_for([e for v in vectors for e in v], order, degree, rank)
-    return eng, [flat[i : i + n] for i in range(0, len(flat), n)]
-
-
 def _widening(degree: int, run):
     """``run(degree)``, retried with twice the room while it overflows."""
     while True:
@@ -588,17 +577,20 @@ class GroebnerBasis:
     def verify(self, budget: Budget = DEFAULT_BUDGET) -> bool:
         """Re-check the defining invariants: every S-pair that the product
         and chain criteria keep reduces to 0 (``_buchberger``'s pair loop)
-        and every source generator is a member."""
+        and every source generator reduces to 0, in one engine with room
+        for the sources' degree and under one step counter."""
         if not self.basis:
             return not self.source.generators
+        gens = [_match_field(g, self.basis[0].ring) for g in self.source.generators]
+        counter = budget.fresh_counter()
 
-        def run(degree: int):
+        def run(degree: int) -> bool:
             eng, records = self._prepared(degree)
-            return _buchberger(eng, [rec[2] for rec in records], budget.fresh_counter(), check=True)
+            if _buchberger(eng, [rec[2] for rec in records], counter, check=True) is None:
+                return False
+            return not any(eng.divide([g], records, counter)[0] for g in gens)
 
-        if _widening(budget.max_degree, run) is None:
-            return False
-        return all(self.contains(g, budget) for g in self.source.generators)
+        return _widening(max(budget.max_degree, _max_degree(gens)), run)
 
 
 def _match_field(f: Polynomial, ring: CoefficientRing) -> Polynomial:
@@ -626,10 +618,10 @@ def _ideal_basis(gens, order: MonomialOrder, budget: Budget, degree_bound=None, 
     ``degree_bound`` d, else the reduced basis, largest lead first,
     certified by reducing every generator to zero against it (its
     elements are built from the generators)."""
+    counter = budget.fresh_counter()
 
     def run(room: int):
         eng, lifted = _engine_for(gens, order, max(room, degree))
-        counter = budget.fresh_counter()
         inputs = [eng.pack([g])[0] for g in lifted]
         records = _signature_basis(eng, inputs, counter, degree_bound)
         if degree_bound is None:
@@ -741,7 +733,7 @@ def _signature_basis(
     packer = eng.packer
     guard, mask, room = packer.guard, packer.deg_mask, packer.room
     bound = mask if degree_bound is None else degree_bound
-    stats = counter.stats = dict.fromkeys(_SIGNATURE_COUNTS, 0)
+    stats = counter.stats = counter.stats or dict.fromkeys(_SIGNATURE_COUNTS, 0)
     heappush, heappop = heapq.heappush, heapq.heappop
 
     prev: list[tuple] = []  # a basis of the ideal of the earlier phases
@@ -1001,8 +993,8 @@ def exact_div(g: Polynomial, f: Polynomial, order: MonomialOrder = DEGREVLEX) ->
         return g
     zero, one = Polynomial.zero(g.ring, g.table), Polynomial.one(g.ring, g.table)
     budget = Budget(max_degree=max(Budget.max_degree, _max_degree([g])))
-    eng, (gv, fv) = _module_engine([[g, zero], [f, -one]], order, budget.max_degree, 2)
-    rem, k = eng.divide(gv, eng.records([fv]), budget.fresh_counter(), head_only=True)
+    eng, lifted = _engine_for([g, zero, f, -one], order, budget.max_degree, 2)
+    rem, k = eng.divide(lifted[:2], eng.records([lifted[2:]]), budget.fresh_counter(), head_only=True)
     if eng.packer.component(max(rem)) == 0:
         raise StructuralError("exact division failed")
     return eng.to_vector(rem, g.table, 1, 1, divisor=k)[0]
@@ -1121,6 +1113,21 @@ class FreeModuleMatrix:
         return all(e.is_zero() for row in self.entries for e in row)
 
 
+def _module_basis(vectors, order: MonomialOrder, budget: Budget, rank: int, degree: int = 0) -> tuple:
+    """(engine, records, counter) of a Groebner basis of the submodule of
+    a rank-``rank`` free module that ``vectors`` generate, with room for
+    degree ``degree``: ``_buchberger``'s records, each new one fully
+    reduced, on one counter across widening restarts."""
+    counter = budget.fresh_counter()
+
+    def run(room: int):
+        eng, flat = _engine_for([e for v in vectors for e in v], order, max(room, degree), rank)
+        inputs = [eng.pack(flat[i : i + rank])[0] for i in range(0, len(flat), rank)]
+        return eng, _buchberger(eng, inputs, counter, head_only=False), counter
+
+    return _widening(budget.max_degree, run)
+
+
 def module_gb(
     columns: list[list[Polynomial]],
     order: MonomialOrder = DEGREVLEX,
@@ -1129,15 +1136,8 @@ def module_gb(
     """Groebner basis of the submodule of R^m generated by the columns, as
     vectors over the coefficient field (not interreduced)."""
     rank = len(columns[0])
-    table = columns[0][0].table
-
-    def run(degree: int) -> list[list[Polynomial]]:
-        eng, vectors = _module_engine(columns, order, degree, rank)
-        counter = budget.fresh_counter()
-        G = _buchberger(eng, [eng.pack(v)[0] for v in vectors], counter, head_only=False)
-        return [eng.to_vector(rec[2], table, 0, rank) for rec in G]
-
-    return _widening(budget.max_degree, run)
+    eng, records, _ = _module_basis(columns, order, budget, rank)
+    return [eng.to_vector(rec[2], columns[0][0].table, 0, rank) for rec in records]
 
 
 def module_contains(
@@ -1146,28 +1146,22 @@ def module_contains(
     order: MonomialOrder = DEGREVLEX,
     budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
-    """Membership of ``v`` in the submodule with Groebner basis ``gb_vectors``."""
+    """Membership of ``v`` in the submodule that the vectors
+    ``gb_vectors`` generate; they need not be a Groebner basis."""
     return _module_contains_all([v], gb_vectors, order, budget)
 
 
-def _module_contains_all(
-    vs: Sequence[Sequence[Polynomial]],
-    gb_vectors: Sequence[Sequence[Polynomial]],
-    order: MonomialOrder,
-    budget: Budget,
-) -> bool:
-    """Whether every vector of ``vs`` lies in the submodule with Groebner
-    basis ``gb_vectors``.  The basis is packed once for all of them; each
-    vector is reduced with a fresh step counter, and the test stops at
-    the first non-member."""
+def _module_contains_all(vs, generators, order: MonomialOrder, budget: Budget) -> bool:
+    """Whether every vector of ``vs`` lies in the submodule generated by
+    ``generators``, each reduced in the engine and under the counter of
+    one ``_module_basis`` with room for the largest entry degree of
+    ``vs``.  Stops at the first non-member."""
     vs = [v for v in vs if any(not e.is_zero() for e in v)]
-    if not vs:
-        return True
-    if not gb_vectors:
-        return False
-    eng, vectors = _module_engine([*vs, *gb_vectors], order, budget.max_degree, len(vs[0]))
-    records = eng.records(vectors[len(vs):])
-    return all(not eng.divide(v, records, budget.fresh_counter())[0] for v in vectors[: len(vs)])
+    if not vs or not generators:
+        return not vs
+    d = _max_degree([e for v in vs for e in v])
+    eng, records, counter = _module_basis(generators, order, budget, len(vs[0]), d)
+    return all(not eng.divide([_match_field(e, eng.ring) for e in v], records, counter)[0] for v in vs)
 
 
 def syzygies(
@@ -1180,23 +1174,14 @@ def syzygies(
     m, k = M.rows, M.cols
     if k == 0:
         return []
-    table = M.entries[0][0].table
-
-    def run(degree: int) -> tuple[list[list[Polynomial]], list[list[Polynomial]]]:
-        eng, cols = _module_engine([M.column(j) for j in range(k)], order, degree, m + k)
-        one, zero = Polynomial.one(eng.ring, table), Polynomial.zero(eng.ring, table)
-        # Column j with the bookkeeping unit in component m + j.
-        inputs = [
-            eng.pack([*col, *(one if i == j else zero for i in range(k))])[0]
-            for j, col in enumerate(cols)
-        ]
-        counter = budget.fresh_counter()
-        G = _buchberger(eng, inputs, counter, head_only=False)
-        found = [eng.to_vector(rec[2], table, m, k) for rec in G if eng.packer.component(rec[0]) >= m]
-        return found, cols
-
-    out, cols = _widening(budget.max_degree, run)
-    lifted = FreeModuleMatrix([[cols[j][i] for j in range(k)] for i in range(m)])
+    flat = _lift([e for row in M.entries for e in row])
+    lifted = FreeModuleMatrix([flat[i : i + k] for i in range(0, len(flat), k)])
+    ring, table = flat[0].ring, flat[0].table
+    one, zero = Polynomial.one(ring, table), Polynomial.zero(ring, table)
+    # Column j with the bookkeeping unit in component m + j.
+    columns = [[*lifted.column(j), *(one if i == j else zero for i in range(k))] for j in range(k)]
+    eng, records, _ = _module_basis(columns, order, budget, m + k)
+    out = [eng.to_vector(rec[2], table, m, k) for rec in records if eng.packer.component(rec[0]) >= m]
     for v in out:
         for e in lifted.apply(v):
             if not e.is_zero():

@@ -6,6 +6,7 @@ import pytest
 
 from ribetkit.brcomplex import (
     ComplexMorphism,
+    FreeComplex,
     br_complexes,
     br_f,
     check_d2,
@@ -252,6 +253,15 @@ def test_symbolic_h1_examples():
     # Deleting d_2 breaks exactness.
     crippled = truncate(rf, 1)
     assert not symbolic_h1(crippled).is_exact_at_1
+    # No syzygies: the Koszul complex on one element is exact at 1.
+    rep = symbolic_h1(koszul(b[:1]))
+    assert (rep.h1_generators, rep.is_exact_at_1) == ([], True)
+    # A d_2 with no columns, or none, leaves the nonzero syzygy outside.
+    K = koszul(b)
+    for d2 in (FreeModuleMatrix([[], []]), None):
+        C = FreeComplex(K.ring, K.table, [1, 2, 0], [None, K.diffs[1], d2], K.labels[:2] + [[]])
+        rep = symbolic_h1(C)
+        assert len(rep.h1_generators) == 1 and not rep.is_exact_at_1
 
 
 def _br_exact_instance():

@@ -4,7 +4,7 @@ import pytest
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, reject, settings, strategies as st
 
 import ribetkit.groebner as groebner
 from ribetkit.errors import BudgetExceeded, StructuralError
@@ -38,7 +38,7 @@ from ribetkit.groebner import (
     reduce_by,
     syzygies,
 )
-from ribetkit.brcomplex import br_complexes, generic_2xn
+from ribetkit.brcomplex import br_complexes, br_f, generic_2xn, symbolic_h1
 from ribetkit.genmat import GenericModel, Word, trace_congruence_check, trace_congruence_question
 from ribetkit.linalg import kernel_basis
 from ribetkit.ribet import (
@@ -167,6 +167,24 @@ def test_a_basis_and_an_inhomogeneous_question_each_take_one_counter(monkeypatch
     counters.clear()
     assert check_e_tau_invariance(shape_one_place_type4())
     assert len(counters) == 1
+
+
+def test_verify_and_the_module_path_take_one_counter_per_call(monkeypatch):
+    # verify() runs check mode and reduces the source generators to zero
+    # on one counter.  symbolic_h1 spends one on syzygies and one on the
+    # membership batch that tests them against the columns of d_2.  A
+    # call answered before any engine work takes none.
+    gb = buchberger(build_ideals(shape_r2_two_type2()).J)
+    counters = _recorded_counters(monkeypatch)
+    assert gb.verify()
+    assert [c.steps for c in counters] == [6_663]
+    counters.clear()
+    assert symbolic_h1(br_f(generic_2xn(4))).is_exact_at_1
+    assert len(counters) == 2 and sum(c.steps for c in counters) == 45
+    counters.clear()
+    x, zero = V(0), Polynomial.zero(QQ, TXY)
+    assert in_ideal(zero, IdealSpec([x])) and module_contains([zero], [[x]])
+    assert counters == []
 
 
 def test_a_basis_short_of_an_element_fails_its_certificate(monkeypatch):
@@ -332,16 +350,19 @@ def spoly_overflows(monkeypatch):
     return rooms
 
 
-def test_elimination_tail_above_the_lead_widens_the_fields(packer_rooms, spoly_overflows):
+def test_elimination_tail_above_the_lead_widens_the_fields(packer_rooms, spoly_overflows, monkeypatch):
     # Under an elimination order a tail can outweigh its leading monomial
     # in total degree, and S-polynomial tails escape the degree cap: here
     # one passes the room of the fields sized for max_degree=7, and the
-    # engine must restart with wider fields rather than carry.
+    # engine must restart with wider fields rather than carry.  The step
+    # the discarded attempt spent stays on the run's one counter.
     t = VariableTable(["u", "x", "y", "z"])
     u, x, y, z = (Polynomial.var(QQ, t, i) for i in range(4))
     order = elimination_order([0], 4)
     spec = IdealSpec([-2 * x**2 * y**3 + z, x**3 * y * z + 2 * u * x**2 * z], order)
+    counters = _recorded_counters(monkeypatch)
     gb = buchberger(spec, Budget(max_degree=7))
+    assert [c.steps for c in counters] == [7]
     assert packer_rooms[:2] == [7, 15]
     assert spoly_overflows == [7]
     assert gb.basis == buchberger(spec).basis
@@ -575,6 +596,9 @@ def test_verify_rejects_a_basis_missing_an_element(ring):
     # With the truncated set as its own source every generator is a
     # member, so the S-pair that fails to reduce to zero is what rejects.
     assert not GroebnerBasis(rest, gb.order, IdealSpec(rest, gb.order)).verify()
+    # One element is a Groebner basis of its own ideal, so the source
+    # generators that it does not reduce to zero are what rejects.
+    assert not GroebnerBasis(gb.basis[:1], gb.order, gb.source).verify()
 
 
 def _membership_verdicts(ring):
@@ -1034,6 +1058,38 @@ def test_module_pairs_with_coprime_leads_are_not_skipped():
     assert module_contains([zero, y], gb)
     assert not module_contains([zero, x], gb)
     assert not module_contains([zero, y], [])
+
+
+def test_module_membership_against_a_generating_set_that_is_no_groebner_basis():
+    # y^2 = y (x^2 + y) - x (x y), though neither lead divides y^2.
+    x, y = V(0), V(1)
+    assert module_contains([y * y], [[x * x + y], [x * y]])
+    assert not module_contains([x], [[x * x + y], [x * y]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ideals(), st.sampled_from(["random", "combination", "perturbed"]), st.data())
+def test_rank_one_module_membership_is_ideal_membership(ideal, kind, data):
+    # A submodule of R^1 is an ideal, so module_contains against the
+    # generators as vectors, rarely a Groebner basis, agrees with in_ideal.
+    # The target is random, a combination of the generators, or such a
+    # combination plus a polynomial that may take it out of the ideal.
+    gens, _ = ideal
+    spec = IdealSpec(gens)
+    assume(spec.generators)
+    if kind == "random":
+        f = data.draw(_small_polys(spec.ring))
+    else:
+        f = Polynomial.zero(spec.ring, TXYZ)
+        for g in spec.generators:
+            f = f + data.draw(_small_polys(spec.ring)) * g
+        if kind == "perturbed":
+            f = f + data.draw(_small_polys(spec.ring))
+    try:
+        verdicts = [in_ideal(f, spec), module_contains([f], [[g] for g in spec.generators])]
+    except BudgetExceeded:
+        reject()
+    assert verdicts[0] == verdicts[1]
 
 
 def test_gf_syzygies_are_the_qq_syzygies_mod_p():
