@@ -1,6 +1,12 @@
 """Constructors for Koszul and Buchsbaum-Rim complexes over a 2-row map,
 plus the regularity criteria used to certify exactness.
 
+Each complex is written as its bases plus its boundary formula: the
+basis keys of every degree and a generator of the (row key,
+coefficient) pairs of d_k on one key.  One scaffold, ``_complex``,
+turns those into the differential matrices, so the three constructors
+below hold no matrix assembly of their own.
+
 For f with matrix columns f(e_i) = (b_i, b_i') and r_ij = b_i b_j' -
 b_j b_i', two complexes are built:
 
@@ -32,11 +38,11 @@ to pairwise-distinct keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Sequence
+from itertools import combinations, product, takewhile
+from typing import Callable, Iterable, Sequence
 
 from ..errors import StructuralError
-from ..exactpoly import QQ, Polynomial, VariableTable
+from ..exactpoly import QQ, CoefficientRing, Polynomial, VariableTable
 from ..groebner import (
     Budget,
     DEFAULT_BUDGET,
@@ -46,6 +52,53 @@ from ..groebner import (
     ideal_quotient,
 )
 from .free_complex import FreeComplex
+
+
+# ---------------------------------------------------------------------------
+# The scaffold: a complex is its bases plus its boundary formula.
+
+def _complex(
+    ring: CoefficientRing,
+    table: VariableTable,
+    bases: Iterable[list],
+    label: Callable[[int, object], object],
+    boundary: Callable[[int, object], Iterable[tuple[object, Polynomial]]],
+) -> FreeComplex:
+    """The complex whose degree-k basis is ``bases[k]``, up to the first
+    empty degree.  ``label(k, b)`` names the basis key b, and
+    ``boundary(k, b)`` yields the (row key, coefficient) pairs of d_k(b);
+    every row key must lie in the basis one degree down."""
+    bases = list(takewhile(bool, bases))
+    zero = Polynomial.zero(ring, table)
+    diffs: list[FreeModuleMatrix | None] = [None]
+    for k in range(1, len(bases)):
+        pos_of = {b: i for i, b in enumerate(bases[k - 1])}
+        M = [[zero] * len(bases[k]) for _ in bases[k - 1]]
+        for col, b in enumerate(bases[k]):
+            for key, coeff in boundary(k, b):
+                row = pos_of[key]
+                M[row][col] = M[row][col] + coeff
+        diffs.append(FreeModuleMatrix(M))
+    labels = [[label(k, b) for b in base] for k, base in enumerate(bases)]
+    return FreeComplex(ring, table, [len(b) for b in bases], diffs, labels)
+
+
+def _sign(e: Polynomial, n: int) -> Polynomial:
+    """(-1)^n e."""
+    return e if n % 2 == 0 else -e
+
+
+def _drop(S: tuple, *positions: int) -> tuple:
+    """S without the entries at ``positions``."""
+    return tuple(x for t, x in enumerate(S) if t not in positions)
+
+
+def _distinct(labels: Sequence, distinct_key: Callable[[object], object] | None) -> bool:
+    """True unless ``distinct_key`` maps two of ``labels`` to one key."""
+    if distinct_key is None:
+        return True
+    keys = [distinct_key(lab) for lab in labels]
+    return len(set(keys)) == len(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -65,41 +118,22 @@ def koszul_general(
     """
     if not columns:
         raise StructuralError("koszul needs at least one element")
-    ring = columns[0][1].ring
-    table = columns[0][1].table
-    zero = Polynomial.zero(ring, table)
+    names = [lab for lab, _ in columns]
     n = len(columns)
     top = n if cap is None else min(cap, n)
 
-    def admissible(idxs: tuple[int, ...]) -> bool:
-        if distinct_key is None:
-            return True
-        keys = [distinct_key(columns[i][0]) for i in idxs]
-        return len(set(keys)) == len(keys)
+    def boundary(k, idxs):
+        for pos, i in enumerate(idxs):
+            yield _drop(idxs, pos), _sign(columns[i][1], pos)
 
-    labels: list[list] = [[()]]
-    index_sets: list[list[tuple[int, ...]]] = [[()]]
-    for k in range(1, top + 1):
-        sets = [c for c in combinations(range(n), k) if admissible(c)]
-        if not sets:
-            break
-        index_sets.append(sets)
-        labels.append([tuple(columns[i][0] for i in c) for c in sets])
-    top = len(index_sets) - 1
-
-    ranks = [len(s) for s in index_sets]
-    diffs: list[FreeModuleMatrix | None] = [None]
-    for k in range(1, top + 1):
-        pos_of = {c: i for i, c in enumerate(index_sets[k - 1])}
-        M = [[zero] * ranks[k] for _ in range(ranks[k - 1])]
-        for col, idxs in enumerate(index_sets[k]):
-            for pos, i in enumerate(idxs):
-                rest = idxs[:pos] + idxs[pos + 1 :]
-                row = pos_of[rest]
-                img = columns[i][1]
-                M[row][col] = M[row][col] + (img if pos % 2 == 0 else -img)
-        diffs.append(FreeModuleMatrix(M))
-    return FreeComplex(ring, table, ranks, diffs, labels)
+    bases = (
+        [c for c in combinations(range(n), k) if _distinct([names[i] for i in c], distinct_key)]
+        for k in range(top + 1)
+    )
+    image = columns[0][1]
+    return _complex(
+        image.ring, image.table, bases, lambda k, c: tuple(names[i] for i in c), boundary
+    )
 
 
 def koszul(elems: Sequence[Polynomial], cap: int | None = None) -> FreeComplex:
@@ -136,73 +170,43 @@ def br_f(f: FreeModuleMatrix, cap: int | None = None) -> FreeComplex:
     """
     cols = _cols_of(f)
     n = len(cols)
+    full = max(1, n - 1)
+    top = max(1, full if cap is None else min(cap, full))  # d_1 = f at any cap
+
+    def basis(k):
+        if k == 0:
+            return [("w", 1), ("w", 2)]
+        if k == 1:
+            return [("e", i) for i in range(n)]
+        return [(S, (a, k - 2 - a)) for S in combinations(range(n), k + 1) for a in range(k - 1)]
+
+    def label(k, b):
+        if k == 0:
+            return b
+        if k == 1:
+            return ("e", cols[b[1]].label)
+        S, u = b
+        return ("rf", tuple(cols[i].label for i in S), u)
+
+    def boundary(k, b):
+        if k == 1:
+            # d_1 = f.
+            yield ("w", 1), cols[b[1]].b
+            yield ("w", 2), cols[b[1]].bp
+        elif k == 2:
+            # e_S (x) wedge^2 W* -> V by the r-contraction.
+            S = b[0]
+            for p, q in combinations(range(len(S)), 2):
+                yield ("e",) + _drop(S, p, q), _sign(_r_of(cols, S[p], S[q]), p + q + 1)
+        else:
+            S, (alpha, beta) = b
+            for pos, i in enumerate(S):
+                for coord, ua, ub in ((cols[i].b, alpha - 1, beta), (cols[i].bp, alpha, beta - 1)):
+                    if ua >= 0 and ub >= 0:
+                        yield (_drop(S, pos), (ua, ub)), _sign(coord, pos)
+
     ring, table = cols[0].b.ring, cols[0].b.table
-    zero = Polynomial.zero(ring, table)
-    full = max(1, n - 1) if n >= 2 else 1
-    top = full if cap is None else min(cap, full)
-
-    ranks = [2, n]
-    labels: list[list] = [[("w", 1), ("w", 2)], [("e", c.label) for c in cols]]
-    bases: list[list] = [[("w", 1), ("w", 2)], [("e", i) for i in range(n)]]
-    for k in range(2, top + 1):
-        base = []
-        for S in combinations(range(n), k + 1):
-            for alpha in range(k - 1):
-                base.append((S, (alpha, k - 2 - alpha)))
-        if not base:
-            break
-        bases.append(base)
-        labels.append([("rf", tuple(cols[i].label for i in S), u) for (S, u) in base])
-        ranks.append(len(base))
-    top = len(ranks) - 1
-
-    diffs: list[FreeModuleMatrix | None] = [None]
-    # d_1 = f.
-    d1 = [[cols[j].b for j in range(n)], [cols[j].bp for j in range(n)]]
-    diffs.append(FreeModuleMatrix(d1))
-    for k in range(2, top + 1):
-        pos_of = {b: i for i, b in enumerate(bases[k - 1])}
-        M = [[zero] * ranks[k] for _ in range(ranks[k - 1])]
-        for col, (S, u) in enumerate(bases[k]):
-            if k == 2:
-                # e_S (x) wedge^2 W* -> V by the r-contraction.
-                for (p, q) in combinations(range(len(S)), 2):
-                    rest = tuple(x for t, x in enumerate(S) if t not in (p, q))
-                    row = pos_of[("e", rest[0])]
-                    coeff = _r_of(cols, S[p], S[q])
-                    term = coeff if (p + q + 1) % 2 == 0 else -coeff
-                    M[row][col] = M[row][col] + term
-            else:
-                alpha, beta = u
-                for pos in range(len(S)):
-                    rest = tuple(x for t, x in enumerate(S) if t != pos)
-                    i = S[pos]
-                    for coord, (da, db) in ((cols[i].b, (1, 0)), (cols[i].bp, (0, 1))):
-                        ua, ub = alpha - da, beta - db
-                        if ua < 0 or ub < 0:
-                            continue
-                        row = pos_of[(rest, (ua, ub))]
-                        term = coord if pos % 2 == 0 else -coord
-                        M[row][col] = M[row][col] + term
-        diffs.append(FreeModuleMatrix(M))
-    return FreeComplex(ring, table, ranks, diffs, labels)
-
-
-def _letter_words(k: int):
-    """Words (s_1..s_{k-1}) over the letters (1,), (2,), (1, 2)."""
-    if k == 1:
-        yield ()
-        return
-    alphabet = ((1,), (2,), (1, 2))
-    def rec(prefix, depth):
-        if depth == 0:
-            yield tuple(prefix)
-            return
-        for a in alphabet:
-            prefix.append(a)
-            yield from rec(prefix, depth - 1)
-            prefix.pop()
-    yield from rec([], k - 1)
+    return _complex(ring, table, (basis(k) for k in range(top + 1)), label, boundary)
 
 
 def br_detf(
@@ -216,87 +220,50 @@ def br_detf(
     cols = _cols_of(f)
     n = len(cols)
     ring, table = cols[0].b.ring, cols[0].b.table
-    zero = Polynomial.zero(ring, table)
+    one = Polynomial.one(ring, table)
     full = max(1, 2 * (n - 1))
     top = full if cap is None else min(cap, full)
 
-    def admissible(S: tuple[int, ...]) -> bool:
-        if distinct_key is None:
-            return True
-        keys = [distinct_key(cols[i].label) for i in S]
-        return len(set(keys)) == len(keys)
+    def basis(k):
+        if k == 0:
+            return [("det",)]
+        return [
+            (word, S)
+            for word in product(((1,), (2,), (1, 2)), repeat=k - 1)
+            for S in combinations(range(n), 2 + sum(len(s) for s in word))
+            if _distinct([cols[i].label for i in S], distinct_key)
+        ]
 
-    bases: list[list] = [[("det",)]]
-    labels: list[list] = [[("det",)]]
-    ranks = [1]
-    for k in range(1, top + 1):
-        base = []
-        for word in _letter_words(k):
-            size = 2 + sum(len(s) for s in word)
-            if size > n:
-                continue
-            for S in combinations(range(n), size):
-                if admissible(S):
-                    base.append((word, S))
-        if not base:
-            break
-        bases.append(base)
-        labels.append(
-            [(word, tuple(cols[i].label for i in S)) for (word, S) in base]
-        )
-        ranks.append(len(base))
-    top = len(ranks) - 1
+    def label(k, b):
+        if k == 0:
+            return b
+        word, S = b
+        return (word, tuple(cols[i].label for i in S))
 
-    def iota_single(t: int, S: tuple[int, ...]):
-        """Contract w_t*: yields (coeff, S') pairs."""
-        for pos in range(len(S)):
-            i = S[pos]
-            coord = cols[i].b if t == 1 else cols[i].bp
-            if coord.is_zero():
-                continue
-            rest = tuple(x for tt, x in enumerate(S) if tt != pos)
-            yield (coord if pos % 2 == 0 else -coord), rest
+    def boundary(k, b):
+        word, S = b
+        if k == 1:
+            yield ("det",), _r_of(cols, S[0], S[1])
+            return
+        # Merge adjacent rank-1 letters at bar position i, sign (-1)^i,
+        # with w2* (x) w1* -> -w1*^w2*.
+        for i in range(len(word) - 1):
+            a, c = word[i], word[i + 1]
+            if len(a) == len(c) == 1 and a != c:
+                merged = word[:i] + ((1, 2),) + word[i + 2 :]
+                yield (merged, S), _sign(one, i if a == (1,) else i + 1)
+        # Contract the letter adjacent to the V slot.
+        last = word[-1]
+        if len(last) == 1:
+            for pos, i in enumerate(S):
+                coord = cols[i].b if last == (1,) else cols[i].bp
+                yield (word[:-1], _drop(S, pos)), _sign(coord, pos + k - 2)
+        else:
+            for p, q in combinations(range(len(S)), 2):
+                coeff = _r_of(cols, S[p], S[q])
+                yield (word[:-1], _drop(S, p, q)), _sign(coeff, p + q + k - 2)
 
-    def iota_double(S: tuple[int, ...]):
-        for (p, q) in combinations(range(len(S)), 2):
-            coeff = _r_of(cols, S[p], S[q])
-            if coeff.is_zero():
-                continue
-            rest = tuple(x for tt, x in enumerate(S) if tt not in (p, q))
-            yield (coeff if (p + q) % 2 == 0 else -coeff), rest
-
-    diffs: list[FreeModuleMatrix | None] = [None]
-    for k in range(1, top + 1):
-        pos_of = {b: i for i, b in enumerate(bases[k - 1])}
-        M = [[zero] * ranks[k] for _ in range(ranks[k - 1])]
-        for col, (word, S) in enumerate(bases[k]):
-            if k == 1:
-                coeff = _r_of(cols, S[0], S[1])
-                M[0][col] = M[0][col] + coeff
-                continue
-            # Merge adjacent rank-1 letters.
-            for i in range(len(word) - 1):
-                a, b = word[i], word[i + 1]
-                if len(a) == 1 and len(b) == 1 and a != b:
-                    eps = 1 if (a, b) == ((1,), (2,)) else -1
-                    sign = eps if i % 2 == 0 else -eps
-                    new_word = word[:i] + ((1, 2),) + word[i + 2 :]
-                    row = pos_of.get((new_word, S))
-                    if row is None:
-                        continue
-                    one = Polynomial.one(ring, table)
-                    M[row][col] = M[row][col] + (one if sign > 0 else -one)
-            # Contract the letter adjacent to the V slot.
-            last = word[-1]
-            outer = 1 if (len(word) - 1) % 2 == 0 else -1
-            gen = iota_single(last[0], S) if len(last) == 1 else iota_double(S)
-            for coeff, rest in gen:
-                row = pos_of.get((word[:-1], rest))
-                if row is None:
-                    continue
-                M[row][col] = M[row][col] + (coeff if outer > 0 else -coeff)
-        diffs.append(FreeModuleMatrix(M))
-    return FreeComplex(ring, table, ranks, diffs, labels)
+    return _complex(ring, table, (basis(k) for k in range(top + 1)), label, boundary)
 
 
 @dataclass

@@ -165,24 +165,17 @@ def subcomplex(C: FreeComplex, keep: Callable[[object], bool]) -> FreeComplex:
     new_diffs: list[FreeModuleMatrix | None] = [None]
     for k in range(1, C.top_degree + 1):
         d = C.diffs[k]
+        if d is not None:
+            kept_rows = set(kept_idx[k - 1])
+            dropped = [i for i in range(C.ranks[k - 1]) if i not in kept_rows]
+            if any(not d.entries[i][j].is_zero() for j in kept_idx[k] for i in dropped):
+                raise StructuralError("subcomplex not closed under d")
         if d is None or new_ranks[k] == 0 or new_ranks[k - 1] == 0:
-            if d is not None and new_ranks[k]:
-                for j in kept_idx[k]:
-                    for i in range(C.ranks[k - 1]):
-                        if not d.entries[i][j].is_zero():
-                            raise StructuralError("subcomplex not closed under d")
             new_diffs.append(None)
-            continue
-        dropped = [i for i in range(C.ranks[k - 1]) if i not in set(kept_idx[k - 1])]
-        for j in kept_idx[k]:
-            for i in dropped:
-                if not d.entries[i][j].is_zero():
-                    raise StructuralError("subcomplex not closed under d")
-        new_diffs.append(
-            FreeModuleMatrix(
-                [[d.entries[i][j] for j in kept_idx[k]] for i in kept_idx[k - 1]]
+        else:
+            new_diffs.append(
+                FreeModuleMatrix([[d.entries[i][j] for j in kept_idx[k]] for i in kept_idx[k - 1]])
             )
-        )
     while len(new_ranks) > 1 and new_ranks[-1] == 0:
         new_ranks.pop()
         new_diffs.pop()

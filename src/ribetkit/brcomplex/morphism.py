@@ -19,8 +19,11 @@ complex of the doubled column set
   (sigma, B) -> (b_sigma, x_sigma - a_sigma)
 
 restricted to wedge words with pairwise distinct sigma.  The image of
-D^1 -> D^0 = R generates the full relation ideal J.  The inclusion maps
-send a wedge slot to its B-layer; commutativity of every square is
+D^1 -> D^0 = R generates the full relation ideal J.
+
+Each C factor is built together with its D factor and its inclusion, a
+label map that sends a wedge slot to its B-layer; the inclusion C -> D
+is the tensor product of these.  Commutativity of every square is
 verified symbolically, never assumed.
 """
 
@@ -90,6 +93,16 @@ def _identity_on_labels(
     return ComplexMorphism(source, target, maps)
 
 
+def _named_br_detf(f: FreeModuleMatrix, names, cap: int, distinct_key=None) -> FreeComplex:
+    """R(det f) twisted by -1, with column j renamed ``names[j - 1]`` in
+    every degree-k >= 1 label (word, S)."""
+    P = br_detf(f, cap=cap, distinct_key=distinct_key).twist(-1)
+    P.labels[1:] = [
+        [(word, tuple(names[j - 1] for j in S)) for (word, S) in labs] for labs in P.labels[1:]
+    ]
+    return P
+
+
 @dataclass
 class CDMorphism:
     shape: RibetShape
@@ -124,84 +137,53 @@ def build_cd_morphism(
     ideals = build_ideals(shape, ring)
     F = ideals.ring
 
+    # Each factor is a (C factor, D factor, inclusion label map) triple.
     # Koszul factor: one slot per TypeI/TypeII relation, four adjoint
-    # layers on the D side.
+    # layers on the D side, each slot sent to its B layer.
     row_quads = [q for q in ideals.quadruples if q.origin[0] == "row"]
-    k_cols = [(("L", q.origin[1]), q.matrix.b) for q in row_quads]
-    layer_cols = []
-    for q in row_quads:
-        rownum = q.origin[1]
-        for layer, coeff in zip("ABCD", q.matrix.entries()):
-            layer_cols.append(((rownum, layer), coeff))
-    if k_cols:
-        C_factors = [koszul_general(k_cols, cap=cap)]
-        D_factors = [
-            koszul_general(layer_cols, distinct_key=lambda lab: lab[0], cap=cap)
+    if row_quads:
+        k_cols = [(("L", q.origin[1]), q.matrix.b) for q in row_quads]
+        layer_cols = [
+            ((q.origin[1], layer), coeff)
+            for q in row_quads
+            for layer, coeff in zip("ABCD", q.matrix.entries())
         ]
+        factors = [(
+            koszul_general(k_cols, cap=cap),
+            koszul_general(layer_cols, distinct_key=lambda lab: lab[0], cap=cap),
+            lambda k, lab: tuple((rownum, "B") for (_tag, rownum) in lab),
+        )]
     else:
-        C_factors = [unit_complex(F.ring, F.table)]
-        D_factors = [unit_complex(F.ring, F.table)]
-
-    places = [
-        v
-        for v in list(shape.p_places) + list(shape.sigma_places[1:])
-        if len(shape.b_set(v)) >= 1
-    ]
-    for v in places:
-        bs = shape.b_set(v)
-        small = FreeModuleMatrix(
-            [[F.b(s) for s in bs], [F.b_prime(s) for s in bs]]
-        )
-        big_cols_top: list[Polynomial] = []
-        big_cols_bot: list[Polynomial] = []
-        for s in bs:
-            big_cols_top += [F.c_prime(s), F.b(s)]
-            big_cols_bot += [F.c(s), F.b_prime(s)]
-        big = FreeModuleMatrix([big_cols_top, big_cols_bot])
-        P = br_detf(small, cap=cap).twist(-1)
-        P.labels[1:] = [
-            [(word, tuple((bs[i - 1]) for i in S)) for (word, S) in labs]
-            for labs in P.labels[1:]
+        factors = [
+            (unit_complex(F.ring, F.table), unit_complex(F.ring, F.table), lambda k, lab: lab)
         ]
-        # Relabel with (sigma, layer) column names on the big side.
-        big_labels = []
-        for s in bs:
-            big_labels += [(s, "A"), (s, "B")]
-        Pt = br_detf(big, cap=cap, distinct_key=lambda lab: big_labels[lab - 1][0]).twist(-1)
-        Pt.labels[1:] = [
-            [(word, tuple(big_labels[i - 1] for i in S)) for (word, S) in labs]
-            for labs in Pt.labels[1:]
-        ]
-        C_factors.append(P)
-        D_factors.append(Pt)
 
-    # Per-factor inclusions.
-    def koszul_map(k, lab):
-        return tuple((rownum, "B") for (_tag, rownum) in lab)
-
+    # One R(det f) pair per place v != v0, each sigma sent to (sigma, B).
     def br_map(k, lab):
         if k == 0:
             return lab
         word, S = lab
         return (word, tuple((s, "B") for s in S))
 
-    morphisms = []
-    for idx, (cf, df) in enumerate(zip(C_factors, D_factors)):
-        if idx == 0 and k_cols:
-            morphisms.append(_identity_on_labels(cf, df, koszul_map))
-        elif idx == 0:
-            morphisms.append(_identity_on_labels(cf, df, lambda k, lab: lab))
-        else:
-            morphisms.append(_identity_on_labels(cf, df, br_map))
+    for v in list(shape.p_places) + list(shape.sigma_places[1:]):
+        bs = shape.b_set(v)
+        small = FreeModuleMatrix([[F.b(s) for s in bs], [F.b_prime(s) for s in bs]])
+        big = FreeModuleMatrix([
+            [e for s in bs for e in (F.c_prime(s), F.b(s))],
+            [e for s in bs for e in (F.c(s), F.b_prime(s))],
+        ])
+        layers = [(s, layer) for s in bs for layer in "AB"]
+        factors.append((
+            _named_br_detf(small, bs, cap),
+            _named_br_detf(big, layers, cap, distinct_key=lambda j: layers[j - 1][0]),
+            br_map,
+        ))
 
-    inc = morphisms[0]
-    accC, accD = C_factors[0], D_factors[0]
-    for idx in range(1, len(morphisms)):
-        newC = truncate(tensor(accC, C_factors[idx]), cap)
-        newD = truncate(tensor(accD, D_factors[idx]), cap)
-        inc = tensor_morphism(inc, morphisms[idx], newC, newD)
-        accC, accD = newC, newD
-    C, D = accC, accD
+    C, D, label_map = factors[0]
+    inc = _identity_on_labels(C, D, label_map)
+    for cf, df, label_map in factors[1:]:
+        C, D = truncate(tensor(C, cf), cap), truncate(tensor(D, df), cap)
+        inc = tensor_morphism(inc, _identity_on_labels(cf, df, label_map), C, D)
 
     commutes = inc.check_commutes()
 

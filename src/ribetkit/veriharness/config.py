@@ -37,15 +37,24 @@ def parse_flat_config(text: str) -> dict[str, dict[str, list[str]]]:
     return out
 
 
+def _int(key: str, value) -> int:
+    """``value`` as an int; a malformed number is a config error naming
+    its key."""
+    try:
+        return int(value)
+    except ValueError:
+        raise StructuralError(f"{key} = {value!r} is not an integer") from None
+
+
 def _parse_seeds(values: list[str]) -> list[int]:
     seeds: list[int] = []
     for v in values:
         for piece in v.split():
             if ".." in piece:
                 lo, _, hi = piece.partition("..")
-                seeds.extend(range(int(lo), int(hi) + 1))
+                seeds.extend(range(_int("seeds", lo), _int("seeds", hi) + 1))
             else:
-                seeds.append(int(piece))
+                seeds.append(_int("seeds", piece))
     return seeds
 
 
@@ -94,7 +103,10 @@ def load_config(
     The keys above the first ``[section]`` apply to every suite, and the
     ``[suite]`` section overrides them.  So ``suite="all"`` reads only
     those top-level keys (and an ``[all]`` section): a ``degree_cap``
-    under ``[cd-morphism]`` does not reach ``verify run all``."""
+    under ``[cd-morphism]`` does not reach ``verify run all``.
+
+    A malformed number, or a ``seeds`` key that names no seed, raises
+    StructuralError naming the key."""
     section: dict[str, list[str]] = {}
     if path is not None:
         if not os.path.exists(path):
@@ -109,15 +121,20 @@ def load_config(
         vals = section.get(key)
         return vals[-1] if vals else default
 
+    def number(key, default):
+        return _int(key, single(key, default))
+
     budget = Budget(
-        max_steps=int(single("budget_steps", Budget().max_steps)),
-        max_degree=int(single("degree_budget", Budget().max_degree)),
+        max_steps=number("budget_steps", Budget().max_steps),
+        max_degree=number("degree_budget", Budget().max_degree),
     )
     env_steps = os.environ.get("VERIFY_BUDGET_STEPS")
     if env_steps:
-        budget.max_steps = int(env_steps)
+        budget.max_steps = _int("VERIFY_BUDGET_STEPS", env_steps)
 
-    seeds = _parse_seeds(section.get("seeds", [])) or list(range(20))
+    # A seeds key that names no seed (``seeds = 5..3``) is an error, not
+    # the default range.
+    seeds = _parse_seeds(section["seeds"]) if "seeds" in section else list(range(20))
     if seed is not None:
         seeds = [seed + k for k in range(len(seeds))]
 
@@ -129,10 +146,10 @@ def load_config(
     return SuiteConfig(
         suite=suite,
         shape_paths=shape_paths,
-        prime=prime if prime is not None else int(single("prime", 10007)),
+        prime=prime if prime is not None else number("prime", 10007),
         seeds=seeds,
         budget=budget,
         out_path=out if out is not None else single("out", None),
-        jobs=jobs if jobs is not None else int(single("jobs", 1)),
-        degree_cap=int(single("degree_cap", 2)),
+        jobs=jobs if jobs is not None else number("jobs", 1),
+        degree_cap=number("degree_cap", 2),
     )

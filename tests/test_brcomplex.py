@@ -8,6 +8,7 @@ from ribetkit.brcomplex import (
     ComplexMorphism,
     FreeComplex,
     br_complexes,
+    br_detf,
     br_f,
     check_d2,
     generic_2xn,
@@ -297,6 +298,15 @@ def test_subcomplex_closure():
         subcomplex(K, lambda lab: lab == () or len(lab) == 2)
 
 
+def test_subcomplex_rejects_a_kept_column_hitting_a_dropped_row():
+    # Both degrees keep something, but d((1, 2)) = b2 (1,) - b1 (2,) has
+    # a nonzero entry in the dropped row (2,).
+    M, b, bp = bvars(3)
+    K = koszul(b)
+    with pytest.raises(StructuralError):
+        subcomplex(K, lambda lab: lab in ((), (1,), (1, 2)))
+
+
 def test_koszul_general_distinct_keys():
     M, b, bp = bvars(2)
     cols = [((1, "A"), b[0]), ((1, "B"), bp[0]), ((2, "A"), b[1]), ((2, "B"), bp[1])]
@@ -305,6 +315,65 @@ def test_koszul_general_distinct_keys():
     # degree 3+: impossible.
     assert C.ranks == [1, 4, 4]
     assert check_d2(C)
+
+
+def _column(C, k, label):
+    """d_k of the basis element ``label``, as {row label: nonzero entry}."""
+    j = C.labels[k].index(label)
+    d = C.diffs[k]
+    return {C.labels[k - 1][i]: d.entries[i][j] for i in range(d.rows) if not d.entries[i][j].is_zero()}
+
+
+def test_br_detf_basis_order_and_signs_2x4():
+    M, b, bp = bvars(4)
+    R = br_detf(M, cap=3)
+    pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    triples = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    assert R.labels[0] == [("det",)]
+    assert R.labels[1] == [((), S) for S in pairs]
+    assert R.labels[2] == (
+        [(((1,),), S) for S in triples]
+        + [(((2,),), S) for S in triples]
+        + [(((1, 2),), (1, 2, 3, 4))]
+    )
+
+    def r(i, j):
+        return b[i - 1] * bp[j - 1] - b[j - 1] * bp[i - 1]
+
+    # iota_{w1*^w2*} e_S = sum_{p<q} (-1)^{p+q} r_{S_p S_q} e_{S - {p,q}},
+    # positions p, q counted from 0.
+    assert _column(R, 2, (((1, 2),), (1, 2, 3, 4))) == {
+        ((), (3, 4)): -r(1, 2),
+        ((), (2, 4)): r(1, 3),
+        ((), (2, 3)): -r(1, 4),
+        ((), (1, 4)): -r(2, 3),
+        ((), (1, 3)): r(2, 4),
+        ((), (1, 2)): -r(3, 4),
+    }
+    # Degree 3: the merge w1* (x) w2* -> +w1*^w2* at bar position 0, then
+    # (-1)^{k-2} = -1 times iota_{w2*} e_S = sum_pos (-1)^pos bp_{S_pos} e_{S - pos}.
+    assert _column(R, 3, (((1,), (2,)), (1, 2, 3, 4))) == {
+        (((1, 2),), (1, 2, 3, 4)): Polynomial.one(QQ, M.entries[0][0].table),
+        (((1,),), (2, 3, 4)): -bp[0],
+        (((1,),), (1, 3, 4)): bp[1],
+        (((1,),), (1, 2, 4)): -bp[2],
+        (((1,),), (1, 2, 3)): bp[3],
+    }
+    assert check_d2(R)
+
+
+def test_br_detf_distinct_key_keeps_slot_sets_with_distinct_keys():
+    M, b, bp = bvars(4)
+    R = br_detf(M, cap=3, distinct_key=lambda j: "sstt"[j - 1])
+    assert R.ranks == [1, 4]
+    assert R.labels[1] == [((), S) for S in [(1, 3), (1, 4), (2, 3), (2, 4)]]
+    assert check_d2(R)
+    # With three keys degree 2 survives, so d_1 d_2 = 0 says something:
+    # 2 * 2 * 2 slot sets of size 3, each under the words (1,) and (2,).
+    R6 = br_detf(generic_2xn(6), cap=3, distinct_key=lambda j: "ssttuu"[j - 1])
+    assert R6.ranks == [1, 12, 16]
+    assert all(len({"ssttuu"[j - 1] for j in S}) == len(S) for labs in R6.labels[1:] for _w, S in labs)
+    assert check_d2(R6)
 
 
 def test_regularity_examples():

@@ -71,6 +71,43 @@ def test_env_budget_override(monkeypatch):
     assert cfg.budget.max_steps == 12345
 
 
+def test_empty_seed_range_is_a_config_error(tmp_path, capsys):
+    # An absent seeds key means seeds 0..19; one that names no seed is an
+    # error, not that default.
+    cfg_file = tmp_path / "empty.cfg"
+    cfg_file.write_text("[example-r2]\nseeds = 5..3\n")
+    with pytest.raises(StructuralError):
+        load_config("example-r2", str(cfg_file))
+    assert main(["run", "example-r2", "--config", str(cfg_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert load_config("example-r2").seeds == list(range(20))
+
+
+@pytest.mark.parametrize(
+    "key, text",
+    [
+        ("prime", "prime = abc"),
+        ("seeds", "seeds = 1..x"),
+        ("seeds", "seeds = 1 two"),
+        ("jobs", "jobs = many"),
+        ("degree_cap", "degree_cap = 2.5"),
+        ("budget_steps", "budget_steps = 1e6"),
+        ("degree_budget", "degree_budget = high"),
+        ("VERIFY_BUDGET_STEPS", None),
+    ],
+)
+def test_malformed_numbers_are_config_errors(tmp_path, capsys, monkeypatch, key, text):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"[example-r2]\n{text or 'seeds = 0'}\n")
+    if text is None:
+        monkeypatch.setenv("VERIFY_BUDGET_STEPS", "lots")
+    with pytest.raises(StructuralError, match=key):
+        load_config("example-r2", str(cfg_file))
+    assert main(["run", "example-r2", "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
 def test_list_suites_catalog():
     entries = {e["name"]: e for e in list_suites()}
     assert len(entries) >= 9
