@@ -18,10 +18,13 @@ member of degree 5 of the full J of p1-type4, full-mixed and spec-r4
 and one of degree 6 of J(p1-type4), each decided by
 ``_ideal_contains_all`` on its truncated basis, which is nearly all of
 the time, the specialization suite at the default prime and at
-p = 1000003, and the two layers that keep what they build for one check:
-the adjoint law of every relation quadruple of the five corpus shapes
-with one tau_x action per shape, and the trace questions, built but not
-decided, of every r = 3 word of length at most 3 on one generic model.
+p = 1000003, that suite's work at p = 1000003 split into instance
+generation (with the row reductions per generation attempt), the three
+determinants, the cocycle check and the J-vanishes check, and the two
+layers that keep what they build for one check: the adjoint law of
+every relation quadruple of the five corpus shapes with one tau_x
+action per shape, and the trace questions, built but not decided, of
+every r = 3 word of length at most 3 on one generic model.
 After the tau-invariance check of p1-type4, an inhomogeneous membership
 question decided on one reduced basis under one step counter, the GB of
 J(sigma-v0-type3), the length-4 trace classes, the negative control and
@@ -41,6 +44,8 @@ from collections import Counter
 from itertools import product
 
 import ribetkit.genmat as genmat
+import ribetkit.linalg as linalg
+import ribetkit.ribet.specialize as specialize
 import ribetkit.veriharness.suites as suites
 from ribetkit.borel import TauAction, adjoint_quadruple_check
 from ribetkit.exactpoly import GF, QQ
@@ -223,6 +228,47 @@ def specialization_suite():
         )
 
 
+def specialization_phases():
+    """The specialization suite's work at p = 1000003, phase by phase over 200
+    seeds: generating the instances, det(E), det(D) and det(E') of each,
+    the cocycle check and the J-vanishes check (J is built first,
+    untimed).  Generation counts its attempts and the row reductions they
+    run: one ``_eliminate`` per attempt gives the rank, the eps kernel and
+    every delta and alpha row."""
+    shape, p, seeds = shape_specialization(), 1000003, range(200)
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    eliminate, try_generate = linalg._eliminate, specialize._try_generate
+    linalg._eliminate = counting("eliminations", eliminate)
+    specialize._try_generate = counting("attempts", try_generate)
+    try:
+        insts = timed(
+            f"specialization at p={p}: generation",
+            lambda: [specialize.generate_specialization(shape, s, p) for s in seeds],
+            lambda insts: f"{len(insts)} instances",
+        )
+    finally:
+        linalg._eliminate, specialize._try_generate = eliminate, try_generate
+    per_attempt = calls["eliminations"] / calls["attempts"]
+    print(f"{'  row reductions per generation attempt':55s} {'':9s}  -> "
+          f"{calls['eliminations']} / {calls['attempts']} = {per_attempt:g}")
+    timed(
+        "  det(E), det(D), det(E')",
+        lambda: [[linalg.det(M, inst.ring) for M in (inst.E, inst.D, inst.Eprime)] for inst in insts],
+        lambda dets: f"{sum(d[2] == 0 for d in dets)} of {len(dets)} with det(E') = 0",
+    )
+    timed("  cocycle", lambda: [specialize._check_cocycle(inst, 12) for inst in insts], all)
+    specialize._relation_ideal(shape, p)
+    timed("  J vanishes", lambda: [specialize._check_j_vanishes(inst) for inst in insts], all)
+
+
 def cached_layers():
     """The adjoint law of every relation quadruple of the five corpus
     shapes, one TauAction per shape as the stability check makes it (the
@@ -282,6 +328,7 @@ def main():
     truncated_membership()
     larger_truncated_bases()
     specialization_suite()
+    specialization_phases()
     cached_layers()
 
 

@@ -650,9 +650,10 @@ class Polynomial:
         """Exact value at a full assignment of this polynomial's variables.
 
         Entries for other variables are ignored; each value is normalized
-        into the ring the first time a term reads it."""
+        into the ring the first time a term reads it.  Over GF(p) the
+        arithmetic is inline ints reduced mod p."""
         ring = self.ring
-        p = ring.p if ring.kind == "GF" else None
+        p = ring.p
         slots = range(len(self.table))
         vals: dict[int, object] = {}
         total = ring.zero()
@@ -662,14 +663,15 @@ class Polynomial:
                 v = vals.get(i)
                 if v is None:
                     try:
-                        v = vals[i] = ring.normalize(point[i])
+                        x = point[i]
                     except KeyError:
                         missing = [self.table.names[j] for j in sorted(self.variables())
                                    if j not in point]
                         raise StructuralError(f"missing assignment for {missing}") from None
-                acc = ring.mul(acc, pow(v, m[i], p) if p else v ** m[i])
-            total = ring.add(total, acc)
-        return total
+                    v = vals[i] = x % p if p and type(x) is int else ring.normalize(x)
+                acc = acc * pow(v, m[i], p) % p if p else ring.mul(acc, v ** m[i])
+            total = total + acc if p else ring.add(total, acc)
+        return total % p if p else total
 
     # -- grading -------------------------------------------------------------
     def term_weight(self, m: Mono) -> int:

@@ -12,12 +12,12 @@ word-level.  An instance draws, deterministically from (seed, p):
   * nonzero character values chi(g), psi(g) per generator, extended
     multiplicatively to words,
 
-then solves exactly for the relation coefficients: eps rows from the
-kernel of the 4 x r coefficient matrix, delta and alpha rows from
-consistent 4 x r linear systems (lexicographically-first solution of
-the row-reduced system, so instances replay bit-exactly).  Generation
-rerolls until the shifted images span the full 2x2 matrix algebra and
-every D_v is nonzero.  Spanning already makes the instance absolutely
+then solves exactly for the relation coefficients, all from one row
+reduction of the 4 x r coefficient matrix beside every right-hand side:
+eps rows from its kernel, delta and alpha rows from consistent systems
+(lexicographically-first solution of the row-reduced system, so
+instances replay bit-exactly).  Generation rerolls until the shifted
+images span the full 2x2 matrix algebra and every D_v is nonzero.  Spanning already makes the instance absolutely
 irreducible: the shifts lie in the algebra the images generate, so that
 algebra is M_2(F_p) (Burnside), while images sharing an eigenline lie in
 a 3-dimensional Borel subalgebra and cannot span.
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from ..errors import GenerationFailure, StructuralError
 from ..exactpoly import GF, CoefficientRing
-from ..linalg import det, kernel_basis, rank, solve
+from ..linalg import det, reduce_system
 from .shapes import RibetShape
 
 M2 = tuple  # (a, b, c, d) flattened 2x2 matrix over F_p
@@ -190,10 +190,6 @@ def generate_specialization(shape: RibetShape, seed: int, p: int) -> Specialized
     )
 
 
-def _rand_nonzero(rng, p):
-    return rng.randrange(1, p)
-
-
 def _rand_gl2(rng, p) -> M2:
     while True:
         m = tuple(rng.randrange(p) for _ in range(4))
@@ -204,11 +200,10 @@ def _rand_gl2(rng, p) -> M2:
 def _try_generate(shape, seed, p, ring, rng) -> SpecializedInstance | None:
     places: dict[str, PlaceData] = {}
     rho_images: dict[int, M2] = {}
-    chi = {g: _rand_nonzero(rng, p) for g in range(1, shape.r + 1)}
-    psi = {g: _rand_nonzero(rng, p) for g in range(1, shape.r + 1)}
+    chi = {g: rng.randrange(1, p) for g in range(1, shape.r + 1)}
+    psi = {g: rng.randrange(1, p) for g in range(1, shape.r + 1)}
 
-    all_places = list(shape.p_places) + list(shape.sigma_places)
-    for v in all_places:
+    for v in list(shape.p_places) + list(shape.sigma_places):
         if shape.sigma_places and v == shape.v0:
             M = _ID
         else:
@@ -217,65 +212,47 @@ def _try_generate(shape, seed, p, ring, rng) -> SpecializedInstance | None:
                 return None
         data = PlaceData(M=M, eta={}, xi={})
         Minv = _m2_inv(M, p)
-        for g in shape.b_set(v):
-            eta = _rand_nonzero(rng, p)
-            xi = _rand_nonzero(rng, p)
-            star = rng.randrange(p)
-            lower = (eta, 0, star, xi)
-            rho_images[g] = _m2_mul(_m2_mul(M, lower, p), Minv, p)
-            data.eta[g] = eta
-            data.xi[g] = xi
+        for g in shape.b_set(v):  # lower-triangular (eta, 0, *, xi), conjugated by M
+            eta, xi, star = rng.randrange(1, p), rng.randrange(1, p), rng.randrange(p)
+            rho_images[g] = _m2_mul(_m2_mul(M, (eta, 0, star, xi), p), Minv, p)
+            data.eta[g], data.xi[g] = eta, xi
         places[v] = data
 
     for g in shape.free_generators():
         rho_images[g] = _rand_gl2(rng, p)
 
-    inst = SpecializedInstance(
-        shape=shape,
-        p=p,
-        seed=seed,
-        rho_images=rho_images,
-        chi=chi,
-        psi=psi,
-        places=places,
-        eps=[],
-        delta={},
-        alpha={},
-    )
+    inst = SpecializedInstance(shape=shape, p=p, seed=seed, rho_images=rho_images, chi=chi,
+                               psi=psi, places=places, eps=[], delta={}, alpha={})
+
+    # One elimination of [coeff | TypeII products | alpha targets] gives
+    # the rank, the eps kernel vectors and every delta and alpha row.
+    # TypeII rows: (rho_i + nu_i) rho_j = sum_k delta_ijk rho_k; alpha
+    # rows expand rho_shift(sigma_v) for the chosen sigma_v elements.
+    pairs = shape.type_ii_pairs()
+    sigmas = [shape.sigma_v[v] for v in shape.p_places]
+    rhs = [
+        _m2_mul(_m2_add_scalar(inst.rho_shift(i), inst.nu(i), p), inst.rho_shift(j), p)
+        for (i, j) in pairs
+    ] + [inst.rho_shift(g) for g in sigmas]
+    rank, kern, sols = reduce_system(_coefficient_matrix(inst), rhs, ring)
 
     # Spanning: the shifted images must fill the 2x2 matrix algebra (so
     # no common eigenline; see the module docstring).
-    coeff = _coefficient_matrix(inst)
-    if rank(coeff, ring) != 4:
+    if rank != 4:
         return None
 
     # TypeI rows: one kernel vector per row, distinct basis elements first.
     n_type_i = shape.type_i_count()
-    if n_type_i:
-        kern = kernel_basis(coeff, ring)
-        if len(kern) < n_type_i:
-            raise StructuralError(
-                f"shape {shape.name!r}: {n_type_i} TypeI rows need kernel rank >= {n_type_i}"
-            )
-        inst.eps = [[int(x) % p for x in kern[k]] for k in range(n_type_i)]
-
-    # TypeII rows: (rho_i + nu_i) rho_j = sum_k delta_ijk rho_k.
-    for (i, j) in shape.type_ii_pairs():
-        lhs = _m2_mul(
-            _m2_add_scalar(inst.rho_shift(i), inst.nu(i), p), inst.rho_shift(j), p
+    if len(kern) < n_type_i:
+        raise StructuralError(
+            f"shape {shape.name!r}: {n_type_i} TypeI rows need kernel rank >= {n_type_i}"
         )
-        sol = solve(coeff, list(lhs), ring)
-        if sol is None:
-            return None
-        inst.delta[(i, j)] = [int(x) % p for x in sol]
+    inst.eps = kern[:n_type_i]
 
-    # alpha rows for the chosen sigma_v elements.
-    for v in shape.p_places:
-        g = shape.sigma_v[v]
-        sol = solve(coeff, list(inst.rho_shift(g)), ring)
-        if sol is None:
-            return None
-        inst.alpha[g] = [int(x) % p for x in sol]
+    if None in sols:
+        return None
+    inst.delta = dict(zip(pairs, sols))
+    inst.alpha = dict(zip(sigmas, sols[len(pairs):]))
 
     _assemble_matrices(inst)
     return inst

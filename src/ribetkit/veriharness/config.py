@@ -79,6 +79,11 @@ class SuiteConfig:
                 raise StructuralError(f"shape file {path!r} does not exist")
         if not self.seeds:
             raise StructuralError("seed list must be nonempty")
+        for key, value, least in (("degree_cap", self.degree_cap, 0), ("jobs", self.jobs, 1),
+                                  ("budget_steps", self.budget.max_steps, 0),
+                                  ("degree_budget", self.budget.max_degree, 0)):
+            if value < least:
+                raise StructuralError(f"{key} = {value} is below {least}")
 
     def load_shapes(self) -> list[RibetShape]:
         shapes = []

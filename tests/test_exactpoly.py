@@ -4,7 +4,7 @@ orders, and text round-trips."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ribetkit.errors import StructuralError
 from ribetkit.exactpoly import (
@@ -235,6 +235,28 @@ def test_evaluation_is_ring_hom(f, g, pt):
     point = dict(enumerate(pt))
     assert (f * g).evaluate(point) == f.evaluate(point) * g.evaluate(point)
     assert (f + g).evaluate(point) == f.evaluate(point) + g.evaluate(point)
+
+
+point_values = st.one_of(
+    st.integers(-10**12, 10**12),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(max_exp=4), st.tuples(point_values, point_values, point_values),
+       st.sampled_from([7, 10007, 2**31 - 1]))
+def test_gf_evaluation_is_the_rational_value_mod_p(f, pt, p):
+    # Non-reduced, negative and Fraction point values all map into GF(p)
+    # the way the rational value does.
+    gf = GF(p)
+    assume(all(Fraction(v).denominator % p for v in pt))
+    point = dict(enumerate(pt))
+    assert f.change_ring(gf).evaluate(point) == gf.normalize(f.evaluate(point))
+    y = Polynomial.var(gf, T3, 1)
+    if f.change_ring(gf) * y:
+        with pytest.raises(StructuralError, match=r"missing assignment for \['y'\]"):
+            (f.change_ring(gf) * y).evaluate({0: pt[0], 2: pt[2]})
 
 
 @settings(max_examples=40, deadline=None)

@@ -108,6 +108,27 @@ def test_malformed_numbers_are_config_errors(tmp_path, capsys, monkeypatch, key,
     assert err.startswith("error: ") and key in err
 
 
+@pytest.mark.parametrize(
+    "key, text, jobs",
+    [
+        ("degree_cap", "degree_cap = -1", None),
+        ("budget_steps", "budget_steps = -5", None),
+        ("degree_budget", "degree_budget = -1", None),
+        ("jobs", "jobs = 0", None),
+        ("jobs", "seeds = 0", 0),  # --jobs 0 on the command line
+    ],
+)
+def test_out_of_range_numbers_are_config_errors(tmp_path, capsys, key, text, jobs):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"[example-r2]\n{text}\n")
+    with pytest.raises(StructuralError, match=key):
+        load_config("example-r2", str(cfg_file), jobs=jobs)
+    cli = [] if jobs is None else ["--jobs", str(jobs)]
+    assert main(["run", "example-r2", "--config", str(cfg_file)] + cli) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
 def test_list_suites_catalog():
     entries = {e["name"]: e for e in list_suites()}
     assert len(entries) >= 9
