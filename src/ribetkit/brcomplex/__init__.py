@@ -5,7 +5,6 @@ from .free_complex import (
     FreeComplex,
     H1Report,
     check_d2,
-    complex_to_record,
     homology_at_point,
     subcomplex,
     symbolic_h1,

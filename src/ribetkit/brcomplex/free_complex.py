@@ -79,24 +79,10 @@ class FreeComplex:
         return Polynomial.zero(self.ring, self.table)
 
 
-def unit_complex(ring, table, label="unit") -> FreeComplex:
-    """The complex 0 -> R concentrated in degree 0."""
-    return FreeComplex(ring, table, [1], [None], [[label]])
-
-
-def complex_to_record(C: FreeComplex) -> dict:
-    """Report-friendly form: rank list, twists, and differential
-    matrices with entries in the polynomial text syntax."""
-    from ..exactpoly import to_text
-
-    diffs = []
-    for k in range(1, C.top_degree + 1):
-        d = C.diffs[k]
-        if d is None:
-            diffs.append([])
-        else:
-            diffs.append([[to_text(e) for e in row] for row in d.entries])
-    return {"ranks": list(C.ranks), "twists": C.twists(), "differentials": diffs}
+def unit_complex(ring, table) -> FreeComplex:
+    """The complex 0 -> R concentrated in degree 0, its basis labelled
+    "unit"."""
+    return FreeComplex(ring, table, [1], [None], [["unit"]])
 
 
 def check_d2(C: FreeComplex) -> bool:

@@ -14,9 +14,9 @@ identical term maps, so ``==`` is canonical-form comparison.  Values are
 immutable after construction and safe to share between threads.
 
 Variables are identified by their integer index into a ``VariableTable``;
-names exist only for I/O.  Tables also carry a role tag and a torus
-weight per variable (b-tagged variables weigh +1, c-tagged -1, all
-others 0 unless overridden), which is what ``Polynomial.torus_weight``
+names exist only for I/O.  Tables also carry a role tag per variable,
+and the role fixes its torus weight (b-tagged variables weigh +1,
+c-tagged -1, all others 0), which is what ``Polynomial.torus_weight``
 grades by.
 """
 
@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import compress
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import StructuralError
 
@@ -38,7 +38,7 @@ Mono = tuple  # dense exponent tuple, one int per table variable
 
 ROLES = ("a", "b", "c", "d", "nu", "eps", "delta", "x_sigma", "param", "other")
 
-_DEFAULT_ROLE_WEIGHT = {"b": 1, "c": -1}
+_ROLE_WEIGHT = {"b": 1, "c": -1}
 
 
 @cache  # every GF(p) construction asks; trial division is ~23k steps at 2^31 - 1
@@ -148,9 +148,6 @@ class CoefficientRing:
             return _demote(Fraction(1) / a)
         raise StructuralError("ZZ is not a field")
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
 
 ZZ = CoefficientRing("ZZ")
 QQ = CoefficientRing("QQ")
@@ -161,20 +158,16 @@ def GF(p: int) -> CoefficientRing:
 
 
 class VariableTable:
-    """Ordered list of distinct variable names with role tags and weights.
+    """Ordered list of distinct variable names with role tags, and the
+    torus weight each role gives its variables.
 
     Tables compare structurally: two independently built tables with the
-    same names, roles, and weights are interchangeable.
+    same names and roles are interchangeable.
     """
 
     __slots__ = ("names", "roles", "weights", "_index", "_hash")
 
-    def __init__(
-        self,
-        names: Sequence[str],
-        roles: Sequence[str] | None = None,
-        weights: Sequence[int] | None = None,
-    ):
+    def __init__(self, names: Sequence[str], roles: Sequence[str] | None = None):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise StructuralError("variable names must be distinct")
@@ -184,17 +177,11 @@ class VariableTable:
         for r in roles:
             if r not in ROLES:
                 raise StructuralError(f"unknown role tag {r!r}")
-        if weights is None:
-            weights = tuple(_DEFAULT_ROLE_WEIGHT.get(r, 0) for r in roles)
-        else:
-            weights = tuple(int(w) for w in weights)
-            if len(weights) != len(names):
-                raise StructuralError("one weight per variable required")
         self.names = names
         self.roles = roles
-        self.weights = weights
+        self.weights = tuple(_ROLE_WEIGHT.get(r, 0) for r in roles)
         self._index = {n: i for i, n in enumerate(names)}
-        self._hash = hash((names, roles, weights))
+        self._hash = hash((names, roles))
 
     def __len__(self):
         return len(self.names)
@@ -211,7 +198,6 @@ class VariableTable:
             self._hash == other._hash
             and self.names == other.names
             and self.roles == other.roles
-            and self.weights == other.weights
         )
 
     def __hash__(self):
@@ -227,23 +213,10 @@ class VariableTable:
         except KeyError:
             raise StructuralError(f"unknown variable {name!r}") from None
 
-    def extend(
-        self,
-        names: Sequence[str],
-        roles: Sequence[str] | None = None,
-        weights: Sequence[int] | None = None,
-    ) -> "VariableTable":
+    def extend(self, names: Sequence[str], roles: Sequence[str] | None = None) -> "VariableTable":
         """New table with extra variables appended (old indices unchanged)."""
         roles = tuple(roles) if roles is not None else ("other",) * len(names)
-        if weights is None:
-            new_weights = tuple(_DEFAULT_ROLE_WEIGHT.get(r, 0) for r in roles)
-        else:
-            new_weights = tuple(int(w) for w in weights)
-        return VariableTable(
-            self.names + tuple(names),
-            self.roles + roles,
-            self.weights + new_weights,
-        )
+        return VariableTable(self.names + tuple(names), self.roles + roles)
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +235,6 @@ def mono_divides(a: Mono, b: Mono) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mono_div(a: Mono, b: Mono) -> Mono:
-    """a / b, assuming b | a."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def mono_deg(a: Mono) -> int:
     return sum(a)
 
@@ -276,8 +244,8 @@ def mono_deg(a: Mono) -> int:
 # mean larger monomials.  1 is minimal and keys are multiplication
 # compatible for all orders defined here.
 #
-# Each order is also a matrix order: weight_rows(n) gives rows of
-# non-negative per-variable weights such that comparing the rows' dot
+# Each order is also a matrix order: weight_rows(n) gives rows of 0/1
+# per-variable weights such that comparing the rows' dot
 # products with two exponent vectors, first row first, orders them
 # exactly as key does.  The Groebner engine packs these dot products
 # into one int per monomial.
@@ -290,9 +258,6 @@ class MonomialOrder:
 
     def weight_rows(self, n: int) -> list[tuple[int, ...]]:  # pragma: no cover - interface
         raise NotImplementedError
-
-    def leading(self, monos: Iterable[Mono]) -> Mono:
-        return max(monos, key=self.key)
 
     def __repr__(self):
         return f"<order {self.name}>"
@@ -312,14 +277,14 @@ def _lex_rows(n: int) -> list[tuple[int, ...]]:
     return [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
 
-def _revlex_rows(n: int, weights: Sequence[int]) -> list[tuple[int, ...]]:
-    """Weighted degree, then the weighted partial sums x1..x(k), k = n-1..1.
+def _revlex_rows(n: int) -> list[tuple[int, ...]]:
+    """Total degree, then the partial sums x1..x(k), k = n-1..1.
 
-    With positive weights and the degree tied, a larger partial sum up to
-    x(k) means a smaller x(k+1), which is the reverse-lexicographic
-    tie-break of ``(d, tuple(-e for e in reversed(m)))``.
+    With the degree tied, a larger partial sum up to x(k) means a smaller
+    x(k+1), which is the reverse-lexicographic tie-break of
+    ``(d, tuple(-e for e in reversed(m)))``.
     """
-    return [tuple(weights[:k]) + (0,) * (n - k) for k in range(n, 0, -1)]
+    return [(1,) * k + (0,) * (n - k) for k in range(n, 0, -1)]
 
 
 class DegRevLex(MonomialOrder):
@@ -329,39 +294,24 @@ class DegRevLex(MonomialOrder):
         return (sum(m), tuple(-e for e in reversed(m)))
 
     def weight_rows(self, n: int) -> list[tuple[int, ...]]:
-        return _revlex_rows(n, (1,) * n)
+        return _revlex_rows(n)
 
 
 @dataclass(frozen=True)
 class Block:
-    """One block of a block order: variable indices plus a local mode."""
+    """One block of a block order: variable indices, ordered by degrevlex
+    among themselves."""
 
     vars: tuple[int, ...]
-    mode: str = "degrevlex"  # or "lex"
-    weights: tuple[int, ...] | None = None  # per-variable weights for degree
 
     def key(self, m: Mono):
         sub = tuple(m[i] for i in self.vars)
-        if self.mode == "lex":
-            return sub
-        if self.weights is None:
-            d = sum(sub)
-        else:
-            d = sum(w * e for w, e in zip(self.weights, sub))
-        return (d, tuple(-e for e in reversed(sub)))
+        return (sum(sub), tuple(-e for e in reversed(sub)))
 
     def weight_rows(self, n: int) -> list[tuple[int, ...]]:
         """Rows over all n variables, zero outside this block."""
-        k = len(self.vars)
-        if self.mode == "lex":
-            local = _lex_rows(k)
-        else:
-            weights = self.weights if self.weights is not None else (1,) * k
-            if any(w <= 0 for w in weights):
-                raise StructuralError("degrevlex block weights must be positive")
-            local = _revlex_rows(k, weights)
         rows = []
-        for row in local:
+        for row in _revlex_rows(len(self.vars)):
             full = [0] * n
             for v, w in zip(self.vars, row):
                 full[v] = w
@@ -598,9 +548,6 @@ class Polynomial:
         m = max(self.terms, key=order.key)
         return m, self.terms[m]
 
-    def coefficient(self, m: Mono):
-        return self.terms.get(m, self.ring.zero())
-
     # -- substitution / evaluation ------------------------------------------
     def substitute(self, mapping: Mapping[int, "Polynomial"]) -> "Polynomial":
         """Simultaneous substitution; unmapped variables stay fixed.
@@ -714,30 +661,6 @@ class Polynomial:
             if v != 0:
                 out[m] = v
         return Polynomial._trusted(ring, self.table, out)
-
-    def content_free(self) -> "Polynomial":
-        """Divide out content (ZZ/QQ) and make the degrevlex-leading
-        coefficient positive.  No-op over prime fields."""
-        if not self.terms or self.ring.kind == "GF":
-            return self
-        from math import gcd
-
-        if self.ring.kind == "QQ":
-            g = 0
-            l = 1
-            for c in self.terms.values():
-                g = gcd(g, c.numerator)
-                l = l * c.denominator // gcd(l, c.denominator)
-            scale = Fraction(l, g)
-            terms = {m: _demote(c * scale) for m, c in self.terms.items()}
-        else:
-            g = 0
-            for c in self.terms.values():
-                g = gcd(g, c)
-            terms = {m: c // g for m, c in self.terms.items()}
-        f = Polynomial._trusted(self.ring, self.table, terms)
-        _, lc = f.leading_term(DEGREVLEX)
-        return -f if lc < 0 else f
 
     # -- text form --------------------------------------------------------------
     def __repr__(self):

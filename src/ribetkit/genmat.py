@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Callable, Mapping, Sequence
+from typing import Sequence
 
 from .errors import StructuralError
 from .exactpoly import DEGREVLEX, QQ, CoefficientRing, Polynomial, VariableTable
@@ -88,25 +88,15 @@ class Mat2:
     def entries(self) -> tuple[Polynomial, Polynomial, Polynomial, Polynomial]:
         return (self.a, self.b, self.c, self.d)
 
-    def map(self, fn: Callable[[Polynomial], Polynomial]) -> "Mat2":
-        return Mat2(fn(self.a), fn(self.b), fn(self.c), fn(self.d))
-
 
 @dataclass(frozen=True)
 class Word:
     """Noncommuting monomial in generator letters.
 
-    ``letters`` are generator indices (1-based); ``shifted`` optionally
-    flags per letter that the matrix is to be shifted by a scalar before
-    multiplying, as in (rho_i + nu_i) rho_j.
+    ``letters`` are generator indices (1-based).
     """
 
     letters: tuple[int, ...]
-    shifted: tuple[bool, ...] | None = None
-
-    def __post_init__(self):
-        if self.shifted is not None and len(self.shifted) != len(self.letters):
-            raise StructuralError("one shift flag per letter required")
 
     def __len__(self):
         return len(self.letters)
@@ -127,53 +117,6 @@ class Word:
 
     def __str__(self):
         return ".".join(f"X{i}" for i in self.letters)
-
-
-def word_eval(
-    w: Word,
-    assign: Mapping[int, Mat2],
-    shifts: Mapping[int, Polynomial] | None = None,
-) -> Mat2:
-    """Left-to-right product of the assigned matrices, each letter
-    optionally shifted by its scalar.  The empty word is the identity."""
-    missing = [i for i in w.letters if i not in assign]
-    if missing:
-        raise StructuralError(f"letters without matrix assignment: {missing}")
-    if not w.letters:
-        probe = next(iter(assign.values()))
-        return Mat2.identity(probe.a.ring, probe.a.table)
-    acc = None
-    for pos, i in enumerate(w.letters):
-        m = assign[i]
-        if w.shifted and w.shifted[pos]:
-            if shifts is None or i not in shifts:
-                raise StructuralError(f"letter X{i} flagged shifted but no shift given")
-            m = m.add_scalar(shifts[i])
-        acc = m if acc is None else acc * m
-    return acc
-
-
-@dataclass
-class MatrixInvariants:
-    trace: Polynomial
-    det: Polynomial
-    charpoly: Polynomial
-    charpoly_table: VariableTable
-
-
-def invariants_of(m: Mat2) -> MatrixInvariants:
-    """trace, determinant, and characteristic polynomial (in a table
-    extended by a fresh variable for the charpoly indeterminate)."""
-    tr = m.trace()
-    det = m.det()
-    table = m.a.table
-    name = "x"
-    while name in table.names:
-        name = "_" + name
-    ext = table.extend([name], ["param"])
-    x = Polynomial.var(m.a.ring, ext, len(table))
-    cp = x * x - tr.lift(ext) * x + det.lift(ext)
-    return MatrixInvariants(tr, det, cp, ext)
 
 
 # ---------------------------------------------------------------------------
@@ -272,35 +215,6 @@ class GenericModel:
     def det_defect(self, letters: Sequence[int]) -> Polynomial:
         m = self.word_matrix(letters)
         return m.det() - self.char_product("chi", letters) * self.char_product("psi", letters)
-
-
-def mat2_to_record(m: Mat2) -> dict:
-    """4-entry record with entries in the polynomial text syntax."""
-    from .exactpoly import to_text
-
-    return {
-        "a": to_text(m.a),
-        "b": to_text(m.b),
-        "c": to_text(m.c),
-        "d": to_text(m.d),
-    }
-
-
-def v_map(w: Word, nu: Mapping[int, Polynomial]) -> Polynomial:
-    """prod of (-nu_letter) over the word's letters.
-
-    Defined only for nonempty words: the underlying algebra map is
-    specified on polynomials with zero constant term.
-    """
-    if not w.letters:
-        raise StructuralError("v_map is undefined on the empty word")
-    acc = None
-    for i in w.letters:
-        if i not in nu:
-            raise StructuralError(f"no nu value for letter X{i}")
-        f = -nu[i]
-        acc = f if acc is None else acc * f
-    return acc
 
 
 def trace_congruence_question(

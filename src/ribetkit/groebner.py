@@ -265,10 +265,9 @@ class _Packer:
 
     def __init__(self, order: MonomialOrder, nvars: int, degree: int, components: int = 0):
         rows = order.weight_rows(nvars)
-        # A row's dot product is at most its largest weight times the degree.
-        weight = max([1, *(w for row in rows for w in row)])
-        self.bits = max(1, (weight * degree).bit_length(), components.bit_length())
-        self.room = ((1 << self.bits) - 1) // weight
+        # Every weight is 0 or 1, so a row's dot product is at most the degree.
+        self.bits = max(1, degree.bit_length(), components.bit_length())
+        self.room = (1 << self.bits) - 1
         stride = self.bits + 1
         self.deg_mask = (1 << stride) - 1
         self.shifts = [stride * (1 + i) for i in range(nvars)]
@@ -958,26 +957,6 @@ def _ideal_contains_all(spec: IdealSpec, targets: Sequence[Polynomial], budget: 
     homogeneous = all(_is_homogeneous(g) for g in (*targets, *lifted))
     eng, records, counter = _ideal_basis(lifted, spec.order, budget, d if homogeneous else None, d)
     return all(not eng.reduce(eng.pack([f])[0], records, counter)[0] for f in targets)
-
-
-def spec_to_record(spec: IdealSpec) -> dict:
-    """Report-friendly form: generator texts under the active order."""
-    from .exactpoly import to_text
-
-    return {
-        "order": spec.order.name,
-        "generators": [to_text(g, spec.order) for g in spec.generators],
-    }
-
-
-def gb_to_record(gb: GroebnerBasis) -> dict:
-    from .exactpoly import to_text
-
-    return {
-        "order": gb.order.name,
-        "basis": [to_text(g, gb.order) for g in gb.basis],
-        "source": spec_to_record(gb.source),
-    }
 
 
 # ---------------------------------------------------------------------------

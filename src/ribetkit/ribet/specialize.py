@@ -38,6 +38,8 @@ M2 = tuple  # (a, b, c, d) flattened 2x2 matrix over F_p
 
 RETRY_BUDGET = 100
 
+WORD_SAMPLES = 12  # seeded word pairs per cocycle check
+
 
 def _m2_mul(x: M2, y: M2, p: int) -> M2:
     return (
@@ -375,7 +377,7 @@ class SpecializedChecks:
         )
 
 
-def check_specialized(inst: SpecializedInstance, word_samples: int = 12) -> SpecializedChecks:
+def check_specialized(inst: SpecializedInstance) -> SpecializedChecks:
     ring = inst.ring
     p = inst.p
     shape = inst.shape
@@ -389,12 +391,12 @@ def check_specialized(inst: SpecializedInstance, word_samples: int = 12) -> Spec
 
     eprime_zero = det(inst.Eprime, ring) == 0
 
-    cocycle = _check_cocycle(inst, word_samples)
+    cocycle = _check_cocycle(inst)
     j_vanish = _check_j_vanishes(inst)
     return SpecializedChecks(factorization, eprime_zero, cocycle, j_vanish)
 
 
-def _check_cocycle(inst: SpecializedInstance, word_samples: int) -> bool:
+def _check_cocycle(inst: SpecializedInstance) -> bool:
     """On seeded word pairs, the defect kappa(w1 w2) - kappa(w1) -
     chi psi^{-1}(w1) kappa(w2) must equal the element
     psi(w1 w2)^{-1} (rho(w1) - chi(w1)) (rho(w2) - psi(w2)) of
@@ -402,7 +404,7 @@ def _check_cocycle(inst: SpecializedInstance, word_samples: int) -> bool:
     p = inst.p
     rng = random.Random(f"{inst.seed}:cocycle")
     r = inst.shape.r
-    for _ in range(word_samples):
+    for _ in range(WORD_SAMPLES):
         w1 = [rng.randrange(1, r + 1) for _ in range(rng.randrange(1, 4))]
         w2 = [rng.randrange(1, r + 1) for _ in range(rng.randrange(1, 4))]
         chi1 = inst.char_word(inst.chi, w1)

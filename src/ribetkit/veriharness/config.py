@@ -70,6 +70,9 @@ class SuiteConfig:
     out_path: str | None = None
     jobs: int = 1
     degree_cap: int = 2  # morphism materialization cap
+    # Under "all": each suite's own config, which its checks run with.  A
+    # suite not listed runs with this one.
+    suites: dict[str, "SuiteConfig"] = field(default_factory=dict)
 
     def __post_init__(self):
         if not _is_prime(self.prime):
@@ -106,9 +109,10 @@ def load_config(
     overrides.  VERIFY_BUDGET_STEPS overrides the step budget.
 
     The keys above the first ``[section]`` apply to every suite, and the
-    ``[suite]`` section overrides them.  So ``suite="all"`` reads only
-    those top-level keys (and an ``[all]`` section): a ``degree_cap``
-    under ``[cd-morphism]`` does not reach ``verify run all``.
+    ``[suite]`` section overrides them.  For ``suite="all"`` that is the
+    ``[all]`` section, which sets only ``jobs``, ``out`` and the report
+    header: each suite's checks run with the config this function builds
+    for that suite from the same file and overrides.
 
     A malformed number, or a ``seeds`` key that names no seed, raises
     StructuralError naming the key."""
@@ -148,7 +152,7 @@ def load_config(
         for piece in v.split():
             shape_paths.append(os.path.join(base_dir, piece) if not os.path.isabs(piece) else piece)
 
-    return SuiteConfig(
+    cfg = SuiteConfig(
         suite=suite,
         shape_paths=shape_paths,
         prime=prime if prime is not None else number("prime", 10007),
@@ -158,3 +162,8 @@ def load_config(
         jobs=jobs if jobs is not None else number("jobs", 1),
         degree_cap=number("degree_cap", 2),
     )
+    if suite == "all":
+        from .suites import SUITES  # suites imports this module
+
+        cfg.suites = {name: load_config(name, path, seed, prime, jobs, out) for name in SUITES}
+    return cfg

@@ -449,12 +449,12 @@ def _execute(check: Check) -> list[CheckResult]:
 def run_suite(cfg: SuiteConfig) -> Report:
     """Execute one suite (or "all") and return the finalized report."""
     if cfg.suite == "all":
-        builders = [b for (_d, _a, b) in SUITES.values()]
+        names = list(SUITES)
     elif cfg.suite in SUITES:
-        builders = [SUITES[cfg.suite][2]]
+        names = [cfg.suite]
     else:
         raise StructuralError(f"unknown suite {cfg.suite!r}")
-    checks = [c for b in builders for c in b(cfg)]
+    checks = [c for name in names for c in SUITES[name][2](cfg.suites.get(name, cfg))]
 
     workers = min(cfg.jobs, os.cpu_count() or 1, len(checks))
     if workers > 1:

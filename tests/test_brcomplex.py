@@ -404,18 +404,6 @@ def test_br_exact_prop_instance():
         assert all(d == 0 for d in dims[1:]), dims
 
 
-def test_complex_record():
-    from ribetkit.brcomplex import complex_to_record
-
-    M, b, bp = bvars(2)
-    K = koszul(b)
-    rec = complex_to_record(K)
-    assert rec["ranks"] == [1, 2, 1]
-    assert rec["twists"] == [0, 1, 2]
-    assert rec["differentials"][0] == [["1*b1", "1*b2"]]
-    assert rec["differentials"][1] == [["-1*b2"], ["1*b1"]]
-
-
 def test_br_complexes_acyclic_at_generic_points():
     # Both complexes of a generic 2xn map are exact away from the minors
     # locus; random points land off it, so every homology vanishes in

@@ -14,10 +14,8 @@ from ribetkit.exactpoly import (
     LEX,
     QQ,
     ZZ,
-    Block,
     Polynomial,
     VariableTable,
-    WeightedBlock,
     elimination_order,
     mono_deg,
     mono_divides,
@@ -403,7 +401,6 @@ _PACKED_ORDERS = {
     "degrevlex": DEGREVLEX,
     "lex": LEX,
     "elimination": elimination_order([1, 3], 5),
-    "weighted": WeightedBlock([Block((0, 2), "lex"), Block((1, 3, 4), weights=(2, 1, 3))]),
 }
 _exps = st.tuples(*[st.integers(0, 20)] * 5)
 
@@ -1210,16 +1207,3 @@ def test_gb_spair_reduction_verify_randomized():
         if not spec.generators:
             continue
         assert buchberger(spec).verify()
-
-
-def test_spec_and_gb_records():
-    from ribetkit.groebner import gb_to_record, spec_to_record
-
-    x, y = V(0), V(1)
-    spec = IdealSpec([x * x - 1, x * y - 1], LEX)
-    rec = spec_to_record(spec)
-    assert rec["order"] == "lex"
-    assert rec["generators"] == ["1*x^2 + -1", "1*x*y + -1"]
-    gbrec = gb_to_record(buchberger(spec))
-    assert gbrec["basis"] == ["1*x + -1*y", "1*y^2 + -1"]
-    assert gbrec["source"] == rec

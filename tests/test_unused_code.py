@@ -1,5 +1,7 @@
-"""No dead code in the library: every import is used by its module, and
-every private module-level function is referenced somewhere in src/.
+"""No dead code in the library: every import is used by its module,
+every private module-level function is referenced somewhere in src/, and
+every public function, class and method is used by the library, the
+scripts or the benchmark, or is kept on purpose for a stated reason.
 
 A standard-library stand-in for a linter's unused-import and dead-code
 checks, over the ``ast`` of each module.  Package ``__init__.py`` files
@@ -9,21 +11,39 @@ are exempt from the import check: their imports are the public API.
 import ast
 import os
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "ribetkit")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "ribetkit")
+
+# Public names that nothing in src/, scripts/ or perfbench/ calls, each
+# with the reason it stays.
+KEPT_PUBLIC = {
+    "mono_mul": "reference product the packed-monomial tests compare against",
+    "mono_divides": "reference divisibility the packed-monomial tests compare against",
+    "rref": "reference elimination the reduce_system test compares against",
+    "from_text": "inverse of to_text; the text round-trip tests use it",
+    "Polynomial.total_degree": "degree query the tests use as API",
+    "Mat2.scalar": "scalar matrix the Cayley-Hamilton tests build",
+    "FreeComplex.twists": "twist bookkeeping the complex tests read",
+    "subcomplex": "the README documents subcomplexes of a free complex",
+    "RibetShape.to_config_text": "inverse of the shape-file parser; the round-trip tests use it",
+    "SpecializedInstance.to_record": "the replay pin hashes it",
+    "build_A_generators": "the generators of the ideal A, for the l:e0 check (ROADMAP item 5)",
+}
 
 
-def _modules():
-    for root, _dirs, files in os.walk(SRC):
+def _modules(top=SRC):
+    for root, _dirs, files in os.walk(top):
         for name in sorted(files):
             if name.endswith(".py"):
                 path = os.path.join(root, name)
                 with open(path, encoding="utf-8") as fh:
-                    yield os.path.relpath(path, SRC), ast.parse(fh.read(), path)
+                    yield os.path.relpath(path, top), ast.parse(fh.read(), path)
 
 
 def _referenced_names(tree) -> set:
     """Every identifier the module reads: plain names, attribute names,
-    names it imports, and names inside string annotations."""
+    names it imports, and names inside string constants, dotted ones
+    such as "Polynomial.evaluate" part by part."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -33,8 +53,9 @@ def _referenced_names(tree) -> set:
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value.isidentifier():
-                names.add(node.value)
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
     return names
 
 
@@ -82,3 +103,37 @@ def test_every_private_function_is_referenced():
         and node.name not in referenced
     ]
     assert not unreferenced, unreferenced
+
+
+def _public_definitions(tree):
+    """(qualified name, bare name) of each public module-level function
+    and class, and of each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.name.startswith("_"):
+                yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item.name
+
+
+def test_every_public_name_is_used():
+    referenced = set()
+    for top in (SRC, os.path.join(ROOT, "scripts"), os.path.join(ROOT, "perfbench")):
+        for rel, tree in _modules(top):
+            if os.path.basename(rel) != "__init__.py":
+                referenced |= _referenced_names(tree)
+    defined = [(rel, qualified, bare) for rel, tree in _modules() for qualified, bare in _public_definitions(tree)]
+    unused = [
+        f"{rel}: {qualified}"
+        for rel, qualified, bare in defined
+        if bare not in referenced and qualified not in KEPT_PUBLIC
+    ]
+    assert not unused, unused
+    stale = sorted(
+        qualified
+        for qualified in KEPT_PUBLIC
+        if qualified not in {q for _rel, q, _bare in defined} or qualified.split(".")[-1] in referenced
+    )
+    assert not stale, f"KEPT_PUBLIC names that are gone or now used: {stale}"

@@ -318,6 +318,30 @@ def test_jobs_parallel_matches_serial():
     assert outcome(parallel) == outcome(serial)
 
 
+def test_run_all_reads_each_suite_section(tmp_path, capsys):
+    # `verify run all --config FILE` runs each suite with the config its own
+    # run of FILE gets: the top-level keys plus the suite's section.
+    cfg_file = tmp_path / "suites.cfg"
+    shape = os.path.join(ROOT, "configs", "shapes", "p1-type4.cfg")
+    cfg_file.write_text(f"[specialization]\nseeds = 5..6\n[stability]\nshapes = {shape}\n")
+
+    def outcome(suite):
+        out = tmp_path / f"{suite}.json"
+        main(["run", suite, "--config", str(cfg_file), "--out", str(out)])
+        return [(c["id"], c["status"], c["witness"]) for c in json.loads(out.read_text())["checks"]]
+
+    merged = outcome("all")
+    assert merged == sorted(check for suite in SUITES for check in outcome(suite))
+    ids = [cid for cid, _status, _witness in merged]
+    assert [cid for cid in ids if cid.startswith("stability-")] == [
+        "stability-negative-control", "stability-p1-type4",
+    ]
+    assert {cid[:len("spec-seed000")] for cid in ids if cid.startswith("spec-seed")} == {
+        "spec-seed005", "spec-seed006",
+    }
+    capsys.readouterr()
+
+
 def test_every_check_record_pickles():
     cfg = load_config("all")
     checks = [c for _d, _a, build in SUITES.values() for c in build(cfg)]
