@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import StructuralError
 from .exactpoly import Polynomial, VariableTable
-from .groebner import Budget, DEFAULT_BUDGET, GroebnerBasis, IdealSpec, buchberger, in_ideal, normal_form
+from .groebner import Budget, DEFAULT_BUDGET, IdealSpec, buchberger, in_ideal, normal_form
 
 
 def _tau_images(a, b, c, d, x) -> tuple[Polynomial, ...]:
@@ -127,7 +127,6 @@ def invariant_mod(
     f: Polynomial,
     ideal: IdealSpec,
     budget: Budget = DEFAULT_BUDGET,
-    gb: GroebnerBasis | None = None,
     action: TauAction | None = None,
 ) -> bool:
     """Borel invariance of f modulo an ideal.
@@ -145,8 +144,7 @@ def invariant_mod(
         if not in_ideal(diff, IdealSpec(lifted, ideal.order), budget):
             return False
     if ideal.generators:
-        gb = gb or buchberger(ideal, budget)
-        nf = normal_form(f, gb, budget)
+        nf = normal_form(f, buchberger(ideal, budget), budget)
     else:
         nf = f
     return nf.torus_weight() == 0

@@ -22,7 +22,6 @@ grades by.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import compress
@@ -270,21 +269,7 @@ class Lex(MonomialOrder):
         return m
 
     def weight_rows(self, n: int) -> list[tuple[int, ...]]:
-        return _lex_rows(n)
-
-
-def _lex_rows(n: int) -> list[tuple[int, ...]]:
-    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
-
-
-def _revlex_rows(n: int) -> list[tuple[int, ...]]:
-    """Total degree, then the partial sums x1..x(k), k = n-1..1.
-
-    With the degree tied, a larger partial sum up to x(k) means a smaller
-    x(k+1), which is the reverse-lexicographic tie-break of
-    ``(d, tuple(-e for e in reversed(m)))``.
-    """
-    return [(1,) * k + (0,) * (n - k) for k in range(n, 0, -1)]
+        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
 
 class DegRevLex(MonomialOrder):
@@ -294,60 +279,17 @@ class DegRevLex(MonomialOrder):
         return (sum(m), tuple(-e for e in reversed(m)))
 
     def weight_rows(self, n: int) -> list[tuple[int, ...]]:
-        return _revlex_rows(n)
+        """Total degree, then the partial sums x1..x(k), k = n-1..1.
 
-
-@dataclass(frozen=True)
-class Block:
-    """One block of a block order: variable indices, ordered by degrevlex
-    among themselves."""
-
-    vars: tuple[int, ...]
-
-    def key(self, m: Mono):
-        sub = tuple(m[i] for i in self.vars)
-        return (sum(sub), tuple(-e for e in reversed(sub)))
-
-    def weight_rows(self, n: int) -> list[tuple[int, ...]]:
-        """Rows over all n variables, zero outside this block."""
-        rows = []
-        for row in _revlex_rows(len(self.vars)):
-            full = [0] * n
-            for v, w in zip(self.vars, row):
-                full[v] = w
-            rows.append(tuple(full))
-        return rows
-
-
-class WeightedBlock(MonomialOrder):
-    """Block order: compare block keys left to right.
-
-    Every table variable must appear in exactly one block; blocks listed
-    first dominate (elimination orders put the variables to eliminate in
-    the first block).
-    """
-
-    name = "weighted_block"
-
-    def __init__(self, blocks: Sequence[Block]):
-        self.blocks = tuple(blocks)
-
-    def key(self, m: Mono):
-        return tuple(b.key(m) for b in self.blocks)
-
-    def weight_rows(self, n: int) -> list[tuple[int, ...]]:
-        return [row for b in self.blocks for row in b.weight_rows(n)]
+        With the degree tied, a larger partial sum up to x(k) means a
+        smaller x(k+1), which is the reverse-lexicographic tie-break of
+        ``(d, tuple(-e for e in reversed(m)))``.
+        """
+        return [(1,) * k + (0,) * (n - k) for k in range(n, 0, -1)]
 
 
 LEX = Lex()
 DEGREVLEX = DegRevLex()
-
-
-def elimination_order(first_vars: Sequence[int], nvars: int) -> WeightedBlock:
-    """Order eliminating ``first_vars``: anything containing them is larger."""
-    first = tuple(first_vars)
-    rest = tuple(i for i in range(nvars) if i not in set(first))
-    return WeightedBlock([Block(first), Block(rest)])
 
 
 # ---------------------------------------------------------------------------

@@ -71,10 +71,11 @@ to 4); instead each new element is reduced in full as it is added, and
 every one of its terms is checked against the degree cap, since a
 module order is not degree-compatible.
 
-Exact division is the same lift with one bookkeeping component:
-reducing (g, 0) by (f, -1) under position over term leaves (0, k q)
-exactly when g = q f, and stops at the first term of g's component that
-the lead of f does not divide when f does not divide g.
+The ideal quotient I : f is read off the syzygies of (f, g_1, .., g_k),
+the generators g_i of I: their first coordinates generate it (Cox,
+Little & O'Shea, "Ideals, Varieties, and Algorithms", 4.4).  The lift
+carries a cofactor of every g_i, so on some inhomogeneous inputs it
+needs degrees far above those of the quotient's generators.
 
 The signature loop (Faugere, "A new efficient algorithm for computing
 Groebner bases without reduction to zero (F5)", ISSAC 2002; Gao, Volny
@@ -172,7 +173,6 @@ from .exactpoly import (
     Mono,
     MonomialOrder,
     Polynomial,
-    elimination_order,
 )
 
 
@@ -375,11 +375,11 @@ class _Engine:
         packed = (self.pack(v)[0] for v in vectors)
         return [self.record(t) for t in packed if t]
 
-    def divide(self, v: Sequence[Polynomial], records: list, counter: _Counter, head_only=False) -> tuple:
-        """Pack ``v`` and reduce it by the records: (remainder, k) with
-        k * v = (combination of the records) + remainder, k > 0."""
+    def divide(self, v: Sequence[Polynomial], records: list, counter: _Counter) -> tuple:
+        """Pack ``v`` and fully reduce it by the records: (remainder, k)
+        with k * v = (combination of the records) + remainder, k > 0."""
         terms, denom = self.pack(v)
-        rem, scale = self.reduce(terms, records, counter, head_only)
+        rem, scale = self.reduce(terms, records, counter)
         return rem, scale * denom
 
     def record(self, terms: dict, signature: int | None = None) -> tuple:
@@ -565,13 +565,6 @@ class GroebnerBasis:
         eng, records = self._prepared(max(budget.max_degree, _max_degree([f])))
         rem, k = eng.divide([f], records, budget.fresh_counter())
         return eng.to_vector(rem, f.table, divisor=k)[0]
-
-    def contains(self, f: Polynomial, budget: Budget = DEFAULT_BUDGET) -> bool:
-        if f.is_zero():
-            return True
-        if not self.basis:
-            return False
-        return self.normal_form(f, budget).is_zero()
 
     def verify(self, budget: Budget = DEFAULT_BUDGET) -> bool:
         """Re-check the defining invariants: every S-pair that the product
@@ -924,16 +917,9 @@ def reduce_by(
     return eng.to_vector(rem, f.table, divisor=k)[0]
 
 
-def in_ideal(
-    f: Polynomial,
-    spec: IdealSpec,
-    budget: Budget = DEFAULT_BUDGET,
-    gb: GroebnerBasis | None = None,
-) -> bool:
-    """Ideal membership: the normal form against ``gb`` when it is given,
-    else ``_ideal_contains_all``, on one basis and step counter."""
-    if gb is not None:
-        return gb.contains(f, budget)
+def in_ideal(f: Polynomial, spec: IdealSpec, budget: Budget = DEFAULT_BUDGET) -> bool:
+    """Ideal membership: ``_ideal_contains_all``, on one basis and step
+    counter."""
     return _ideal_contains_all(spec, [f], budget)
 
 
@@ -957,53 +943,6 @@ def _ideal_contains_all(spec: IdealSpec, targets: Sequence[Polynomial], budget: 
     homogeneous = all(_is_homogeneous(g) for g in (*targets, *lifted))
     eng, records, counter = _ideal_basis(lifted, spec.order, budget, d if homogeneous else None, d)
     return all(not eng.reduce(eng.pack([f])[0], records, counter)[0] for f in targets)
-
-
-# ---------------------------------------------------------------------------
-# Ideal quotient via the tag-variable trick: I : f is computed from the
-# elimination presentation of I \cap (f), then exact division by f.
-
-def exact_div(g: Polynomial, f: Polynomial, order: MonomialOrder = DEGREVLEX) -> Polynomial:
-    """Quotient g / f when f divides g exactly, by the lift of the module
-    docstring; StructuralError otherwise.  Every term met is a term of g
-    or of a partial product q' f, so the degree cap is the larger of the
-    default cap and deg g.  ZZ input is lifted to QQ."""
-    if g.is_zero():
-        return g
-    zero, one = Polynomial.zero(g.ring, g.table), Polynomial.one(g.ring, g.table)
-    budget = Budget(max_degree=max(Budget.max_degree, _max_degree([g])))
-    eng, lifted = _engine_for([g, zero, f, -one], order, budget.max_degree, 2)
-    rem, k = eng.divide(lifted[:2], eng.records([lifted[2:]]), budget.fresh_counter(), head_only=True)
-    if eng.packer.component(max(rem)) == 0:
-        raise StructuralError("exact division failed")
-    return eng.to_vector(rem, g.table, 1, 1, divisor=k)[0]
-
-
-def ideal_quotient(spec: IdealSpec, f: Polynomial, budget: Budget = DEFAULT_BUDGET) -> IdealSpec:
-    """Generators of (I : f) = {x : x f in I}."""
-    if f.is_zero():
-        table = spec.table if spec.generators else f.table
-        ring = spec.ring if spec.generators else f.ring
-        if not ring.is_field:
-            ring = QQ
-        return IdealSpec([Polynomial.one(ring, table)], spec.order)
-    if not spec.generators:
-        return IdealSpec([], spec.order)
-    lifted = _lift(list(spec.generators) + [f])
-    gens, f = lifted[:-1], lifted[-1]
-    table = f.table
-    ext = table.extend(["_u"], ["param"])
-    u = Polynomial.var(f.ring, ext, len(table))
-    one = Polynomial.one(f.ring, ext)
-    H = [u * g.lift(ext) for g in gens] + [(one - u) * f.lift(ext)]
-    elim = elimination_order([len(table)], len(ext))
-    gb = buchberger(IdealSpec(H, elim), budget)
-    quots = []
-    for g in gb.basis:
-        if all(m[len(table)] == 0 for m in g.terms):
-            back = Polynomial(g.ring, table, {m[: len(table)]: c for m, c in g.terms.items()})
-            quots.append(exact_div(back, f, spec.order))
-    return IdealSpec(quots, spec.order)
 
 
 # ---------------------------------------------------------------------------
@@ -1166,3 +1105,18 @@ def syzygies(
             if not e.is_zero():
                 raise StructuralError("internal error: syzygy check failed")
     return out
+
+
+def ideal_quotient(spec: IdealSpec, f: Polynomial, budget: Budget = DEFAULT_BUDGET) -> IdealSpec:
+    """Generators of (I : f) = {x : x f in I}: the first coordinates of
+    the syzygies of (f, g_1, ..., g_k), each checked by ``syzygies``."""
+    if f.is_zero():
+        table = spec.table if spec.generators else f.table
+        ring = spec.ring if spec.generators else f.ring
+        if not ring.is_field:
+            ring = QQ
+        return IdealSpec([Polynomial.one(ring, table)], spec.order)
+    if not spec.generators:
+        return IdealSpec([], spec.order)
+    row = _lift([f, *spec.generators])
+    return IdealSpec([v[0] for v in syzygies(FreeModuleMatrix([row]), spec.order, budget)], spec.order)

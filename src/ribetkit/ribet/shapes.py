@@ -91,11 +91,6 @@ class RibetShape:
     def v0(self) -> str | None:
         return self.sigma_places[0] if self.sigma_places else None
 
-    @property
-    def size(self) -> int:
-        """Dimension of the auxiliary square matrix."""
-        return self.t + self.r + self.s
-
     def rows_of_kind(self, kind: str) -> list[RowSpec]:
         return [row for row in self.rows if row.kind == kind]
 

@@ -98,7 +98,7 @@ def test_type_v_row_shape():
     F = mats.ring
     # The TypeV row (last row) has a unit in its generator column and
     # x + nu in the bookkeeping column.
-    n = sh.size
+    n = mats.E.rows
     row = sh.t + 5  # TypeV is the 6th row of the shape
     y_col = n - 1
     assert mats.E.entries[row][y_col] == F.x(4) + F.nu(4)
@@ -276,7 +276,7 @@ def test_eprime_minus_e_entrywise_in_ir():
 
         mats = build_matrices(sh)
         ideals = build_ideals(sh)
-        n = sh.size
+        n = mats.E.rows
         for i in range(n):
             for j in range(n):
                 diff = mats.Eprime.entries[i][j] - mats.E.entries[i][j]

@@ -40,23 +40,24 @@ def _modules(top=SRC):
                     yield os.path.relpath(path, top), ast.parse(fh.read(), path)
 
 
-def _referenced_names(tree) -> set:
+def _referenced_names(tree) -> tuple[set, set]:
     """Every identifier the module reads: plain names, attribute names,
     names it imports, and names inside string constants, dotted ones
-    such as "Polynomial.evaluate" part by part."""
-    names = set()
+    such as "Polynomial.evaluate" part by part.  Also, apart, the names
+    that can name a method: the attribute names and those in strings."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             parts = node.value.split(".")
             if all(part.isidentifier() for part in parts):
-                names.update(parts)
-    return names
+                attributes.update(parts)
+    return names | attributes, attributes
 
 
 def _read_names(tree) -> set:
@@ -92,7 +93,7 @@ def test_every_private_function_is_referenced():
     modules = list(_modules())
     referenced = set()
     for _rel, tree in modules:
-        referenced |= _referenced_names(tree)
+        referenced |= _referenced_names(tree)[0]
     unreferenced = [
         f"{rel}: {node.name}"
         for rel, tree in modules
@@ -106,34 +107,39 @@ def test_every_private_function_is_referenced():
 
 
 def _public_definitions(tree):
-    """(qualified name, bare name) of each public module-level function
-    and class, and of each public method of a module-level class."""
+    """(qualified name, bare name, whether a method) of each public
+    module-level function and class, and of each public method of a
+    module-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not node.name.startswith("_"):
-                yield node.name, node.name
+                yield node.name, node.name, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
-                        yield f"{node.name}.{item.name}", item.name
+                        yield f"{node.name}.{item.name}", item.name, True
 
 
 def test_every_public_name_is_used():
-    referenced = set()
+    # A method counts as used only where an attribute or a string names
+    # it: a local variable that shares its name does not use it.
+    referenced, attributes = set(), set()
     for top in (SRC, os.path.join(ROOT, "scripts"), os.path.join(ROOT, "perfbench")):
         for rel, tree in _modules(top):
             if os.path.basename(rel) != "__init__.py":
-                referenced |= _referenced_names(tree)
-    defined = [(rel, qualified, bare) for rel, tree in _modules() for qualified, bare in _public_definitions(tree)]
+                names, attrs = _referenced_names(tree)
+                referenced |= names
+                attributes |= attrs
+    defined = [
+        (rel, qualified, bare, attributes if method else referenced)
+        for rel, tree in _modules()
+        for qualified, bare, method in _public_definitions(tree)
+    ]
     unused = [
         f"{rel}: {qualified}"
-        for rel, qualified, bare in defined
-        if bare not in referenced and qualified not in KEPT_PUBLIC
+        for rel, qualified, bare, used in defined
+        if bare not in used and qualified not in KEPT_PUBLIC
     ]
     assert not unused, unused
-    stale = sorted(
-        qualified
-        for qualified in KEPT_PUBLIC
-        if qualified not in {q for _rel, q, _bare in defined} or qualified.split(".")[-1] in referenced
-    )
+    stale = sorted(set(KEPT_PUBLIC) - {qualified for _rel, qualified, bare, used in defined if bare not in used})
     assert not stale, f"KEPT_PUBLIC names that are gone or now used: {stale}"
