@@ -264,7 +264,7 @@ def specialization_phases():
         lambda: [[linalg.det(M, inst.ring) for M in (inst.E, inst.D, inst.Eprime)] for inst in insts],
         lambda dets: f"{sum(d[2] == 0 for d in dets)} of {len(dets)} with det(E') = 0",
     )
-    timed("  cocycle", lambda: [specialize._check_cocycle(inst, 12) for inst in insts], all)
+    timed("  cocycle", lambda: [specialize._check_cocycle(inst) for inst in insts], all)
     specialize._relation_ideal(shape, p)
     timed("  J vanishes", lambda: [specialize._check_j_vanishes(inst) for inst in insts], all)
 

@@ -209,29 +209,40 @@ def _add_kron(grid, row: int, col: int, A, B, b_shape: tuple[int, int], negate: 
     A and B are triple lists (``_nonzero``, ``_identity``) and B is
     b_shape = (rows, cols), so A[i1][j1] B[i2][j2] lands at
     (row + i1 * rows + i2, col + j1 * cols + j2).  An identity entry is
-    never multiplied: the other factor's entry is used as it is.
+    never multiplied: the other factor's entry is used as it is.  A cell
+    that still holds zero stores the product (negated if asked) without
+    forming zero + e; ``tensor`` and ``tensor_morphism`` write each cell
+    at most once, so that is every write they make.
     """
     b_rows, b_cols = b_shape
     for i1, j1, a in A:
         r0, c0 = row + i1 * b_rows, col + j1 * b_cols
         for i2, j2, b in B:
             e = b if a is None else a if b is None else a * b
-            r, c = r0 + i2, c0 + j2
-            grid[r][c] = grid[r][c] - e if negate else grid[r][c] + e
+            target = grid[r0 + i2]
+            cell = target[c0 + j2]
+            if cell.terms:
+                target[c0 + j2] = cell - e if negate else cell + e
+            else:
+                target[c0 + j2] = -e if negate else e
 
 
-def tensor(C1: FreeComplex, C2: FreeComplex) -> FreeComplex:
+def tensor(C1: FreeComplex, C2: FreeComplex, cap: int | None = None) -> FreeComplex:
     """Total complex of the double complex C1 (x) C2 with the Koszul sign
     convention d(a (x) b) = da (x) b + (-1)^{deg a} a (x) db.
 
     Degree-n summands are ordered by ascending first-factor degree p, then
     row-major within the (p, q = n-p) block (``_tensor_layout``); twists
-    add through the shift bookkeeping.
+    add through the shift bookkeeping.  With ``cap``, only degrees
+    0..cap are built, which gives ``truncate(tensor(C1, C2), cap)``.
     """
     if C1.ring != C2.ring or C1.table != C2.table:
         raise StructuralError("tensor factors must share ring and table")
     r1, r2 = C1.ranks, C2.ranks
-    layout, ranks = _tensor_layout(r1, r2, C1.top_degree + C2.top_degree)
+    top = C1.top_degree + C2.top_degree
+    layout, ranks = _tensor_layout(r1, r2, top if cap is None else min(top, cap))
+    nonzero1 = [_nonzero(d) for d in C1.diffs[: len(ranks)]]
+    nonzero2 = [_nonzero(d) for d in C2.diffs[: len(ranks)]]
     labels = [
         [("tensor", p, q, l1, l2) for p, q in blocks for l1 in C1.labels[p] for l2 in C2.labels[q]]
         for blocks in layout
@@ -247,11 +258,11 @@ def tensor(C1: FreeComplex, C2: FreeComplex) -> FreeComplex:
         for (p, q), off in layout[n].items():
             # d1 (x) id: (p, q) -> (p - 1, q)
             if (p - 1, q) in below:
-                A, B = _nonzero(C1.diffs[p]), _identity(r2[q])
+                A, B = nonzero1[p], _identity(r2[q])
                 _add_kron(M, below[(p - 1, q)], off, A, B, (r2[q], r2[q]))
             # (-1)^p id (x) d2: (p, q) -> (p, q - 1)
             if (p, q - 1) in below:
-                A, B = _identity(r1[p]), _nonzero(C2.diffs[q])
+                A, B = _identity(r1[p]), nonzero2[q]
                 _add_kron(M, below[(p, q - 1)], off, A, B, (r2[q - 1], r2[q]), negate=p % 2 == 1)
         diffs.append(FreeModuleMatrix(M))
     return FreeComplex(C1.ring, C1.table, ranks, diffs, labels, C1.shift + C2.shift)

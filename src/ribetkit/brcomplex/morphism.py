@@ -49,7 +49,6 @@ from .free_complex import (
     FreeComplex,
     tensor,
     tensor_morphism,
-    truncate,
     unit_complex,
 )
 
@@ -182,7 +181,7 @@ def build_cd_morphism(
     C, D, label_map = factors[0]
     inc = _identity_on_labels(C, D, label_map)
     for cf, df, label_map in factors[1:]:
-        C, D = truncate(tensor(C, cf), cap), truncate(tensor(D, df), cap)
+        C, D = tensor(C, cf, cap), tensor(D, df, cap)
         inc = tensor_morphism(inc, _identity_on_labels(cf, df, label_map), C, D)
 
     commutes = inc.check_commutes()

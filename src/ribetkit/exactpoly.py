@@ -13,6 +13,18 @@ The zero polynomial is the empty term map; equal polynomials have
 identical term maps, so ``==`` is canonical-form comparison.  Values are
 immutable after construction and safe to share between threads.
 
+``evaluate`` reads each term in a sparse form, (coefficient, ((variable,
+exponent), ...)), so it never scans the zero slots of a dense exponent
+tuple.  The first evaluation of a polynomial streams that form; the
+second builds it once and keeps it in the private ``_sparse`` slot, so a
+polynomial evaluated at many points (the relation ideal at every
+specialization instance) pays for it once, and one evaluated once keeps
+nothing.  The slot is an idempotent lazy field: it is derived from the
+immutable term map alone, every build yields an equal value, and
+``==``, ``hash`` and every other method ignore it.  Two threads that race
+on it at worst both build it, and each reads a complete form, so sharing
+a polynomial stays safe.
+
 Variables are identified by their integer index into a ``VariableTable``;
 names exist only for I/O.  Tables also carry a role tag per variable,
 and the role fixes its torus weight (b-tagged variables weigh +1,
@@ -108,7 +120,7 @@ class CoefficientRing:
                 den = c.denominator % self.p
                 if den == 0:
                     raise StructuralError("denominator not invertible mod p")
-                return c.numerator * pow(den, self.p - 2, self.p) % self.p
+                return c.numerator * pow(den, -1, self.p) % self.p
             return int(c) % self.p
         if self.kind == "QQ":
             if type(c) is int:
@@ -142,7 +154,7 @@ class CoefficientRing:
         if self.kind == "GF":
             if a % self.p == 0:
                 raise ZeroDivisionError("inverse of 0 in GF(p)")
-            return pow(a, self.p - 2, self.p)
+            return pow(a, -1, self.p)
         if self.kind == "QQ":
             return _demote(Fraction(1) / a)
         raise StructuralError("ZZ is not a field")
@@ -298,7 +310,7 @@ DEGREVLEX = DegRevLex()
 class Polynomial:
     """Immutable sparse polynomial over a CoefficientRing and VariableTable."""
 
-    __slots__ = ("ring", "table", "terms", "_hash")
+    __slots__ = ("ring", "table", "terms", "_hash", "_sparse")
 
     def __init__(self, ring: CoefficientRing, table: VariableTable, terms: Mapping[Mono, object]):
         clean = {}
@@ -319,6 +331,7 @@ class Polynomial:
         self.table = table
         self.terms = clean
         self._hash = None
+        self._sparse = None
 
     # -- constructors ---------------------------------------------------
     @staticmethod
@@ -477,6 +490,7 @@ class Polynomial:
         p.table = table
         p.terms = terms
         p._hash = None
+        p._sparse = None
         return p
 
     # -- term access -------------------------------------------------------
@@ -543,12 +557,11 @@ class Polynomial:
         arithmetic is inline ints reduced mod p."""
         ring = self.ring
         p = ring.p
-        slots = range(len(self.table))
         vals: dict[int, object] = {}
         total = ring.zero()
-        for m, c in self.terms.items():
+        for c, pairs in self._sparse_terms():
             acc = c
-            for i in compress(slots, m):  # the variables with m[i] > 0
+            for i, e in pairs:
                 v = vals.get(i)
                 if v is None:
                     try:
@@ -558,9 +571,27 @@ class Polynomial:
                                    if j not in point]
                         raise StructuralError(f"missing assignment for {missing}") from None
                     v = vals[i] = x % p if p and type(x) is int else ring.normalize(x)
-                acc = acc * pow(v, m[i], p) % p if p else ring.mul(acc, v ** m[i])
+                acc = acc * pow(v, e, p) % p if p else ring.mul(acc, v ** e)
             total = total + acc if p else ring.add(total, acc)
         return total % p if p else total
+
+    def _sparse_terms(self):
+        """Each term as (coefficient, ((variable, exponent), ...)), the
+        variables being those with a nonzero exponent.
+
+        The first call streams the pairs; the second builds them once and
+        keeps them in ``_sparse``, which later calls return."""
+        kept = self._sparse
+        if kept:
+            return kept
+        slots = range(len(self.table))
+        if kept is None:
+            self._sparse = False  # evaluated once: keep the form on the next call
+            return ((c, zip(compress(slots, m), filter(None, m))) for m, c in self.terms.items())
+        kept = self._sparse = tuple(
+            (c, tuple(zip(compress(slots, m), filter(None, m)))) for m, c in self.terms.items()
+        )
+        return kept
 
     # -- grading -------------------------------------------------------------
     def term_weight(self, m: Mono) -> int:

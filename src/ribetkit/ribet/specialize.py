@@ -134,7 +134,7 @@ class SpecializedInstance:
         p = self.p
         pw = self.char_word(self.psi, word)
         m = _m2_add_scalar(self.rho_word(word), -pw % p, p)
-        return _m2_scale(m, pow(pw, p - 2, p), p)
+        return _m2_scale(m, pow(pw, -1, p), p)
 
     def to_record(self) -> dict:
         """Full serialization: seed, prime, and every drawn or solved
@@ -400,7 +400,12 @@ def _check_cocycle(inst: SpecializedInstance) -> bool:
     """On seeded word pairs, the defect kappa(w1 w2) - kappa(w1) -
     chi psi^{-1}(w1) kappa(w2) must equal the element
     psi(w1 w2)^{-1} (rho(w1) - chi(w1)) (rho(w2) - psi(w2)) of
-    Delta_chi . Delta_psi, exactly; expanding kappa gives the identity."""
+    Delta_chi . Delta_psi, exactly; expanding kappa gives the identity.
+
+    The check reads only ``rho_images``, ``chi`` and ``psi``, never the
+    solved coefficients, so it cannot catch a wrong eps, delta or alpha:
+    on a ``perturb_alpha`` instance it passes, and the perturbed control
+    rests on det(E') alone."""
     p = inst.p
     rng = random.Random(f"{inst.seed}:cocycle")
     r = inst.shape.r
@@ -410,14 +415,14 @@ def _check_cocycle(inst: SpecializedInstance) -> bool:
         chi1 = inst.char_word(inst.chi, w1)
         psi1 = inst.char_word(inst.psi, w1)
         psi2 = inst.char_word(inst.psi, w2)
-        k2 = _m2_scale(inst.kappa(w2), chi1 * pow(psi1, p - 2, p), p)
+        k2 = _m2_scale(inst.kappa(w2), chi1 * pow(psi1, -1, p), p)
         defect = _m2_sub(_m2_sub(inst.kappa(w1 + w2), inst.kappa(w1), p), k2, p)
         product = _m2_mul(
             _m2_add_scalar(inst.rho_word(w1), -chi1 % p, p),
             _m2_add_scalar(inst.rho_word(w2), -psi2 % p, p),
             p,
         )
-        if defect != _m2_scale(product, pow(psi1 * psi2, p - 2, p), p):
+        if defect != _m2_scale(product, pow(psi1 * psi2, -1, p), p):
             return False
     return True
 

@@ -207,6 +207,23 @@ def test_tensor_morphism_of_identities_is_identity():
     assert g.maps == _identity_morphism(T2).maps
 
 
+def test_capped_tensor_is_the_truncated_tensor():
+    M, b, bp = bvars(3)
+    brs = br_complexes(M)
+    for C1, C2 in ((koszul(b).twist(2), brs.Rdetf), (brs.Rf, koszul(bp).twist(-1))):
+        full = tensor(C1, C2)
+        assert tensor(C1, C2, None) == full
+        for cap in range(full.top_degree + 1):
+            capped, expected = tensor(C1, C2, cap), truncate(full, cap)
+            assert capped.ranks == expected.ranks
+            assert capped.labels == expected.labels
+            assert capped.shift == expected.shift
+            for got, want in zip(capped.diffs, expected.diffs, strict=True):
+                assert (got is None) == (want is None)
+                if got is not None:
+                    assert got.entries == want.entries
+
+
 def test_tensor_morphism_rejects_complexes_that_do_not_fit_the_factors():
     M, b, bp = bvars(3)
     K1, K2 = koszul(b[:2]), koszul(bp[:2])

@@ -102,6 +102,70 @@ def test_evaluate_examples():
         (x * y + y * V(2) + x).evaluate({0: 1})
 
 
+class _ReadLog(dict):
+    """A point that records which entries evaluation reads."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, GF(7)], ids=repr)
+def test_repeated_evaluation_keeps_the_values(ring):
+    x, y, z = (V(i, ring) for i in range(3))
+    f = x**3 * y - 2 * y * z**2 + 5 * z + 4
+    if ring.kind == "QQ":
+        f = f * Fraction(1, 3)
+    points = [{0: 2, 1: -1, 2: 3}, {0: 9, 1: 4, 2: -5}, {0: 0, 1: 6, 2: 1}]
+    if ring.kind == "QQ":
+        points[1] = {0: Fraction(1, 2), 1: 4, 2: Fraction(-5, 3)}
+    for k, point in enumerate(points):
+        fresh = Polynomial(ring, T3, f.terms)
+        assert f.evaluate(point) == fresh.evaluate(point)
+        assert bool(f._sparse) == (k > 0)
+
+
+def test_a_polynomial_evaluated_once_keeps_no_sparse_form():
+    f = V(0, GF(7)) * V(1, GF(7)) + 1
+    assert f._sparse is None
+    f.evaluate({0: 1, 1: 2})
+    assert not f._sparse
+    f.evaluate({0: 1, 1: 2})
+    assert f._sparse == ((1, ((0, 1), (1, 1))), (1, ()))
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(7)], ids=repr)
+def test_kept_sparse_form_reads_and_errors_as_before(ring):
+    x, y, z = (V(i, ring) for i in range(3))
+    f = x * y + y * z + x
+    for _ in range(2):
+        point = _ReadLog({0: 1, 1: 2, 2: 1, 3: None})
+        assert f.evaluate(point) == 5
+        assert point.read == {0, 1, 2}
+    assert f._sparse
+    g = x + 1
+    for _ in range(3):
+        point = _ReadLog({0: 4, 1: None, 2: None})
+        assert g.evaluate(point) == 5
+        assert point.read == {0}
+    with pytest.raises(StructuralError, match=r"missing assignment for \['y', 'z'\]"):
+        f.evaluate({0: 1})
+
+
+def test_equality_and_hash_ignore_the_sparse_form():
+    f, g = V(0) * V(2) + 3, V(0) * V(2) + 3
+    before = hash(f)
+    for _ in range(2):
+        f.evaluate({0: 1, 2: 5})
+    assert f._sparse and g._sparse is None
+    assert f == g and hash(f) == hash(g) == before
+    assert {f: 1}[g] == 1
+
+
 def test_torus_weight_examples():
     t = VariableTable(["a1", "b1", "b2", "c2", "x1"], ["a", "b", "b", "c", "x_sigma"])
     a1, b1, b2, c2, x1 = (Polynomial.var(QQ, t, i) for i in range(5))
