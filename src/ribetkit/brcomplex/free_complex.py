@@ -9,7 +9,7 @@ arguments that live outside this package's scope.
 
 A tensor product stores no layout of its own: ``_tensor_layout`` derives
 the block offsets from the factor ranks, for ``tensor`` and for
-``tensor_morphism`` alike, and ``_add_kron`` writes every Kronecker block
+``tensor_morphism`` alike, and ``_put_kron`` writes every Kronecker block
 (d (x) id, id (x) d and phi (x) psi).
 
 d^2 = 0 is checked, not assumed: construction functions return whatever
@@ -202,29 +202,23 @@ def _identity(n: int) -> list[tuple]:
     return [(i, i, None) for i in range(n)]
 
 
-def _add_kron(grid, row: int, col: int, A, B, b_shape: tuple[int, int], negate: bool = False):
-    """Add A (x) B, or its negative, into ``grid`` with its top-left
+def _put_kron(grid, row: int, col: int, A, B, b_shape: tuple[int, int], negate: bool = False):
+    """Write A (x) B, or its negative, into ``grid`` with its top-left
     corner at (row, col).
 
     A and B are triple lists (``_nonzero``, ``_identity``) and B is
     b_shape = (rows, cols), so A[i1][j1] B[i2][j2] lands at
     (row + i1 * rows + i2, col + j1 * cols + j2).  An identity entry is
-    never multiplied: the other factor's entry is used as it is.  A cell
-    that still holds zero stores the product (negated if asked) without
-    forming zero + e; ``tensor`` and ``tensor_morphism`` write each cell
-    at most once, so that is every write they make.
+    never multiplied: the other factor's entry is used as it is.  Each
+    cell is written once and must still hold zero: the blocks that
+    ``tensor`` and ``tensor_morphism`` write do not overlap.
     """
     b_rows, b_cols = b_shape
     for i1, j1, a in A:
         r0, c0 = row + i1 * b_rows, col + j1 * b_cols
         for i2, j2, b in B:
             e = b if a is None else a if b is None else a * b
-            target = grid[r0 + i2]
-            cell = target[c0 + j2]
-            if cell.terms:
-                target[c0 + j2] = cell - e if negate else cell + e
-            else:
-                target[c0 + j2] = -e if negate else e
+            grid[r0 + i2][c0 + j2] = -e if negate else e
 
 
 def tensor(C1: FreeComplex, C2: FreeComplex, cap: int | None = None) -> FreeComplex:
@@ -259,11 +253,11 @@ def tensor(C1: FreeComplex, C2: FreeComplex, cap: int | None = None) -> FreeComp
             # d1 (x) id: (p, q) -> (p - 1, q)
             if (p - 1, q) in below:
                 A, B = nonzero1[p], _identity(r2[q])
-                _add_kron(M, below[(p - 1, q)], off, A, B, (r2[q], r2[q]))
+                _put_kron(M, below[(p - 1, q)], off, A, B, (r2[q], r2[q]))
             # (-1)^p id (x) d2: (p, q) -> (p, q - 1)
             if (p, q - 1) in below:
                 A, B = _identity(r1[p]), nonzero2[q]
-                _add_kron(M, below[(p, q - 1)], off, A, B, (r2[q - 1], r2[q]), negate=p % 2 == 1)
+                _put_kron(M, below[(p, q - 1)], off, A, B, (r2[q - 1], r2[q]), negate=p % 2 == 1)
         diffs.append(FreeModuleMatrix(M))
     return FreeComplex(C1.ring, C1.table, ranks, diffs, labels, C1.shift + C2.shift)
 
@@ -337,6 +331,6 @@ def tensor_morphism(
         for (p, q), off in blocks.items():
             if (p, q) in targets:
                 A, B = _nonzero(phi.maps[p]), _nonzero(psi.maps[q])
-                _add_kron(M, targets[(p, q)], off, A, B, (t2[q], s2[q]))
+                _put_kron(M, targets[(p, q)], off, A, B, (t2[q], s2[q]))
         maps.append(FreeModuleMatrix(M))
     return ComplexMorphism(sourceT, targetT, maps)
