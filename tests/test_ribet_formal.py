@@ -281,3 +281,46 @@ def test_eprime_minus_e_entrywise_in_ir():
             for j in range(n):
                 diff = mats.Eprime.entries[i][j] - mats.E.entries[i][j]
                 assert reduce_by(diff, ideals.I_R.generators).is_zero(), (sh.name, i, j)
+
+
+# sha256 of every formal construction of the six shapes (the corpus and
+# the specialization shape) over QQ and GF(10007): the variable table,
+# E, E' and D entry by entry, the generators of J, J' and I_R, the
+# quotient-presentation images and the x-bearing generators.  A change
+# that moves any variable, entry or generator changes it.
+FORMAL_DIGEST = "8e408bd242ffce5cc874e170919f1f01cb9b62e7ef399b5cfba8e6ba946c99cc"
+
+
+def test_formal_constructions_replay_the_pinned_digest():
+    import hashlib
+    import json
+
+    from ribetkit.exactpoly import to_text
+    from ribetkit.ribet.formal import quotient_presentation_images
+    from ribetkit.ribet.shapes import shape_specialization
+
+    def texts(polys):
+        return [to_text(p) for p in polys]
+
+    digest = hashlib.sha256()
+    for sh in corpus() + [shape_specialization()]:
+        for ring in (QQ, GF(10007)):
+            mats = build_matrices(sh, ring)
+            ideals = build_ideals(sh, ring)
+            table = mats.ring.table
+            record = {
+                "shape": sh.name,
+                "ring": repr(ring),
+                "names": list(table.names),
+                "roles": list(table.roles),
+                "E": [texts(row) for row in mats.E.entries],
+                "Eprime": [texts(row) for row in mats.Eprime.entries],
+                "D": [texts(row) for row in mats.D.entries],
+                "J": texts(ideals.J.generators),
+                "Jprime": texts(ideals.Jprime.generators),
+                "I_R": texts(ideals.I_R.generators),
+                "images": texts(quotient_presentation_images(ideals)),
+                "x_bearing": sh.x_bearing(),
+            }
+            digest.update(json.dumps(record, sort_keys=True).encode())
+    assert digest.hexdigest() == FORMAL_DIGEST
