@@ -63,7 +63,7 @@ class TauAction:
         out = []
         for tag in "abcd":
             name = tag + suffix
-            if name in self.base._index:
+            if name in self.base.names:
                 out.append(Polynomial.var(ring, self.table, self.base.index(name)))
             else:
                 out.append(Polynomial.zero(ring, self.table))

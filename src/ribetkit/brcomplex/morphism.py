@@ -164,7 +164,7 @@ def build_cd_morphism(
         word, S = lab
         return (word, tuple((s, "B") for s in S))
 
-    for v in list(shape.p_places) + list(shape.sigma_places[1:]):
+    for v in shape.outer_places:
         bs = shape.b_set(v)
         small = FreeModuleMatrix([[F.b(s) for s in bs], [F.b_prime(s) for s in bs]])
         big = FreeModuleMatrix([

@@ -14,11 +14,21 @@ with b_sigma for sigma in B_{v0} deleted outright: the quotient by
 reads those entries as the zero polynomial.
 
 The auxiliary square matrix E has t place columns, then r generator
-columns, then s bookkeeping columns; its first t rows carry
-x_{sigma_v} + nu_{sigma_v} on the place diagonal and a unit in the
-column of the dedicated generator sigma_v.  E' applies the
-determinant-killing alterations row kind by row kind, and D is the
-lower-right (r+s) block of E.
+columns, then s bookkeeping columns (RibetShape.place_columns gives the
+column of each place v != v0).  Its first t rows carry a unit in the
+column of the dedicated generator sigma_v; then come the relation rows:
+eps or delta coefficients across the generator columns for TypeI and
+TypeII rows, a unit in the dedicated generator's column for TypeIII,
+IV and V rows.  Each place entry (the place diagonal of the first t
+rows, and the place column of a TypeIV or TypeV row) is x_g + nu_g.
+
+E' is E plus the determinant-killing alterations: each place entry
+becomes x_g - a_g, and each TypeII row (i, j) loses a_i + nu_i in
+column j and d_j in column i.  D is the lower-right (r+s) block of E.
+The numeric matrices of a specialization (specialize._assemble_matrices)
+follow the same layout and alterations, with three differences in E,
+each by design: a row of P holds the alpha expansion of rho_{sigma_v},
+a TypeIV place entry is 0 and a TypeV place entry is nu_g.
 """
 
 from __future__ import annotations
@@ -42,46 +52,35 @@ from .shapes import RibetShape, shape_r2_two_type2
 
 @dataclass
 class FormalRing:
-    """Variable table and accessors for one shape."""
+    """Variable table and accessors for one shape.
+
+    ``keys`` maps each variable's key, (kind, indices...), to its column
+    in ``table``; the table names a variable by its kind followed by its
+    indices joined by "_" (nu1, eps1_2, delta1_2_3, x3, a1)."""
 
     shape: RibetShape
     ring: CoefficientRing = QQ
     table: VariableTable = field(init=False)
+    keys: dict[tuple, int] = field(init=False)
 
     def __post_init__(self):
         shape = self.shape
-        names: list[str] = []
-        roles: list[str] = []
-        for i in range(1, shape.r + 1):
-            names.append(f"nu{i}")
-            roles.append("nu")
-        for k in range(1, shape.type_i_count() + 1):
-            for i in range(1, shape.r + 1):
-                names.append(f"eps{k}_{i}")
-                roles.append("eps")
-        for (i, j) in shape.type_ii_pairs():
-            for k in range(1, shape.r + 1):
-                names.append(f"delta{i}_{j}_{k}")
-                roles.append("delta")
-        for g in shape.x_bearing():
-            names.append(f"x{g}")
-            roles.append("x_sigma")
+        gens = range(1, shape.r + 1)
         deleted = set(shape.b_v0())
-        for i in range(1, shape.r + 1):
-            names.append(f"a{i}")
-            roles.append("a")
-            if i not in deleted:
-                names.append(f"b{i}")
-                roles.append("b")
-            names.append(f"c{i}")
-            roles.append("c")
-            names.append(f"d{i}")
-            roles.append("d")
-        self.table = VariableTable(names, roles)
+        keys = [("nu", i) for i in gens]
+        keys += [("eps", k, i) for k in range(1, shape.type_i_count() + 1) for i in gens]
+        keys += [("delta", i, j, k) for (i, j) in shape.type_ii_pairs() for k in gens]
+        keys += [("x", g) for g in shape.x_bearing()]
+        keys += [(tag, i) for i in gens for tag in "abcd" if not (tag == "b" and i in deleted)]
+        self.keys = {key: n for n, key in enumerate(keys)}
+        self.table = VariableTable(
+            [kind + "_".join(map(str, indices)) for kind, *indices in keys],
+            ["x_sigma" if kind == "x" else kind for kind, *_ in keys],
+        )
 
     # -- variable accessors ---------------------------------------------
-    def _v(self, name: str) -> Polynomial:
-        return Polynomial.var(self.ring, self.table, self.table.index(name))
+    def _v(self, *key) -> Polynomial:
+        return Polynomial.var(self.ring, self.table, self.keys[key])
 
     def zero(self) -> Polynomial:
         return Polynomial.zero(self.ring, self.table)
@@ -90,30 +89,30 @@ class FormalRing:
         return Polynomial.one(self.ring, self.table)
 
     def nu(self, i: int) -> Polynomial:
-        return self._v(f"nu{i}")
+        return self._v("nu", i)
 
     def eps(self, block: int, i: int) -> Polynomial:
-        return self._v(f"eps{block}_{i}")
+        return self._v("eps", block, i)
 
     def delta(self, i: int, j: int, k: int) -> Polynomial:
-        return self._v(f"delta{i}_{j}_{k}")
+        return self._v("delta", i, j, k)
 
     def x(self, g: int) -> Polynomial:
-        return self._v(f"x{g}")
+        return self._v("x", g)
 
     def a(self, i: int) -> Polynomial:
-        return self._v(f"a{i}")
+        return self._v("a", i)
 
     def b(self, i: int) -> Polynomial:
-        if f"b{i}" not in self.table._index:
+        if ("b", i) not in self.keys:
             return self.zero()
-        return self._v(f"b{i}")
+        return self._v("b", i)
 
     def c(self, i: int) -> Polynomial:
-        return self._v(f"c{i}")
+        return self._v("c", i)
 
     def d(self, i: int) -> Polynomial:
-        return self._v(f"d{i}")
+        return self._v("d", i)
 
     def rho(self, i: int) -> Mat2:
         return Mat2(self.a(i), self.b(i), self.c(i), self.d(i))
@@ -169,65 +168,43 @@ class FormalMatrices:
 
 
 def build_matrices(shape: RibetShape, ring: CoefficientRing = QQ) -> FormalMatrices:
-    """The formal auxiliary matrices E, E' and the relation block D."""
+    """The formal auxiliary matrices E, E' and the relation block D.
+
+    E is filled first; E' is a copy of E with the alterations applied."""
     F = FormalRing(shape, ring)
-    t, r, s = shape.t, shape.r, shape.s
-    n = t + r + s
-    zero = F.zero()
+    t, r = shape.t, shape.r
+    n = t + r + shape.s
+    cols = shape.place_columns()
     one = F.one()
-
-    def gen_col(i: int) -> int:
-        return t + i - 1
-
-    y_col = {v: t + r + k for k, v in enumerate(shape.sigma_places[1:])}
-    place_col = {v: k for k, v in enumerate(shape.p_places)}
-
-    E = [[zero] * n for _ in range(n)]
-    Ep = [[zero] * n for _ in range(n)]
-
+    E = [[F.zero()] * n for _ in range(n)]
+    place_entries = []  # (row, column, generator) of x_g + nu_g in E
     for k, v in enumerate(shape.p_places):
         g = shape.sigma_v[v]
-        E[k][k] = F.x(g) + F.nu(g)
-        Ep[k][k] = F.x(g) - F.a(g)
-        E[k][gen_col(g)] = one
-        Ep[k][gen_col(g)] = one
-
+        E[k][t + g - 1] = one
+        place_entries.append((k, k, g))
     type_i_seen = 0
-    for rownum, row in enumerate(shape.rows):
-        ri = t + rownum
+    for ri, row in enumerate(shape.rows, start=t):
         if row.kind == "I":
             type_i_seen += 1
-            for i in range(1, r + 1):
-                E[ri][gen_col(i)] = F.eps(type_i_seen, i)
-                Ep[ri][gen_col(i)] = F.eps(type_i_seen, i)
+            E[ri][t:t + r] = [F.eps(type_i_seen, i) for i in range(1, r + 1)]
         elif row.kind == "II":
-            i, j = row.i, row.j
-            for k in range(1, r + 1):
-                entry = F.delta(i, j, k)
-                alt = entry
-                if k == j:
-                    alt = alt - F.a(i) - F.nu(i)
-                if k == i:
-                    alt = alt - F.d(j)
-                E[ri][gen_col(k)] = entry
-                Ep[ri][gen_col(k)] = alt
-        elif row.kind == "III":
-            E[ri][gen_col(row.sigma)] = one
-            Ep[ri][gen_col(row.sigma)] = one
-        elif row.kind == "IV":
-            g = row.sigma
-            E[ri][gen_col(g)] = one
-            Ep[ri][gen_col(g)] = one
-            E[ri][place_col[row.place]] = F.x(g) + F.nu(g)
-            Ep[ri][place_col[row.place]] = F.x(g) - F.a(g)
-        elif row.kind == "V":
-            g = row.sigma
-            E[ri][gen_col(g)] = one
-            Ep[ri][gen_col(g)] = one
-            E[ri][y_col[row.place]] = F.x(g) + F.nu(g)
-            Ep[ri][y_col[row.place]] = F.x(g) - F.a(g)
+            E[ri][t:t + r] = [F.delta(row.i, row.j, k) for k in range(1, r + 1)]
+        else:
+            E[ri][t + row.sigma - 1] = one
+            if row.place is not None:
+                place_entries.append((ri, cols[row.place], row.sigma))
+    for ri, col, g in place_entries:
+        E[ri][col] = F.x(g) + F.nu(g)
 
-    D = [[E[t + i][t + j] for j in range(r + s)] for i in range(r + s)]
+    Ep = [list(row) for row in E]
+    for ri, col, g in place_entries:
+        Ep[ri][col] = F.b_prime(g)
+    for ri, row in enumerate(shape.rows, start=t):
+        if row.kind == "II":
+            Ep[ri][t + row.j - 1] -= F.a(row.i) + F.nu(row.i)
+            Ep[ri][t + row.i - 1] -= F.d(row.j)
+
+    D = [row[t:] for row in E[t:]]
     return FormalMatrices(F, FreeModuleMatrix(D), FreeModuleMatrix(E), FreeModuleMatrix(Ep))
 
 
@@ -272,8 +249,7 @@ def relation_quadruples(F: FormalRing) -> list[RelationQuadruple]:
             for k in range(1, shape.r + 1):
                 acc = acc - F.delta(i, j, k) * F.rho(k)
             out.append(RelationQuadruple(("row", rownum), acc))
-    places = list(shape.p_places) + list(shape.sigma_places[1:])
-    for v in places:
+    for v in shape.outer_places:
         bs = shape.b_set(v)
         for idx, sigma in enumerate(bs):
             for tau in bs[idx + 1 :]:
@@ -399,14 +375,12 @@ def check_e_tau_invariance(
 def quotient_presentation_images(ideals: FormalIdeals) -> list[Polynomial]:
     """Images of the J generators under a_i -> -nu_i, b_i, c_i, d_i -> 0."""
     F = ideals.ring
-    shape = F.shape
     mapping: dict[int, Polynomial] = {}
-    for i in range(1, shape.r + 1):
-        mapping[F.table.index(f"a{i}")] = -F.nu(i)
-        for tag in ("b", "c", "d"):
-            name = f"{tag}{i}"
-            if name in F.table._index:
-                mapping[F.table.index(name)] = F.zero()
+    for (kind, *indices), col in F.keys.items():
+        if kind == "a":
+            mapping[col] = -F.nu(*indices)
+        elif kind in ("b", "c", "d"):
+            mapping[col] = F.zero()
     return [g.substitute(mapping) for g in ideals.J.generators]
 
 
@@ -436,7 +410,7 @@ def check_quotient_presentation(shape: RibetShape, ring: CoefficientRing = QQ) -
             for k in range(1, shape.r + 1):
                 acc = acc + F.delta(row.i, row.j, k) * F.nu(k)
             expected.add(_sign_canonical(acc))
-    for v in list(shape.p_places) + list(shape.sigma_places[1:]):
+    for v in shape.outer_places:
         bs = shape.b_set(v)
         for sigma, tau in iproduct(bs, bs):
             if sigma == tau:

@@ -56,6 +56,28 @@ class RowSpec:
         return f"{self.kind} {self.place} {self.sigma}"
 
 
+def _int(key: str, value) -> int:
+    """``value`` as an int; a malformed number is a config error naming
+    its key."""
+    try:
+        return int(value)
+    except ValueError:
+        raise StructuralError(f"{key} = {value!r} is not an integer") from None
+
+
+# The fields after the kind of each shape-file row, read by
+# RibetShape.from_mapping, and the constructor they feed.
+_ROW_KINDS = {
+    "I": ("", RowSpec.type_i),
+    "II": ("nn", RowSpec.type_ii),
+    "III": ("n", RowSpec.type_iii),
+    "IV": ("sn", RowSpec.type_iv),
+    "V": ("sn", RowSpec.type_v),
+}
+_FORMS = {"row": "I | II i j | III sigma | IV place sigma | V place sigma",
+          "place_p": "place sigma_v"}
+
+
 @dataclass(frozen=True)
 class RibetShape:
     name: str
@@ -122,15 +144,21 @@ class RibetShape:
         ded = set(self.dedicated())
         return [i for i in range(1, self.r + 1) if i not in ded]
 
+    @property
+    def outer_places(self) -> tuple[str, ...]:
+        """The places v != v0: P, then Sigma minus v0."""
+        return self.p_places + self.sigma_places[1:]
+
+    def place_columns(self) -> dict[str, int]:
+        """The column of the auxiliary matrix for each place v != v0: the
+        places of P fill the first t columns, those of Sigma minus v0 the
+        last s (after the r generator columns)."""
+        return {v: k if k < self.t else k + self.r for k, v in enumerate(self.outer_places)}
+
     def x_bearing(self) -> list[int]:
         """Generators carrying an x variable: members of some B_v,
-        v in (Sigma minus v0) union P."""
-        out: set[int] = set()
-        for v in self.p_places:
-            out.update(self.b_set(v))
-        for v in self.sigma_places[1:]:
-            out.update(self.b_set(v))
-        return sorted(out)
+        v != v0."""
+        return sorted({g for v in self.outer_places for g in self.b_set(v)})
 
     def type_ii_pairs(self) -> list[tuple[int, int]]:
         return [(row.i, row.j) for row in self.rows if row.kind == "II"]
@@ -205,31 +233,27 @@ class RibetShape:
                 return default
             return vals[-1]
 
+        def fields(key, text, parts, form):
+            """``parts`` read by ``form``, one letter per field: 's' a
+            label, 'n' an integer.  A mismatch names the key and text."""
+            if form is None or len(parts) != len(form):
+                raise StructuralError(f"{key} = {text!r} is not of the form {_FORMS[key]}")
+            return [_int(f"{key} {text!r}", x) if f == "n" else x for f, x in zip(form, parts)]
+
         rows = []
         for text in m.get("row", []):
-            parts = text.split()
-            kind = parts[0].upper()
-            if kind == "I":
-                rows.append(RowSpec.type_i())
-            elif kind == "II":
-                rows.append(RowSpec.type_ii(int(parts[1]), int(parts[2])))
-            elif kind == "III":
-                rows.append(RowSpec.type_iii(int(parts[1])))
-            elif kind == "IV":
-                rows.append(RowSpec.type_iv(parts[1], int(parts[2])))
-            elif kind == "V":
-                rows.append(RowSpec.type_v(parts[1], int(parts[2])))
-            else:
-                raise StructuralError(f"bad row spec {text!r}")
+            kind, *parts = text.split() or [""]
+            form, make = _ROW_KINDS.get(kind.upper(), (None, None))
+            rows.append(make(*fields("row", text, parts, form)))
         p_places = []
         sigma_v = {}
         for text in m.get("place_p", []):
-            parts = text.split()
-            p_places.append(parts[0])
-            sigma_v[parts[0]] = int(parts[1])
+            v, g = fields("place_p", text, text.split(), "sn")
+            p_places.append(v)
+            sigma_v[v] = g
         return RibetShape(
             name=single("name", "unnamed"),
-            r=int(single("generators")),
+            r=_int("generators", single("generators")),
             rows=tuple(rows),
             sigma_places=tuple(m.get("place_sigma", [])),
             p_places=tuple(p_places),

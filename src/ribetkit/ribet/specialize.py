@@ -111,7 +111,7 @@ class SpecializedInstance:
 
     def _place_of(self, g: int) -> str:
         shape = self.shape
-        for v in list(shape.p_places) + list(shape.sigma_places):
+        for v in shape.p_places + shape.sigma_places:
             if g in shape.b_set(v):
                 return v
         raise StructuralError(f"generator {g} is not attached to a place")
@@ -205,7 +205,7 @@ def _try_generate(shape, seed, p, ring, rng) -> SpecializedInstance | None:
     chi = {g: rng.randrange(1, p) for g in range(1, shape.r + 1)}
     psi = {g: rng.randrange(1, p) for g in range(1, shape.r + 1)}
 
-    for v in list(shape.p_places) + list(shape.sigma_places):
+    for v in shape.p_places + shape.sigma_places:
         if shape.sigma_places and v == shape.v0:
             M = _ID
         else:
@@ -275,68 +275,50 @@ def _coefficient_matrix(inst: SpecializedInstance) -> list[list[int]]:
 # Matrix assembly (the numeric auxiliary matrices of the shape).
 
 def _assemble_matrices(inst: SpecializedInstance):
+    """E, E' and D of the instance, laid out as the formal matrices of
+    formal.build_matrices: E is filled first, and E' is a copy of E with
+    the same alterations (each place entry becomes x_g - a_g, each TypeII
+    row (i, j) loses a_i + nu_i in column j and d_j in column i).  E
+    differs from the formal E in three places, each by design: a row of
+    P holds alpha of its sigma_v (the expansion of rho_{sigma_v}) where
+    the formal row holds a unit, and a TypeIV or TypeV place entry of E
+    is 0 or nu_g where the formal one is x_g + nu_g."""
     shape, p = inst.shape, inst.p
-    t, r, s = shape.t, shape.r, shape.s
-    n = t + r + s
+    t, r = shape.t, shape.r
+    n = t + r + shape.s
+    cols = shape.place_columns()
     E = [[0] * n for _ in range(n)]
-    Ep = [[0] * n for _ in range(n)]
-
-    def gen_col(i: int) -> int:
-        return t + i - 1
-
-    y_col = {v: t + r + k for k, v in enumerate(shape.sigma_places[1:])}
-    place_col = {v: k for k, v in enumerate(shape.p_places)}
-
-    def a_entry(g: int) -> int:
-        return inst.rho_shift(g)[0]
-
+    place_entries = []  # (row, column, generator) of x_g - a_g in E'
     for k, v in enumerate(shape.p_places):
         g = shape.sigma_v[v]
         E[k][k] = inst.z_val(g)
-        Ep[k][k] = (inst.x_val(g) - a_entry(g)) % p
-        for i in range(1, r + 1):
-            E[k][gen_col(i)] = inst.alpha[g][i - 1]
-            Ep[k][gen_col(i)] = inst.alpha[g][i - 1]
-
-    type_i_seen = 0
-    for rownum, row in enumerate(shape.rows):
-        ri = t + rownum
+        E[k][t:t + r] = inst.alpha[g]
+        place_entries.append((k, k, g))
+    eps_rows = iter(inst.eps)
+    for ri, row in enumerate(shape.rows, start=t):
         if row.kind == "I":
-            eps = inst.eps[type_i_seen]
-            type_i_seen += 1
-            for i in range(1, r + 1):
-                E[ri][gen_col(i)] = eps[i - 1]
-                Ep[ri][gen_col(i)] = eps[i - 1]
+            E[ri][t:t + r] = next(eps_rows)
         elif row.kind == "II":
+            E[ri][t:t + r] = inst.delta[(row.i, row.j)]
+        else:
+            E[ri][t + row.sigma - 1] = 1
+            if row.place is not None:
+                place_entries.append((ri, cols[row.place], row.sigma))
+            if row.kind == "V":
+                E[ri][cols[row.place]] = inst.nu(row.sigma)
+
+    Ep = [list(row) for row in E]
+    for ri, col, g in place_entries:
+        Ep[ri][col] = (inst.x_val(g) - inst.rho_shift(g)[0]) % p
+    for ri, row in enumerate(shape.rows, start=t):
+        if row.kind == "II":
             i, j = row.i, row.j
-            delta = inst.delta[(i, j)]
-            rho_i, rho_j = inst.rho_shift(i), inst.rho_shift(j)
-            for k in range(1, r + 1):
-                E[ri][gen_col(k)] = delta[k - 1]
-                alt = delta[k - 1]
-                if k == j:
-                    alt = (alt - rho_i[0] - inst.nu(i)) % p
-                if k == i:
-                    alt = (alt - rho_j[3]) % p
-                Ep[ri][gen_col(k)] = alt
-        elif row.kind == "III":
-            E[ri][gen_col(row.sigma)] = 1
-            Ep[ri][gen_col(row.sigma)] = 1
-        elif row.kind == "IV":
-            g = row.sigma
-            E[ri][gen_col(g)] = 1
-            Ep[ri][gen_col(g)] = 1
-            Ep[ri][place_col[row.place]] = (inst.x_val(g) - a_entry(g)) % p
-        elif row.kind == "V":
-            g = row.sigma
-            E[ri][gen_col(g)] = 1
-            Ep[ri][gen_col(g)] = 1
-            E[ri][y_col[row.place]] = inst.nu(g)
-            Ep[ri][y_col[row.place]] = (inst.x_val(g) - a_entry(g)) % p
+            Ep[ri][t + j - 1] = (Ep[ri][t + j - 1] - inst.rho_shift(i)[0] - inst.nu(i)) % p
+            Ep[ri][t + i - 1] = (Ep[ri][t + i - 1] - inst.rho_shift(j)[3]) % p
 
     inst.E = E
     inst.Eprime = Ep
-    inst.D = [[E[t + i][t + j] for j in range(r + s)] for i in range(r + s)]
+    inst.D = [row[t:] for row in E[t:]]
 
 
 def perturb_alpha(inst: SpecializedInstance) -> SpecializedInstance:
@@ -445,35 +427,31 @@ def _relation_ideal(shape: RibetShape, p: int):
     return tuple(ideals.J.generators), ideals.ring.table
 
 
+# Each formal variable kind -> its value at an instance, given the
+# indices of the variable's key.
+_READERS = {
+    "nu": SpecializedInstance.nu,
+    "eps": lambda inst, block, i: inst.eps[block - 1][i - 1],
+    "delta": lambda inst, i, j, k: inst.delta[(i, j)][k - 1],
+    "x": SpecializedInstance.x_val,
+    **{tag: (lambda inst, g, comp=comp: inst.rho_shift(g)[comp])
+       for comp, tag in enumerate("abcd")},
+}
+
+
 @functools.lru_cache(maxsize=8)
 def _point_plan(shape: RibetShape, p: int) -> tuple:
-    """(index, reader) for each formal variable, reader(inst) being its
-    value at an instance.  The names are parsed once per (shape, p),
-    keyed like _relation_ideal."""
-    _, table = _relation_ideal(shape, p)
-    plan = []
-    for idx, name in enumerate(table.names):
-        if name.startswith("nu"):
-            g = int(name[2:])
-            read = lambda inst, g=g: inst.nu(g)
-        elif name.startswith("eps"):
-            block, i = (int(s) - 1 for s in name[3:].split("_"))
-            read = lambda inst, block=block, i=i: inst.eps[block][i]
-        elif name.startswith("delta"):
-            i, j, k = (int(s) for s in name[5:].split("_"))
-            read = lambda inst, pair=(i, j), k=k - 1: inst.delta[pair][k]
-        elif name.startswith("x"):
-            g = int(name[1:])
-            read = lambda inst, g=g: inst.x_val(g)
-        elif name[0] in "abcd":
-            g, comp = int(name[1:]), "abcd".index(name[0])
-            read = lambda inst, g=g, comp=comp: inst.rho_shift(g)[comp]
-        else:
-            raise StructuralError(f"unexpected formal variable {name!r}")
-        plan.append((idx, read))
-    return tuple(plan)
+    """(index, reader, indices) for each formal variable, reader(inst,
+    *indices) being its value at an instance.  Read from the variable
+    keys once per (shape, p), keyed like _relation_ideal."""
+    from .formal import FormalRing
+
+    return tuple(
+        (col, _READERS[kind], tuple(indices))
+        for (kind, *indices), col in FormalRing(shape, GF(p)).keys.items()
+    )
 
 
 def _instance_point(inst: SpecializedInstance) -> dict[int, int]:
     """Map formal-ring variables to the instance's field values."""
-    return {idx: read(inst) for idx, read in _point_plan(inst.shape, inst.p)}
+    return {idx: read(inst, *indices) for idx, read, indices in _point_plan(inst.shape, inst.p)}

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from ..errors import StructuralError
 from ..exactpoly import _is_prime
 from ..groebner import Budget
-from ..ribet.shapes import RibetShape
+from ..ribet.shapes import RibetShape, _int
 
 
 def parse_flat_config(text: str) -> dict[str, dict[str, list[str]]]:
@@ -35,15 +35,6 @@ def parse_flat_config(text: str) -> dict[str, dict[str, list[str]]]:
         key, _, value = line.partition("=")
         out[section].setdefault(key.strip(), []).append(value.strip())
     return out
-
-
-def _int(key: str, value) -> int:
-    """``value`` as an int; a malformed number is a config error naming
-    its key."""
-    try:
-        return int(value)
-    except ValueError:
-        raise StructuralError(f"{key} = {value!r} is not an integer") from None
 
 
 def _parse_seeds(values: list[str]) -> list[int]:

@@ -129,6 +129,22 @@ def test_out_of_range_numbers_are_config_errors(tmp_path, capsys, key, text, job
     assert err.startswith("error: ") and key in err
 
 
+@pytest.mark.parametrize(
+    "line", ["row = II 1", "row =", "place_p = v1", "generators = two", "row = IV v1 x"]
+)
+def test_malformed_shape_files_are_config_errors(tmp_path, capsys, line):
+    # The line follows a valid shape; a repeated generators key wins.
+    shape = tmp_path / "bad-shape.cfg"
+    shape.write_text(
+        f"name = bad\ngenerators = 3\nplace_sigma = v0\nrow = III 3\nrow = I\nrow = II 1 2\n{line}\n"
+    )
+    cfg_file = tmp_path / "suite.cfg"
+    cfg_file.write_text(f"[stability]\nshapes = {shape}\n")
+    assert main(["run", "stability", "--config", str(cfg_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and line.partition("=")[0].strip() in err
+
+
 def test_list_suites_catalog():
     entries = {e["name"]: e for e in list_suites()}
     assert len(entries) >= 9
