@@ -143,3 +143,47 @@ def test_cd_morphism_degree1_labels_of_one_place_type4():
     assert cd.D.labels[1] == [
         ("tensor", 0, 1, (), ((), ((3, a), (4, c)))) for a in "AB" for c in "AB"
     ] + [("tensor", 1, 0, ((row, layer),), ("det",)) for row in (1, 2, 3) for layer in "ABCD"]
+
+
+# sha256 of the C -> D construction of the five corpus shapes at caps 1,
+# 2 and 3: the ranks and shifts of C and D, every differential entry of
+# both, D's labels, every inclusion entry and the verdict.  C's labels
+# are left out: they are names, and the inclusion entries pin what they
+# mean.  A change that moves any rank, entry or image changes it.
+CD_DIGEST = "36f5cd9d1e66514602fd4b9f286d2e82290b8204034b22da47cddfe226cee721"
+
+
+def test_cd_morphism_replays_the_pinned_digest():
+    import hashlib
+    import json
+
+    from ribetkit.exactpoly import to_text
+
+    def texts(M, rows, cols):
+        # A missing differential or map is the zero matrix of its shape.
+        if M is None:
+            return [["0"] * cols for _ in range(rows)]
+        return [[to_text(e) for e in row] for row in M.entries]
+
+    def diffs(X):
+        return [
+            texts(X.diffs[k], X.ranks[k - 1], X.ranks[k]) for k in range(1, X.top_degree + 1)
+        ]
+
+    digest = hashlib.sha256()
+    for sh in corpus():
+        for cap in (1, 2, 3):
+            cd = build_cd_morphism(sh, cap=cap)
+            C, D = cd.C, cd.D
+            record = {
+                "shape": sh.name,
+                "cap": cap,
+                "C": [C.ranks, C.shift, diffs(C)],
+                "D": [D.ranks, D.shift, diffs(D), repr(D.labels)],
+                "inclusion": [
+                    texts(m, D.ranks[k], C.ranks[k]) for k, m in enumerate(cd.inclusion.maps)
+                ],
+                "all_pass": cd.all_pass(),
+            }
+            digest.update(json.dumps(record, sort_keys=True).encode())
+    assert digest.hexdigest() == CD_DIGEST
