@@ -39,6 +39,12 @@ class TauAction:
     The parameter variable is appended to the base table (always last, so
     ideal membership in I.R[x] can reuse the base monomial order).
 
+    A variable of role a, b, c or d is named by its role letter followed
+    by its indices (``a1``, ``b2_3``), and the variables with the same
+    indices form one quadruple.  Any other name of such a variable
+    (``aa1``, ``bp1``) is a ``StructuralError``: its quadruple would hold
+    it alone, and tau_x would fix it.
+
     The substitution map (the tau_x image of every a/b/c/d variable) is
     built once per coefficient ring and kept on the instance.  An action
     is made inside one check, so the cache lives for that check.
@@ -51,6 +57,15 @@ class TauAction:
     _maps_by_ring: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
+        misnamed = [
+            n for n, role in zip(self.base.names, self.base.roles)
+            if role in ("a", "b", "c", "d") and (n[:1] != role or n[1:2].isalpha())
+        ]
+        if misnamed:
+            raise StructuralError(
+                "a matrix variable's name must be its role letter followed by "
+                f"its indices: {', '.join(misnamed)}"
+            )
         name = self.param_name
         while name in self.base.names:
             name = "_" + name

@@ -301,13 +301,13 @@ def regularity_check(f: FreeModuleMatrix, budget: Budget = DEFAULT_BUDGET) -> bo
     return True
 
 
-def generic_2xn(n: int, ring=QQ) -> FreeModuleMatrix:
+def generic_2xn(n: int) -> FreeModuleMatrix:
     """Generic 2 x n matrix over fresh variables b_i, bp_i."""
     names = [f"b{i}" for i in range(1, n + 1)] + [f"bp{i}" for i in range(1, n + 1)]
     roles = ["b"] * n + ["other"] * n
     table = VariableTable(names, roles)
-    b = [Polynomial.var(ring, table, i) for i in range(n)]
-    bp = [Polynomial.var(ring, table, n + i) for i in range(n)]
+    b = [Polynomial.var(QQ, table, i) for i in range(n)]
+    bp = [Polynomial.var(QQ, table, n + i) for i in range(n)]
     return FreeModuleMatrix([b, bp])
 
 

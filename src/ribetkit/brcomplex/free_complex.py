@@ -286,26 +286,24 @@ class ComplexMorphism:
     maps: list[FreeModuleMatrix | None]  # maps[k]: source_k -> target_k
 
     def check_commutes(self) -> bool:
+        """True iff maps[k-1] . d_k = d_k . maps[k] for every k >= 1 that
+        both complexes and the maps reach.  A missing (None) differential
+        or map is the zero map."""
         n = min(self.source.top_degree, self.target.top_degree, len(self.maps) - 1)
         for k in range(1, n + 1):
-            ds, dt = self.source.diffs[k], self.target.diffs[k]
-            mk, mk1 = self.maps[k], self.maps[k - 1]
-            if ds is None or self.source.ranks[k] == 0:
-                continue
-            if self.source.ranks[k - 1] == 0:
-                lhs = None
-            else:
-                lhs = mk1.matmul(ds) if mk1 is not None else None
-            rhs = dt.matmul(mk) if (dt is not None and mk is not None) else None
-            if lhs is None and rhs is None:
-                continue
+            lhs = _compose(self.maps[k - 1], self.source.diffs[k])
+            rhs = _compose(self.target.diffs[k], self.maps[k])
             if lhs is None or rhs is None:
-                if (lhs or rhs) is not None and not (lhs or rhs).is_zero():
+                if any(m is not None and not m.is_zero() for m in (lhs, rhs)):
                     return False
-                continue
-            if lhs.entries != rhs.entries:
+            elif lhs.entries != rhs.entries:
                 return False
         return True
+
+
+def _compose(a: FreeModuleMatrix | None, b: FreeModuleMatrix | None) -> FreeModuleMatrix | None:
+    """a . b, or None (the zero map) when either factor is missing."""
+    return None if a is None or b is None else a.matmul(b)
 
 
 def tensor_morphism(

@@ -21,10 +21,12 @@ complex of the doubled column set
 restricted to wedge words with pairwise distinct sigma.  The image of
 D^1 -> D^0 = R generates the full relation ideal J.
 
-Each C factor is built together with its D factor and its inclusion, a
-label map that sends a wedge slot to its B-layer; the inclusion C -> D
-is the tensor product of these.  Commutativity of every square is
-verified symbolically, never assumed.
+Each C factor is built together with its D factor, and C's basis
+carries its B-layer labels: the Koszul slot of row i is (i, B) and the
+R(det f_v) column of sigma is (sigma, B), the labels those coefficients
+have in D.  So the inclusion C -> D is the identity on labels, built
+once on the tensor products.  Commutativity of every square is verified
+symbolically, never assumed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 from ..borel import TauAction, adjoint_quadruple_check
 from ..errors import StructuralError
-from ..exactpoly import QQ, CoefficientRing, Polynomial
+from ..exactpoly import Polynomial
 from ..groebner import (
     Budget,
     DEFAULT_BUDGET,
@@ -44,13 +46,7 @@ from ..groebner import (
 from ..ribet.formal import FormalIdeals, FormalRing, _sign_canonical, build_ideals
 from ..ribet.shapes import RibetShape
 from .build import br_detf, koszul_general
-from .free_complex import (
-    ComplexMorphism,
-    FreeComplex,
-    tensor,
-    tensor_morphism,
-    unit_complex,
-)
+from .free_complex import ComplexMorphism, FreeComplex, tensor, unit_complex
 
 
 def ideal_generator_sets_match(
@@ -68,11 +64,11 @@ def ideal_generator_sets_match(
     )
 
 
-def _identity_on_labels(
-    source: FreeComplex, target: FreeComplex, label_map
-) -> ComplexMorphism:
-    """Chain map sending each source basis label to one target label
-    with coefficient +1."""
+def _identity_on_labels(source: FreeComplex, target: FreeComplex) -> ComplexMorphism:
+    """Chain map sending each source basis element to the target basis
+    element with the same label, with coefficient +1; raises if the
+    target has no such label.  Every degree gets a matrix, so no map is
+    missing (None), which ``check_commutes`` would read as zero."""
     ring, table = source.ring, source.table
     zero = Polynomial.zero(ring, table)
     one = Polynomial.one(ring, table)
@@ -82,12 +78,9 @@ def _identity_on_labels(
         M = [[zero] * source.ranks[k] for _ in range(rows)]
         index = {lab: i for i, lab in enumerate(target.labels[k])} if rows else {}
         for j, lab in enumerate(source.labels[k]):
-            img = label_map(k, lab)
-            if img is None:
-                continue
-            if img not in index:
-                raise StructuralError(f"morphism image label missing: {img!r}")
-            M[index[img]][j] = one
+            if lab not in index:
+                raise StructuralError(f"morphism image label missing: {lab!r}")
+            M[index[lab]][j] = one
         maps.append(FreeModuleMatrix(M))
     return ComplexMorphism(source, target, maps)
 
@@ -125,23 +118,20 @@ class CDMorphism:
 
 
 def build_cd_morphism(
-    shape: RibetShape,
-    cap: int = 3,
-    ring: CoefficientRing = QQ,
-    budget: Budget = DEFAULT_BUDGET,
+    shape: RibetShape, cap: int = 3, budget: Budget = DEFAULT_BUDGET
 ) -> CDMorphism:
     """Materialize C, D and the inclusion in degrees <= cap, and verify:
     square commutativity, the degree-1 image ideals, and the adjoint
     transformation law for every relation quadruple."""
-    ideals = build_ideals(shape, ring)
+    ideals = build_ideals(shape)
     F = ideals.ring
 
-    # Each factor is a (C factor, D factor, inclusion label map) triple.
-    # Koszul factor: one slot per TypeI/TypeII relation, four adjoint
-    # layers on the D side, each slot sent to its B layer.
+    # Each factor is a (C factor, D factor) pair.  Koszul factor: one
+    # slot (row, B) per TypeI/TypeII relation, four adjoint layers
+    # (row, A..D) on the D side.
     row_quads = [q for q in ideals.quadruples if q.origin[0] == "row"]
     if row_quads:
-        k_cols = [(("L", q.origin[1]), q.matrix.b) for q in row_quads]
+        k_cols = [((q.origin[1], "B"), q.matrix.b) for q in row_quads]
         layer_cols = [
             ((q.origin[1], layer), coeff)
             for q in row_quads
@@ -150,20 +140,12 @@ def build_cd_morphism(
         factors = [(
             koszul_general(k_cols, cap=cap),
             koszul_general(layer_cols, distinct_key=lambda lab: lab[0], cap=cap),
-            lambda k, lab: tuple((rownum, "B") for (_tag, rownum) in lab),
         )]
     else:
-        factors = [
-            (unit_complex(F.ring, F.table), unit_complex(F.ring, F.table), lambda k, lab: lab)
-        ]
+        factors = [(unit_complex(F.ring, F.table), unit_complex(F.ring, F.table))]
 
-    # One R(det f) pair per place v != v0, each sigma sent to (sigma, B).
-    def br_map(k, lab):
-        if k == 0:
-            return lab
-        word, S = lab
-        return (word, tuple((s, "B") for s in S))
-
+    # One R(det f) pair per place v != v0: columns (sigma, B) in C,
+    # (sigma, A) and (sigma, B) in D.
     for v in shape.outer_places:
         bs = shape.b_set(v)
         small = FreeModuleMatrix([[F.b(s) for s in bs], [F.b_prime(s) for s in bs]])
@@ -173,16 +155,14 @@ def build_cd_morphism(
         ])
         layers = [(s, layer) for s in bs for layer in "AB"]
         factors.append((
-            _named_br_detf(small, bs, cap),
+            _named_br_detf(small, [(s, "B") for s in bs], cap),
             _named_br_detf(big, layers, cap, distinct_key=lambda j: layers[j - 1][0]),
-            br_map,
         ))
 
-    C, D, label_map = factors[0]
-    inc = _identity_on_labels(C, D, label_map)
-    for cf, df, label_map in factors[1:]:
+    C, D = factors[0]
+    for cf, df in factors[1:]:
         C, D = tensor(C, cf, cap), tensor(D, df, cap)
-        inc = tensor_morphism(inc, _identity_on_labels(cf, df, label_map), C, D)
+    inc = _identity_on_labels(C, D)
 
     commutes = inc.check_commutes()
 

@@ -177,9 +177,6 @@ class GenericModel:
     def psi(self, i: int) -> Polynomial:
         return self._v(f"psi{i}")
 
-    def nu(self, i: int) -> Polynomial:
-        return self.psi(i) - self.chi(i)
-
     def extra_var(self, name: str) -> Polynomial:
         return self._v(name)
 
@@ -270,8 +267,9 @@ def det_congruence_check(
     word_cap: int | None = None,
     budget: Budget = DEFAULT_BUDGET,
 ) -> bool:
-    """Check det(sum_i c_i (rhohat_i - psi_i)) lies in the ideal of
-    char-poly congruence defects of words of bounded length.
+    """Check det(sum_i c_i (rhohat_i - psi_i)), that is det(sum_i c_i
+    rho_i), lies in the ideal of char-poly congruence defects of words of
+    bounded length.
 
     The combination coefficients c_i are fresh symbolic variables.  The
     generator ideal holds tr and det defects of every word of length at
@@ -286,8 +284,7 @@ def det_congruence_check(
     elem = Mat2.zero(model.ring, model.table)
     for name, i in zip(coeff_names, indices):
         c = model.extra_var(name)
-        shifted = model.rhohat(i).add_scalar(-model.psi(i))
-        elem = elem + c * shifted
+        elem = elem + c * model.rho(i)
     target = elem.det()
     if target.is_zero():
         return True

@@ -293,15 +293,14 @@ def build_ideals(shape: RibetShape, ring: CoefficientRing = QQ) -> FormalIdeals:
 
 def element_e(
     shape: RibetShape,
-    ring: CoefficientRing = QQ,
     budget: Budget = DEFAULT_BUDGET,
     matrices: FormalMatrices | None = None,
 ) -> Polynomial:
     """e = det(E') - det(E); asserts membership in I_R, decided by
     ``in_ideal`` like every other membership question."""
-    mats = matrices or build_matrices(shape, ring)
+    mats = matrices or build_matrices(shape)
     e = symbolic_det(mats.Eprime) - symbolic_det(mats.E)
-    ideals = build_ideals(shape, ring)
+    ideals = build_ideals(shape)
     if not in_ideal(e, ideals.I_R, budget):
         raise StructuralError("det(E') - det(E) escaped I_R")
     return e
@@ -384,7 +383,7 @@ def quotient_presentation_images(ideals: FormalIdeals) -> list[Polynomial]:
     return [g.substitute(mapping) for g in ideals.J.generators]
 
 
-def check_quotient_presentation(shape: RibetShape, ring: CoefficientRing = QQ) -> bool:
+def check_quotient_presentation(shape: RibetShape) -> bool:
     """The substituted J generators must equal, up to sign and
     redundancy, the expected quotient-ideal generators:
 
@@ -392,7 +391,7 @@ def check_quotient_presentation(shape: RibetShape, ring: CoefficientRing = QQ) -
         sum_k delta_ijk nu_k        per TypeII row
         (x_sigma + nu_sigma) x_tau  per ordered pair sigma != tau in B_v
     """
-    ideals = build_ideals(shape, ring)
+    ideals = build_ideals(shape)
     F = ideals.ring
     images = {_sign_canonical(p) for p in quotient_presentation_images(ideals) if not p.is_zero()}
 

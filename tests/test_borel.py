@@ -1,9 +1,11 @@
 """The lower-triangular substitution action: transformation laws,
 invariance modulo ideals, and the one-parameter subgroup law."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ribetkit.borel import TauAction, adjoint_quadruple_check, invariant_mod
+from ribetkit.errors import StructuralError
 from ribetkit.exactpoly import GF, QQ, Polynomial, VariableTable
 from ribetkit.genmat import GenericModel
 from ribetkit.groebner import IdealSpec
@@ -38,6 +40,14 @@ def test_tau_with_zero_applied_is_identity():
     zero = Polynomial.zero(QQ, act.table)
     collapsed = image.substitute({act.param: zero})
     assert collapsed == f.lift(act.table)
+
+
+def test_tau_rejects_matrix_variables_not_named_by_their_role_letter():
+    # Each of aa1, bb1, cc1, dd1 would form a quadruple of its own, which
+    # tau_x fixes, so a tau-invariance question would pass vacuously.
+    table = VariableTable(["aa1", "bb1", "cc1", "dd1"], ["a", "b", "c", "d"])
+    with pytest.raises(StructuralError, match="aa1, bb1, cc1, dd1"):
+        TauAction(table)
 
 
 _mono9 = st.lists(st.integers(0, 8), min_size=0, max_size=3).map(

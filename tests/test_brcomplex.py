@@ -224,6 +224,20 @@ def test_capped_tensor_is_the_truncated_tensor():
                     assert got.entries == want.entries
 
 
+@pytest.mark.parametrize("d1_is_x, commutes", [(True, False), (False, True)])
+def test_check_commutes_reads_a_missing_differential_as_zero(d1_is_x, commutes):
+    # The source is 0 -> R in degree 1, so its d_1 is missing (None) and
+    # the square in degree 1 reduces to d_1 . phi_1 = 0 on the target side.
+    M, b, bp = bvars(1)
+    table = b[0].table
+    x = b[0] if d1_is_x else Polynomial.zero(QQ, table)
+    source = FreeComplex(QQ, table, [0, 1], [None, None], [[], ["e"]])
+    target = FreeComplex(QQ, table, [1, 1], [None, FreeModuleMatrix([[x]])], [["w"], ["e"]])
+    one = Polynomial.one(QQ, table)
+    phi = ComplexMorphism(source, target, [FreeModuleMatrix([[]]), FreeModuleMatrix([[one]])])
+    assert phi.check_commutes() is commutes
+
+
 def test_tensor_morphism_rejects_complexes_that_do_not_fit_the_factors():
     M, b, bp = bvars(3)
     K1, K2 = koszul(b[:2]), koszul(bp[:2])

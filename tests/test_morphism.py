@@ -133,12 +133,13 @@ def test_check_commutes_fails_when_one_inclusion_entry_changes():
 
 
 def test_cd_morphism_degree1_labels_of_one_place_type4():
-    # C: the ("L", row) Koszul slots and R(det f) on B_v1 = {3, 4}, its
-    # columns named by sigma; D: four layers per slot, and R(det f) on the
-    # doubled columns named (sigma, layer) with distinct sigma.
+    # C: the Koszul slots (row, B) and R(det f) on B_v1 = {3, 4}, its
+    # columns named (sigma, B), the B-layer labels they carry in D; D:
+    # four layers per slot, and R(det f) on the doubled columns named
+    # (sigma, layer) with distinct sigma.
     cd = build_cd_morphism(shape_one_place_type4(), cap=2)
-    assert cd.C.labels[1] == [("tensor", 0, 1, (), ((), (3, 4)))] + [
-        ("tensor", 1, 0, (("L", row),), ("det",)) for row in (1, 2, 3)
+    assert cd.C.labels[1] == [("tensor", 0, 1, (), ((), ((3, "B"), (4, "B"))))] + [
+        ("tensor", 1, 0, ((row, "B"),), ("det",)) for row in (1, 2, 3)
     ]
     assert cd.D.labels[1] == [
         ("tensor", 0, 1, (), ((), ((3, a), (4, c)))) for a in "AB" for c in "AB"
