@@ -288,15 +288,15 @@ class ComplexMorphism:
     def check_commutes(self) -> bool:
         """True iff maps[k-1] . d_k = d_k . maps[k] for every k >= 1 that
         both complexes and the maps reach.  A missing (None) differential
-        or map is the zero map."""
+        or map is the zero map, and so is a matrix with no rows or no
+        columns, whatever shape its product reports."""
         n = min(self.source.top_degree, self.target.top_degree, len(self.maps) - 1)
         for k in range(1, n + 1):
             lhs = _compose(self.maps[k - 1], self.source.diffs[k])
             rhs = _compose(self.target.diffs[k], self.maps[k])
-            if lhs is None or rhs is None:
-                if any(m is not None and not m.is_zero() for m in (lhs, rhs)):
-                    return False
-            elif lhs.entries != rhs.entries:
+            if all(m is None or m.is_zero() for m in (lhs, rhs)):
+                continue
+            if lhs is None or rhs is None or lhs.entries != rhs.entries:
                 return False
         return True
 

@@ -1,6 +1,7 @@
 """2x2 matrices over polynomial rings: generic matrices, word products,
-trace/determinant invariants, and the congruence checks that reduce
-trace and determinant defects to ideal membership.
+trace/determinant invariants, and the congruence checks: the trace
+congruence is checked by its closed-form cofactors, the determinant
+congruence by ideal membership in trace and determinant defects.
 
 The model ring for the congruence checks carries one generic matrix
 rho_i = [[a_i, b_i], [c_i, d_i]] per generator index plus free unit
@@ -214,18 +215,18 @@ class GenericModel:
         return m.det() - self.char_product("chi", letters) * self.char_product("psi", letters)
 
 
-def trace_congruence_question(
-    w: Word, r: int, model: GenericModel | None = None
-) -> tuple[Polynomial, IdealSpec]:
-    """The membership question of the trace congruence of w: the target
-    tr(prod rho_j) - prod(chi_j - psi_j) and the ideal of trace defects of
-    the nonempty subsequences of w.
+def _trace_terms(
+    w: Word, r: int, model: GenericModel | None
+) -> tuple[Polynomial, list[tuple[Polynomial, Polynomial]]]:
+    """The target of the trace congruence of w and its (cofactor,
+    generator) pairs, one per nonempty subsequence S of the positions of
+    w: (prod_{j not in S} -psi_{w_j}, trace_defect(w_S)).
 
-    The generating subsequences mirror the telescoping expansion of the
-    shifted product, so the cap on generator words is exactly the length
-    of the word under test.  Target and generator set are invariant
-    under rotation of w (a trace is, and chi and psi commute); only the
-    order of the generators follows the word.
+    Expanding prod_j (rhohat_{w_j} - psi_{w_j}) and taking traces gives
+    target = sum of cofactor * generator: tr(rhohat_S) is
+    trace_defect(w_S) + chi_S + psi_S, the chi parts sum to
+    prod(chi_j - psi_j), the psi parts to prod(psi_j - psi_j) = 0, and the
+    S = {} term vanishes since tr I = 2 = chi_{} + psi_{}.
     """
     if not w.letters:
         raise StructuralError("trace congruence needs a nonempty word")
@@ -233,25 +234,41 @@ def trace_congruence_question(
         raise StructuralError("word letters out of range for r generators")
     model = model or GenericModel(r)
     target = model.word_matrix(w.letters, hat=False).trace() - _char_diff_product(model, w.letters)
-    gens = []
-    positions = range(len(w.letters))
+    terms = []
     for size in range(1, len(w.letters) + 1):
-        for subset in combinations(positions, size):
-            letters = [w.letters[p] for p in subset]
-            gens.append(model.trace_defect(letters))
-    return target, IdealSpec(gens, DEGREVLEX)
+        for subset in combinations(range(len(w.letters)), size):
+            rest = [i for p, i in enumerate(w.letters) if p not in subset]
+            cofactor = model.char_product("psi", rest) * (-1) ** len(rest)
+            terms.append((cofactor, model.trace_defect([w.letters[p] for p in subset])))
+    return target, terms
 
 
-def trace_congruence_check(
-    w: Word,
-    r: int,
-    budget: Budget = DEFAULT_BUDGET,
-    model: GenericModel | None = None,
-) -> bool:
+def trace_congruence_question(
+    w: Word, r: int, model: GenericModel | None = None
+) -> tuple[Polynomial, IdealSpec]:
+    """The membership question of the trace congruence of w: the target
+    tr(prod rho_j) - prod(chi_j - psi_j) and the ideal of trace defects of
+    the nonempty subsequences of w, in the order ``_trace_terms`` lists
+    them.
+
+    The generating subsequences mirror the telescoping expansion of the
+    shifted product, so the cap on generator words is exactly the length
+    of the word under test.  Target and generator set are invariant
+    under rotation of w (a trace is, and chi and psi commute); only the
+    order of the generators follows the word.
+    """
+    target, terms = _trace_terms(w, r, model)
+    return target, IdealSpec([g for _q, g in terms], DEGREVLEX)
+
+
+def trace_congruence_check(w: Word, r: int, model: GenericModel | None = None) -> bool:
     """Check tr(prod rho_j) - prod(chi_j - psi_j) lies in the ideal of
     trace defects of the nonempty subsequences of w
-    (``trace_congruence_question``)."""
-    return in_ideal(*trace_congruence_question(w, r, model), budget)
+    (``trace_congruence_question``), by its closed-form cofactors: the
+    target must equal the sum of cofactor * generator over the pairs of
+    ``_trace_terms``, in ``Polynomial`` arithmetic, with no engine call."""
+    target, terms = _trace_terms(w, r, model)
+    return sum((q * g for q, g in terms), Polynomial.zero(target.ring, target.table)) == target
 
 
 def _char_diff_product(model: GenericModel, letters: Sequence[int]) -> Polynomial:

@@ -10,9 +10,9 @@ every id of its record, never a crash.
 
 Records that certify several ids share work between them: the four
 numeric checks of one specialization seed run on one generated
-instance, and the trace congruences of the rotations of one word
-(X1.X2.X3, X2.X3.X1, X3.X1.X2), which pose the same membership
-question, decide each distinct question once.
+instance, and the trace congruences of every word over r generators
+are checked by their closed-form cofactors on one generic model, which
+spends no budget.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from ..genmat import (
     Word,
     det_congruence_check,
     trace_congruence_check,
-    trace_congruence_question,
 )
 from ..brcomplex import (
     br_complexes,
@@ -46,7 +45,7 @@ from ..brcomplex import (
     symbolic_h1,
     tensor,
 )
-from ..groebner import Budget, FreeModuleMatrix, in_ideal
+from ..groebner import Budget, FreeModuleMatrix
 from ..ribet import (
     FormalRing,
     RibetShape,
@@ -71,8 +70,8 @@ from .report import CheckResult, Report
 class Check:
     """``fn(*args)`` certifies ``ids``, a tuple of (id, anchor) pairs.
 
-    ``fn`` returns one verdict per id, a bool or a (bool, witness) pair;
-    with a single id the verdict is returned bare.  ``fn`` is a
+    ``fn`` returns one verdict per id, a bool or a (bool, witness) pair:
+    a list of them, or with a single id the verdict bare.  ``fn`` is a
     module-level function and ``args`` plain data, so the record pickles.
     """
 
@@ -93,27 +92,12 @@ def _rejects(witness: str, fn: Callable, *args) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 # Check functions.
 
-def _trace_class(words: tuple[Word, ...], r: int, budget: Budget) -> list[bool]:
-    """Trace congruences of the words of one rotation class, one verdict
-    per word.
-
-    Each word's question is built on its own; a question whose target and
-    generator set are exactly equal to one already decided in this call
-    takes that verdict, any other is decided by ``in_ideal`` with the
-    word's own generators.  Rotations pose equal questions, so a class is
-    decided once, with the generator order of its first word.  The record
-    of decided questions lives only for this call.
-    """
+def _trace_congruences(words: tuple[Word, ...], r: int) -> list[bool]:
+    """Trace congruences of ``words`` over r generators, one verdict per
+    word.  The words share one GenericModel, so a word matrix or trace
+    defect that several of them need is built once."""
     model = GenericModel(r)
-    decided: dict[tuple, bool] = {}
-    verdicts = []
-    for w in words:
-        target, spec = trace_congruence_question(w, r, model)
-        key = (target, frozenset(spec.generators))
-        if key not in decided:
-            decided[key] = in_ideal(target, spec, budget)
-        verdicts.append(decided[key])
-    return verdicts
+    return [trace_congruence_check(w, r, model) for w in words]
 
 
 def _example_r2(budget: Budget) -> bool:
@@ -246,28 +230,14 @@ def _cd_morphism(shape: RibetShape, cap: int, budget: Budget) -> tuple[bool, str
 # ---------------------------------------------------------------------------
 # Suite builders.
 
-def _rotation_classes(r: int, length: int) -> list[tuple[Word, ...]]:
-    """The words of ``length`` letters in 1..r grouped by their least
-    rotation, classes and words within them in product order."""
-    classes: dict[tuple[int, ...], list[Word]] = {}
-    for letters in iproduct(range(1, r + 1), repeat=length):
-        least = min(letters[k:] + letters[:k] for k in range(length))
-        classes.setdefault(least, []).append(Word(letters))
-    return [tuple(words) for words in classes.values()]
-
-
 def _suite_trace_identities(cfg: SuiteConfig) -> list[Check]:
-    # One record per rotation class of words: the rotations share one
-    # target and one generator set, so _trace_class decides them once.
+    # One record per r, not per word: its words share the model that
+    # _trace_congruences builds, and that sharing is most of the speed.
     checks: list[Check] = []
     for r in (2, 3):
-        for length in (1, 2, 3):
-            for words in _rotation_classes(r, length):
-                ids = tuple((f"trace-r{r}-{w}", "l:tr-char") for w in words)
-                if len(words) == 1:
-                    checks.append(_check(*ids[0], trace_congruence_check, words[0], r, cfg.budget))
-                else:
-                    checks.append(Check(ids, _trace_class, (words, r, cfg.budget)))
+        words = tuple(Word(letters) for n in (1, 2, 3) for letters in iproduct(range(1, r + 1), repeat=n))
+        ids = tuple((f"trace-r{r}-{w}", "l:tr-char") for w in words)
+        checks.append(Check(ids, _trace_congruences, (words, r)))
     checks.append(_check("det-single-1", "l:dets", det_congruence_check, 2, (1,), None, cfg.budget))
     checks.append(_check("det-single-2", "l:dets", det_congruence_check, 2, (2,), None, cfg.budget))
     checks.append(_check("det-pair-12", "l:dets", det_congruence_check, 2, (1, 2), 2, cfg.budget))
@@ -427,14 +397,27 @@ def list_suites() -> list[dict]:
     return out
 
 
+def _outcome(verdict) -> tuple[str, str]:
+    """(status, witness) of one id's verdict, a bool or a (bool, str)
+    pair.  Any other verdict fails, with a witness that names it."""
+    ok, witness = verdict if isinstance(verdict, tuple) and len(verdict) == 2 else (verdict, "")
+    if isinstance(ok, bool) and isinstance(witness, str):
+        return ("pass" if ok else "fail"), witness
+    return "fail", f"malformed verdict {verdict!r}"
+
+
 def _execute(check: Check) -> list[CheckResult]:
-    """Run one record: one result per id, the first carrying the runtime."""
+    """Run one record: one result per id, the first carrying the runtime.
+    A record of several ids must return a list of as many verdicts;
+    anything else fails every id with a witness that names it."""
     start = time.monotonic()
     try:
         out = check.fn(*check.args)
-        verdicts = out if len(check.ids) > 1 else [out]
-        outcomes = [v if isinstance(v, tuple) else (v, "") for v in verdicts]
-        outcomes = [("pass" if ok else "fail", witness) for ok, witness in outcomes]
+        verdicts = [out] if len(check.ids) == 1 else out
+        if isinstance(verdicts, list) and len(verdicts) == len(check.ids):
+            outcomes = [_outcome(v) for v in verdicts]
+        else:
+            outcomes = [("fail", f"malformed verdicts {out!r} for {len(check.ids)} ids")] * len(check.ids)
     except BudgetExceeded as exc:
         outcomes = [("timeout", str(exc))] * len(check.ids)
     except GenerationFailure as exc:

@@ -238,6 +238,23 @@ def test_check_commutes_reads_a_missing_differential_as_zero(d1_is_x, commutes):
     assert phi.check_commutes() is commutes
 
 
+@pytest.mark.parametrize("target_d1_is_empty_matrix", [False, True])
+@pytest.mark.parametrize("d1_is_x, commutes", [(True, False), (False, True)])
+def test_check_commutes_reads_an_empty_matrix_as_zero(d1_is_x, commutes, target_d1_is_empty_matrix):
+    # The target is R in degree 0 only, so its d_1 maps from the zero
+    # module: stored as None or as a 1 x 0 matrix, it is the zero map, and
+    # the square in degree 1 reduces to phi_0 . d_1 = 0 on the source side.
+    M, b, bp = bvars(1)
+    table = b[0].table
+    x = b[0] if d1_is_x else Polynomial.zero(QQ, table)
+    source = FreeComplex(QQ, table, [1, 1], [None, FreeModuleMatrix([[x]])], [["w"], ["e"]])
+    target_d1 = FreeModuleMatrix([[]]) if target_d1_is_empty_matrix else None
+    target = FreeComplex(QQ, table, [1, 0], [None, target_d1], [["w"], []])
+    one = Polynomial.one(QQ, table)
+    phi = ComplexMorphism(source, target, [FreeModuleMatrix([[one]]), FreeModuleMatrix([])])
+    assert phi.check_commutes() is commutes
+
+
 def test_tensor_morphism_rejects_complexes_that_do_not_fit_the_factors():
     M, b, bp = bvars(3)
     K1, K2 = koszul(b[:2]), koszul(bp[:2])

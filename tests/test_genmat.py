@@ -13,6 +13,7 @@ from ribetkit.genmat import (
     Word,
     det_congruence_check,
     trace_congruence_check,
+    trace_congruence_question,
 )
 
 
@@ -29,6 +30,26 @@ def test_trace_congruence_length_one_and_two():
 
 def test_trace_congruence_length_three_r3():
     assert trace_congruence_check(Word.parse("X1.X2.X3"), 3)
+
+
+@pytest.mark.parametrize(
+    "text, r", [("X1", 2), ("X1.X2", 2), ("X2.X1.X2", 2), ("X1.X2.X3", 3), ("X3.X1.X3.X2", 3)]
+)
+def test_trace_congruence_fails_with_a_wrong_or_missing_pair(text, r, monkeypatch):
+    import ribetkit.genmat as genmat
+
+    w = Word.parse(text)
+    target, pairs = genmat._trace_terms(w, r, None)
+    assert len(pairs) == 2 ** len(w) - 1
+    # The generators are the question's, in its order.
+    assert tuple(g for _q, g in pairs) == trace_congruence_question(w, r)[1].generators
+    for k in range(len(pairs)):
+        q, g = pairs[k]
+        for changed in (pairs[:k] + pairs[k + 1:], pairs[:k] + [(-q, g)] + pairs[k + 1:]):
+            monkeypatch.setattr(genmat, "_trace_terms", lambda *args, c=changed: (target, c))
+            assert trace_congruence_check(w, r) is False, (text, k)
+    monkeypatch.setattr(genmat, "_trace_terms", lambda *args: (target, pairs))
+    assert trace_congruence_check(w, r) is True
 
 
 def test_trace_congruence_rejects_bad_word():

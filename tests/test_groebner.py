@@ -518,7 +518,7 @@ def _membership_verdicts(ring):
     model = GenericModel(2, ring)
     for length in (1, 2, 3):
         for letters in product((1, 2), repeat=length):
-            verdicts[f"trace-{letters}"] = trace_congruence_check(Word(letters), 2, model=model)
+            verdicts[f"trace-{letters}"] = in_ideal(*trace_congruence_question(Word(letters), 2, model))
     return verdicts
 
 
@@ -530,7 +530,7 @@ def _r3_trace_verdicts(ring):
     for length in (1, 2, 3):
         for letters in product((1, 2, 3), repeat=length):
             if letters == min(letters[k:] + letters[:k] for k in range(length)):
-                verdicts[f"trace-r3-{letters}"] = trace_congruence_check(Word(letters), 3, model=model)
+                verdicts[f"trace-r3-{letters}"] = in_ideal(*trace_congruence_question(Word(letters), 3, model))
     return verdicts
 
 
@@ -550,6 +550,20 @@ def test_qq_and_gf_membership_verdicts_agree():
     assert len(qq_r3) == 20 and all(qq_r3.values())
     for p in (2**31 - 1, 998244353):
         assert _r3_trace_verdicts(GF(p)) == qq_r3, p
+
+
+def test_closed_form_trace_check_agrees_with_in_ideal():
+    # The engine stays a second opinion on the trace congruences that the
+    # suite checks by closed-form cofactors: every trace-r* word, and three
+    # r = 3 words of length 4.
+    words = [(r, w) for r in (2, 3) for n in (1, 2, 3) for w in product(range(1, r + 1), repeat=n)]
+    words += [(3, (1, 2, 3, 1)), (3, (3, 2, 1, 2)), (3, (1, 1, 2, 3))]
+    assert len(words) == 56
+    models = {2: GenericModel(2), 3: GenericModel(3)}
+    for r, letters in words:
+        w = Word(letters)
+        closed = trace_congruence_check(w, r, models[r])
+        assert closed is True and in_ideal(*trace_congruence_question(w, r, models[r])) is True, letters
 
 
 def test_gf_path():

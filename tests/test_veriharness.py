@@ -267,62 +267,106 @@ def test_generation_failure_fails_all_four_checks_of_a_seed(monkeypatch):
         assert (c.status, c.witness) == ("fail", witness), c.id
 
 
-def test_trace_suite_decides_each_distinct_question_once(monkeypatch):
+def test_trace_suite_reaches_the_engine_only_for_the_det_ids(monkeypatch):
     import ribetkit.genmat as genmat
     import ribetkit.veriharness.suites as suites
 
-    # A rotation class of words is one record; its words pose one
-    # question, decided by one in_ideal call.  The 3 det checks make up
-    # the rest: 29 + 3 calls for 53 + 3 ids.
-    calls = []
+    # The 53 trace ids are two records, one per r, decided by closed-form
+    # cofactors; only the 3 det checks call in_ideal, once each.
+    callers = []
     real = genmat.in_ideal
 
     def counting_in_ideal(*args, **kwargs):
-        calls.append(args[0])
+        callers.append(sys._getframe(1).f_code.co_name)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(genmat, "in_ideal", counting_in_ideal)
-    monkeypatch.setattr(suites, "in_ideal", counting_in_ideal)
     cfg = SuiteConfig(suite="trace-identities")
     trace = [c for c in suites._suite_trace_identities(cfg) if c.ids[0][1] == "l:tr-char"]
-    assert (len(trace), sum(len(c.ids) for c in trace)) == (29, 53)
+    assert [len(c.ids) for c in trace] == [14, 39]
     report = run_suite(cfg)
-    assert len(calls) == 32
+    assert callers == ["det_congruence_check"] * 3
     assert report.summary() == {"pass": 56, "fail": 0, "timeout": 0}
+    # No budget is spent on a trace id, so none can time out.
+    starved = run_suite(SuiteConfig(suite="trace-identities", budget=Budget(max_steps=1)))
+    assert {c.status for c in starved.checks if c.id.startswith("trace-")} == {"pass"}
 
 
-def test_trace_class_decides_each_word_on_its_own_question(monkeypatch):
+def test_trace_suite_fails_exactly_the_words_whose_identity_breaks(monkeypatch):
+    import ribetkit.genmat as genmat
+
+    # X1.X2 over r=2 loses its first (cofactor, generator) pair and
+    # X2.X3.X1 over r=3 has its last cofactor's sign flipped; every other
+    # word, the rotations of X2.X3.X1 included, still passes on the model
+    # its record shares with them.
+    terms = genmat._trace_terms
+
+    def broken(w, r, model):
+        target, pairs = terms(w, r, model)
+        if (r, w.letters) == (2, (1, 2)):
+            pairs = pairs[1:]
+        if (r, w.letters) == (3, (2, 3, 1)):
+            q, g = pairs[-1]
+            pairs = pairs[:-1] + [(-q, g)]
+        return target, pairs
+
+    monkeypatch.setattr(genmat, "_trace_terms", broken)
+    report = run_suite(SuiteConfig(suite="trace-identities"))
+    failed = [(c.id, c.status) for c in report.checks if c.status != "pass"]
+    assert failed == [("trace-r2-X1.X2", "fail"), ("trace-r3-X2.X3.X1", "fail")]
+
+
+def test_trace_record_matches_the_word_by_word_check(monkeypatch):
     import ribetkit.veriharness.suites as suites
 
-    # X2.X3.X1 is the middle word of its class; with its target moved off
-    # the ideal its question differs from the class's, so it is decided
-    # on its own and fails while its rotations still pass.
-    question = suites.trace_congruence_question
+    # Each record decides its words on one shared model and gives the
+    # verdicts each word gets on a model of its own.
+    models = []
+    model_class = suites.GenericModel
 
-    def moved(w, r, model=None):
-        target, spec = question(w, r, model)
-        if (r, w.letters) == (3, (2, 3, 1)):
-            target = target + Polynomial.one(target.ring, target.table)
-        return target, spec
+    def counting_model(*args, **kwargs):
+        models.append(args)
+        return model_class(*args, **kwargs)
 
-    monkeypatch.setattr(suites, "trace_congruence_question", moved)
-    report = run_suite(SuiteConfig(suite="trace-identities"))
-    failed = [c.id for c in report.checks if c.status != "pass"]
-    assert failed == ["trace-r3-X2.X3.X1"]
-
-
-def test_trace_class_matches_the_word_by_word_check():
-    from ribetkit.veriharness.suites import _rotation_classes, _trace_class
-
-    budget = Budget()
-    for r, lengths in ((2, (1, 2, 3)), (3, (1, 2))):
-        for length in lengths:
-            for words in _rotation_classes(r, length):
-                expected = [trace_congruence_check(w, r, budget) for w in words]
-                assert _trace_class(words, r, budget) == expected, words
-    # Words of different classes in one call are decided separately.
+    monkeypatch.setattr(suites, "GenericModel", counting_model)
+    cfg = SuiteConfig(suite="trace-identities")
+    trace = [c for c in suites._suite_trace_identities(cfg) if c.ids[0][1] == "l:tr-char"]
+    for check in trace:
+        words, r = check.args
+        assert [cid for cid, _anchor in check.ids] == [f"trace-r{r}-{w}" for w in words]
+        expected = [trace_congruence_check(w, r) for w in words]
+        assert check.fn(*check.args) == expected, r
+    assert models == [(2,), (3,)]
+    # Words in any order, rotations or not, get their own verdicts.
     words = (Word((1, 2)), Word((1, 1)), Word((2, 1)), Word((1, 2, 2)))
-    assert _trace_class(words, 2, budget) == [trace_congruence_check(w, 2, budget) for w in words]
+    assert suites._trace_congruences(words, 2) == [trace_congruence_check(w, 2) for w in words]
+
+
+@pytest.mark.parametrize(
+    "verdict, witness",
+    [
+        ([False], "malformed verdict [False]"),
+        ("no", "malformed verdict 'no'"),
+        ((False,), "malformed verdict (False,)"),
+    ],
+    ids=["list", "str", "one-tuple"],
+)
+def test_malformed_verdicts_fail_with_a_witness(verdict, witness):
+    from ribetkit.veriharness.suites import Check, _execute
+
+    (result,) = _execute(Check((("probe", "l:x"),), lambda: verdict))
+    assert (result.status, result.witness) == ("fail", witness)
+    # A record of two ids must return a list of two verdicts.
+    ids = (("probe-1", "l:x"), ("probe-2", "l:x"))
+    results = _execute(Check(ids, lambda: [True, verdict]))
+    assert [(r.status, r.witness) for r in results] == [("pass", ""), ("fail", witness)]
+    results = _execute(Check(ids, lambda: (True, True)))
+    assert {r.status for r in results} == {"fail"}
+    assert results[0].witness == "malformed verdicts (True, True) for 2 ids"
+    # The two well-formed verdicts.
+    assert [(r.status, r.witness) for r in _execute(Check(ids, lambda: [(False, "why"), True]))] == [
+        ("fail", "why"), ("pass", "")
+    ]
 
 
 def test_jobs_parallel_matches_serial():
