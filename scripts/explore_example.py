@@ -8,7 +8,7 @@ form of the difference modulo the eight coefficient relations.
 
 from ribetkit.exactpoly import to_text
 from ribetkit.groebner import buchberger, normal_form
-from ribetkit.ribet.formal import build_ideals, build_matrices, example_r2_target, symbolic_det
+from ribetkit.ribet.formal import build_ideals, build_matrices, example_r2_target
 from ribetkit.ribet.shapes import shape_r2_two_type2
 
 
@@ -24,8 +24,7 @@ def main():
     for row in mats.Eprime.entries:
         print("   ", [to_text(e) for e in row])
 
-    det_e = symbolic_det(mats.E)
-    det_ep = symbolic_det(mats.Eprime)
+    det_e, det_ep = mats.det_E, mats.det_Eprime
     e = det_ep - det_e
     print("\ndet(E)        =", to_text(det_e))
     print("det(E')       =", to_text(det_ep))

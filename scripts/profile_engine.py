@@ -24,7 +24,10 @@ determinants, the cocycle check and the J-vanishes check, and the two
 layers that keep what they build for one check: the adjoint law of
 every relation quadruple of the five corpus shapes with one tau_x
 action per shape, and the trace questions, built but not decided, of
-every r = 3 word of length at most 3 on one generic model.
+every r = 3 word of length at most 3 on one generic model.  First it
+times the formal construction of every corpus shape (variables, the
+auxiliary matrices with their determinants, and the relation ideals)
+from a cold cache.
 After the tau-invariance check of p1-type4, an inhomogeneous membership
 question decided on one reduced basis under one step counter, the GB of
 J(sigma-v0-type3), the length-4 trace classes, the negative control and
@@ -45,6 +48,7 @@ from itertools import product
 
 import ribetkit.genmat as genmat
 import ribetkit.linalg as linalg
+import ribetkit.ribet.formal as formal
 import ribetkit.ribet.specialize as specialize
 from ribetkit.borel import TauAction, adjoint_quadruple_check
 from ribetkit.exactpoly import GF, QQ
@@ -64,7 +68,7 @@ from ribetkit.brcomplex import (
     ideal_generator_sets_match,
     symbolic_h1,
 )
-from ribetkit.ribet.formal import build_ideals, check_e_tau_invariance, check_example_r2
+from ribetkit.ribet.formal import build_ideals, check_e_tau_invariance, check_example_r2, formal_ring
 from ribetkit.ribet.shapes import (
     corpus,
     shape_full_mixed,
@@ -263,7 +267,7 @@ def specialization_phases():
         lambda dets: f"{sum(d[2] == 0 for d in dets)} of {len(dets)} with det(E') = 0",
     )
     timed("  cocycle", lambda: [specialize._check_cocycle(inst) for inst in insts], all)
-    specialize._relation_ideal(shape, p)
+    build_ideals(shape, GF(p))
     timed("  J vanishes", lambda: [specialize._check_j_vanishes(inst) for inst in insts], all)
 
 
@@ -299,7 +303,26 @@ def cached_layers():
     )
 
 
+def cold_constructions():
+    """The formal construction of every corpus shape over QQ from a cold
+    cache: the variables, E, E' and D with det E and det E', and J, J'
+    and I_R.  A run builds each once per process and shares it."""
+    formal._formal_ring.cache_clear()
+
+    def build():
+        sizes = []
+        for sh in corpus():
+            F = formal_ring(sh)
+            mats, ideals = F.matrices, F.ideals
+            sizes.append(mats.det_E.num_terms() + mats.det_Eprime.num_terms() + len(ideals.J.generators))
+        return sizes
+
+    timed("formal constructions of the corpus shapes (cold)", build,
+          lambda sizes: f"{len(sizes)} shapes, {sum(sizes)} det terms and J generators")
+
+
 def main():
+    cold_constructions()
     timed("example-r2 (positive)", check_example_r2)
     timed("example-r2 (negative control)", lambda: check_example_r2(omit_relation=7))
     timed("trace X1.X2.X3 over r=3", lambda: trace_congruence_check(Word.parse("X1.X2.X3"), 3))

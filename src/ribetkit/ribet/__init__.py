@@ -13,6 +13,7 @@ from .formal import (
     check_example_r2,
     check_quotient_presentation,
     element_e,
+    formal_ring,
     symbolic_det,
 )
 from .specialize import (

@@ -33,6 +33,7 @@ a TypeIV place entry is 0 and a TypeV place entry is nu_g.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
@@ -50,18 +51,24 @@ from ..groebner import (
 from .shapes import RibetShape, shape_r2_two_type2
 
 
-@dataclass
+@dataclass(frozen=True)
 class FormalRing:
     """Variable table and accessors for one shape.
 
     ``keys`` maps each variable's key, (kind, indices...), to its column
     in ``table``; the table names a variable by its kind followed by its
-    indices joined by "_" (nu1, eps1_2, delta1_2_3, x3, a1)."""
+    indices joined by "_" (nu1, eps1_2, delta1_2_3, x3, a1).
+
+    Each variable, the auxiliary matrices (``matrices``) and the relation
+    ideals (``ideals``) are built once, on first use, and kept on the
+    ring.  ``formal_ring`` hands out one ring per (shape, coefficient
+    ring), so every check in a process shares that construction."""
 
     shape: RibetShape
     ring: CoefficientRing = QQ
     table: VariableTable = field(init=False)
     keys: dict[tuple, int] = field(init=False)
+    _vars: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         shape = self.shape
@@ -72,15 +79,26 @@ class FormalRing:
         keys += [("delta", i, j, k) for (i, j) in shape.type_ii_pairs() for k in gens]
         keys += [("x", g) for g in shape.x_bearing()]
         keys += [(tag, i) for i in gens for tag in "abcd" if not (tag == "b" and i in deleted)]
-        self.keys = {key: n for n, key in enumerate(keys)}
-        self.table = VariableTable(
+        object.__setattr__(self, "keys", {key: n for n, key in enumerate(keys)})
+        object.__setattr__(self, "table", VariableTable(
             [kind + "_".join(map(str, indices)) for kind, *indices in keys],
             ["x_sigma" if kind == "x" else kind for kind, *_ in keys],
-        )
+        ))
+
+    @functools.cached_property
+    def matrices(self) -> "FormalMatrices":
+        return _build_matrices(self)
+
+    @functools.cached_property
+    def ideals(self) -> "FormalIdeals":
+        return _build_ideals(self)
 
     # -- variable accessors ---------------------------------------------
     def _v(self, *key) -> Polynomial:
-        return Polynomial.var(self.ring, self.table, self.keys[key])
+        v = self._vars.get(key)
+        if v is None:
+            v = self._vars[key] = Polynomial.var(self.ring, self.table, self.keys[key])
+        return v
 
     def zero(self) -> Polynomial:
         return Polynomial.zero(self.ring, self.table)
@@ -124,6 +142,19 @@ class FormalRing:
         return self.x(g) - self.d(g)
 
 
+def formal_ring(shape: RibetShape, ring: CoefficientRing = QQ) -> FormalRing:
+    """The FormalRing of (shape, ring), shared by every caller in the
+    process: built on the first call and kept in a bounded cache keyed by
+    the shape's value and the ring's (kind, p), so a copied shape or a
+    GF(p) made anew finds the same entry."""
+    return _formal_ring(shape, ring)
+
+
+@functools.lru_cache(maxsize=16)
+def _formal_ring(shape: RibetShape, ring: CoefficientRing) -> FormalRing:
+    return FormalRing(shape, ring)
+
+
 # ---------------------------------------------------------------------------
 # Symbolic determinants: cofactor expansion over column subsets, skipping
 # zero entries (the matrices here are sparse by construction).
@@ -159,19 +190,34 @@ def symbolic_det(M: FreeModuleMatrix) -> Polynomial:
 # ---------------------------------------------------------------------------
 # Matrix builders.
 
-@dataclass
+@dataclass(frozen=True)
 class FormalMatrices:
+    """E, E' and D of one shape; det E and det E' are computed on first
+    use and kept."""
+
     ring: FormalRing
     D: FreeModuleMatrix
     E: FreeModuleMatrix
     Eprime: FreeModuleMatrix
 
+    @functools.cached_property
+    def det_E(self) -> Polynomial:
+        return symbolic_det(self.E)
+
+    @functools.cached_property
+    def det_Eprime(self) -> Polynomial:
+        return symbolic_det(self.Eprime)
+
 
 def build_matrices(shape: RibetShape, ring: CoefficientRing = QQ) -> FormalMatrices:
-    """The formal auxiliary matrices E, E' and the relation block D.
+    """The formal auxiliary matrices E, E' and the relation block D of
+    (shape, ring), built once per process (see ``formal_ring``)."""
+    return formal_ring(shape, ring).matrices
 
-    E is filled first; E' is a copy of E with the alterations applied."""
-    F = FormalRing(shape, ring)
+
+def _build_matrices(F: FormalRing) -> FormalMatrices:
+    """E is filled first; E' is a copy of E with the alterations applied."""
+    shape = F.shape
     t, r = shape.t, shape.r
     n = t + r + shape.s
     cols = shape.place_columns()
@@ -211,7 +257,7 @@ def build_matrices(shape: RibetShape, ring: CoefficientRing = QQ) -> FormalMatri
 # ---------------------------------------------------------------------------
 # Relation ideals.
 
-@dataclass
+@dataclass(frozen=True)
 class RelationQuadruple:
     """One adjoint quadruple of relation coefficients.
 
@@ -223,16 +269,16 @@ class RelationQuadruple:
     matrix: Mat2
 
 
-@dataclass
+@dataclass(frozen=True)
 class FormalIdeals:
     ring: FormalRing
     J: IdealSpec
     Jprime: IdealSpec
     I_R: IdealSpec
-    quadruples: list[RelationQuadruple]
+    quadruples: tuple[RelationQuadruple, ...]
 
 
-def relation_quadruples(F: FormalRing) -> list[RelationQuadruple]:
+def relation_quadruples(F: FormalRing) -> tuple[RelationQuadruple, ...]:
     shape = F.shape
     out: list[RelationQuadruple] = []
     type_i_seen = 0
@@ -258,13 +304,18 @@ def relation_quadruples(F: FormalRing) -> list[RelationQuadruple]:
                 C = F.c(sigma) * F.c_prime(tau) - F.c(tau) * F.c_prime(sigma)
                 Dm = F.b(tau) * F.c(sigma) - F.c_prime(sigma) * F.b_prime(tau)
                 out.append(RelationQuadruple(("pair", v, sigma, tau), Mat2(A, B, C, Dm)))
-    return out
+    return tuple(out)
 
 
 def build_ideals(shape: RibetShape, ring: CoefficientRing = QQ) -> FormalIdeals:
     """The relation ideal J (all four coefficients of every relation),
-    its b-coefficient subideal J', and I_R = (a_i + nu_i, b_i, c_i, d_i)."""
-    F = FormalRing(shape, ring)
+    its b-coefficient subideal J', and I_R = (a_i + nu_i, b_i, c_i, d_i)
+    of (shape, ring), built once per process (see ``formal_ring``)."""
+    return formal_ring(shape, ring).ideals
+
+
+def _build_ideals(F: FormalRing) -> FormalIdeals:
+    shape = F.shape
     quads = relation_quadruples(F)
     j_gens: list[Polynomial] = []
     jp_gens: list[Polynomial] = []
@@ -297,11 +348,11 @@ def element_e(
     matrices: FormalMatrices | None = None,
 ) -> Polynomial:
     """e = det(E') - det(E); asserts membership in I_R, decided by
-    ``in_ideal`` like every other membership question."""
+    ``in_ideal`` like every other membership question.  The determinants
+    are the ones ``matrices`` keeps."""
     mats = matrices or build_matrices(shape)
-    e = symbolic_det(mats.Eprime) - symbolic_det(mats.E)
-    ideals = build_ideals(shape)
-    if not in_ideal(e, ideals.I_R, budget):
+    e = mats.det_Eprime - mats.det_E
+    if not in_ideal(e, build_ideals(shape).I_R, budget):
         raise StructuralError("det(E') - det(E) escaped I_R")
     return e
 
@@ -339,8 +390,7 @@ def check_example_r2(
     assert len(gens) == 8
     if omit_relation is not None:
         gens = [g for k, g in enumerate(gens) if k != omit_relation]
-    e = symbolic_det(mats.Eprime) - symbolic_det(mats.E)
-    target = e - example_r2_target(F)
+    target = mats.det_Eprime - mats.det_E - example_r2_target(F)
     return in_ideal(target, IdealSpec(gens, DEGREVLEX), budget)
 
 
@@ -363,7 +413,7 @@ def check_e_tau_invariance(
         if not pair_bs:
             raise StructuralError("shape has no local pair generator to drop")
         jp = [g for g in jp if g != pair_bs[0]]
-    det_ep = symbolic_det(mats.Eprime)
+    det_ep = mats.det_Eprime
     act = TauAction(mats.ring.table)
     diff = act.apply(det_ep) - det_ep.lift(act.table)
     if diff.is_zero():
@@ -442,7 +492,7 @@ def build_A_generators(
     B_{v0}, and the shifted forms tr(word) - V(word) that land in I_R."""
     if maxlen < 1:
         raise StructuralError("maxlen must be at least 1")
-    F = formal or FormalRing(shape, ring)
+    F = formal or formal_ring(shape, ring)
     out: list[tuple[str, Polynomial]] = []
     for length in range(1, maxlen + 1):
         for letters in iproduct(range(1, shape.r + 1), repeat=length):

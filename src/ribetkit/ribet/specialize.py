@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from ..errors import GenerationFailure, StructuralError
 from ..exactpoly import GF, CoefficientRing
 from ..linalg import det, reduce_system
+from .formal import build_ideals, formal_ring
 from .shapes import RibetShape
 
 M2 = tuple  # (a, b, c, d) flattened 2x2 matrix over F_p
@@ -410,21 +411,10 @@ def _check_cocycle(inst: SpecializedInstance) -> bool:
 
 
 def _check_j_vanishes(inst: SpecializedInstance) -> bool:
-    """Every relation-ideal generator evaluates to zero at the instance."""
-    generators, _ = _relation_ideal(inst.shape, inst.p)
+    """Every relation-ideal generator evaluates to zero at the instance.
+    J over GF(p) is the shared construction of formal.build_ideals."""
     point = _instance_point(inst)
-    return all(g.evaluate(point) == 0 for g in generators)
-
-
-@functools.lru_cache(maxsize=8)
-def _relation_ideal(shape: RibetShape, p: int):
-    """The generators of J over GF(p) and the formal variable table,
-    built once per (shape, p).  The key is the shape's value, not its
-    identity: perturb_alpha deep-copies the instance, shape included."""
-    from .formal import build_ideals
-
-    ideals = build_ideals(shape, GF(p))
-    return tuple(ideals.J.generators), ideals.ring.table
+    return all(g.evaluate(point) == 0 for g in build_ideals(inst.shape, inst.ring).J.generators)
 
 
 # Each formal variable kind -> its value at an instance, given the
@@ -442,13 +432,13 @@ _READERS = {
 @functools.lru_cache(maxsize=8)
 def _point_plan(shape: RibetShape, p: int) -> tuple:
     """(index, reader, indices) for each formal variable, reader(inst,
-    *indices) being its value at an instance.  Read from the variable
-    keys once per (shape, p), keyed like _relation_ideal."""
-    from .formal import FormalRing
-
+    *indices) being its value at an instance.  Read once per (shape, p)
+    from the variable keys of the shared formal ring; the key is the
+    shape's value, not its identity, since perturb_alpha deep-copies the
+    instance, shape included."""
     return tuple(
         (col, _READERS[kind], tuple(indices))
-        for (kind, *indices), col in FormalRing(shape, GF(p)).keys.items()
+        for (kind, *indices), col in formal_ring(shape, GF(p)).keys.items()
     )
 
 

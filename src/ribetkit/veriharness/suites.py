@@ -6,7 +6,9 @@ its verdicts certify.  Anchors are the verbatim statement labels the
 checks certify.  Records pickle, so at ``--jobs N`` they run in up to
 min(N, CPU count) worker processes; at ``--jobs 1`` they run in this
 process.  A BudgetExceeded from the engine is recorded as a timeout for
-every id of its record, never a crash.
+every id of its record, never a crash; a GenerationFailure or a
+StructuralError raised while a record runs fails every id of the record,
+with the error's message as the witness.
 
 Records that certify several ids share work between them: the four
 numeric checks of one specialization seed run on one generated
@@ -47,7 +49,6 @@ from ..brcomplex import (
 )
 from ..groebner import Budget, FreeModuleMatrix
 from ..ribet import (
-    FormalRing,
     RibetShape,
     build_ideals,
     check_e_tau_invariance,
@@ -56,6 +57,7 @@ from ..ribet import (
     check_specialized,
     corpus,
     element_e,
+    formal_ring,
     generate_specialization,
     perturb_alpha,
     shape_one_place_type4,
@@ -114,7 +116,7 @@ def _stability(shape: RibetShape) -> tuple[bool, str]:
 
 
 def _corrupted_quadruple_is_adjoint() -> bool:
-    F = FormalRing(shape_r2_two_type2())
+    F = formal_ring(shape_r2_two_type2())
     return adjoint_quadruple_check(F.a(1), F.b(1), F.c(1), F.zero())
 
 
@@ -143,7 +145,8 @@ def _specialization(shape: RibetShape, seed: int, p: int, control: bool) -> list
 
 
 def _element_e(shape: RibetShape, budget: Budget) -> tuple[bool, str]:
-    # element_e raises if det(E') - det(E) escapes I_R.
+    # element_e raises a StructuralError when det(E') - det(E) escapes
+    # I_R, which _execute reports as a fail with its message as witness.
     e = element_e(shape, budget=budget)
     return True, f"{e.num_terms()} terms"
 
@@ -409,7 +412,9 @@ def _outcome(verdict) -> tuple[str, str]:
 def _execute(check: Check) -> list[CheckResult]:
     """Run one record: one result per id, the first carrying the runtime.
     A record of several ids must return a list of as many verdicts;
-    anything else fails every id with a witness that names it."""
+    anything else fails every id with a witness that names it.  A
+    GenerationFailure or StructuralError raised by the record fails every
+    id, with the message as the witness."""
     start = time.monotonic()
     try:
         out = check.fn(*check.args)
@@ -420,7 +425,7 @@ def _execute(check: Check) -> list[CheckResult]:
             outcomes = [("fail", f"malformed verdicts {out!r} for {len(check.ids)} ids")] * len(check.ids)
     except BudgetExceeded as exc:
         outcomes = [("timeout", str(exc))] * len(check.ids)
-    except GenerationFailure as exc:
+    except (GenerationFailure, StructuralError) as exc:
         outcomes = [("fail", str(exc))] * len(check.ids)
     runtime = round(time.monotonic() - start, 3)
     return [

@@ -21,12 +21,14 @@ def _load_script():
 def test_profile_sections_run_and_restore_what_they_patch(capsys):
     script = _load_script()
     patched = [linalg._eliminate, specialize._try_generate, genmat.in_ideal]
-    for section in (script.specialization_phases, script.cached_layers, script.module_path, script.trace_suite):
+    for section in (script.cold_constructions, script.specialization_phases, script.cached_layers,
+                    script.module_path, script.trace_suite):
         section()
     after = [linalg._eliminate, specialize._try_generate, genmat.in_ideal]
     assert all(a is b for a, b in zip(after, patched))
     out = capsys.readouterr().out
     assert "row reductions per generation attempt" in out
+    assert "formal constructions of the corpus shapes (cold)" in out
     # Only the three det ids of the 56 reach the engine.
     calls = [line for line in out.splitlines() if line.startswith("  engine calls / ids")]
     assert len(calls) == 1 and calls[0].endswith("-> 3 / 56")

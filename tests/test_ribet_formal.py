@@ -1,6 +1,8 @@
 """Formal-ring side of the relation shapes: matrices, ideals, and the
 symbolic identity checks."""
 
+import dataclasses
+
 import pytest
 
 from ribetkit.borel import TauAction
@@ -324,3 +326,41 @@ def test_formal_constructions_replay_the_pinned_digest():
             }
             digest.update(json.dumps(record, sort_keys=True).encode())
     assert digest.hexdigest() == FORMAL_DIGEST
+
+
+def test_shared_constructions_are_immutable():
+    # Every check of a process shares these objects, so none may change.
+    mats = build_matrices(shape_full_mixed())
+    ideals = build_ideals(shape_full_mixed())
+    quad = ideals.quadruples[0]
+    assert isinstance(ideals.quadruples, tuple)
+    for obj, attr, value in (
+        (mats, "E", mats.Eprime),
+        (mats, "det_E", mats.det_Eprime),
+        (ideals, "J", ideals.Jprime),
+        (ideals, "quadruples", ()),
+        (quad, "matrix", ideals.quadruples[1].matrix),
+        (quad, "origin", ("row", 99)),
+        (ideals.ring, "table", None),
+    ):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, attr, value)
+
+
+def test_matrices_keep_their_determinants(monkeypatch):
+    # det E and det E' are computed once per matrices object, and the
+    # checks that need them read the kept values.
+    import ribetkit.ribet.formal as formal
+
+    sh = shape_r2_two_type2()
+    calls = []
+    monkeypatch.setattr(formal, "symbolic_det", lambda M: calls.append(M) or symbolic_det(M))
+    formal._formal_ring.cache_clear()
+    try:
+        mats = build_matrices(sh)
+        assert mats.det_E == symbolic_det(mats.E) and mats.det_Eprime == symbolic_det(mats.Eprime)
+        assert element_e(sh) == mats.det_Eprime - mats.det_E
+        assert check_example_r2() and check_e_tau_invariance(sh)
+        assert [id(M) for M in calls] == [id(mats.E), id(mats.Eprime)]
+    finally:
+        formal._formal_ring.cache_clear()

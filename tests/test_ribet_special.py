@@ -8,11 +8,13 @@ import pytest
 
 import ribetkit.ribet.formal as formal
 from ribetkit.errors import StructuralError
-from ribetkit.exactpoly import GF
+from ribetkit.exactpoly import GF, QQ
 from ribetkit.linalg import rank
+from ribetkit.ribet.formal import build_ideals, build_matrices, formal_ring
 from ribetkit.ribet.shapes import (
     RibetShape,
     RowSpec,
+    corpus,
     shape_one_place_type4,
     shape_r2_two_type2,
     shape_specialization,
@@ -27,7 +29,6 @@ from ribetkit.ribet.specialize import (
     _instance_point,
     _point_plan,
     _rand_gl2,
-    _relation_ideal,
     check_specialized,
     generate_specialization,
     perturb_alpha,
@@ -95,30 +96,45 @@ def test_perturbed_instance_fails_det_eprime():
 
 
 def test_relation_ideal_is_built_once_per_shape_and_prime(monkeypatch):
+    # Count the constructions of the relation quadruples behind J: one per
+    # (shape, ring) entry of the shared cache.
+    from ribetkit.veriharness import SuiteConfig, run_suite
+
     calls = []
-    real = formal.build_ideals
+    real = formal.relation_quadruples
 
-    def counting(shape, ring):
-        calls.append((shape.name, ring))
-        return real(shape, ring)
+    def counting(F):
+        calls.append((F.shape.name, F.ring))
+        return real(F)
 
-    monkeypatch.setattr(formal, "build_ideals", counting)
-    _relation_ideal.cache_clear()
+    monkeypatch.setattr(formal, "relation_quadruples", counting)
+    formal._formal_ring.cache_clear()
     try:
+        # One `verify run all` (at --jobs 1, so every check runs here)
+        # builds each of its six (shape, ring) keys exactly once.
+        report = run_suite(SuiteConfig(suite="all", jobs=1))
+        assert report.summary() == {"pass": 176, "fail": 0, "timeout": 0}
+        keys = [(sh.name, QQ) for sh in corpus()] + [("spec-r4", GF(P))]
+        assert sorted(calls, key=repr) == sorted(keys, key=repr)
+        # Fresh instances and the deep-copied control find the GF(p) entry.
+        calls.clear()
         insts = [generate_specialization(shape_specialization(), seed, P) for seed in range(5)]
         for inst in insts:
             assert check_specialized(inst).J_vanishes
-        # The control deep-copies the instance, shape included.
         assert check_specialized(perturb_alpha(insts[0])).J_vanishes
-        assert calls == [("spec-r4", GF(P))]
-        assert _relation_ideal.cache_info().currsize == 1
+        assert calls == []
+        # QQ and GF(p) are separate entries of one shape.
+        assert build_ideals(shape_specialization()).ring.ring == QQ
+        assert calls == [("spec-r4", QQ)]
+        assert build_ideals(shape_specialization(), GF(P)).ring.ring == GF(P)
+        assert calls == [("spec-r4", QQ)]
     finally:
-        _relation_ideal.cache_clear()
+        formal._formal_ring.cache_clear()
 
 
 def _point_by_names(inst):
     """Reference: parse every formal variable name at each instance."""
-    _, table = _relation_ideal(inst.shape, inst.p)
+    table = formal_ring(inst.shape, inst.ring).table
     point = {}
     for name in table.names:
         idx = table.index(name)
@@ -137,17 +153,32 @@ def _point_by_names(inst):
     return point
 
 
-def test_instance_point_parses_the_names_once_per_shape_and_prime():
+def test_instance_point_parses_the_names_once_per_shape_and_prime(monkeypatch):
+    # The point plan is read once per (shape, p) from the keys of the
+    # shared formal ring, the one J-vanishes evaluates J on: one ring is
+    # constructed in all.
+    built = []
+    post_init = formal.FormalRing.__post_init__
+
+    def counting(self):
+        built.append((self.shape.name, self.ring))
+        post_init(self)
+
+    monkeypatch.setattr(formal.FormalRing, "__post_init__", counting)
     _point_plan.cache_clear()
+    formal._formal_ring.cache_clear()
     try:
         insts = [generate_specialization(shape_specialization(), seed, P) for seed in range(6)]
         insts.append(perturb_alpha(insts[0]))
         for inst in insts:
             assert _instance_point(inst) == _point_by_names(inst)
+            assert check_specialized(inst).J_vanishes
         info = _point_plan.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
+        assert built == [("spec-r4", GF(P))]
     finally:
         _point_plan.cache_clear()
+        formal._formal_ring.cache_clear()
 
 
 def test_shape_hash_is_a_value_hash():
@@ -158,14 +189,22 @@ def test_shape_hash_is_a_value_hash():
     round_trip = RibetShape.from_mapping(parse_flat_config(sh.to_config_text())[""])
     assert copied == sh and round_trip == sh
     assert hash(copied) == hash(sh) == hash(round_trip)
-    _relation_ideal.cache_clear()
+    formal._formal_ring.cache_clear()
     try:
-        for shape in (sh, copied, round_trip):
-            _relation_ideal(shape, 101)
-        info = _relation_ideal.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        # A copied shape, a config round trip and the default ring all
+        # find the entry of build_ideals(sh): one construction, shared.
+        ideals = build_ideals(sh)
+        assert build_ideals(sh, QQ) is ideals
+        assert build_ideals(copied) is ideals and build_ideals(round_trip, QQ) is ideals
+        assert build_matrices(copied).ring is ideals.ring is formal_ring(round_trip)
+        info = formal._formal_ring.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        # GF(p) is an entry of its own, found again by a ring made anew.
+        assert build_ideals(copied, GF(101)) is build_ideals(sh, GF(101)) is not ideals
+        info = formal._formal_ring.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
     finally:
-        _relation_ideal.cache_clear()
+        formal._formal_ring.cache_clear()
 
 
 def test_shapes_differing_only_in_sigma_v_are_unequal():

@@ -423,13 +423,52 @@ def test_serial_run_does_not_load_multiprocessing():
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_structural_error_in_a_check_exits_2(tmp_path, capsys, jobs):
-    # generate_specialization refuses a shape with 2 free generators; the
-    # error reaches the CLI from a worker process as from this one.
+    # generate_specialization refuses a shape with 2 free generators.  The
+    # error fails every id of the seed's record, with its message as the
+    # witness, in a worker process as in this one; the report is written
+    # and the failed checks exit 2.
     shape = os.path.join(ROOT, "configs", "shapes", "r2-two-type2.cfg")
     cfg_file = tmp_path / "two.cfg"
     cfg_file.write_text(f"[specialization]\nshapes = {shape}\nseeds = 0 1\n")
-    assert main(["run", "specialization", "--config", str(cfg_file), "--jobs", jobs]) == 2
-    assert "has 2 free generators" in capsys.readouterr().err
+    out = tmp_path / "two.json"
+    assert main(["run", "specialization", "--config", str(cfg_file), "--jobs", jobs,
+                 "--out", str(out)]) == 2
+    witness = "shape 'r2-two-type2' has 2 free generators; need >= 4 to span"
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "suite specialization: 0 pass, 9 fail, 0 timeout" in captured.out
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) == 9
+    assert {(c["status"], c["witness"]) for c in checks} == {("fail", witness)}
+
+
+def test_structural_error_from_element_e_fails_its_ids(monkeypatch):
+    # With every membership refused, element_e raises "escaped I_R": the
+    # element-e ids fail with that witness and the rest of the run goes on.
+    import ribetkit.ribet.formal as formal
+
+    monkeypatch.setattr(formal, "in_ideal", lambda *args: False)
+    report = run_suite(SuiteConfig(suite="all", jobs=1))
+    assert len(report.checks) == 176
+    element_e_ids = [c for c in report.checks if c.id.startswith("element-e-in-IR-")]
+    assert len(element_e_ids) == 5
+    for c in element_e_ids:
+        assert (c.status, c.witness) == ("fail", "det(E') - det(E) escaped I_R"), c.id
+    assert report.exit_code() == 2
+
+
+def test_two_runs_in_one_process_replay(tmp_path):
+    # The second run reads the formal constructions the first one built
+    # and cached; a check that mutated one would show as a difference.
+    import ribetkit.ribet.formal as formal
+
+    formal._formal_ring.cache_clear()
+    paths = [str(tmp_path / name) for name in ("first.json", "second.json")]
+    for path in paths:
+        assert run_suite(SuiteConfig(suite="all", jobs=1, out_path=path)).exit_code() == 0
+    diff = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "report_diff.py"), *paths],
+                          capture_output=True, text=True, timeout=60)
+    assert (diff.returncode, diff.stdout) == (0, "")
 
 
 def test_cli_list_and_run(capsys, tmp_path):
