@@ -27,7 +27,9 @@ action per shape, and the trace questions, built but not decided, of
 every r = 3 word of length at most 3 on one generic model.  First it
 times the formal construction of every corpus shape (variables, the
 auxiliary matrices with their determinants, and the relation ideals)
-from a cold cache.
+from a cold cache, then the polynomial layer on fixed inputs: det(E')
+of spec-r4 over QQ, with the Polynomial products and sums that one
+warm run_suite(all) pass makes.
 After the tau-invariance check of p1-type4, an inhomogeneous membership
 question decided on one reduced basis under one step counter, the GB of
 J(sigma-v0-type3), the length-4 trace classes, the negative control and
@@ -51,7 +53,7 @@ import ribetkit.linalg as linalg
 import ribetkit.ribet.formal as formal
 import ribetkit.ribet.specialize as specialize
 from ribetkit.borel import TauAction, adjoint_quadruple_check
-from ribetkit.exactpoly import GF, QQ
+from ribetkit.exactpoly import GF, QQ, Polynomial
 from ribetkit.genmat import (
     GenericModel,
     Word,
@@ -68,7 +70,14 @@ from ribetkit.brcomplex import (
     ideal_generator_sets_match,
     symbolic_h1,
 )
-from ribetkit.ribet.formal import build_ideals, check_e_tau_invariance, check_example_r2, formal_ring
+from ribetkit.ribet.formal import (
+    build_ideals,
+    build_matrices,
+    check_e_tau_invariance,
+    check_example_r2,
+    formal_ring,
+    symbolic_det,
+)
 from ribetkit.ribet.shapes import (
     corpus,
     shape_full_mixed,
@@ -76,7 +85,7 @@ from ribetkit.ribet.shapes import (
     shape_sigma_type3,
     shape_specialization,
 )
-from ribetkit.veriharness import SuiteConfig, run_suite
+from ribetkit.veriharness import SuiteConfig, load_config, run_suite
 
 
 P31 = 2**31 - 1
@@ -321,8 +330,39 @@ def cold_constructions():
           lambda sizes: f"{len(sizes)} shapes, {sum(sizes)} det terms and J generators")
 
 
+def polynomial_layer():
+    """One line: det(E') of spec-r4 over QQ (E' built first, untimed),
+    and the calls of Polynomial.__mul__ and __add__ in one run_suite(all)
+    pass after a first pass has built what a run keeps."""
+    cfg = load_config("all")
+    run_suite(cfg)
+    calls = Counter()
+    mul, add = Polynomial.__mul__, Polynomial.__add__
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    Polynomial.__mul__, Polynomial.__add__ = counting("products", mul), counting("sums", add)
+    try:
+        run_suite(cfg)
+    finally:
+        Polynomial.__mul__, Polynomial.__add__ = mul, add
+    Eprime = build_matrices(shape_specialization()).Eprime
+    timed(
+        "polynomial layer: det(E') of spec-r4 over QQ",
+        lambda: symbolic_det(Eprime),
+        lambda det: f"{det.num_terms()} terms; run_suite(all): "
+                    f"{calls['products']} products, {calls['sums']} sums",
+    )
+
+
 def main():
     cold_constructions()
+    polynomial_layer()
     timed("example-r2 (positive)", check_example_r2)
     timed("example-r2 (negative control)", lambda: check_example_r2(omit_relation=7))
     timed("trace X1.X2.X3 over r=3", lambda: trace_congruence_check(Word.parse("X1.X2.X3"), 3))

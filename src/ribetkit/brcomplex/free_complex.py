@@ -191,10 +191,11 @@ def _tensor_layout(r1: list[int], r2: list[int], top: int) -> tuple[list[dict], 
 
 
 def _nonzero(M: FreeModuleMatrix | None) -> list[tuple]:
-    """The nonzero (i, j, entry) triples of M (none for a missing map)."""
+    """The nonzero (i, j, entry) triples of M (none for a missing map),
+    found by the entries' term dicts, as in ``FreeModuleMatrix.matmul``."""
     if M is None:
         return []
-    return [(i, j, e) for i, row in enumerate(M.entries) for j, e in enumerate(row) if e.terms]
+    return [(i, j, e) for i, row in enumerate(M.entries) for j, e in enumerate(row) if e._terms]
 
 
 def _identity(n: int) -> list[tuple]:

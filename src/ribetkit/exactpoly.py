@@ -1,29 +1,42 @@
 """Sparse exact multivariate polynomial arithmetic.
 
-A polynomial is a dictionary mapping dense exponent tuples (one entry per
-variable of its table) to nonzero coefficients in an exact coefficient
-ring: arbitrary-precision integers, rationals, or a prime field with
-p < 2**31 (plain Python ints reduced mod p).  A rational coefficient is
-an ``int`` when it is integral and a ``fractions.Fraction`` otherwise;
-``CoefficientRing`` keeps that form canonical, and since ``2`` and
-``Fraction(2)`` print, compare and hash alike, nothing outside the ring
-operations depends on it.  There is no floating point anywhere.
+A polynomial is a dictionary mapping packed monomials to nonzero
+coefficients in an exact coefficient ring: arbitrary-precision integers,
+rationals, or a prime field with p < 2**31 (plain Python ints reduced
+mod p).  A rational coefficient is an ``int`` when it is integral and a
+``fractions.Fraction`` otherwise; ``CoefficientRing`` keeps that form
+canonical, and since ``2`` and ``Fraction(2)`` print, compare and hash
+alike, nothing outside the ring operations depends on it.  There is no
+floating point anywhere.
+
+Packed monomials (Monagan & Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  A monomial is
+one int of fields ``FIELD_BITS`` value bits plus one guard bit wide: the
+total degree in the bottom field, the exponent of variable i in field
+i + 1.  The layout does not depend on the table, so the product of two
+monomials is their sum, ``lift`` to an extending table keeps the ints,
+and the degree is ``m & DEGREE_MASK``.  No exponent exceeds the total
+degree, so a product that overflows a field first sets the degree
+field's guard bit; it raises ``StructuralError``, as does any monomial
+given with a negative or non-integer exponent or a total degree above
+``DEGREE_CAP`` (32767).  ``terms`` is a read-only view for I/O and
+tests: the same terms keyed by dense exponent tuples, one entry per
+table variable, in the same order, built on each read and not kept.
 
 The zero polynomial is the empty term map; equal polynomials have
 identical term maps, so ``==`` is canonical-form comparison.  Values are
 immutable after construction and safe to share between threads.
 
 ``evaluate`` reads each term in a sparse form, (coefficient, ((variable,
-exponent), ...)), so it never scans the zero slots of a dense exponent
-tuple.  The first evaluation of a polynomial streams that form; the
-second builds it once and keeps it in the private ``_sparse`` slot, so a
-polynomial evaluated at many points (the relation ideal at every
-specialization instance) pays for it once, and one evaluated once keeps
-nothing.  The slot is an idempotent lazy field: it is derived from the
-immutable term map alone, every build yields an equal value, and
-``==``, ``hash`` and every other method ignore it.  Two threads that race
-on it at worst both build it, and each reads a complete form, so sharing
-a polynomial stays safe.
+exponent), ...)), the pairs of its nonzero fields.  The first evaluation
+of a polynomial streams that form; the second builds it once and keeps
+it in the private ``_sparse`` slot, so a polynomial evaluated at many
+points (the relation ideal at every specialization instance) pays for it
+once, and one evaluated once keeps nothing.  The slot is an idempotent
+lazy field: it is derived from the immutable term map alone, every build
+yields an equal value, and ``==``, ``hash`` and every other method
+ignore it.  Two threads that race on it at worst both build it, and each
+reads a complete form, so sharing a polynomial stays safe.
 
 Variables are identified by their integer index into a ``VariableTable``;
 names exist only for I/O.  Tables also carry a role tag per variable,
@@ -34,10 +47,9 @@ grades by.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from functools import cache
-from itertools import compress
-from operator import add
 from typing import Mapping, Sequence
 
 from .errors import StructuralError
@@ -46,6 +58,14 @@ from .errors import StructuralError
 NEG_INF = float("-inf")
 
 Mono = tuple  # dense exponent tuple, one int per table variable
+
+# The packed monomial layout (module docstring).  With 16-bit fields a
+# monomial's bytes, little-endian, are its fields as unsigned shorts.
+FIELD_BITS = 15
+STRIDE = FIELD_BITS + 1
+DEGREE_CAP = (1 << FIELD_BITS) - 1
+DEGREE_MASK = (1 << STRIDE) - 1
+_DEGREE_GUARD = 1 << FIELD_BITS
 
 ROLES = ("a", "b", "c", "d", "nu", "eps", "delta", "x_sigma", "param", "other")
 
@@ -231,11 +251,7 @@ class VariableTable:
 
 
 # ---------------------------------------------------------------------------
-# Monomials: dense exponent tuples.
-
-def mono_one(n: int) -> Mono:
-    return (0,) * n
-
+# Monomials: dense exponent tuples, and their packed ints.
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(x + y for x, y in zip(a, b))
@@ -248,6 +264,72 @@ def mono_divides(a: Mono, b: Mono) -> bool:
 
 def mono_deg(a: Mono) -> int:
     return sum(a)
+
+
+def _pack(e: Mono) -> int:
+    """The packed monomial of an exponent tuple."""
+    try:
+        d = sum(e)
+        if d <= DEGREE_CAP:
+            return int.from_bytes(struct.pack(f"<{len(e) + 1}H", d, *e), "little")
+    except (TypeError, struct.error):
+        pass
+    raise StructuralError(
+        f"exponents must be integers >= 0 of total degree at most {DEGREE_CAP}, got {tuple(e)!r}"
+    )
+
+
+def _unpack(m: int, n: int) -> Mono:
+    """The exponent tuple of a packed monomial over n variables."""
+    return struct.unpack_from(f"<{n}H", m.to_bytes(2 * n + 2, "little"), 2)
+
+
+def mono_pairs(m: int) -> tuple[tuple[int, int], ...]:
+    """The (variable, exponent) pairs of the nonzero exponents of a
+    packed monomial, by variable; read from the top field down, so the
+    work is one step per nonzero exponent."""
+    pairs = []
+    m >>= STRIDE
+    while m:
+        i = (m.bit_length() - 1) // STRIDE
+        e = m >> (i * STRIDE)
+        pairs.append((i, e))
+        m -= e << (i * STRIDE)
+    return tuple(reversed(pairs))
+
+
+def mono_from_fields(x: int, stride: int) -> int:
+    """The packed monomial whose degree and exponents are the fields of
+    ``x``, ``stride`` bits each, in the same order (the Groebner engine
+    packs with narrower fields), read as ``mono_pairs`` reads."""
+    m = x & ((1 << stride) - 1)
+    if m > DEGREE_CAP:
+        raise StructuralError(f"degree {m} exceeds the monomial degree cap {DEGREE_CAP}")
+    x >>= stride
+    while x:
+        i = (x.bit_length() - 1) // stride
+        e = x >> (i * stride)
+        m += e << (STRIDE * (i + 1))
+        x -= e << (i * stride)
+    return m
+
+
+def _accumulate(out: dict, terms: dict, p) -> dict:
+    """Add the packed ``terms`` into ``out`` in place, over GF(p) when p,
+    and return it: CoefficientRing.add, inlined (the per-term calls were
+    a measurable share of the suite run)."""
+    get = out.get
+    for m, c in terms.items():
+        s = get(m, 0) + c
+        if p:
+            s %= p
+        elif type(s) is not int:
+            s = _demote(s)
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +351,11 @@ class MonomialOrder:
 
     def weight_rows(self, n: int) -> list[tuple[int, ...]]:  # pragma: no cover - interface
         raise NotImplementedError
+
+    def packed_key(self, n: int):
+        """A key on packed monomials over n variables that orders them
+        as ``key`` orders their exponent tuples."""
+        return lambda m: self.key(_unpack(m, n))
 
     def __repr__(self):
         return f"<order {self.name}>"
@@ -299,6 +386,11 @@ class DegRevLex(MonomialOrder):
         """
         return [(1,) * k + (0,) * (n - k) for k in range(n, 0, -1)]
 
+    def packed_key(self, n: int):
+        # With the degree tied, the larger int has the larger exponent in
+        # the last variable where the two differ, so it is the smaller.
+        return lambda m: (m & DEGREE_MASK, -m)
+
 
 LEX = Lex()
 DEGREVLEX = DegRevLex()
@@ -310,14 +402,15 @@ DEGREVLEX = DegRevLex()
 class Polynomial:
     """Immutable sparse polynomial over a CoefficientRing and VariableTable."""
 
-    __slots__ = ("ring", "table", "terms", "_hash", "_sparse")
+    __slots__ = ("ring", "table", "_terms", "_hash", "_sparse")
 
     def __init__(self, ring: CoefficientRing, table: VariableTable, terms: Mapping[Mono, object]):
         clean = {}
         n = len(table)
-        for m, c in terms.items():
-            if len(m) != n:
+        for e, c in terms.items():
+            if len(e) != n:
                 raise StructuralError("monomial width does not match table")
+            m = _pack(e)
             c = ring.normalize(c)
             if c == 0:
                 continue
@@ -329,18 +422,26 @@ class Polynomial:
             clean[m] = c
         self.ring = ring
         self.table = table
-        self.terms = clean
+        self._terms = clean
         self._hash = None
         self._sparse = None
+
+    @property
+    def terms(self) -> dict[Mono, object]:
+        """The terms keyed by dense exponent tuples, in the order of the
+        packed term dict: a read-only view, built on each read."""
+        n = len(self.table)
+        return {_unpack(m, n): c for m, c in self._terms.items()}
 
     # -- constructors ---------------------------------------------------
     @staticmethod
     def zero(ring, table) -> "Polynomial":
-        return Polynomial(ring, table, {})
+        return Polynomial._trusted(ring, table, {})
 
     @staticmethod
     def const(ring, table, c) -> "Polynomial":
-        return Polynomial(ring, table, {mono_one(len(table)): c})
+        c = ring.normalize(c)
+        return Polynomial._trusted(ring, table, {0: c} if c else {})
 
     @staticmethod
     def one(ring, table) -> "Polynomial":
@@ -352,16 +453,14 @@ class Polynomial:
             i = table.index(i)
         if not 0 <= i < len(table):
             raise StructuralError(f"variable index {i} out of range")
-        e = [0] * len(table)
-        e[i] = 1
-        return Polynomial(ring, table, {tuple(e): 1})
+        return Polynomial._trusted(ring, table, {(1 << (STRIDE * (i + 1))) + 1: 1})
 
     # -- basic structure --------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -369,31 +468,29 @@ class Polynomial:
         return (
             self.ring == other.ring
             and self.table == other.table
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring, self.table, frozenset(self.terms.items())))
+            self._hash = hash((self.ring, self.table, frozenset(self._terms.items())))
         return self._hash
 
     def total_degree(self):
-        if not self.terms:
+        if not self._terms:
             return NEG_INF
-        return max(mono_deg(m) for m in self.terms)
+        return max(m & DEGREE_MASK for m in self._terms)
 
     def num_terms(self) -> int:
-        return len(self.terms)
+        return len(self._terms)
 
     def variables(self) -> set[int]:
-        used: set[int] = set()
-        for m in self.terms:
-            used.update(i for i, e in enumerate(m) if e)
-        return used
+        used = 0  # a field of the OR is nonzero where some monomial's is
+        for m in self._terms:
+            used |= m
+        return {i for i, _ in mono_pairs(used)}
 
     def _check_compatible(self, other: "Polynomial"):
-        if self.ring is other.ring and self.table is other.table:
-            return
         if self.ring != other.ring:
             raise StructuralError("coefficient ring mismatch")
         if self.table != other.table:
@@ -401,63 +498,56 @@ class Polynomial:
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Polynomial:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Polynomial.const(self.ring, self.table, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.terms)
-        # CoefficientRing.add and .mul, inlined here and in __mul__: the
-        # per-term calls were a measurable share of the suite run.
-        get, p = out.get, self.ring.p
-        for m, c in other.terms.items():
-            s = get(m, 0) + c
-            if p:
-                s %= p
-            elif type(s) is not int:
-                s = _demote(s)
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial._trusted(self.ring, self.table, out)
+        ring, table = self.ring, self.table
+        if other.ring is not ring or other.table is not table:
+            self._check_compatible(other)
+        return Polynomial._trusted(ring, table, _accumulate(dict(self._terms), other._terms, ring.p))
 
     __radd__ = __add__
 
     def __neg__(self):
         ring = self.ring
-        return Polynomial._trusted(ring, self.table, {m: ring.neg(c) for m, c in self.terms.items()})
+        return Polynomial._trusted(ring, self.table, {m: ring.neg(c) for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Polynomial:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = Polynomial.const(self.ring, self.table, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = self.ring.normalize(other)
-            if c == 0:
-                return Polynomial.zero(self.ring, self.table)
+        if type(other) is not Polynomial:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             ring = self.ring
-            return Polynomial._trusted(
-                ring, self.table, {m: ring.mul(k, c) for m, k in self.terms.items()}
-            )
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        out: dict[Mono, object] = {}
-        get, p = out.get, self.ring.p
-        a, b = self.terms, other.terms
+            c = ring.normalize(other)
+            if c == 0:
+                return Polynomial.zero(ring, self.table)
+            return Polynomial._trusted(ring, self.table, {m: ring.mul(k, c) for m, k in self._terms.items()})
+        ring, table = self.ring, self.table
+        if other.ring is not ring or other.table is not table:
+            self._check_compatible(other)
+        # CoefficientRing.add and .mul, inlined as in _accumulate.  A
+        # product's degree field holds the sum of the factors' degrees;
+        # past the cap that sets its guard bit, before any field carries.
+        out: dict[int, object] = {}
+        get, p, guard = out.get, ring.p, _DEGREE_GUARD
+        a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                m = tuple(map(add, m1, m2))
+                m = m1 + m2
+                if m & guard:
+                    raise StructuralError(f"a product exceeds the monomial degree cap {DEGREE_CAP}")
                 s = get(m, 0) + c1 * c2
                 if p:
                     s %= p
@@ -467,7 +557,7 @@ class Polynomial:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        return Polynomial._trusted(self.ring, self.table, out)
+        return Polynomial._trusted(ring, table, out)
 
     __rmul__ = __mul__
 
@@ -485,10 +575,12 @@ class Polynomial:
 
     @staticmethod
     def _trusted(ring, table, terms: dict) -> "Polynomial":
+        """A polynomial of packed terms that are already canonical: keys
+        within the cap, coefficients normalized and nonzero."""
         p = object.__new__(Polynomial)
         p.ring = ring
         p.table = table
-        p.terms = terms
+        p._terms = terms
         p._hash = None
         p._sparse = None
         return p
@@ -496,13 +588,15 @@ class Polynomial:
     # -- term access -------------------------------------------------------
     def sorted_terms(self, order: MonomialOrder = DEGREVLEX) -> list[tuple[Mono, object]]:
         """Terms sorted descending by the given order."""
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+        n, terms = len(self.table), self._terms
+        return [(_unpack(m, n), terms[m]) for m in sorted(terms, key=order.packed_key(n), reverse=True)]
 
     def leading_term(self, order: MonomialOrder = DEGREVLEX) -> tuple[Mono, object]:
-        if not self.terms:
+        if not self._terms:
             raise StructuralError("zero polynomial has no leading term")
-        m = max(self.terms, key=order.key)
-        return m, self.terms[m]
+        n = len(self.table)
+        m = max(self._terms, key=order.packed_key(n))
+        return _unpack(m, n), self._terms[m]
 
     # -- substitution / evaluation ------------------------------------------
     def substitute(self, mapping: Mapping[int, "Polynomial"]) -> "Polynomial":
@@ -523,9 +617,8 @@ class Polynomial:
                 raise StructuralError("substitution images must share one table")
         if target != self.table and not target.extends(self.table):
             raise StructuralError("image table must extend the source table")
-        nt = len(target)
         one = Polynomial.one(ring, target)
-        acc = Polynomial.zero(ring, target)
+        out: dict[int, object] = {}
         # Cache powers of each mapped image.
         powers: dict[int, list[Polynomial]] = {i: [one, g] for i, g in mapping.items()}
 
@@ -535,19 +628,19 @@ class Polynomial:
                 ps.append(ps[-1] * ps[1])
             return ps[e]
 
-        for m, c in self.terms.items():
-            fixed = [0] * nt
+        for m, c in self._terms.items():
+            fixed = 0  # the unmapped variables' part of m: the same ints in the target table
             term = None
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
+            for i, e in mono_pairs(m):
                 if i in mapping:
                     term = power(i, e) if term is None else term * power(i, e)
                 else:
-                    fixed[i] = e
-            base = Polynomial._trusted(ring, target, {tuple(fixed): c})
-            acc = acc + (base if term is None else base * term)
-        return acc
+                    fixed += (e << (STRIDE * (i + 1))) + e
+            if term is None:
+                _accumulate(out, {fixed: c}, ring.p)
+            else:
+                _accumulate(out, (Polynomial._trusted(ring, target, {fixed: c}) * term)._terms, ring.p)
+        return Polynomial._trusted(ring, target, out)
 
     def evaluate(self, point: Mapping[int, object]):
         """Exact value at a full assignment of this polynomial's variables.
@@ -584,13 +677,10 @@ class Polynomial:
         kept = self._sparse
         if kept:
             return kept
-        slots = range(len(self.table))
         if kept is None:
             self._sparse = False  # evaluated once: keep the form on the next call
-            return ((c, zip(compress(slots, m), filter(None, m))) for m, c in self.terms.items())
-        kept = self._sparse = tuple(
-            (c, tuple(zip(compress(slots, m), filter(None, m)))) for m, c in self.terms.items()
-        )
+            return ((c, mono_pairs(m)) for m, c in self._terms.items())
+        kept = self._sparse = tuple((c, mono_pairs(m)) for m, c in self._terms.items())
         return kept
 
     # -- grading -------------------------------------------------------------
@@ -603,7 +693,7 @@ class Polynomial:
 
         The zero polynomial has weight 0 by convention.
         """
-        if not self.terms:
+        if not self._terms:
             return 0
         it = iter(self.terms)
         w = self.term_weight(next(it))
@@ -614,22 +704,20 @@ class Polynomial:
 
     # -- ring/table moves ------------------------------------------------------
     def lift(self, table: VariableTable) -> "Polynomial":
-        """Re-host in an extended table (appended variables get exponent 0)."""
+        """Re-host in an extended table (appended variables get exponent 0,
+        so the packed monomials are unchanged)."""
         if table is self.table:
             return self
         if not table.extends(self.table):
             raise StructuralError("target table must extend the source table")
-        pad = (0,) * (len(table) - len(self.table))
-        return Polynomial._trusted(
-            self.ring, table, {m + pad: c for m, c in self.terms.items()}
-        )
+        return Polynomial._trusted(self.ring, table, self._terms)
 
     def change_ring(self, ring: CoefficientRing) -> "Polynomial":
         """Map coefficients into another ring (ZZ -> QQ, ZZ/QQ -> GF(p))."""
         if ring == self.ring:
             return self
         out = {}
-        for m, c in self.terms.items():
+        for m, c in self._terms.items():
             v = ring.normalize(c)
             if v != 0:
                 out[m] = v
@@ -647,7 +735,7 @@ class Polynomial:
 # round-tripping trivial and bit-exact.
 
 def to_text(f: Polynomial, order: MonomialOrder = DEGREVLEX) -> str:
-    if not f.terms:
+    if not f:
         return "0"
     parts = []
     names = f.table.names
@@ -667,7 +755,7 @@ def from_text(text: str, ring: CoefficientRing, table: VariableTable) -> Polynom
     text = text.strip()
     if text == "0":
         return Polynomial.zero(ring, table)
-    terms: dict[Mono, object] = {}
+    terms: dict[int, object] = {}
     n = len(table)
     for part in text.split(" + "):
         factors = part.strip().split("*")
@@ -678,13 +766,15 @@ def from_text(text: str, ring: CoefficientRing, table: VariableTable) -> Polynom
             c = int(coef_text)
         e = [0] * n
         for fac in factors[1:]:
-            fac = fac.strip()
-            if "^" in fac:
-                name, _, exp = fac.partition("^")
-                e[table.index(name)] += int(exp)
-            else:
-                e[table.index(fac)] += 1
-        m = tuple(e)
+            name, sep, exp = fac.strip().partition("^")
+            try:
+                k = int(exp) if sep else 1
+            except ValueError:
+                k = -1
+            if k < 0:
+                raise StructuralError(f"exponent must be an integer >= 0, got {fac.strip()!r}")
+            e[table.index(name)] += k
+        m = _pack(e)
         c = ring.normalize(c)
         if m in terms:
             c = ring.add(terms[m], c)
@@ -692,4 +782,4 @@ def from_text(text: str, ring: CoefficientRing, table: VariableTable) -> Polynom
             terms.pop(m, None)
         else:
             terms[m] = c
-    return Polynomial(ring, table, terms)
+    return Polynomial._trusted(ring, table, terms)

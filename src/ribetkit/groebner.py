@@ -48,7 +48,8 @@ a module element or a scalar passed as ``[f]`` and over QQ scales it to
 integers by the lcm of its denominators.  Results leave only through
 ``_Engine.to_vector``, which divides by that denominator times the
 scale ``reduce`` returned, for the exact value, or by default by the
-leading coefficient, for a monic one.
+leading coefficient, for a monic one.  ``_Packer.from_key`` and
+``to_key`` convert a monomial from and to exactpoly's packed layout.
 
 Modules.  The two guarded fields on top hold a module element's
 component c of a rank-C module, as C - c and c; scalars have neither.
@@ -166,6 +167,7 @@ from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, StructuralError
 from .exactpoly import (
+    DEGREE_MASK,
     DEGREVLEX,
     NEG_INF,
     QQ,
@@ -173,6 +175,8 @@ from .exactpoly import (
     Mono,
     MonomialOrder,
     Polynomial,
+    mono_from_fields,
+    mono_pairs,
 )
 
 
@@ -282,6 +286,7 @@ class _Packer:
         self.components = [((components - c) << (top + stride)) + (c << top) for c in range(components or 1)]
         guarded = self.shifts + ([top, top + stride] if components else [])
         self.guard = sum(1 << (s + self.bits) for s in guarded)
+        self.monomial_mask = (1 << (stride * (nvars + 1))) - 1  # the degree and exponent fields
 
     def pack(self, m: Iterable[int]) -> int:
         return sum(map(mul, m, self.units))
@@ -306,9 +311,21 @@ class _Packer:
     def component(self, x: int) -> int:
         return (x >> self.top) & self.deg_mask
 
+    def from_key(self, m: int) -> int:
+        """The packed monomial of a ``Polynomial`` key."""
+        units = self.units
+        x = 0
+        for i, e in mono_pairs(m):
+            x += e * units[i]
+        return x
+
+    def to_key(self, x: int) -> int:
+        """The ``Polynomial`` key of the packed monomial ``x``."""
+        return mono_from_fields(x & self.monomial_mask, self.bits + 1)
+
 
 def _max_degree(polys: Sequence[Polynomial]) -> int:
-    return max((sum(m) for f in polys for m in f.terms), default=0)
+    return max((m & DEGREE_MASK for f in polys for m in f._terms), default=0)
 
 
 def _strip_content(terms: dict) -> dict:
@@ -349,8 +366,8 @@ class _Engine:
         it was scaled by: over QQ the lcm of the denominators of all its
         coefficients, so that the packed coefficients are integers; over
         GF(p), 1."""
-        pack, units = self.packer.pack, self.packer.components
-        terms = {pack(m) + units[c]: x for c, f in enumerate(v) for m, x in f.terms.items()}
+        from_key, units = self.packer.from_key, self.packer.components
+        terms = {from_key(m) + units[c]: x for c, f in enumerate(v) for m, x in f._terms.items()}
         if self.p:
             return terms, 1
         denom = lcm(*(x.denominator for x in terms.values()))
@@ -361,14 +378,20 @@ class _Engine:
         by ``divisor`` over the engine's field: by default the leading
         coefficient, which makes the element monic; the ``k`` of
         ``divide`` gives its exact value.  A scalar is component 0 of 1."""
-        unpack, component, p = self.packer.unpack, self.packer.component, self.p
+        to_key, component, p = self.packer.to_key, self.packer.component, self.p
         if divisor is None:
             divisor = terms[max(terms)]
         inv = pow(divisor, -1, p) if p else None
         parts: list[dict] = [{} for _ in range(count)]
         for m, c in terms.items():
-            parts[component(m) - first][unpack(m)] = c * inv % p if p else Fraction(c, divisor)
-        return [Polynomial(self.ring, table, t) for t in parts]
+            if p:
+                c = c * inv % p
+            else:  # QQ's canonical form: an int when integral
+                q, r = divmod(c, divisor)
+                c = Fraction(c, divisor) if r else q
+            if c:
+                parts[component(m) - first][to_key(m)] = c
+        return [Polynomial._trusted(self.ring, table, t) for t in parts]
 
     def records(self, vectors: Iterable[Sequence[Polynomial]]) -> list[tuple]:
         """Reducer records of the nonzero elements among ``vectors``."""
@@ -924,7 +947,7 @@ def in_ideal(f: Polynomial, spec: IdealSpec, budget: Budget = DEFAULT_BUDGET) ->
 
 
 def _is_homogeneous(f: Polynomial) -> bool:
-    return len({sum(m) for m in f.terms}) <= 1
+    return len({m & DEGREE_MASK for m in f._terms}) <= 1
 
 
 def _ideal_contains_all(spec: IdealSpec, targets: Sequence[Polynomial], budget: Budget) -> bool:
@@ -995,13 +1018,13 @@ class FreeModuleMatrix:
         if not v:  # no entry to take a ring from: one None per row
             return [None] * self.rows
         zero = self._zero()
-        pairs = [(j, x) for j, x in enumerate(v) if x.terms]
+        pairs = [(j, x) for j, x in enumerate(v) if x._terms]
         out = []
         for row in self.entries:
             acc = None
             for j, x in pairs:
                 a = row[j]
-                if a.terms:
+                if a._terms:
                     t = a * x
                     acc = t if acc is None else acc + t
             out.append(zero if acc is None else acc)
@@ -1013,13 +1036,14 @@ class FreeModuleMatrix:
         if not other.cols:  # covers a zero inner dimension: a factor with no rows has no columns
             return FreeModuleMatrix([[] for _ in range(self.rows)])
         zero = self._zero()
-        # The nonzero (j, entry) pairs of each row of the right factor.
-        right = [[(j, b) for j, b in enumerate(row) if b.terms] for row in other.entries]
+        # The nonzero (j, entry) pairs of each row of the right factor.  The
+        # tests read the term dicts: a __bool__ call per entry is slow.
+        right = [[(j, b) for j, b in enumerate(row) if b._terms] for row in other.entries]
         out = []
         for row in self.entries:
             acc: dict[int, Polynomial] = {}
             for a, pairs in zip(row, right):
-                if not a.terms:
+                if not a._terms:
                     continue
                 for j, b in pairs:
                     t = a * b

@@ -235,8 +235,30 @@ def test_int_and_fraction_coefficients_make_one_polynomial():
     assert a == b and hash(a) == hash(b) and to_text(a) == to_text(b)
     # A Fraction(2) held as is (no normalization) still prints, compares
     # and hashes as the int.
-    raw = Polynomial._trusted(QQ, T3, {m: Fraction(2)})
+    (packed,) = a._terms
+    raw = Polynomial._trusted(QQ, T3, {packed: Fraction(2)})
     assert raw == a and hash(raw) == hash(a) and to_text(raw) == to_text(a)
+
+
+@pytest.mark.parametrize("exps", [(-1, 0), (1.5, 0), (Fraction(1, 2), 0), ("1", 0), (32768, 0), (20000, 20000)])
+def test_invalid_exponents_are_rejected(exps):
+    # A negative field would borrow from its neighbour, and a total degree
+    # past the cap would overflow the degree field.
+    with pytest.raises(StructuralError, match="exponents must be integers"):
+        Polynomial(QQ, T2, {exps: 1})
+
+
+@pytest.mark.parametrize("text", ["1*x^-1", "2*x^1.5", "1*x^", "1*x^y", "1*x^-1*x^2", "1*x^32768",
+                                  "1*x^20000*y^20000"])
+def test_from_text_rejects_invalid_exponents(text):
+    with pytest.raises(StructuralError, match="exponent"):
+        from_text(text, QQ, T2)
+
+
+def test_exponents_up_to_the_cap_are_kept():
+    f = from_text("1*x^32767 + 1*x^16383*y^16384", QQ, T2)
+    assert f.terms == {(32767, 0): 1, (16383, 16384): 1}
+    assert f.total_degree() == 32767 and from_text(to_text(f), QQ, T2) == f
 
 
 def test_zz_rejects_fractions():

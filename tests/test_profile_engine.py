@@ -7,6 +7,7 @@ from pathlib import Path
 import ribetkit.genmat as genmat
 import ribetkit.linalg as linalg
 import ribetkit.ribet.specialize as specialize
+from ribetkit.exactpoly import Polynomial
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "profile_engine.py"
 
@@ -20,15 +21,17 @@ def _load_script():
 
 def test_profile_sections_run_and_restore_what_they_patch(capsys):
     script = _load_script()
-    patched = [linalg._eliminate, specialize._try_generate, genmat.in_ideal]
+    patched = [linalg._eliminate, specialize._try_generate, genmat.in_ideal, Polynomial.__mul__, Polynomial.__add__]
     for section in (script.cold_constructions, script.specialization_phases, script.cached_layers,
-                    script.module_path, script.trace_suite):
+                    script.module_path, script.trace_suite, script.polynomial_layer):
         section()
-    after = [linalg._eliminate, specialize._try_generate, genmat.in_ideal]
+    after = [linalg._eliminate, specialize._try_generate, genmat.in_ideal, Polynomial.__mul__, Polynomial.__add__]
     assert all(a is b for a, b in zip(after, patched))
     out = capsys.readouterr().out
     assert "row reductions per generation attempt" in out
     assert "formal constructions of the corpus shapes (cold)" in out
+    layer = [line for line in out.splitlines() if line.startswith("polynomial layer: det(E')")]
+    assert len(layer) == 1 and "products" in layer[0] and "sums" in layer[0]
     # Only the three det ids of the 56 reach the engine.
     calls = [line for line in out.splitlines() if line.startswith("  engine calls / ids")]
     assert len(calls) == 1 and calls[0].endswith("-> 3 / 56")

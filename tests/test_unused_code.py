@@ -19,6 +19,7 @@ SRC = os.path.join(ROOT, "src", "ribetkit")
 KEPT_PUBLIC = {
     "mono_mul": "reference product the packed-monomial tests compare against",
     "mono_divides": "reference divisibility the packed-monomial tests compare against",
+    "mono_deg": "reference degree the packed-monomial tests compare against",
     "rref": "reference elimination the reduce_system test compares against",
     "from_text": "inverse of to_text; the text round-trip tests use it",
     "Polynomial.total_degree": "degree query the tests use as API",
