@@ -95,6 +95,65 @@ def test_perturbed_instance_fails_det_eprime():
     assert bad.detE_factorization
 
 
+def _shape_with_type_v() -> RibetShape:
+    """Every place-bearing row kind with four free generators: TypeIII at
+    v0, TypeIV at v1 in P, TypeV at w1 in Sigma."""
+    return RibetShape(
+        name="spec-r8-type5",
+        r=8,
+        rows=(
+            RowSpec.type_iii(8),
+            RowSpec.type_iv("v1", 6),
+            RowSpec.type_v("w1", 7),
+            RowSpec.type_i(),
+            RowSpec.type_i(),
+            RowSpec.type_ii(1, 2),
+            RowSpec.type_ii(2, 3),
+            RowSpec.type_ii(3, 4),
+            RowSpec.type_ii(4, 1),
+        ),
+        sigma_places=("v0", "w1"),
+        p_places=("v1",),
+        sigma_v={"v1": 5},
+    )
+
+
+@pytest.mark.parametrize("p", [3, P])
+@pytest.mark.parametrize("sh", [shape_specialization(), _shape_with_type_v()], ids=lambda s: s.name)
+def test_numeric_matrices_are_the_formal_ones_at_the_instance(sh, p):
+    # E and E' of an instance are the GF(p) formal E and E' evaluated at
+    # the instance point, except in the cells that differ by design: the
+    # generator block of a P row holds alpha[sigma_v] in both, and in E
+    # a TypeIV place entry is 0 and a TypeV place entry is nu_g.
+    t, r = sh.t, sh.r
+    cols = sh.place_columns()
+    mats = build_matrices(sh, GF(p))
+    kinds_seen = set()
+    for seed in range(6):
+        inst = generate_specialization(sh, seed, p)
+        point = _instance_point(inst)
+        both = {}  # (row, column) -> designed value in E and E'
+        for k, v in enumerate(sh.p_places):
+            for i, value in enumerate(inst.alpha[sh.sigma_v[v]]):
+                both[(k, t + i)] = value
+        e_only = {}  # (row, column) -> designed value in E alone
+        for ri, row in enumerate(sh.rows, start=t):
+            if row.kind in ("IV", "V"):
+                kinds_seen.add(row.kind)
+                e_only[(ri, cols[row.place])] = 0 if row.kind == "IV" else inst.nu(row.sigma)
+        for name, formal_m, numeric, designed in (
+            ("E", mats.E, inst.E, {**both, **e_only}),
+            ("Eprime", mats.Eprime, inst.Eprime, both),
+        ):
+            assert len(numeric) == formal_m.rows == t + r + sh.s
+            for i, row in enumerate(formal_m.entries):
+                for j, entry in enumerate(row):
+                    expected = designed[(i, j)] if (i, j) in designed else entry.evaluate(point)
+                    assert numeric[i][j] == expected, (name, seed, i, j)
+        assert inst.D == [row[t:] for row in inst.E[t:]]
+    assert kinds_seen == ({"IV", "V"} if sh.s else {"IV"})
+
+
 def test_relation_ideal_is_built_once_per_shape_and_prime(monkeypatch):
     # Count the constructions of the relation quadruples behind J: one per
     # (shape, ring) entry of the shared cache.
