@@ -25,10 +25,10 @@ rows, and the place column of a TypeIV or TypeV row) is x_g + nu_g.
 E' is E plus the determinant-killing alterations: each place entry
 becomes x_g - a_g, and each TypeII row (i, j) loses a_i + nu_i in
 column j and d_j in column i.  D is the lower-right (r+s) block of E.
-The numeric matrices of a specialization (specialize._assemble_matrices)
-follow the same layout and alterations, with three differences in E,
-each by design: a row of P holds the alpha expansion of rho_{sigma_v},
-a TypeIV place entry is 0 and a TypeV place entry is nu_g.
+auxiliary_matrices lays all three out once, from a table of entry
+values: the formal entries here, an instance's values in
+specialize._assemble_matrices, which states the three entries of E
+where the two differ by design.
 """
 
 from __future__ import annotations
@@ -215,42 +215,66 @@ def build_matrices(shape: RibetShape, ring: CoefficientRing = QQ) -> FormalMatri
     return formal_ring(shape, ring).matrices
 
 
-def _build_matrices(F: FormalRing) -> FormalMatrices:
-    """E is filled first; E' is a copy of E with the alterations applied."""
-    shape = F.shape
+def auxiliary_matrices(shape: RibetShape, zero, one, entries: dict) -> tuple[list, list, list]:
+    """E, E' and D of ``shape`` as lists of rows, from ``entries``, which
+    maps each role to the function giving its values:
+
+        "P"       g        generator block of the P row whose sigma_v is g
+        "I"       k        generator block of the k-th TypeI row
+        "II"      i, j     generator block of the TypeII row (i, j)
+        "place"   kind, g  E's place entry in a row of kind "P", "IV" or "V"
+        "place'"  g        E''s place entry, x_g - a_g
+        "II'"     i, j     (a_i + nu_i, d_j), taken off the TypeII row
+                           (i, j) of E' in columns j and i
+
+    A TypeIII, IV or V row holds ``one`` in its dedicated generator's
+    column.  E is filled first; E' is a copy of E with the alterations
+    applied; D is the lower-right (r+s) block of E."""
     t, r = shape.t, shape.r
     n = t + r + shape.s
     cols = shape.place_columns()
-    one = F.one()
-    E = [[F.zero()] * n for _ in range(n)]
-    place_entries = []  # (row, column, generator) of x_g + nu_g in E
+    E = [[zero] * n for _ in range(n)]
+    place_entries = []  # (row, column, generator)
     for k, v in enumerate(shape.p_places):
         g = shape.sigma_v[v]
-        E[k][t + g - 1] = one
+        E[k][t:t + r] = entries["P"](g)
+        E[k][k] = entries["place"]("P", g)
         place_entries.append((k, k, g))
     type_i_seen = 0
     for ri, row in enumerate(shape.rows, start=t):
         if row.kind == "I":
             type_i_seen += 1
-            E[ri][t:t + r] = [F.eps(type_i_seen, i) for i in range(1, r + 1)]
+            E[ri][t:t + r] = entries["I"](type_i_seen)
         elif row.kind == "II":
-            E[ri][t:t + r] = [F.delta(row.i, row.j, k) for k in range(1, r + 1)]
+            E[ri][t:t + r] = entries["II"](row.i, row.j)
         else:
             E[ri][t + row.sigma - 1] = one
             if row.place is not None:
+                E[ri][cols[row.place]] = entries["place"](row.kind, row.sigma)
                 place_entries.append((ri, cols[row.place], row.sigma))
-    for ri, col, g in place_entries:
-        E[ri][col] = F.x(g) + F.nu(g)
 
     Ep = [list(row) for row in E]
     for ri, col, g in place_entries:
-        Ep[ri][col] = F.b_prime(g)
+        Ep[ri][col] = entries["place'"](g)
     for ri, row in enumerate(shape.rows, start=t):
         if row.kind == "II":
-            Ep[ri][t + row.j - 1] -= F.a(row.i) + F.nu(row.i)
-            Ep[ri][t + row.i - 1] -= F.d(row.j)
+            at_j, at_i = entries["II'"](row.i, row.j)
+            Ep[ri][t + row.j - 1] -= at_j
+            Ep[ri][t + row.i - 1] -= at_i
+    return E, Ep, [row[t:] for row in E[t:]]
 
-    D = [row[t:] for row in E[t:]]
+
+def _build_matrices(F: FormalRing) -> FormalMatrices:
+    gens = range(1, F.shape.r + 1)
+    zero, one = F.zero(), F.one()
+    E, Ep, D = auxiliary_matrices(F.shape, zero, one, {
+        "P": lambda g: [one if i == g else zero for i in gens],
+        "I": lambda k: [F.eps(k, i) for i in gens],
+        "II": lambda i, j: [F.delta(i, j, k) for k in gens],
+        "place": lambda kind, g: F.x(g) + F.nu(g),
+        "place'": F.b_prime,
+        "II'": lambda i, j: (F.a(i) + F.nu(i), F.d(j)),
+    })
     return FormalMatrices(F, FreeModuleMatrix(D), FreeModuleMatrix(E), FreeModuleMatrix(Ep))
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from ..errors import GenerationFailure, StructuralError
 from ..exactpoly import GF, CoefficientRing
 from ..linalg import det, reduce_system
-from .formal import build_ideals, formal_ring
+from .formal import auxiliary_matrices, build_ideals, formal_ring
 from .shapes import RibetShape
 
 M2 = tuple  # (a, b, c, d) flattened 2x2 matrix over F_p
@@ -276,50 +276,29 @@ def _coefficient_matrix(inst: SpecializedInstance) -> list[list[int]]:
 # Matrix assembly (the numeric auxiliary matrices of the shape).
 
 def _assemble_matrices(inst: SpecializedInstance):
-    """E, E' and D of the instance, laid out as the formal matrices of
-    formal.build_matrices: E is filled first, and E' is a copy of E with
-    the same alterations (each place entry becomes x_g - a_g, each TypeII
-    row (i, j) loses a_i + nu_i in column j and d_j in column i).  E
-    differs from the formal E in three places, each by design: a row of
-    P holds alpha of its sigma_v (the expansion of rho_{sigma_v}) where
-    the formal row holds a unit, and a TypeIV or TypeV place entry of E
-    is 0 or nu_g where the formal one is x_g + nu_g."""
-    shape, p = inst.shape, inst.p
-    t, r = shape.t, shape.r
-    n = t + r + shape.s
-    cols = shape.place_columns()
-    E = [[0] * n for _ in range(n)]
-    place_entries = []  # (row, column, generator) of x_g - a_g in E'
-    for k, v in enumerate(shape.p_places):
-        g = shape.sigma_v[v]
-        E[k][k] = inst.z_val(g)
-        E[k][t:t + r] = inst.alpha[g]
-        place_entries.append((k, k, g))
-    eps_rows = iter(inst.eps)
-    for ri, row in enumerate(shape.rows, start=t):
-        if row.kind == "I":
-            E[ri][t:t + r] = next(eps_rows)
-        elif row.kind == "II":
-            E[ri][t:t + r] = inst.delta[(row.i, row.j)]
-        else:
-            E[ri][t + row.sigma - 1] = 1
-            if row.place is not None:
-                place_entries.append((ri, cols[row.place], row.sigma))
-            if row.kind == "V":
-                E[ri][cols[row.place]] = inst.nu(row.sigma)
+    """E, E' and D of the instance, laid out by formal.auxiliary_matrices
+    from the instance's values of the formal entries.  E differs from the
+    formal E at the instance in three cells, each by design: a row of P
+    holds alpha[sigma_v] (the expansion of rho_{sigma_v}) where the
+    formal row holds a unit, and a TypeIV or TypeV place entry is 0 or
+    nu_g where the formal one is x_g + nu_g (z_val at the instance)."""
+    p = inst.p
 
-    Ep = [list(row) for row in E]
-    for ri, col, g in place_entries:
-        Ep[ri][col] = (inst.x_val(g) - inst.rho_shift(g)[0]) % p
-    for ri, row in enumerate(shape.rows, start=t):
-        if row.kind == "II":
-            i, j = row.i, row.j
-            Ep[ri][t + j - 1] = (Ep[ri][t + j - 1] - inst.rho_shift(i)[0] - inst.nu(i)) % p
-            Ep[ri][t + i - 1] = (Ep[ri][t + i - 1] - inst.rho_shift(j)[3]) % p
+    def a(g):
+        return inst.rho_shift(g)[0]
 
+    place = {"P": inst.z_val, "IV": lambda g: 0, "V": inst.nu}
+    E, Ep, D = auxiliary_matrices(inst.shape, 0, 1, {
+        "P": inst.alpha.__getitem__,
+        "I": lambda k: inst.eps[k - 1],
+        "II": lambda i, j: inst.delta[(i, j)],
+        "place": lambda kind, g: place[kind](g),
+        "place'": lambda g: inst.x_val(g) - a(g),
+        "II'": lambda i, j: (a(i) + inst.nu(i), inst.rho_shift(j)[3]),
+    })
     inst.E = E
-    inst.Eprime = Ep
-    inst.D = [row[t:] for row in E[t:]]
+    inst.Eprime = [[x % p for x in row] for row in Ep]
+    inst.D = D
 
 
 def perturb_alpha(inst: SpecializedInstance) -> SpecializedInstance:
