@@ -684,23 +684,17 @@ class Polynomial:
         return kept
 
     # -- grading -------------------------------------------------------------
-    def term_weight(self, m: Mono) -> int:
-        w = self.table.weights
-        return sum(e * w[i] for i, e in enumerate(m) if e)
-
     def torus_weight(self):
         """Common torus weight of all terms, or None if not isobaric.
 
-        The zero polynomial has weight 0 by convention.
+        The zero polynomial has weight 0 by convention.  Each term's
+        weight is read from its nonzero exponents (``mono_pairs``).
         """
         if not self._terms:
             return 0
-        it = iter(self.terms)
-        w = self.term_weight(next(it))
-        for m in it:
-            if self.term_weight(m) != w:
-                return None
-        return w
+        w = self.table.weights
+        found = {sum(e * w[i] for i, e in mono_pairs(m)) for m in self._terms}
+        return found.pop() if len(found) == 1 else None
 
     # -- ring/table moves ------------------------------------------------------
     def lift(self, table: VariableTable) -> "Polynomial":
@@ -760,10 +754,12 @@ def from_text(text: str, ring: CoefficientRing, table: VariableTable) -> Polynom
     for part in text.split(" + "):
         factors = part.strip().split("*")
         coef_text = factors[0].strip()
-        if ring.kind == "QQ":
-            c = Fraction(coef_text)
-        else:
-            c = int(coef_text)
+        try:
+            c = ring.normalize(Fraction(coef_text) if ring.kind == "QQ" else int(coef_text))
+        except (ValueError, ZeroDivisionError):
+            raise StructuralError(
+                f"coefficient {coef_text!r} of term {part.strip()!r} is not a number of {ring!r}"
+            ) from None
         e = [0] * n
         for fac in factors[1:]:
             name, sep, exp = fac.strip().partition("^")
@@ -775,7 +771,6 @@ def from_text(text: str, ring: CoefficientRing, table: VariableTable) -> Polynom
                 raise StructuralError(f"exponent must be an integer >= 0, got {fac.strip()!r}")
             e[table.index(name)] += k
         m = _pack(e)
-        c = ring.normalize(c)
         if m in terms:
             c = ring.add(terms[m], c)
         if c == 0:

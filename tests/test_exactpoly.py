@@ -1,6 +1,7 @@
 """Polynomial kernel: arithmetic, substitution, evaluation, grading,
 orders, and text round-trips."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -253,6 +254,14 @@ def test_invalid_exponents_are_rejected(exps):
 def test_from_text_rejects_invalid_exponents(text):
     with pytest.raises(StructuralError, match="exponent"):
         from_text(text, QQ, T2)
+
+
+@pytest.mark.parametrize("text, ring", [("x", QQ), ("2/0*x", QQ), ("1/2*x", ZZ), ("1/2*x", GF(7)),
+                                        ("1*x + y*x", QQ)])
+def test_from_text_rejects_invalid_coefficients(text, ring):
+    bad_term = text.split(" + ")[-1]
+    with pytest.raises(StructuralError, match=re.escape(f"of term {bad_term!r}")):
+        from_text(text, ring, T2)
 
 
 def test_exponents_up_to_the_cap_are_kept():
