@@ -158,7 +158,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
@@ -569,24 +569,14 @@ class GroebnerBasis:
     basis: tuple[Polynomial, ...]
     order: MonomialOrder
     source: IdealSpec
-    _packed: tuple = field(default=None, repr=False, compare=False)  # (engine, records)
-
-    def _prepared(self, degree: int) -> tuple[_Engine, list]:
-        """Engine and basis records with room for degree ``degree``."""
-        packed = self._packed
-        if packed is None or packed[0].packer.room < degree:
-            eng, lifted = _engine_for(self.basis, self.order, degree)
-            packed = (eng, eng.records([g] for g in lifted))
-            self._packed = packed
-        return packed
 
     def normal_form(self, f: Polynomial, budget: Budget = DEFAULT_BUDGET) -> Polynomial:
         """Fully reduced remainder; exact over the basis field."""
         if not self.basis:
             return f
         f = _match_field(f, self.basis[0].ring)
-        eng, records = self._prepared(max(budget.max_degree, _max_degree([f])))
-        rem, k = eng.divide([f], records, budget.fresh_counter())
+        eng, lifted = _engine_for(self.basis, self.order, max(budget.max_degree, _max_degree([f])))
+        rem, k = eng.divide([f], eng.records([g] for g in lifted), budget.fresh_counter())
         return eng.to_vector(rem, f.table, divisor=k)[0]
 
     def verify(self, budget: Budget = DEFAULT_BUDGET) -> bool:
@@ -600,7 +590,8 @@ class GroebnerBasis:
         counter = budget.fresh_counter()
 
         def run(degree: int) -> bool:
-            eng, records = self._prepared(degree)
+            eng, lifted = _engine_for(self.basis, self.order, degree)
+            records = eng.records([g] for g in lifted)
             if _buchberger(eng, [rec[2] for rec in records], counter, check=True) is None:
                 return False
             return not any(eng.divide([g], records, counter)[0] for g in gens)
@@ -618,13 +609,12 @@ def _match_field(f: Polynomial, ring: CoefficientRing) -> Polynomial:
 
 def buchberger(spec: IdealSpec, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal presented by ``spec`` (ZZ
-    lifted to QQ), certified by ``_ideal_basis``; it keeps that engine
-    and its records for later normal forms."""
+    lifted to QQ), certified by ``_ideal_basis``."""
     if not spec.generators:
         return GroebnerBasis((), spec.order, spec)
     eng, records, _ = _ideal_basis(spec.generators, spec.order, budget)
     basis = tuple(eng.to_vector(rec[2], spec.table)[0] for rec in records)
-    return GroebnerBasis(basis, spec.order, spec, (eng, records))
+    return GroebnerBasis(basis, spec.order, spec)
 
 
 def _ideal_basis(gens, order: MonomialOrder, budget: Budget, degree_bound=None, degree: int = 0) -> tuple:

@@ -23,6 +23,8 @@ KEPT_PUBLIC = {
     "rref": "reference elimination the reduce_system test compares against",
     "from_text": "inverse of to_text; the text round-trip tests use it",
     "Polynomial.total_degree": "degree query the tests use as API",
+    "Polynomial.terms": "the terms keyed by exponent tuples, the tests' way to read a polynomial",
+    "GroebnerBasis.verify": "the tests' re-check of a basis: S-pairs and source generators reduce to 0",
     "Mat2.scalar": "scalar matrix the Cayley-Hamilton tests build",
     "FreeComplex.twists": "twist bookkeeping the complex tests read",
     "subcomplex": "the README documents subcomplexes of a free complex",
@@ -45,7 +47,9 @@ def _referenced_names(tree) -> tuple[set, set]:
     """Every identifier the module reads: plain names, attribute names,
     names it imports, and names inside string constants, dotted ones
     such as "Polynomial.evaluate" part by part.  Also, apart, the names
-    that can name a method: the attribute names and those in strings."""
+    that can name a method: the attribute names and the parts of dotted
+    strings, the form the tracer names a method by.  An undotted string
+    such as prog="verify" names no method."""
     names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -57,7 +61,7 @@ def _referenced_names(tree) -> tuple[set, set]:
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             parts = node.value.split(".")
             if all(part.isidentifier() for part in parts):
-                attributes.update(parts)
+                (attributes if len(parts) > 1 else names).update(parts)
     return names | attributes, attributes
 
 
