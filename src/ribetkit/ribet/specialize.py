@@ -289,7 +289,7 @@ def _assemble_matrices(inst: SpecializedInstance):
 
     place = {"P": inst.z_val, "IV": lambda g: 0, "V": inst.nu}
     E, Ep, D = auxiliary_matrices(inst.shape, 0, 1, {
-        "P": inst.alpha.__getitem__,
+        "P": lambda g: inst.alpha[g],
         "I": lambda k: inst.eps[k - 1],
         "II": lambda i, j: inst.delta[(i, j)],
         "place": lambda kind, g: place[kind](g),
