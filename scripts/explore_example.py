@@ -7,7 +7,7 @@ form of the difference modulo the eight coefficient relations.
 """
 
 from ribetkit.exactpoly import to_text
-from ribetkit.groebner import buchberger, normal_form
+from ribetkit.groebner import buchberger
 from ribetkit.ribet.formal import build_ideals, build_matrices, example_r2_target
 from ribetkit.ribet.shapes import shape_r2_two_type2
 
@@ -38,8 +38,7 @@ def main():
     for g in ideals.J.generators:
         print("   ", to_text(g))
 
-    gb = buchberger(ideals.J)
-    nf = normal_form(e - target, gb)
+    nf = buchberger(ideals.J).normal_form(e - target)
     print("\nnormal form of (e - closed form) modulo the relations:", to_text(nf))
     print("identity verified" if nf.is_zero() else "IDENTITY FAILED")
 

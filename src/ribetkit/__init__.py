@@ -3,7 +3,7 @@ complex identities for 2x2 representations.
 
 Subpackages and modules:
 
-- ``exactpoly``   sparse exact polynomials, monomial orders, weights
+- ``exactpoly``   sparse exact polynomials, the degrevlex order, weights
 - ``groebner``    Buchberger engine, normal forms, quotients, syzygies
 - ``genmat``      2x2 generic matrices, words, trace/det congruences
 - ``borel``       lower-triangular substitution action and invariance

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import StructuralError
 from .exactpoly import Polynomial, VariableTable
-from .groebner import Budget, DEFAULT_BUDGET, IdealSpec, buchberger, in_ideal, normal_form
+from .groebner import Budget, DEFAULT_BUDGET, IdealSpec, buchberger, in_ideal
 
 
 def _tau_images(a, b, c, d, x) -> tuple[Polynomial, ...]:
@@ -156,10 +156,10 @@ def invariant_mod(
         lifted = [g.lift(act.table) for g in ideal.generators]
         if not lifted:
             return False
-        if not in_ideal(diff, IdealSpec(lifted, ideal.order), budget):
+        if not in_ideal(diff, IdealSpec(lifted), budget):
             return False
     if ideal.generators:
-        nf = normal_form(f, buchberger(ideal, budget), budget)
+        nf = buchberger(ideal, budget).normal_form(f, budget)
     else:
         nf = f
     return nf.torus_weight() == 0

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import StructuralError
-from ..exactpoly import DEGREVLEX, GF, CoefficientRing, Polynomial, VariableTable
+from ..exactpoly import GF, CoefficientRing, Polynomial, VariableTable
 from ..groebner import (
     Budget,
     DEFAULT_BUDGET,
@@ -133,10 +133,10 @@ def symbolic_h1(C: FreeComplex, budget: Budget = DEFAULT_BUDGET) -> H1Report:
     exactly when every syzygy is zero."""
     if C.top_degree < 1 or C.diffs[1] is None:
         return H1Report([], True)
-    syz = syzygies(C.diffs[1], DEGREVLEX, budget)
+    syz = syzygies(C.diffs[1], budget)
     d2 = C.diffs[2] if C.top_degree >= 2 else None
     columns = [d2.column(j) for j in range(d2.cols)] if d2 is not None else []
-    return H1Report(syz, _module_contains_all(syz, columns, DEGREVLEX, budget))
+    return H1Report(syz, _module_contains_all(syz, columns, budget))
 
 
 def subcomplex(C: FreeComplex, keep: Callable[[object], bool]) -> FreeComplex:

@@ -23,6 +23,10 @@ given with a negative or non-integer exponent or a total degree above
 tests: the same terms keyed by dense exponent tuples, one entry per
 table variable, in the same order, built on each read and not kept.
 
+The monomial order is degrevlex, the one order the package uses;
+``sorted_terms``, ``leading_term`` and ``to_text`` sort by its key on
+packed monomials, ``_degrevlex``.
+
 The zero polynomial is the empty term map; equal polynomials have
 identical term maps, so ``==`` is canonical-form comparison.  Values are
 immutable after construction and safe to share between threads.
@@ -314,6 +318,14 @@ def mono_from_fields(x: int, stride: int) -> int:
     return m
 
 
+def _degrevlex(m: int) -> tuple[int, int]:
+    """The degrevlex key of a packed monomial, larger keys for larger
+    monomials: the total degree, then, the degree tied, the smaller int,
+    which has the smaller exponent in the last variable where the two
+    differ."""
+    return (m & DEGREE_MASK, -m)
+
+
 def _accumulate(out: dict, terms: dict, p) -> dict:
     """Add the packed ``terms`` into ``out`` in place, over GF(p) when p,
     and return it: CoefficientRing.add, inlined (the per-term calls were
@@ -330,70 +342,6 @@ def _accumulate(out: dict, terms: dict, p) -> dict:
         else:
             out.pop(m, None)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Monomial orders.  Each order exposes key(mono) -> sortable; larger keys
-# mean larger monomials.  1 is minimal and keys are multiplication
-# compatible for all orders defined here.
-#
-# Each order is also a matrix order: weight_rows(n) gives rows of 0/1
-# per-variable weights such that comparing the rows' dot
-# products with two exponent vectors, first row first, orders them
-# exactly as key does.  The Groebner engine packs these dot products
-# into one int per monomial.
-
-class MonomialOrder:
-    name = "abstract"
-
-    def key(self, m: Mono):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def weight_rows(self, n: int) -> list[tuple[int, ...]]:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def packed_key(self, n: int):
-        """A key on packed monomials over n variables that orders them
-        as ``key`` orders their exponent tuples."""
-        return lambda m: self.key(_unpack(m, n))
-
-    def __repr__(self):
-        return f"<order {self.name}>"
-
-
-class Lex(MonomialOrder):
-    name = "lex"
-
-    def key(self, m: Mono):
-        return m
-
-    def weight_rows(self, n: int) -> list[tuple[int, ...]]:
-        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
-
-
-class DegRevLex(MonomialOrder):
-    name = "degrevlex"
-
-    def key(self, m: Mono):
-        return (sum(m), tuple(-e for e in reversed(m)))
-
-    def weight_rows(self, n: int) -> list[tuple[int, ...]]:
-        """Total degree, then the partial sums x1..x(k), k = n-1..1.
-
-        With the degree tied, a larger partial sum up to x(k) means a
-        smaller x(k+1), which is the reverse-lexicographic tie-break of
-        ``(d, tuple(-e for e in reversed(m)))``.
-        """
-        return [(1,) * k + (0,) * (n - k) for k in range(n, 0, -1)]
-
-    def packed_key(self, n: int):
-        # With the degree tied, the larger int has the larger exponent in
-        # the last variable where the two differ, so it is the smaller.
-        return lambda m: (m & DEGREE_MASK, -m)
-
-
-LEX = Lex()
-DEGREVLEX = DegRevLex()
 
 
 # ---------------------------------------------------------------------------
@@ -586,17 +534,17 @@ class Polynomial:
         return p
 
     # -- term access -------------------------------------------------------
-    def sorted_terms(self, order: MonomialOrder = DEGREVLEX) -> list[tuple[Mono, object]]:
-        """Terms sorted descending by the given order."""
+    def sorted_terms(self) -> list[tuple[Mono, object]]:
+        """Terms sorted descending by degrevlex."""
         n, terms = len(self.table), self._terms
-        return [(_unpack(m, n), terms[m]) for m in sorted(terms, key=order.packed_key(n), reverse=True)]
+        return [(_unpack(m, n), terms[m]) for m in sorted(terms, key=_degrevlex, reverse=True)]
 
-    def leading_term(self, order: MonomialOrder = DEGREVLEX) -> tuple[Mono, object]:
+    def leading_term(self) -> tuple[Mono, object]:
+        """The degrevlex-largest term."""
         if not self._terms:
             raise StructuralError("zero polynomial has no leading term")
-        n = len(self.table)
-        m = max(self._terms, key=order.packed_key(n))
-        return _unpack(m, n), self._terms[m]
+        m = max(self._terms, key=_degrevlex)
+        return _unpack(m, len(self.table)), self._terms[m]
 
     # -- substitution / evaluation ------------------------------------------
     def substitute(self, mapping: Mapping[int, "Polynomial"]) -> "Polynomial":
@@ -723,17 +671,17 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# Text serialization.  Deterministic: terms in descending order of the
-# active monomial order, each term "coef*name^e*...", joined by " + ".
+# Text serialization.  Deterministic: terms in descending degrevlex
+# order, each term "coef*name^e*...", joined by " + ".
 # Negative coefficients keep their sign on the coefficient, which makes
 # round-tripping trivial and bit-exact.
 
-def to_text(f: Polynomial, order: MonomialOrder = DEGREVLEX) -> str:
+def to_text(f: Polynomial) -> str:
     if not f:
         return "0"
     parts = []
     names = f.table.names
-    for m, c in f.sorted_terms(order):
+    for m, c in f.sorted_terms():
         factors = [str(c)]
         for i, e in enumerate(m):
             if e == 1:

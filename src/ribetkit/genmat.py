@@ -24,7 +24,7 @@ from itertools import combinations, product
 from typing import Sequence
 
 from .errors import StructuralError
-from .exactpoly import DEGREVLEX, QQ, CoefficientRing, Polynomial, VariableTable
+from .exactpoly import QQ, CoefficientRing, Polynomial, VariableTable
 from .groebner import Budget, DEFAULT_BUDGET, IdealSpec, in_ideal
 
 
@@ -258,7 +258,7 @@ def trace_congruence_question(
     order of the generators follows the word.
     """
     target, terms = _trace_terms(w, r, model)
-    return target, IdealSpec([g for _q, g in terms], DEGREVLEX)
+    return target, IdealSpec([g for _q, g in terms])
 
 
 def trace_congruence_check(w: Word, r: int, model: GenericModel | None = None) -> bool:
@@ -311,4 +311,4 @@ def det_congruence_check(
         for letters in product(alphabet, repeat=length):
             gens.append(model.trace_defect(letters))
             gens.append(model.det_defect(letters))
-    return in_ideal(target, IdealSpec(gens, DEGREVLEX), budget)
+    return in_ideal(target, IdealSpec(gens), budget)

@@ -25,8 +25,10 @@ significant to least:
 
     [C - c][c][order rows][exponents, one guard bit each][total degree]
 
-The order rows are the dot products of the exponent vector with
-``order.weight_rows(n)``.  Every field is linear in the exponents, so
+The monomial order is degrevlex, and its rows are the total degree, then
+the partial sums x1 + .. + xk for k = n - 1 down to 1: with the degree
+tied, a larger sum up to xk means a smaller x(k+1), the reverse
+lexicographic tie-break.  Every field is linear in the exponents, so
 the product of two monomials is ``a + b``, the monomial order is ``<``
 on ints, ``a | b`` iff ``((b | G) - a) & G == G`` (G the guard bits),
 and the degree-cap check reads the bottom field.  Linearity also gives
@@ -38,10 +40,11 @@ e > e_new[v]: bit for bit the packed exponent-wise max, from a few terms
 instead of one per variable.  The field width comes
 from ``Budget.max_degree`` and the largest input degree: the value bits
 hold every field of a monomial the engine keeps, so the sum of two never
-carries into a neighbouring field.  The one product whose degree no cap
-bounds, an S-polynomial term of an order that is not degree-compatible,
-is checked, and the computation restarts with wider fields if it would
-not fit.
+carries into a neighbouring field.  Two degrees that no cap bounds are
+checked, and the computation restarts with wider fields if one would
+not fit: a signature of the signature loop, and an S-polynomial term
+from the tail of a module element, which under position over term can
+outweigh its lead.
 
 Polynomials enter the engine only through ``_Engine.pack``, which packs
 a module element or a scalar passed as ``[f]`` and over QQ scales it to
@@ -113,7 +116,7 @@ A result that is singular top-reducible, whose lead is a multiple of an
 element's of the phase by the same monomial as its signature, adds
 nothing and is dropped; with the rewrite order above this is sound.
 With "latest element first" it is not: J(sigma-v0-type3) then ends with
-107 elements that are no Groebner basis, against the 102 of its
+85 elements that are no Groebner basis, against the 102 of its
 reduced basis.  When a phase ends, every element whose lead another's
 divides is dropped, and the rest, untouched, start the next phase:
 tail-reducing them (F5C) cost more than it saved on the larger d-bases.
@@ -162,18 +165,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import BudgetExceeded, StructuralError
 from .exactpoly import (
     DEGREE_MASK,
-    DEGREVLEX,
     NEG_INF,
     QQ,
     CoefficientRing,
     Mono,
-    MonomialOrder,
     Polynomial,
     mono_from_fields,
     mono_pairs,
@@ -222,12 +223,11 @@ DEFAULT_BUDGET = Budget()
 
 @dataclass(frozen=True)
 class IdealSpec:
-    """Generator list plus the monomial order used to present the ideal."""
+    """The generator list of an ideal; its nonzero generators, in order."""
 
     generators: tuple[Polynomial, ...]
-    order: MonomialOrder = DEGREVLEX
 
-    def __init__(self, generators: Sequence[Polynomial], order: MonomialOrder = DEGREVLEX):
+    def __init__(self, generators: Sequence[Polynomial]):
         gens = tuple(g for g in generators if not g.is_zero())
         if gens:
             ring, table = gens[0].ring, gens[0].table
@@ -235,7 +235,6 @@ class IdealSpec:
                 if g.ring != ring or g.table != table:
                     raise StructuralError("ideal generators must share ring and table")
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "order", order)
 
     @property
     def ring(self):
@@ -258,7 +257,7 @@ class _FieldOverflow(Exception):
 
 
 class _Packer:
-    """One int per monomial for a fixed order, variable count and degree.
+    """One int per monomial for a fixed variable count and degree.
 
     Fields are ``bits`` value bits plus one guard bit wide.  ``room`` is
     the largest total degree whose every field fits in the value bits;
@@ -267,18 +266,19 @@ class _Packer:
     component c; everything from bit ``top`` up is the component.
     """
 
-    def __init__(self, order: MonomialOrder, nvars: int, degree: int, components: int = 0):
-        rows = order.weight_rows(nvars)
-        # Every weight is 0 or 1, so a row's dot product is at most the degree.
+    def __init__(self, nvars: int, degree: int, components: int = 0):
+        # A row is a sum of exponents, so it is at most the degree.
         self.bits = max(1, degree.bit_length(), components.bit_length())
         self.room = (1 << self.bits) - 1
         stride = self.bits + 1
         self.deg_mask = (1 << stride) - 1
         self.shifts = [stride * (1 + i) for i in range(nvars)]
-        top = self.top = stride * (1 + nvars + len(rows))
+        # The degrevlex rows, from the top: the total degree, then the
+        # partial sums x1..x(k), k = n-1..1, so the variable of index i
+        # counts in the top n - i rows.
+        top = self.top = stride * (1 + 2 * nvars)
         self.units = [
-            1 + (1 << self.shifts[i])
-            + sum(row[i] << (top - stride * (r + 1)) for r, row in enumerate(rows))
+            1 + (1 << self.shifts[i]) + sum(1 << (top - stride * r) for r in range(1, nvars - i + 1))
             for i in range(nvars)
         ]
         # Component c of a rank-C module: the fields (C - c) and c.  A
@@ -288,9 +288,6 @@ class _Packer:
         self.guard = sum(1 << (s + self.bits) for s in guarded)
         self.monomial_mask = (1 << (stride * (nvars + 1))) - 1  # the degree and exponent fields
 
-    def pack(self, m: Iterable[int]) -> int:
-        return sum(map(mul, m, self.units))
-
     def unpack(self, x: int) -> Mono:
         mask = self.deg_mask
         return tuple((x >> s) & mask for s in self.shifts)
@@ -299,9 +296,9 @@ class _Packer:
         """The packed lcm of the packed monomial ``x``, whose exponent
         tuple is ``exps``, and the monomial of ``x``'s component whose
         nonzero exponents are the (variable, exponent) pairs ``support``.
-        Packing is linear, so this is ``pack(map(max, exps, e))`` plus the
-        component, from the few variables where the other monomial is
-        larger."""
+        Packing is linear, so this is the packed exponent-wise max plus
+        the component, from the few variables where the other monomial
+        is larger."""
         units = self.units
         for v, e in support:
             if e > exps[v]:
@@ -353,12 +350,10 @@ class _Engine:
     """Coefficient core (ZZ pseudo-arithmetic, or GF(p) when p != 0) over
     packed monomials."""
 
-    def __init__(
-        self, ring: CoefficientRing, order: MonomialOrder, nvars: int, degree: int, components: int = 0
-    ):
+    def __init__(self, ring: CoefficientRing, nvars: int, degree: int, components: int = 0):
         self.ring = ring
         self.p = ring.p if ring.kind == "GF" else 0
-        self.packer = _Packer(order, nvars, degree, components)
+        self.packer = _Packer(nvars, degree, components)
 
     def pack(self, v: Sequence[Polynomial]) -> tuple[dict, int]:
         """The packed term dict of the module element with v[c] in
@@ -544,13 +539,11 @@ def _lift(gens: Sequence[Polynomial]) -> list[Polynomial]:
     return lifted
 
 
-def _engine_for(
-    gens: Sequence[Polynomial], order: MonomialOrder, degree: int, components: int = 0
-) -> tuple[_Engine, list[Polynomial]]:
+def _engine_for(gens: Sequence[Polynomial], degree: int, components: int = 0) -> tuple[_Engine, list[Polynomial]]:
     """Engine whose packed fields hold degree ``degree`` and every input term."""
     lifted = _lift(gens)
     degree = max(degree, _max_degree(lifted))
-    return _Engine(lifted[0].ring, order, len(lifted[0].table), degree, components), lifted
+    return _Engine(lifted[0].ring, len(lifted[0].table), degree, components), lifted
 
 
 def _widening(degree: int, run):
@@ -567,17 +560,12 @@ class GroebnerBasis:
     """Reduced Groebner basis (monic over field coefficients)."""
 
     basis: tuple[Polynomial, ...]
-    order: MonomialOrder
     source: IdealSpec
 
     def normal_form(self, f: Polynomial, budget: Budget = DEFAULT_BUDGET) -> Polynomial:
-        """Fully reduced remainder; exact over the basis field."""
-        if not self.basis:
-            return f
-        f = _match_field(f, self.basis[0].ring)
-        eng, lifted = _engine_for(self.basis, self.order, max(budget.max_degree, _max_degree([f])))
-        rem, k = eng.divide([f], eng.records([g] for g in lifted), budget.fresh_counter())
-        return eng.to_vector(rem, f.table, divisor=k)[0]
+        """Fully reduced remainder, exact over the basis field; zero iff f
+        lies in the ideal."""
+        return reduce_by(f, self.basis, budget)
 
     def verify(self, budget: Budget = DEFAULT_BUDGET) -> bool:
         """Re-check the defining invariants: every S-pair that the product
@@ -590,7 +578,7 @@ class GroebnerBasis:
         counter = budget.fresh_counter()
 
         def run(degree: int) -> bool:
-            eng, lifted = _engine_for(self.basis, self.order, degree)
+            eng, lifted = _engine_for(self.basis, degree)
             records = eng.records([g] for g in lifted)
             if _buchberger(eng, [rec[2] for rec in records], counter, check=True) is None:
                 return False
@@ -611,13 +599,13 @@ def buchberger(spec: IdealSpec, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasi
     """Reduced Groebner basis of the ideal presented by ``spec`` (ZZ
     lifted to QQ), certified by ``_ideal_basis``."""
     if not spec.generators:
-        return GroebnerBasis((), spec.order, spec)
-    eng, records, _ = _ideal_basis(spec.generators, spec.order, budget)
+        return GroebnerBasis((), spec)
+    eng, records, _ = _ideal_basis(spec.generators, budget)
     basis = tuple(eng.to_vector(rec[2], spec.table)[0] for rec in records)
-    return GroebnerBasis(basis, spec.order, spec)
+    return GroebnerBasis(basis, spec)
 
 
-def _ideal_basis(gens, order: MonomialOrder, budget: Budget, degree_bound=None, degree: int = 0) -> tuple:
+def _ideal_basis(gens, budget: Budget, degree_bound=None, degree: int = 0) -> tuple:
     """(engine, records, counter) of a basis of the ideal of ``gens``,
     with room for degree ``degree``: the signature loop's d-basis under
     ``degree_bound`` d, else the reduced basis, largest lead first,
@@ -626,7 +614,7 @@ def _ideal_basis(gens, order: MonomialOrder, budget: Budget, degree_bound=None, 
     counter = budget.fresh_counter()
 
     def run(room: int):
-        eng, lifted = _engine_for(gens, order, max(room, degree))
+        eng, lifted = _engine_for(gens, max(room, degree))
         inputs = [eng.pack([g])[0] for g in lifted]
         records = _signature_basis(eng, inputs, counter, degree_bound)
         if degree_bound is None:
@@ -906,17 +894,7 @@ def _reduced_basis(eng: _Engine, G: list[tuple], counter: _Counter) -> list[tupl
     return reduced[::-1]
 
 
-def normal_form(f: Polynomial, gb: GroebnerBasis, budget: Budget = DEFAULT_BUDGET) -> Polynomial:
-    """Fully reduced remainder; zero iff f lies in the ideal."""
-    return gb.normal_form(f, budget)
-
-
-def reduce_by(
-    f: Polynomial,
-    gens: Sequence[Polynomial],
-    order: MonomialOrder = DEGREVLEX,
-    budget: Budget = DEFAULT_BUDGET,
-) -> Polynomial:
+def reduce_by(f: Polynomial, gens: Sequence[Polynomial], budget: Budget = DEFAULT_BUDGET) -> Polynomial:
     """Exact division remainder by a raw generator list (not necessarily a
     Groebner basis).  A zero remainder certifies ideal membership; a
     nonzero remainder proves nothing."""
@@ -925,7 +903,7 @@ def reduce_by(
         return f
     lifted = _lift(gens)
     f = _match_field(f, lifted[0].ring)
-    eng, lifted = _engine_for(lifted, order, max(budget.max_degree, _max_degree([f])))
+    eng, lifted = _engine_for(lifted, max(budget.max_degree, _max_degree([f])))
     rem, k = eng.divide([f], eng.records([g] for g in lifted), budget.fresh_counter())
     return eng.to_vector(rem, f.table, divisor=k)[0]
 
@@ -954,7 +932,7 @@ def _ideal_contains_all(spec: IdealSpec, targets: Sequence[Polynomial], budget: 
     targets = [_match_field(f, lifted[0].ring) for f in targets]
     d = _max_degree(targets)
     homogeneous = all(_is_homogeneous(g) for g in (*targets, *lifted))
-    eng, records, counter = _ideal_basis(lifted, spec.order, budget, d if homogeneous else None, d)
+    eng, records, counter = _ideal_basis(lifted, budget, d if homogeneous else None, d)
     return all(not eng.reduce(eng.pack([f])[0], records, counter)[0] for f in targets)
 
 
@@ -1045,7 +1023,7 @@ class FreeModuleMatrix:
         return all(e.is_zero() for row in self.entries for e in row)
 
 
-def _module_basis(vectors, order: MonomialOrder, budget: Budget, rank: int, degree: int = 0) -> tuple:
+def _module_basis(vectors, budget: Budget, rank: int, degree: int = 0) -> tuple:
     """(engine, records, counter) of a Groebner basis of the submodule of
     a rank-``rank`` free module that ``vectors`` generate, with room for
     degree ``degree``: ``_buchberger``'s records, each new one fully
@@ -1053,37 +1031,30 @@ def _module_basis(vectors, order: MonomialOrder, budget: Budget, rank: int, degr
     counter = budget.fresh_counter()
 
     def run(room: int):
-        eng, flat = _engine_for([e for v in vectors for e in v], order, max(room, degree), rank)
+        eng, flat = _engine_for([e for v in vectors for e in v], max(room, degree), rank)
         inputs = [eng.pack(flat[i : i + rank])[0] for i in range(0, len(flat), rank)]
         return eng, _buchberger(eng, inputs, counter, head_only=False), counter
 
     return _widening(budget.max_degree, run)
 
 
-def module_gb(
-    columns: list[list[Polynomial]],
-    order: MonomialOrder = DEGREVLEX,
-    budget: Budget = DEFAULT_BUDGET,
-) -> list[list[Polynomial]]:
+def module_gb(columns: list[list[Polynomial]], budget: Budget = DEFAULT_BUDGET) -> list[list[Polynomial]]:
     """Groebner basis of the submodule of R^m generated by the columns, as
     vectors over the coefficient field (not interreduced)."""
     rank = len(columns[0])
-    eng, records, _ = _module_basis(columns, order, budget, rank)
+    eng, records, _ = _module_basis(columns, budget, rank)
     return [eng.to_vector(rec[2], columns[0][0].table, 0, rank) for rec in records]
 
 
 def module_contains(
-    v: list[Polynomial],
-    gb_vectors: list[list[Polynomial]],
-    order: MonomialOrder = DEGREVLEX,
-    budget: Budget = DEFAULT_BUDGET,
+    v: list[Polynomial], gb_vectors: list[list[Polynomial]], budget: Budget = DEFAULT_BUDGET
 ) -> bool:
     """Membership of ``v`` in the submodule that the vectors
     ``gb_vectors`` generate; they need not be a Groebner basis."""
-    return _module_contains_all([v], gb_vectors, order, budget)
+    return _module_contains_all([v], gb_vectors, budget)
 
 
-def _module_contains_all(vs, generators, order: MonomialOrder, budget: Budget) -> bool:
+def _module_contains_all(vs, generators, budget: Budget) -> bool:
     """Whether every vector of ``vs`` lies in the submodule generated by
     ``generators``, each reduced in the engine and under the counter of
     one ``_module_basis`` with room for the largest entry degree of
@@ -1092,15 +1063,11 @@ def _module_contains_all(vs, generators, order: MonomialOrder, budget: Budget) -
     if not vs or not generators:
         return not vs
     d = _max_degree([e for v in vs for e in v])
-    eng, records, counter = _module_basis(generators, order, budget, len(vs[0]), d)
+    eng, records, counter = _module_basis(generators, budget, len(vs[0]), d)
     return all(not eng.divide([_match_field(e, eng.ring) for e in v], records, counter)[0] for v in vs)
 
 
-def syzygies(
-    M: FreeModuleMatrix,
-    order: MonomialOrder = DEGREVLEX,
-    budget: Budget = DEFAULT_BUDGET,
-) -> list[list[Polynomial]]:
+def syzygies(M: FreeModuleMatrix, budget: Budget = DEFAULT_BUDGET) -> list[list[Polynomial]]:
     """Generating set of {v : M v = 0}; every returned v satisfies
     M v = 0 exactly (asserted before returning)."""
     m, k = M.rows, M.cols
@@ -1112,7 +1079,7 @@ def syzygies(
     one, zero = Polynomial.one(ring, table), Polynomial.zero(ring, table)
     # Column j with the bookkeeping unit in component m + j.
     columns = [[*lifted.column(j), *(one if i == j else zero for i in range(k))] for j in range(k)]
-    eng, records, _ = _module_basis(columns, order, budget, m + k)
+    eng, records, _ = _module_basis(columns, budget, m + k)
     out = [eng.to_vector(rec[2], table, m, k) for rec in records if eng.packer.component(rec[0]) >= m]
     for v in out:
         for e in lifted.apply(v):
@@ -1129,8 +1096,8 @@ def ideal_quotient(spec: IdealSpec, f: Polynomial, budget: Budget = DEFAULT_BUDG
         ring = spec.ring if spec.generators else f.ring
         if not ring.is_field:
             ring = QQ
-        return IdealSpec([Polynomial.one(ring, table)], spec.order)
+        return IdealSpec([Polynomial.one(ring, table)])
     if not spec.generators:
-        return IdealSpec([], spec.order)
+        return IdealSpec([])
     row = _lift([f, *spec.generators])
-    return IdealSpec([v[0] for v in syzygies(FreeModuleMatrix([row]), spec.order, budget)], spec.order)
+    return IdealSpec([v[0] for v in syzygies(FreeModuleMatrix([row]), budget)])

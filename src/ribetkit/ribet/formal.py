@@ -39,7 +39,7 @@ from itertools import product as iproduct
 
 from ..borel import TauAction
 from ..errors import StructuralError
-from ..exactpoly import DEGREVLEX, QQ, CoefficientRing, Polynomial, VariableTable
+from ..exactpoly import QQ, CoefficientRing, Polynomial, VariableTable
 from ..genmat import Mat2
 from ..groebner import (
     Budget,
@@ -356,9 +356,9 @@ def _build_ideals(F: FormalRing) -> FormalIdeals:
         ir_gens.append(F.d(i))
     return FormalIdeals(
         F,
-        J=IdealSpec(j_gens, DEGREVLEX),
-        Jprime=IdealSpec(jp_gens, DEGREVLEX),
-        I_R=IdealSpec(ir_gens, DEGREVLEX),
+        J=IdealSpec(j_gens),
+        Jprime=IdealSpec(jp_gens),
+        I_R=IdealSpec(ir_gens),
         quadruples=quads,
     )
 
@@ -415,7 +415,7 @@ def check_example_r2(
     if omit_relation is not None:
         gens = [g for k, g in enumerate(gens) if k != omit_relation]
     target = mats.det_Eprime - mats.det_E - example_r2_target(F)
-    return in_ideal(target, IdealSpec(gens, DEGREVLEX), budget)
+    return in_ideal(target, IdealSpec(gens), budget)
 
 
 def check_e_tau_invariance(
@@ -442,7 +442,7 @@ def check_e_tau_invariance(
     diff = act.apply(det_ep) - det_ep.lift(act.table)
     if diff.is_zero():
         return True
-    return in_ideal(diff, IdealSpec([g.lift(act.table) for g in jp], DEGREVLEX), budget)
+    return in_ideal(diff, IdealSpec([g.lift(act.table) for g in jp]), budget)
 
 
 def quotient_presentation_images(ideals: FormalIdeals) -> list[Polynomial]:
@@ -495,7 +495,7 @@ def check_quotient_presentation(shape: RibetShape) -> bool:
 def _sign_canonical(p: Polynomial) -> Polynomial:
     if p.is_zero():
         return p
-    _, c = p.leading_term(DEGREVLEX)
+    _, c = p.leading_term()
     if p.ring.kind != "GF" and c < 0:
         return -p
     return p

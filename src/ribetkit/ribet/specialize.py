@@ -102,19 +102,18 @@ class SpecializedInstance:
 
     def x_val(self, g: int) -> int:
         """xi_v(g) - psi(g) for a place-dedicated generator."""
-        v = self._place_of(g)
-        return (self.places[v].xi[g] - self.psi[g]) % self.p
+        return (self._xi(g) - self.psi[g]) % self.p
 
     def z_val(self, g: int) -> int:
         """xi_v(g) - chi(g)."""
-        v = self._place_of(g)
-        return (self.places[v].xi[g] - self.chi[g]) % self.p
+        return (self._xi(g) - self.chi[g]) % self.p
 
-    def _place_of(self, g: int) -> str:
-        shape = self.shape
-        for v in shape.p_places + shape.sigma_places:
-            if g in shape.b_set(v):
-                return v
+    def _xi(self, g: int) -> int:
+        """xi_v(g) for the place v that g is attached to: the one place
+        whose ``xi`` has g as a key."""
+        for data in self.places.values():
+            if g in data.xi:
+                return data.xi[g]
         raise StructuralError(f"generator {g} is not attached to a place")
 
     # -- word evaluation ------------------------------------------------

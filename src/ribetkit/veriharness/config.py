@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field
 
 from ..errors import StructuralError
-from ..exactpoly import _is_prime
+from ..exactpoly import GF
 from ..groebner import Budget
 from ..ribet.shapes import RibetShape, _int
 
@@ -66,8 +66,7 @@ class SuiteConfig:
     suites: dict[str, "SuiteConfig"] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not _is_prime(self.prime):
-            raise StructuralError(f"{self.prime} is not prime")
+        GF(self.prime)  # the bound p < 2**31 first, so a large prime cannot stall the trial division
         for path in self.shape_paths:
             if not os.path.exists(path):
                 raise StructuralError(f"shape file {path!r} does not exist")

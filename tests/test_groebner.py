@@ -9,13 +9,12 @@ from hypothesis import assume, example, given, reject, settings, strategies as s
 import ribetkit.groebner as groebner
 from ribetkit.errors import BudgetExceeded, StructuralError
 from ribetkit.exactpoly import (
-    DEGREVLEX,
     GF,
-    LEX,
     QQ,
     ZZ,
     Polynomial,
     VariableTable,
+    _pack,
     mono_deg,
     mono_divides,
     mono_mul,
@@ -30,7 +29,6 @@ from ribetkit.groebner import (
     in_ideal,
     module_contains,
     module_gb,
-    normal_form,
     reduce_by,
     syzygies,
 )
@@ -50,19 +48,26 @@ from ribetkit.ribet import (
 TXY = VariableTable(["x", "y"])
 TXYZ = VariableTable(["x", "y", "z"])
 _X, _Y, _Z = (Polynomial.var(QQ, TXYZ, i) for i in range(3))
+_X7, _Y7, _Z7 = (Polynomial.var(GF(7), TXYZ, i) for i in range(3))
 
 
 def V(i, ring=QQ, table=TXY):
     return Polynomial.var(ring, table, i)
 
 
-def lead_monos(gb):
-    return sorted(g.leading_term(gb.order)[0] for g in gb.basis)
+def _degrevlex(m):
+    """Degrevlex on exponent tuples: larger keys for larger monomials."""
+    return (sum(m), tuple(-e for e in reversed(m)))
 
 
-def test_buchberger_lex_example():
+def _packed(packer, m):
+    """The engine int of the exponent tuple m, through exactpoly's key."""
+    return packer.from_key(_pack(m))
+
+
+def test_buchberger_example():
     x, y = V(0), V(1)
-    gb = buchberger(IdealSpec([x * x - 1, x * y - 1], LEX))
+    gb = buchberger(IdealSpec([x * x - 1, x * y - 1]))
     assert set(gb.basis) == {x - y, y * y - 1}
     assert gb.verify()
 
@@ -81,18 +86,18 @@ def test_already_a_basis():
 
 def test_normal_form_examples():
     x, y = V(0), V(1)
-    gb = buchberger(IdealSpec([x * x - 1, x * y - 1], LEX))
-    assert normal_form(x * x, gb) == Polynomial.one(QQ, TXY)
-    assert normal_form(Polynomial.zero(QQ, TXY), gb).is_zero()
-    assert normal_form((x - y) * (x + 5 * y * y), gb).is_zero()
+    gb = buchberger(IdealSpec([x * x - 1, x * y - 1]))
+    assert gb.normal_form(x * x) == Polynomial.one(QQ, TXY)
+    assert gb.normal_form(Polynomial.zero(QQ, TXY)).is_zero()
+    assert gb.normal_form((x - y) * (x + 5 * y * y)).is_zero()
 
 
 def test_normal_form_idempotent():
     x, y = V(0), V(1)
     gb = buchberger(IdealSpec([x * x + y, y * y - 2]))
     f = (x + y) ** 3 - 5 * x * y
-    nf = normal_form(f, gb)
-    assert normal_form(nf, gb) == nf
+    nf = gb.normal_form(f)
+    assert gb.normal_form(nf) == nf
 
 
 def test_zz_generators_lift_to_qq():
@@ -161,7 +166,7 @@ def test_a_basis_short_of_an_element_fails_its_certificate(monkeypatch):
         check_e_tau_invariance(shape_one_place_type4())
     x, y = V(0), V(1)
     with pytest.raises(StructuralError, match="internal error"):
-        in_ideal(y - 1, IdealSpec([x * x - 1, x * y - 1], LEX))
+        in_ideal(y - 1, IdealSpec([x * x - 1, x * y - 1]))
 
 
 def test_reduce_by_returns_the_exact_remainder():
@@ -176,7 +181,7 @@ def test_normal_form_of_fractions_is_exact():
     x, y = V(0), V(1)
     gb = buchberger(IdealSpec([x * x - Fraction(1, 3) * y]))
     f = Fraction(1, 2) * x**3 + Fraction(1, 5) * y
-    assert normal_form(f, gb) == Fraction(1, 6) * x * y + Fraction(1, 5) * y
+    assert gb.normal_form(f) == Fraction(1, 6) * x * y + Fraction(1, 5) * y
 
 
 def test_in_ideal_quick_path_and_gb_path():
@@ -213,10 +218,10 @@ def test_degree_cap_reports_timeout():
 def test_field_width_follows_the_degree_cap(cap):
     # The sum of two monomials of the largest degree the fields hold must
     # not carry into a neighbouring field.
-    packer = groebner._Packer(DEGREVLEX, 3, cap)
+    packer = groebner._Packer(3, cap)
     assert packer.room >= cap
     a = (packer.room, 0, 0)
-    product = packer.pack(a) + packer.pack(a)
+    product = 2 * _packed(packer, a)
     assert packer.unpack(product) == mono_mul(a, a)
     assert product & packer.deg_mask == 2 * packer.room
     assert (packer.bits > 8) == (cap > 255)
@@ -228,9 +233,9 @@ def test_large_degree_cap_reduces_exactly():
     gb = buchberger(IdealSpec([x**150 - y, y**2 - 2]), big)
     assert set(gb.basis) == {x**150 - y, y**2 - 2}
     # Exponents above 255 need fields wider than 8 bits.
-    assert normal_form(x**300 + x**151 * y, gb, big) == 2 * x + 2
+    assert gb.normal_form(x**300 + x**151 * y, big) == 2 * x + 2
     with pytest.raises(BudgetExceeded):
-        normal_form(x**300, gb)
+        gb.normal_form(x**300)
 
 
 def test_monomial_reducer_forms_no_product():
@@ -238,7 +243,7 @@ def test_monomial_reducer_forms_no_product():
     # forms no product for the cap to check.
     x, y = V(0), V(1)
     assert reduce_by(x**50, [x]).is_zero()
-    assert normal_form(x**50 * y, buchberger(IdealSpec([x]))).is_zero()
+    assert buchberger(IdealSpec([x])).normal_form(x**50 * y).is_zero()
 
 
 @pytest.fixture
@@ -272,30 +277,63 @@ def spoly_overflows(monkeypatch):
     return rooms
 
 
-def test_elimination_tail_above_the_lead_widens_the_fields(packer_rooms, spoly_overflows, monkeypatch):
-    # Under lex, which eliminates u, a tail can outweigh its leading
-    # monomial in total degree, and S-polynomial tails escape the degree
-    # cap: here one passes the room of the fields sized for max_degree=7,
-    # and the engine must restart with wider fields rather than carry.
-    # The step the discarded attempt spent stays on the run's one counter.
-    t = VariableTable(["u", "x", "y", "z"])
-    u, x, y, z = (Polynomial.var(QQ, t, i) for i in range(4))
-    spec = IdealSpec([-2 * x**2 * y**3 + z, x**3 * y * z + 2 * u * x**2 * z], LEX)
+@pytest.fixture
+def signature_overflows(monkeypatch):
+    """The room of every packer whose fields a signature loop overflowed."""
+    rooms = []
+    signature_loop = groebner._signature_basis
+
+    def recording(*args):
+        try:
+            return signature_loop(*args)
+        except groebner._FieldOverflow as exc:
+            rooms.append(exc.room)
+            raise
+
+    monkeypatch.setattr(groebner, "_signature_basis", recording)
+    return rooms
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(101)], ids=repr)
+def test_a_signature_above_the_room_widens_the_fields(
+    ring, packer_rooms, spoly_overflows, signature_overflows, monkeypatch
+):
+    # A signature t e_i has the degree of t, which no cap bounds: here one
+    # passes the room of the fields sized for max_degree=7, outside any
+    # S-polynomial, and the engine must restart with wider fields rather
+    # than carry.  The steps the discarded attempt spent stay on the run's
+    # one counter.
+    x, y, z = (Polynomial.var(ring, TXYZ, i) for i in range(3))
+    spec = IdealSpec([y**2 * z + 4 * x * z + 5, 5 * x**2 * z, 6 * y**3])
     counters = _recorded_counters(monkeypatch)
     gb = buchberger(spec, Budget(max_degree=7))
-    assert [c.steps for c in counters] == [7]
+    assert [c.steps for c in counters] == [109]
     assert packer_rooms[:2] == [7, 15]
-    assert spoly_overflows == [7]
-    assert gb.basis == buchberger(spec).basis
-    assert u * x**2 * z + Fraction(1, 2) * x**3 * y * z in gb.basis
+    assert (signature_overflows, spoly_overflows) == ([7], [])
+    assert gb.basis == buchberger(spec).basis == (Polynomial.one(ring, TXYZ),)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(101)], ids=repr)
+def test_a_module_tail_above_the_lead_widens_the_fields(ring, packer_rooms, spoly_overflows):
+    # Under position over term a module element's tail can outweigh its
+    # lead in total degree: the S-pair of (5x, 2xz) and (2xyz, 0) has lcm
+    # xyz e0 of degree 3, within the cap, but multiplies the tail xz e1 by
+    # yz, to degree 4, past the room of the fields sized for max_degree=3.
+    x, y, z = (Polynomial.var(ring, TXYZ, i) for i in range(3))
+    zero = Polynomial.zero(ring, TXYZ)
+    columns = [[5 * x, 2 * x * z], [2 * x * y * z, zero], [4 * z, zero]]
+    gb = module_gb(columns, budget=Budget(max_degree=3))
+    assert packer_rooms[:2] == [3, 7]
+    assert spoly_overflows == [3]
+    assert gb == module_gb(columns) and len(gb) == 4
 
 
 def test_gf_remainders_drop_terms_that_cancel_mod_p():
     # Over GF(p) coefficients are reduced when their term is popped; what
     # the loop returns, head-only or full, holds no multiple of p.
     p = 101
-    eng = groebner._Engine(GF(p), DEGREVLEX, 2, 40)
-    x2, xy, y2 = (eng.packer.pack(m) for m in ((2, 0), (1, 1), (0, 2)))
+    eng = groebner._Engine(GF(p), 2, 40)
+    x2, xy, y2 = (_packed(eng.packer, m) for m in ((2, 0), (1, 1), (0, 2)))
     reducers = [eng.record({y2: 1})]
     terms = {x2: 3, xy: p, y2: 2 * p + 5}
     counter = Budget().fresh_counter()
@@ -304,56 +342,50 @@ def test_gf_remainders_drop_terms_that_cancel_mod_p():
     assert counter.steps == 1
 
 
-_PACKED_ORDERS = {
-    "degrevlex": DEGREVLEX,
-    "lex": LEX,
-}
 _exps = st.tuples(*[st.integers(0, 20)] * 5)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(_PACKED_ORDERS)), _exps, _exps, _exps)
-def test_packed_monomials_agree_with_tuples(name, a, b, c):
-    order = _PACKED_ORDERS[name]
-    packer = groebner._Packer(order, 5, 200)
+@given(_exps, _exps, _exps)
+def test_packed_monomials_agree_with_tuples(a, b, c):
+    packer = groebner._Packer(5, 200)
     g = packer.guard
-    pa, pb = packer.pack(a), packer.pack(b)
-    assert (pa < pb) == (order.key(a) < order.key(b))
+    pa, pb = _packed(packer, a), _packed(packer, b)
+    assert (pa < pb) == (_degrevlex(a) < _degrevlex(b))
     assert (pa == pb) == (a == b)
     assert packer.unpack(pa + pb) == mono_mul(a, b)
     assert pa & packer.deg_mask == mono_deg(a)
     for divisor, m in ((a, b), (a, mono_mul(a, c))):
-        pm = packer.pack(m)
-        assert (((pm | g) - packer.pack(divisor)) & g == g) == mono_divides(divisor, m)
+        pm = _packed(packer, m)
+        assert (((pm | g) - _packed(packer, divisor)) & g == g) == mono_divides(divisor, m)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(_PACKED_ORDERS)), _exps, _exps, st.integers(0, 2), st.integers(0, 2))
-def test_packed_module_monomials_are_position_over_term(name, a, b, ca, cb):
+@given(_exps, _exps, st.integers(0, 2), st.integers(0, 2))
+def test_packed_module_monomials_are_position_over_term(a, b, ca, cb):
     # Component fields above the order rows: component 0 is largest,
     # divisibility forces equal components, and neither field adds to the
     # degree.
-    order = _PACKED_ORDERS[name]
-    packer = groebner._Packer(order, 5, 200, 3)
+    packer = groebner._Packer(5, 200, 3)
     g = packer.guard
-    pa, pb = packer.pack(a) + packer.components[ca], packer.pack(b) + packer.components[cb]
-    assert (pa < pb) == ((-ca, order.key(a)) < (-cb, order.key(b)))
+    pa, pb = _packed(packer, a) + packer.components[ca], _packed(packer, b) + packer.components[cb]
+    assert (pa < pb) == ((-ca, _degrevlex(a)) < (-cb, _degrevlex(b)))
     assert (packer.component(pa), packer.unpack(pa)) == (ca, a)
     assert pa & packer.deg_mask == mono_deg(a)
-    pm = packer.pack(mono_mul(a, b)) + packer.components[cb]
+    pm = _packed(packer, mono_mul(a, b)) + packer.components[cb]
     assert (((pm | g) - pa) & g == g) == (ca == cb)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(_PACKED_ORDERS)), _exps, _exps, st.sampled_from([0, 3]), st.integers(0, 2))
-def test_sparse_lcm_is_the_packed_lcm(name, e, f, rank, c):
+@given(_exps, _exps, st.sampled_from([0, 3]), st.integers(0, 2))
+def test_sparse_lcm_is_the_packed_lcm(e, f, rank, c):
     # The pair lcm, from the (variable, exponent) pairs of one lead and
     # the packed other lead, is bit for bit the packed exponent-wise max
     # in that lead's component.  A scalar is component 0 of rank 0.
-    packer = groebner._Packer(_PACKED_ORDERS[name], 5, 200, rank)
+    packer = groebner._Packer(5, 200, rank)
     component = packer.components[c % len(packer.components)]
     support = [(v, x) for v, x in enumerate(e) if x]
-    assert packer.lcm(packer.pack(f) + component, f, support) == packer.pack(map(max, e, f)) + component
+    assert packer.lcm(_packed(packer, f) + component, f, support) == _packed(packer, tuple(map(max, e, f))) + component
 
 
 def test_qq_and_gf_cores_agree_on_a_corpus_ideal():
@@ -404,7 +436,7 @@ def test_full_basis_of_j_sigma_v0_type3_on_both_cores():
 def _assert_reduced(gb):
     """Every element is monic, and no term of any element is divisible by
     the lead of another."""
-    leads = [g.leading_term(gb.order) for g in gb.basis]
+    leads = [g.leading_term() for g in gb.basis]
     for k, g in enumerate(gb.basis):
         assert leads[k][1] == 1, g
         others = leads[:k] + leads[k + 1 :]
@@ -419,41 +451,9 @@ def _small_polys(ring):
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    st.sampled_from([QQ, GF(101)]).flatmap(lambda ring: st.lists(_small_polys(ring), min_size=1, max_size=3)),
-    st.sampled_from([DEGREVLEX, LEX]),
-)
-def test_buchberger_returns_a_reduced_basis(gens, order):
-    # Under lex an intermediate degree can pass the default cap of 40 (see
-    # the pinned inputs below): a resource report, not a basis to check.
-    try:
-        gb = buchberger(IdealSpec(gens, order))
-    except BudgetExceeded:
-        assume(order is not LEX)
-        raise
-    _assert_reduced(gb)
-
-
-@pytest.mark.parametrize(
-    "gens, degree",
-    [
-        ([_X**2 * _Y + _Z + 1, _Z**3 + _Y**2 + 1, _Y * _Z**2 + _X + 1], 17),
-        ([_Y**3 + 1, _X * _Y * _Z + _Z**3 + _Y, _X**2 * _Y], 18),
-        ([_X * _Y**2, _X**2 * _Z + _Y + 1, _X**3 + _Z**3 + 1], 21),
-    ],
-)
-def test_lex_bases_that_pass_the_default_degree_cap(gens, degree):
-    # Reduced lex bases of degree 17 to 21.  Both loops build them under
-    # the default cap of 40, but reducing one source generator by the
-    # basis, in the check that ends every buchberger run, passes degree
-    # 40: the default cap reports BudgetExceeded, a cap of 50 gives the
-    # basis.
-    spec = IdealSpec(gens, LEX)
-    with pytest.raises(BudgetExceeded, match="degree cap"):
-        buchberger(spec)
-    gb = buchberger(spec, Budget(max_degree=50))
-    _assert_reduced(gb)
-    assert max(g.total_degree() for g in gb.basis) == degree
+@given(st.sampled_from([QQ, GF(101)]).flatmap(lambda ring: st.lists(_small_polys(ring), min_size=1, max_size=3)))
+def test_buchberger_returns_a_reduced_basis(gens):
+    _assert_reduced(buchberger(IdealSpec(gens)))
 
 
 def test_basis_of_j_sigma_v0_type3_is_reduced_on_both_cores():
@@ -495,13 +495,13 @@ def test_verify_rejects_a_basis_missing_an_element(ring):
     gb = buchberger(IdealSpec(build_ideals(shape_r2_two_type2(), ring).J.generators))
     assert len(gb.basis) == 51 and gb.verify()
     rest = gb.basis[:-1]
-    assert not GroebnerBasis(rest, gb.order, gb.source).verify()
+    assert not GroebnerBasis(rest, gb.source).verify()
     # With the truncated set as its own source every generator is a
     # member, so the S-pair that fails to reduce to zero is what rejects.
-    assert not GroebnerBasis(rest, gb.order, IdealSpec(rest, gb.order)).verify()
+    assert not GroebnerBasis(rest, IdealSpec(rest)).verify()
     # One element is a Groebner basis of its own ideal, so the source
     # generators that it does not reduce to zero are what rejects.
-    assert not GroebnerBasis(gb.basis[:1], gb.order, gb.source).verify()
+    assert not GroebnerBasis(gb.basis[:1], gb.source).verify()
 
 
 def _membership_verdicts(ring):
@@ -569,8 +569,8 @@ def test_closed_form_trace_check_agrees_with_in_ideal():
 def test_gf_path():
     p = 101
     x, y = V(0, GF(p)), V(1, GF(p))
-    gb = buchberger(IdealSpec([x * x - 1, x * y - 1], LEX))
-    assert normal_form(x * x, gb) == Polynomial.one(GF(p), TXY)
+    gb = buchberger(IdealSpec([x * x - 1, x * y - 1]))
+    assert gb.normal_form(x * x) == Polynomial.one(GF(p), TXY)
     assert gb.verify()
 
 
@@ -584,7 +584,7 @@ def test_truncated_path_decides_the_length_4_r3_classes_like_the_full_basis():
     assert len(classes) == 24
     for letters in classes:
         target, spec = trace_congruence_question(Word(letters), 3, model)
-        full = normal_form(target, buchberger(spec)).is_zero()
+        full = buchberger(spec).normal_form(target).is_zero()
         assert groebner._ideal_contains_all(spec, [target], Budget()) == full, letters
         assert in_ideal(target, spec) == full, letters
 
@@ -618,33 +618,17 @@ def _homogeneous_questions(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(_homogeneous_questions(), st.sampled_from([DEGREVLEX, LEX]))
-def test_truncated_verdicts_equal_full_basis_verdicts(question, order):
+@given(_homogeneous_questions())
+def test_truncated_verdicts_equal_full_basis_verdicts(question):
     # One to three targets of different degrees, decided as one batch on
     # a basis truncated at the largest of them.
     targets, gens = question
-    spec = IdealSpec(gens, order)
+    spec = IdealSpec(gens)
     assume(spec.generators and any(not f.is_zero() for f in targets))
     gb = buchberger(spec)
-    full = [normal_form(f, gb).is_zero() for f in targets]
+    full = [gb.normal_form(f).is_zero() for f in targets]
     assert groebner._ideal_contains_all(spec, targets, Budget()) == all(full)
     assert [in_ideal(f, spec) for f in targets] == full
-
-
-def test_lex_truncation_skips_pairs_above_the_bound_and_goes_on():
-    # Under lex the pair of lcm y^3 z^2 (degree 5) pops before the pair
-    # of lcm xyz (degree 3), whose S-polynomial y^3 - z^3 with y^3 + z^3
-    # puts z^3 in the ideal.  Stopping at the first pair above degree 3
-    # would miss it.
-    x, y, z = (Polynomial.var(QQ, TXYZ, i) for i in range(3))
-    spec = IdealSpec([y**3 + z**3, y * z * z, x * y - z * z, x * z - y * y], LEX)
-    assert not reduce_by(z**3, spec.generators, LEX).is_zero()
-    assert groebner._ideal_contains_all(spec, [z**3], Budget())
-    assert normal_form(z**3, buchberger(spec)).is_zero()
-    # A batch is truncated at its largest target degree: z^3 does not
-    # reduce to zero against a 2-basis, which the quadric target alone
-    # would give.
-    assert groebner._ideal_contains_all(spec, [x * y - z * z, z**3], Budget())
 
 
 @pytest.mark.parametrize("shape", [shape_one_place_type4(), shape_full_mixed()], ids=lambda s: s.name)
@@ -677,7 +661,7 @@ def test_bounded_check_accepts_a_d_basis_and_rejects_it_short_of_a_remainder():
     # remainder.  Unbounded, the check rejects them: the full basis of this
     # J is far larger.
     J = build_ideals(shape_one_place_type4()).J
-    eng, gens = groebner._engine_for(groebner._lift(J.generators), DEGREVLEX, Budget().max_degree)
+    eng, gens = groebner._engine_for(groebner._lift(J.generators), Budget().max_degree)
     G = groebner._buchberger(eng, [eng.pack([g])[0] for g in gens], Budget().fresh_counter(), degree_bound=4)
     assert len(G) == 113 and len(gens) == 16
 
@@ -745,11 +729,11 @@ def _ideals(draw):
 def _both_loops(spec, degree_bound=None):
     """The engine, and the records that the signature loop and
     ``_buchberger`` build from the generators of ``spec`` on it; None for
-    the latter when it exceeds the default budget, as it can under lex
-    where the signature loop does not."""
+    the latter when it exceeds the default budget where the signature
+    loop does not."""
 
     def run(degree):
-        eng, gens = groebner._engine_for(groebner._lift(spec.generators), spec.order, degree)
+        eng, gens = groebner._engine_for(groebner._lift(spec.generators), degree)
         inputs = [eng.pack([g])[0] for g in gens]
         signature = groebner._signature_basis(eng, inputs, Budget().fresh_counter(), degree_bound)
         try:
@@ -762,19 +746,19 @@ def _both_loops(spec, degree_bound=None):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_ideals(), st.sampled_from([DEGREVLEX, LEX]), st.integers(1, 4))
-@example(([_X * _Y**2 + _Y, _Y * _Z + _Z**2 + 1, _X * _Y**2 + _Z + 1], False), LEX, 1)
-@example(([_Y * _Z**2 + _Z + 1, _X**2 * _Z + _X + _Y, _X**2 * _Y + _Y * _Z**2 + 2 * _Y], False), LEX, 1)
-def test_signature_loop_agrees_with_buchberger(ideal, order, d):
+@given(_ideals(), st.integers(1, 4))
+@example(([_X7**2 + _X7 * _Y7 + 5 * _Y7**2 + 6 * _Y7, 2 * _Z7**2, _X7**2 * _Z7 + 5], False), 1)
+def test_signature_loop_agrees_with_buchberger(ideal, d):
     # The records of the signature loop give the reduced basis that
     # _buchberger's records give, and check mode, which trusts none of the
     # signature criteria, accepts them.  For forms the same holds of the
-    # d-bases, in degrees up to d.  The explicit example loses elements
-    # when the rewrite criterion prefers the latest element instead of the
-    # largest ratio, since results that are singular top-reducible are
-    # dropped.
+    # d-bases, in degrees up to d.  The explicit example generates the
+    # unit ideal.  A rewrite criterion that prefers the latest element to
+    # the largest ratio, with singular top-reducible results dropped,
+    # ends it with a basis of (y^2 + 5y, x + 3y, z), which check mode
+    # accepts: only the comparison of reduced bases catches it.
     gens, homogeneous = ideal
-    spec = IdealSpec(gens, order)
+    spec = IdealSpec(gens)
     assume(spec.generators)
     eng, signature, plain = _both_loops(spec)
     assume(plain is not None)
@@ -784,27 +768,8 @@ def test_signature_loop_agrees_with_buchberger(ideal, order, d):
         return [eng.to_vector(rec[2], spec.table)[0] for rec in records]
 
     def checked(G, bound=None):
-        # Check mode reduces S-polynomials of records that are not
-        # interreduced, and under lex their head reductions can pass the
-        # degree cap that both loops kept within.  A cap that is passed is
-        # a resource report, so the check is retried under twice the cap;
-        # the step budget still holds.
-        polys = [eng.to_vector(rec[2], spec.table)[0] for rec in G]
-        budget = Budget()
-
-        def run(degree):
-            wide, _ = groebner._engine_for(polys, spec.order, degree)
-            inputs = [wide.pack([g])[0] for g in polys]
-            return groebner._buchberger(wide, inputs, counter, check=True, degree_bound=bound) is not None
-
-        while True:
-            counter = budget.fresh_counter()
-            try:
-                return groebner._widening(budget.max_degree, run)
-            except BudgetExceeded:
-                if counter.steps > budget.max_steps:
-                    raise
-                budget = Budget(max_degree=2 * budget.max_degree)
+        inputs = [rec[2] for rec in G]
+        return groebner._buchberger(eng, inputs, Budget().fresh_counter(), check=True, degree_bound=bound) is not None
 
     assert reduced(signature) == reduced(plain)
     assert checked(signature)
@@ -816,8 +781,8 @@ def test_signature_loop_agrees_with_buchberger(ideal, order, d):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_ideals(), st.sampled_from([DEGREVLEX, LEX]), st.data())
-def test_inhomogeneous_verdicts_agree_with_buchberger_records(ideal, order, data):
+@given(_ideals(), st.data())
+def test_inhomogeneous_verdicts_agree_with_buchberger_records(ideal, data):
     # An inhomogeneous question is decided on the certified reduced basis
     # of the signature loop.  Reducing its target by the records of
     # _buchberger, a Groebner basis that trusts none of the signature
@@ -826,18 +791,10 @@ def test_inhomogeneous_verdicts_agree_with_buchberger_records(ideal, order, data
     # degree, or a combination of the generators, plus possibly a
     # polynomial that takes it out of the ideal.
     gens, _ = ideal
-    spec = IdealSpec(gens, order)
+    spec = IdealSpec(gens)
     assume(spec.generators)
-
-    def plain(degree):
-        eng, lifted = groebner._engine_for(spec.generators, order, degree)
-        return eng, groebner._buchberger(eng, [eng.pack([g])[0] for g in lifted], Budget().fresh_counter())
-
-    try:
-        eng, G = groebner._widening(Budget().max_degree, plain)
-    except BudgetExceeded:
-        assume(order is not LEX)
-        raise
+    eng, lifted = groebner._engine_for(spec.generators, Budget().max_degree)
+    G = groebner._buchberger(eng, [eng.pack([g])[0] for g in lifted], Budget().fresh_counter())
     if data.draw(st.booleans()):
         f = eng.to_vector(data.draw(st.sampled_from(G))[2], TXYZ)[0]
     else:
@@ -849,25 +806,20 @@ def test_inhomogeneous_verdicts_agree_with_buchberger_records(ideal, order, data
         f = f + data.draw(_small_polys(spec.ring))
     assume(not f.is_zero())
     assume(not all(groebner._is_homogeneous(g) for g in (f, *spec.generators)))
-    try:
-        verdict = groebner._ideal_contains_all(spec, [f], Budget())
-        expected = not eng.reduce(eng.pack([f])[0], G, Budget().fresh_counter())[0]
-    except BudgetExceeded:
-        assume(order is not LEX)
-        raise
-    assert verdict == expected
+    verdict = groebner._ideal_contains_all(spec, [f], Budget())
+    assert verdict == (not eng.reduce(eng.pack([f])[0], G, Budget().fresh_counter())[0])
 
 
 @settings(max_examples=100, deadline=None)
-@given(_homogeneous_questions(), st.sampled_from([DEGREVLEX, LEX]), st.data())
-def test_input_order_changes_neither_basis_nor_verdicts(question, order, data):
+@given(_homogeneous_questions(), st.data())
+def test_input_order_changes_neither_basis_nor_verdicts(question, data):
     # The signature loop sorts its inputs into phases, so the order they
     # are passed in changes only the work: the reduced basis, the verdicts
     # on d-bases and the check of the loop's records stay the same.
     targets, gens = question
-    spec = IdealSpec(gens, order)
+    spec = IdealSpec(gens)
     assume(spec.generators)
-    shuffled = IdealSpec(data.draw(st.permutations(gens)), order)
+    shuffled = IdealSpec(data.draw(st.permutations(gens)))
     assert buchberger(shuffled).basis == buchberger(spec).basis
     for f in targets:
         verdicts = [groebner._ideal_contains_all(s, [f], Budget()) for s in (spec, shuffled)]
@@ -896,29 +848,24 @@ def test_ideal_quotient_examples():
 
 
 @settings(max_examples=100, deadline=None)
-@given(_ideals(), st.sampled_from([DEGREVLEX, LEX]), _small_polys(QQ))
-@example(([_X * _X * _Y - _Y, _X * _Y * _Y], False), DEGREVLEX, _X * _Y - _Y)
-def test_quotient_soundness_property(ideal, order, f):
+@given(_ideals(), _small_polys(QQ))
+@example(([_X * _X * _Y - _Y, _X * _Y * _Y], False), _X * _Y - _Y)
+def test_quotient_soundness_property(ideal, f):
     # Every generator g of (I : f) has g f in I, and I lies in (I : f).
     # The syzygies behind a quotient can need cofactors far above the
     # degree of its generators, and reach the default cap of 40 only
     # after seconds; a cap of 16 refuses those early, and a refused
     # quotient is a resource report, not one to check.
     gens, _ = ideal
-    spec = IdealSpec(gens, order)
+    spec = IdealSpec(gens)
     assume(spec.generators)
     f = Polynomial(spec.ring, TXYZ, f.terms)  # integer coefficients, read in the ideal's field
     try:
         q = ideal_quotient(spec, f, Budget(max_degree=16))
     except BudgetExceeded:
         reject()
-    try:
-        assert groebner._ideal_contains_all(spec, [g * f for g in q.generators], Budget())
-        assert groebner._ideal_contains_all(q, spec.generators, Budget())
-    except BudgetExceeded:
-        # Under lex a reduced basis can pass the default cap (see above).
-        assume(order is not LEX)
-        raise
+    assert groebner._ideal_contains_all(spec, [g * f for g in q.generators], Budget())
+    assert groebner._ideal_contains_all(q, spec.generators, Budget())
 
 
 _monomials = st.tuples(*[st.integers(0, 3)] * 3)
@@ -927,18 +874,17 @@ _monomials = st.tuples(*[st.integers(0, 3)] * 3)
 @settings(max_examples=100, deadline=None)
 @given(
     st.sampled_from([QQ, GF(101)]),
-    st.sampled_from([DEGREVLEX, LEX]),
     st.lists(_monomials, min_size=1, max_size=4),
     _monomials,
 )
-def test_quotient_of_a_monomial_ideal_by_a_monomial(ring, order, gens, m):
+def test_quotient_of_a_monomial_ideal_by_a_monomial(ring, gens, m):
     # (m_1, ..., m_k) : m = (m_i / gcd(m_i, m)): the quotient is complete,
     # not only sound.
     def mono(e):
         return Polynomial(ring, TXYZ, {e: 1})
 
-    spec = IdealSpec([mono(e) for e in gens], order)
-    expected = IdealSpec([mono(tuple(max(a - b, 0) for a, b in zip(e, m))) for e in gens], order)
+    spec = IdealSpec([mono(e) for e in gens])
+    expected = IdealSpec([mono(tuple(max(a - b, 0) for a, b in zip(e, m))) for e in gens])
     q = ideal_quotient(spec, mono(m))
     assert all(in_ideal(g, expected) for g in q.generators)
     assert all(in_ideal(g, q) for g in expected.generators)

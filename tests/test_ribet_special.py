@@ -78,6 +78,21 @@ def test_generated_instance_invariants():
             assert lhs[comp] % P == rhs
 
 
+def test_x_and_z_values_read_the_place_of_their_generator():
+    # Each dedicated generator is a key of exactly one place's xi; a free
+    # generator is attached to no place, and has neither value.
+    sh = shape_specialization()
+    inst = generate_specialization(sh, 0, P)
+    dedicated = [(g, data) for v, data in inst.places.items() for g in sh.b_set(v)]
+    assert sorted(g for g, _ in dedicated) == sorted({g for g, _ in dedicated})
+    for g, data in dedicated:
+        assert inst.x_val(g) == (data.xi[g] - inst.psi[g]) % P
+        assert inst.z_val(g) == (data.xi[g] - inst.chi[g]) % P
+    for read in (inst.x_val, inst.z_val):
+        with pytest.raises(StructuralError, match="not attached to a place"):
+            read(sh.free_generators()[0])
+
+
 def test_twenty_seeds_all_checks_pass():
     sh = shape_specialization()
     for seed in range(20):

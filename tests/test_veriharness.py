@@ -129,6 +129,18 @@ def test_out_of_range_numbers_are_config_errors(tmp_path, capsys, key, text, job
     assert err.startswith("error: ") and key in err
 
 
+@pytest.mark.parametrize("prime", ["2147483659", "1000000000000000003"])
+def test_primes_past_the_field_bound_are_config_errors(capsys, prime):
+    # Both are prime.  The bound p < 2**31 is checked before primality, so
+    # neither a trial division up to 10**9 nor any of the 81 checks starts.
+    start = time.perf_counter()
+    assert main(["run", "specialization", "--prime", prime]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.err == f"error: GF modulus must be a prime < 2**31, got {prime}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "line", ["row = II 1", "row =", "place_p = v1", "generators = two", "row = IV v1 x"]
 )
