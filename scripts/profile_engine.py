@@ -5,7 +5,10 @@ Useful when touching the Groebner kernel: prints wall times for the
 checks that dominate suite runtime so regressions are visible at a
 glance, times the GB of J(sigma-v0-type3) on both coefficient cores
 with a check that the QQ basis reduced mod p is the GF(p) basis, times
-the module path (syzygies and symbolic H1) on R(f) 2x4, the C -> D
+the module path (syzygies and symbolic H1) on R(f) 2x4, an ideal
+quotient over GF(101) in three variables under a step budget that ends
+it in about a second (too few variables for the engine's support index,
+so its reductions scan; it ends in BudgetExceeded), the C -> D
 morphism of full-mixed at cap 3 (with its d^2 = 0 check on D and its
 commuting squares timed again on their own, the two sparse matrix
 product workloads), the trace-identities suite with its engine calls
@@ -38,7 +41,8 @@ behind them: the step counters taken, the steps charged, the reduction
 steps among them, the pairs formed and queued, the pairs pruned by the
 F5, syzygy, rewrite and one-per-signature criteria, and the reductions
 to zero.  After symbolic H1 of R(f) 2x4 it prints its counters and
-steps: one counter for the syzygies and one for the membership batch.
+steps: one counter for the syzygies and one for the membership batch;
+after the quotient, the steps of its one counter.
 The Buchberger loop behind a module basis keeps no pair counts.
 
 Run: PYTHONPATH=src python scripts/profile_engine.py
@@ -53,7 +57,8 @@ import ribetkit.linalg as linalg
 import ribetkit.ribet.formal as formal
 import ribetkit.ribet.specialize as specialize
 from ribetkit.borel import TauAction, adjoint_quadruple_check
-from ribetkit.exactpoly import GF, QQ, Polynomial
+from ribetkit.errors import BudgetExceeded
+from ribetkit.exactpoly import GF, QQ, Polynomial, VariableTable
 from ribetkit.genmat import (
     GenericModel,
     Word,
@@ -61,7 +66,7 @@ from ribetkit.genmat import (
     trace_congruence_check,
     trace_congruence_question,
 )
-from ribetkit.groebner import Budget, IdealSpec, buchberger, in_ideal, syzygies
+from ribetkit.groebner import Budget, IdealSpec, buchberger, ideal_quotient, in_ideal, syzygies
 from ribetkit.brcomplex import (
     br_complexes,
     build_cd_morphism,
@@ -89,6 +94,8 @@ from ribetkit.veriharness import SuiteConfig, load_config, run_suite
 
 
 P31 = 2**31 - 1
+# Ends the GF(101) quotient in BudgetExceeded after about a second.
+QUOTIENT_STEPS = 2_500
 
 
 def timed(label, thunk, show=lambda result: result):
@@ -99,10 +106,10 @@ def timed(label, thunk, show=lambda result: result):
 
 
 class CountingBudget(Budget):
-    """The default budget, keeping every step counter it hands out."""
+    """A budget that keeps every step counter it hands out."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, **limits):
+        super().__init__(**limits)
         self.counters = []
 
     def fresh_counter(self):
@@ -157,6 +164,29 @@ def module_path():
         lambda: symbolic_h1(rf, budget),
         lambda rep: f"{len(rep.h1_generators)} generators, exact {rep.is_exact_at_1}",
     )
+    print_counts([budget])
+
+
+def few_variable_quotient():
+    """I : f over GF(101) for I = (-3y^2 + 3xz + 3z, -2x^2 - 2y - 1,
+    x^3 - 3xyz + y) and f = -x^2y + 2z^3: the lift carries a cofactor of
+    every generator, and the module loop runs until the step budget ends
+    it.  Its reducer sets reach 96 records within the budget, but in
+    three variables the support index rules out almost none of them, so
+    the engine scans them."""
+    F, table = GF(101), VariableTable(["x", "y", "z"])
+    x, y, z = (Polynomial.var(F, table, i) for i in range(3))
+    I = IdealSpec([-3 * y**2 + 3 * x * z + 3 * z, -2 * x**2 - 2 * y - 1, x**3 - 3 * x * y * z + y])
+    f = -(x**2) * y + 2 * z**3
+    budget = CountingBudget(max_steps=QUOTIENT_STEPS)
+
+    def quotient():
+        try:
+            return f"{len(ideal_quotient(I, f, budget).generators)} generators"
+        except BudgetExceeded as exc:
+            return f"BudgetExceeded: {exc}"
+
+    timed("ideal quotient over GF(101) in x, y, z", quotient)
     print_counts([budget])
 
 
@@ -376,6 +406,7 @@ def main():
     )
     gb_both_cores()
     module_path()
+    few_variable_quotient()
     timed("BR complexes 2x5 full length + d2", lambda: all(
         check_d2(c) for c in (lambda b: (b.Rf, b.Rdetf))(br_complexes(generic_2xn(5)))
     ))

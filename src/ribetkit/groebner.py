@@ -54,6 +54,45 @@ scale ``reduce`` returned, for the exact value, or by default by the
 leading coefficient, for a monic one.  ``_Packer.from_key`` and
 ``to_key`` convert a monomial from and to exactpoly's packed layout.
 
+Reducer sets.  ``reduce`` takes a ``reducers.Reducers``, a list of
+records in the order it tries them: least key first, ties to the
+earliest added.  The key is the tail length in both pair loops and the
+list position everywhere else (``_reduced_basis``, ``divide``, the
+closing certificate and the membership batches).  A term is reduced by
+the first record in that order whose lead divides it and, in the
+signature loop, whose signature times the multiplier is below the
+S-polynomial's.  The scan that finds it tests the leads one by one, and
+an irreducible term costs a test per record.  So a large set can find
+the same record through a support index (Roune & Stillman above call
+divisor queries the dominant cost of a signature engine).  A lead
+divides a term only if it uses no variable the term lacks.  Adding
+2^bits - 1 to every exponent field sets the guard bit of exactly the
+nonzero exponents, so one addition gives a term's zero pattern.  The
+index keeps, for each variable, the bitset of the record ids whose lead
+uses it, an id being a list position.  For each chunk of five variables
+it keeps a table from a zero pattern of the chunk to the ids it rules
+out.  The ids left are tested in increasing order, as the scan would
+test them, and the first that passes is the scan's record.  A record
+inserted inside the list moves every id above it up by one.
+The selection: a full reduction, not a head-only one, by a set of at
+least 32 records in a ring of at least 8 variables.  Measured, each
+against the scan:
+  - the reduced basis of J(sigma-v0-type3) over QQ, 20 variables: 23.6
+    ms down to 13.3 ms (medians of 9 on a shared 2-vCPU x86 host); its
+    3,277 indexed terms meet 269,163 records, of which 2,717 pass the
+    support test and 1,676 divide;
+  - the GF(101) quotient of scripts/profile_engine.py, 3 variables: the
+    support test rules out almost nothing, and the index took 2.4 s
+    against 1.3 s to the same BudgetExceeded at 3,000 steps;
+  - whole bases of random sparse quadrics in 8 and 10 variables: within
+    the noise (medians 0.85 to 1.07 of the scan's time);
+  - head-only reductions: nearly every popped term is reducible and the
+    scan meets a reducer early, so the index saved nothing on
+    J(sigma-v0-type3) and was about 1.4 times slower on random sparse
+    quadrics in 10 variables;
+  - below 32 records, the truncated bases of a suite run stay scans; 16
+    would have saved under 1 ms on J(sigma-v0-type3).
+
 Modules.  The two guarded fields on top hold a module element's
 component c of a rank-C module, as C - c and c; scalars have neither.
 With C - c on top the order is position over term, component 0 largest.
@@ -160,7 +199,7 @@ against ``Budget.max_degree``.  Exceeding either raises
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -179,6 +218,7 @@ from .exactpoly import (
     mono_from_fields,
     mono_pairs,
 )
+from .reducers import Reducers
 
 
 @dataclass
@@ -388,12 +428,12 @@ class _Engine:
                 parts[component(m) - first][to_key(m)] = c
         return [Polynomial._trusted(self.ring, table, t) for t in parts]
 
-    def records(self, vectors: Iterable[Sequence[Polynomial]]) -> list[tuple]:
+    def records(self, vectors: Iterable[Sequence[Polynomial]]) -> Reducers:
         """Reducer records of the nonzero elements among ``vectors``."""
         packed = (self.pack(v)[0] for v in vectors)
-        return [self.record(t) for t in packed if t]
+        return Reducers(self.packer, [self.record(t) for t in packed if t])
 
-    def divide(self, v: Sequence[Polynomial], records: list, counter: _Counter) -> tuple:
+    def divide(self, v: Sequence[Polynomial], records: Reducers, counter: _Counter) -> tuple:
         """Pack ``v`` and fully reduce it by the records: (remainder, k)
         with k * v = (combination of the records) + remainder, k > 0."""
         terms, denom = self.pack(v)
@@ -417,7 +457,8 @@ class _Engine:
         head_only: bool = False,
         signature: int | None = None,
     ) -> tuple[dict, int]:
-        """Pseudo-reduce a packed term dict by records.
+        """Pseudo-reduce a packed term dict by records: a ``Reducers``,
+        or a list of records tried in order.
 
         Returns (remainder, scale) with scale > 0 and
         scale * input = (combination of reducers) + remainder.  Over GF(p)
@@ -431,6 +472,9 @@ class _Engine:
         """
         if not terms or not reducers:
             return dict(terms), 1
+        # A full reduction by a large set may find its reducers through the
+        # set's support index; everything else scans (module docstring).
+        find = reducers.finder() if not head_only and isinstance(reducers, Reducers) else None
         p = self.p
         guard = self.packer.guard
         mask = self.packer.deg_mask
@@ -451,11 +495,16 @@ class _Engine:
                 if not c:
                     del work[m]
                     continue
-            mg = m | guard
-            for rec in reducers:
-                if (mg - rec[0]) & guard == guard and (rec[5] is None or rec[5] + m - rec[0] < signature):
-                    break
+            if find is None:
+                mg = m | guard
+                for rec in reducers:
+                    if (mg - rec[0]) & guard == guard and (rec[5] is None or rec[5] + m - rec[0] < signature):
+                        break
+                else:
+                    rec = None
             else:
+                rec = find(m, signature)
+            if rec is None:
                 if head_only:
                     out = {k: v % p for k, v in work.items() if v % p} if p else dict(work)
                     for mm, (v, s) in remainder.items():
@@ -617,10 +666,11 @@ def _ideal_basis(gens, budget: Budget, degree_bound=None, degree: int = 0) -> tu
         eng, lifted = _engine_for(gens, max(room, degree))
         inputs = [eng.pack([g])[0] for g in lifted]
         records = _signature_basis(eng, inputs, counter, degree_bound)
-        if degree_bound is None:
-            records = _reduced_basis(eng, records, counter)
-            if any(eng.reduce(t, records, counter)[0] for t in inputs):
-                raise StructuralError("internal error: source generator escaped its ideal")
+        if degree_bound is not None:
+            return eng, Reducers(eng.packer, records), counter
+        records = Reducers(eng.packer, _reduced_basis(eng, records, counter))
+        if any(eng.reduce(t, records, counter)[0] for t in inputs):
+            raise StructuralError("internal error: source generator escaped its ideal")
         return eng, records, counter
 
     return _widening(budget.max_degree, run)
@@ -651,7 +701,7 @@ def _buchberger(
     bound = mask if degree_bound is None else degree_bound
 
     G: list[tuple] = []
-    reducers: list[tuple] = []  # the records of G, shortest tail first
+    reducers = Reducers(packer, key=_tail_length)  # the records of G
     leads: list[int] = []
     supports: list[list[tuple[int, int]]] = []  # the leads' (variable, exponent) pairs
     pair_heap: list = []
@@ -671,7 +721,7 @@ def _buchberger(
                     heapq.heappush(pair_heap, (lcm, i, idx))
                     pending.add((i, idx))
         G.append(rec)
-        insort(reducers, rec, key=_tail_length)
+        reducers.add(rec)
         leads.append(lm)
         supports.append(_support(e_new))
 
@@ -724,7 +774,7 @@ def _signature_basis(
     formed and queued, the pairs each criterion pruned (F5, syzygy,
     rewrite, one per signature) and the zero reductions."""
     packer = eng.packer
-    guard, mask, room = packer.guard, packer.deg_mask, packer.room
+    guard, mask, room, units = packer.guard, packer.deg_mask, packer.room, packer.units
     bound = mask if degree_bound is None else degree_bound
     stats = counter.stats = counter.stats or dict.fromkeys(_SIGNATURE_COUNTS, 0)
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -741,58 +791,74 @@ def _signature_basis(
         # signature of a syzygy.  No lead of higher degree divides t.
         prev_leads = sorted((rec[0] for rec in prev), key=lambda lm: lm & mask)
         prev_degrees = [lm & mask for lm in prev_leads]
-        reducers = sorted(prev, key=_tail_length)
+        reducers = Reducers(packer, prev, key=_tail_length)
         syzygies: list[int] = []  # signatures of the zero reductions
         pairs: list[tuple] = []
 
+        f5_lead = None  # the lead of ``prev`` that last pruned a pair by F5
+
         def add(terms: dict, sig: int):
+            nonlocal f5_lead
             rec = eng.record(terms, sig)
             lm = rec[0]
             counter.check_degree(lm & mask)
             exps = packer.unpack(lm)
             idx = len(basis)
-            formed = 0
+            formed = f5 = queued = 0
             # A lead of degree d pairs within the bound d only with the
             # leads that divide it, and a lead above the bound with none.
             at_bound, lg = lm & mask == bound, lm | guard
-            for i, (other, support) in enumerate(zip(basis, supports) if lm & mask <= bound else ()):
-                if at_bound:
-                    if (lg - other[0]) & guard != guard:
+            try:
+                for i, (other, support) in enumerate(zip(basis, supports) if lm & mask <= bound else ()):
+                    if at_bound:
+                        if (lg - other[0]) & guard != guard:
+                            continue
+                        lcm = lm
+                    else:
+                        lcm = lm  # _Packer.lcm, inlined
+                        for v, e in support:
+                            if e > exps[v]:
+                                lcm += (e - exps[v]) * units[v]
+                        if lcm & mask > bound:
+                            continue
+                    formed += 1
+                    t, a, b = sig + lcm - lm, idx, i
+                    if other[5] is None:
+                        if lcm == lm + other[0]:  # coprime leads: F5 by the lead of b
+                            f5 += 1
+                            continue
+                    else:  # both in the running phase
+                        t_other = other[5] + lcm - other[0]
+                        if t_other == t:  # a singular pair: no S-pair has this signature
+                            continue
+                        if t_other > t:
+                            t, a, b = t_other, i, idx
+                    if t & mask > room:
+                        raise _FieldOverflow(room)
+                    # F5 only asks whether some lead divides t, so the lead
+                    # that pruned last is tried first.
+                    tg = t | guard
+                    if f5_lead is not None and (tg - f5_lead) & guard == guard:
+                        f5 += 1
                         continue
-                    lcm = lm
-                else:
-                    lcm = packer.lcm(lm, exps, support)
-                    if lcm & mask > bound:
-                        continue
-                formed += 1
-                t, a, b = sig + lcm - lm, idx, i
-                if other[5] is None:
-                    if lcm == lm + other[0]:  # coprime leads: F5 by the lead of b
-                        stats["f5"] += 1
-                        continue
-                else:  # both in the running phase
-                    t_other = other[5] + lcm - other[0]
-                    if t_other == t:  # a singular pair: no S-pair has this signature
-                        continue
-                    if t_other > t:
-                        t, a, b = t_other, i, idx
-                if t & mask > room:
-                    raise _FieldOverflow(room)
-                tg = t | guard
-                for lead in islice(prev_leads, bisect_right(prev_degrees, t & mask)):
-                    if (tg - lead) & guard == guard:
-                        stats["f5"] += 1
-                        break
-                else:
-                    heappush(pairs, (t, a, b, lcm))
-                    stats["queued"] += 1
+                    for lead in islice(prev_leads, bisect_right(prev_degrees, t & mask)):
+                        if (tg - lead) & guard == guard:
+                            f5 += 1
+                            f5_lead = lead
+                            break
+                    else:
+                        heappush(pairs, (t, a, b, lcm))
+                        queued += 1
+            finally:
+                stats["f5"] += f5
+                stats["queued"] += queued
             # Each pair formed costs a step: on a large ideal the criteria,
             # not the reductions, are most of this loop's work.
             stats["pairs"] += formed
             counter.tick(formed)
             basis.append(rec)
             supports.append(_support(exps))
-            insort(reducers, rec, key=_tail_length)
+            reducers.add(rec)
 
         r, _ = eng.reduce(f, reducers, counter, head_only=True, signature=0)
         if r:
@@ -887,10 +953,10 @@ def _reduced_basis(eng: _Engine, G: list[tuple], counter: _Counter) -> list[tupl
     # Tail-reduce each element of the minimal basis, in ascending lead
     # order, against the elements already reduced: a tail term lies below
     # its lead, so only a smaller lead can divide it.
-    reduced: list[tuple] = []
+    reduced = Reducers(eng.packer)
     for rec in _minimal(G, eng.packer.guard):
         rem, _ = eng.reduce(rec[2], reduced, counter)
-        reduced.append(eng.record(rem))
+        reduced.add(eng.record(rem))
     return reduced[::-1]
 
 
@@ -1064,6 +1130,7 @@ def _module_contains_all(vs, generators, budget: Budget) -> bool:
         return not vs
     d = _max_degree([e for v in vs for e in v])
     eng, records, counter = _module_basis(generators, budget, len(vs[0]), d)
+    records = Reducers(eng.packer, records)
     return all(not eng.divide([_match_field(e, eng.ring) for e in v], records, counter)[0] for v in vs)
 
 

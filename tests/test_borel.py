@@ -4,13 +4,13 @@ invariance modulo ideals, and the one-parameter subgroup law."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ribetkit.borel import TauAction, adjoint_quadruple_check, invariant_mod
+from ribetkit.borel import TauAction, _tau_images, adjoint_quadruple_check, invariant_mod
 from ribetkit.errors import StructuralError
 from ribetkit.exactpoly import GF, QQ, Polynomial, VariableTable
 from ribetkit.genmat import GenericModel
 from ribetkit.groebner import IdealSpec
 from ribetkit.ribet.formal import FormalRing, build_ideals
-from ribetkit.ribet.shapes import shape_full_mixed, shape_r2_two_type2
+from ribetkit.ribet.shapes import shape_full_mixed, shape_one_place_type4, shape_r2_two_type2
 
 T = VariableTable(
     ["a1", "b1", "c1", "d1", "a2", "b2", "c2", "d2", "s"],
@@ -105,6 +105,21 @@ def test_adjoint_quadruple_relation_rows():
     ideals = build_ideals(shape_r2_two_type2())
     for q in ideals.quadruples:
         assert adjoint_quadruple_check(*q.matrix.entries())
+
+
+def test_adjoint_quadruple_check_rejects_a_quadruple_times_its_own_b():
+    # B is tau-fixed and the law is linear, so (A, B, C, D) times B still
+    # transforms like the adjoint; only the torus weights, now
+    # (1, 2, 0, 1), tell it apart.
+    ideals = build_ideals(shape_one_place_type4())
+    A, B, C, D = ideals.quadruples[0].matrix.entries()
+    assert adjoint_quadruple_check(A, B, C, D)
+    scaled = [f * B for f in (A, B, C, D)]
+    act = TauAction(A.table)
+    lifted = [f.lift(act.table) for f in scaled]
+    assert [act.apply(f) for f in scaled] == list(_tau_images(*lifted, act.x_var(A.ring)))
+    assert [f.torus_weight() for f in scaled] == [1, 2, 0, 1]
+    assert not adjoint_quadruple_check(*scaled)
 
 
 def test_invariant_mod_examples():

@@ -21,6 +21,7 @@ from ribetkit.ribet.shapes import (
 )
 from ribetkit.ribet.specialize import (
     SpecializedInstance,
+    _check_j_vanishes,
     _coefficient_matrix,
     _m2_add_scalar,
     _m2_inv,
@@ -99,6 +100,18 @@ def test_twenty_seeds_all_checks_pass():
         inst = generate_specialization(sh, seed, P)
         checks = check_specialized(inst)
         assert checks.all_pass(), (seed, checks)
+
+
+def test_j_vanishes_check_rejects_a_point_off_j():
+    # One eps value moved: the first J generator no longer vanishes at the
+    # instance's point, and the check must say so.
+    sh = shape_specialization()
+    inst = generate_specialization(sh, 0, P)
+    assert _check_j_vanishes(inst)
+    bad = copy.deepcopy(inst)
+    bad.eps[0][0] = (bad.eps[0][0] + 1) % P
+    assert build_ideals(sh, bad.ring).J.generators[0].evaluate(_instance_point(bad)) != 0
+    assert not _check_j_vanishes(bad)
 
 
 def test_perturbed_instance_fails_det_eprime():

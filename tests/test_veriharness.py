@@ -16,7 +16,7 @@ from ribetkit.groebner import Budget
 from ribetkit.ribet.shapes import RibetShape, shape_specialization
 from ribetkit.veriharness.cli import main
 from ribetkit.veriharness.config import SuiteConfig, load_config, parse_flat_config
-from ribetkit.veriharness.suites import SUITES, list_suites, run_suite
+from ribetkit.veriharness.suites import SUITES, _rejects, list_suites, run_suite
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_CFG = os.path.join(ROOT, "configs", "default.cfg")
@@ -155,6 +155,12 @@ def test_malformed_shape_files_are_config_errors(tmp_path, capsys, line):
     assert main(["run", "stability", "--config", str(cfg_file)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and line.partition("=")[0].strip() in err
+
+
+def test_rejects_fails_when_the_check_holds():
+    # A negative control passes only when its check returns False.
+    assert _rejects("w", lambda: True) == (False, "w")
+    assert _rejects("w", lambda x: x, False) == (True, "w")
 
 
 def test_list_suites_catalog():
