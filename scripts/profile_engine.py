@@ -272,10 +272,11 @@ def specialization_suite():
 def specialization_phases():
     """The specialization suite's work at p = 1000003, phase by phase over 200
     seeds: generating the instances, det(E), det(D) and det(E') of each,
-    the cocycle check and the J-vanishes check (J is built first,
-    untimed).  Generation counts its attempts and the row reductions they
-    run: one ``_eliminate`` per attempt gives the rank, the eps kernel and
-    every delta and alpha row."""
+    the cocycle check, the J-vanishes check (J is built first, untimed)
+    and the perturbed control, ``perturb_alpha`` and ``check_specialized``
+    of each instance.  Generation counts its attempts and the row
+    reductions they run: one ``_eliminate`` per attempt gives the rank,
+    the eps kernel and every delta and alpha row."""
     shape, p, seeds = shape_specialization(), 1000003, range(200)
     calls = Counter()
 
@@ -308,6 +309,11 @@ def specialization_phases():
     timed("  cocycle", lambda: [specialize._check_cocycle(inst) for inst in insts], all)
     build_ideals(shape, GF(p))
     timed("  J vanishes", lambda: [specialize._check_j_vanishes(inst) for inst in insts], all)
+    timed(
+        "  perturbed control: perturb_alpha + check_specialized",
+        lambda: [specialize.check_specialized(specialize.perturb_alpha(inst)) for inst in insts],
+        lambda res: f"{sum(not r.detEprime_zero for r in res)} of {len(res)} break det(E') = 0",
+    )
 
 
 def cached_layers():

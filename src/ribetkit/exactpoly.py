@@ -31,16 +31,17 @@ The zero polynomial is the empty term map; equal polynomials have
 identical term maps, so ``==`` is canonical-form comparison.  Values are
 immutable after construction and safe to share between threads.
 
-``evaluate`` reads each term in a sparse form, (coefficient, ((variable,
-exponent), ...)), the pairs of its nonzero fields.  The first evaluation
-of a polynomial streams that form; the second builds it once and keeps
-it in the private ``_sparse`` slot, so a polynomial evaluated at many
-points (the relation ideal at every specialization instance) pays for it
-once, and one evaluated once keeps nothing.  The slot is an idempotent
-lazy field: it is derived from the immutable term map alone, every build
-yields an equal value, and ``==``, ``hash`` and every other method
-ignore it.  Two threads that race on it at worst both build it, and each
-reads a complete form, so sharing a polynomial stays safe.
+``evaluate_all``, the kernel of ``evaluate``, reads each term in a sparse
+form, (coefficient, ((variable, exponent), ...)), the pairs of its nonzero
+fields.  The first evaluation of a polynomial streams that form; the
+second builds it once and keeps it in the private ``_sparse`` slot, so a
+polynomial evaluated at many points (the relation ideal at every
+specialization instance) pays for it once, and one evaluated once keeps
+nothing.  The slot is an idempotent lazy field: it is derived from the
+immutable term map alone, every build yields an equal value, and ``==``,
+``hash`` and every other method ignore it.  Two threads that race on it
+at worst both build it, and each reads a complete form, so sharing a
+polynomial stays safe.
 
 Variables are identified by their integer index into a ``VariableTable``;
 names exist only for I/O.  Tables also carry a role tag per variable,
@@ -591,30 +592,8 @@ class Polynomial:
         return Polynomial._trusted(ring, target, out)
 
     def evaluate(self, point: Mapping[int, object]):
-        """Exact value at a full assignment of this polynomial's variables.
-
-        Entries for other variables are ignored; each value is normalized
-        into the ring the first time a term reads it.  Over GF(p) the
-        arithmetic is inline ints reduced mod p."""
-        ring = self.ring
-        p = ring.p
-        vals: dict[int, object] = {}
-        total = ring.zero()
-        for c, pairs in self._sparse_terms():
-            acc = c
-            for i, e in pairs:
-                v = vals.get(i)
-                if v is None:
-                    try:
-                        x = point[i]
-                    except KeyError:
-                        missing = [self.table.names[j] for j in sorted(self.variables())
-                                   if j not in point]
-                        raise StructuralError(f"missing assignment for {missing}") from None
-                    v = vals[i] = x % p if p and type(x) is int else ring.normalize(x)
-                acc = acc * pow(v, e, p) % p if p else ring.mul(acc, v ** e)
-            total = total + acc if p else ring.add(total, acc)
-        return total % p if p else total
+        """Exact value at a full assignment of its variables (``evaluate_all``)."""
+        return evaluate_all((self,), point)[0]
 
     def _sparse_terms(self):
         """Each term as (coefficient, ((variable, exponent), ...)), the
@@ -668,6 +647,34 @@ class Polynomial:
     # -- text form --------------------------------------------------------------
     def __repr__(self):
         return to_text(self)
+
+
+def evaluate_all(polys: Sequence[Polynomial], point: Mapping[int, object]) -> list:
+    """The exact values at a full assignment of the variables of ``polys``,
+    which share one ring, in one pass over their sparse terms: the one
+    evaluation kernel.  Other entries of ``point`` are ignored; each value
+    read is normalized into the ring once.  An exponent-1 factor is a
+    plain product; over GF(p) the arithmetic is inline ints mod p."""
+    ring, vals, out = polys[0].ring if polys else QQ, {}, []
+    p = ring.p
+    for f in polys:
+        if f.ring is not ring and f.ring != ring:
+            raise StructuralError("evaluate_all needs polynomials of one ring")
+        total = ring.zero()
+        for c, pairs in f._sparse_terms():
+            for i, e in pairs:
+                v = vals.get(i)
+                if v is None:
+                    try:
+                        x = point[i]
+                    except KeyError:
+                        missing = [f.table.names[j] for j in sorted(f.variables()) if j not in point]
+                        raise StructuralError(f"missing assignment for {missing}") from None
+                    v = vals[i] = x % p if p and type(x) is int else ring.normalize(x)
+                c = c * (v if e == 1 else pow(v, e, p)) % p if p else ring.mul(c, v if e == 1 else v ** e)
+            total = total + c if p else ring.add(total, c)
+        out.append(total % p if p else total)
+    return out
 
 
 # ---------------------------------------------------------------------------

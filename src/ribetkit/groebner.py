@@ -57,14 +57,14 @@ leading coefficient, for a monic one.  ``_Packer.from_key`` and
 Reducer sets.  ``reduce`` takes a ``reducers.Reducers``, a list of
 records in the order it tries them: least key first, ties to the
 earliest added.  The key is the tail length in both pair loops and the
-list position everywhere else (``_reduced_basis``, ``divide``, the
-closing certificate and the membership batches).  A term is reduced by
-the first record in that order whose lead divides it and, in the
-signature loop, whose signature times the multiplier is below the
-S-polynomial's.  The scan that finds it tests the leads one by one, and
-an irreducible term costs a test per record.  So a large set can find
-the same record through a support index (Roune & Stillman above call
-divisor queries the dominant cost of a signature engine).  A lead
+list position everywhere else (``_reduced_basis``, ``divide`` and the
+membership batches); the closing certificate scans a plain list.  A
+term is reduced by the first record in that order whose lead divides
+it and, in the signature loop, whose signature times the multiplier is
+below the S-polynomial's.  The scan that finds it tests the leads one
+by one, and an irreducible term costs a test per record.  So a large
+set can find the same record through a support index (Roune & Stillman
+above call divisor queries the dominant cost of a signature engine).  A lead
 divides a term only if it uses no variable the term lacks.  Adding
 2^bits - 1 to every exponent field sets the guard bit of exactly the
 nonzero exponents, so one addition gives a term's zero pattern.  The
@@ -668,10 +668,10 @@ def _ideal_basis(gens, budget: Budget, degree_bound=None, degree: int = 0) -> tu
         records = _signature_basis(eng, inputs, counter, degree_bound)
         if degree_bound is not None:
             return eng, Reducers(eng.packer, records), counter
-        records = Reducers(eng.packer, _reduced_basis(eng, records, counter))
+        records = _reduced_basis(eng, records, counter)  # a list: a few generators scan it
         if any(eng.reduce(t, records, counter)[0] for t in inputs):
             raise StructuralError("internal error: source generator escaped its ideal")
-        return eng, records, counter
+        return eng, Reducers(eng.packer, records), counter
 
     return _widening(budget.max_degree, run)
 

@@ -31,7 +31,6 @@ def _eliminate(rows: list[list], ring: CoefficientRing, ncols: int, jordan: bool
         mul = lambda a, b: a * b % p
         inv = lambda a: pow(a, -1, p)
         scaled = lambda c, row: [c * x % p for x in row]
-        combine = lambda row, f, piv: [(x - f * y) % p for x, y in zip(row, piv)]
     else:
         R = [[ring.normalize(x) for x in row] for row in rows]
         mul, sub, inv = ring.mul, ring.sub, ring.inv
@@ -61,7 +60,8 @@ def _eliminate(rows: list[list], ring: CoefficientRing, ncols: int, jordan: bool
         for i in range(0 if jordan else r + 1, m):
             f = R[i][col]
             if f != 0 and i != r:
-                R[i] = combine(R[i], f if jordan else mul(f, c), piv)
+                f = f if jordan else mul(f, c)
+                R[i] = [(x - f * y) % p for x, y in zip(R[i], piv)] if p else combine(R[i], f, piv)
         pivots.append(col)
         if r + 1 == m:
             break

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..errors import GenerationFailure, StructuralError
-from ..exactpoly import GF, CoefficientRing
+from ..exactpoly import GF, CoefficientRing, evaluate_all
 from ..linalg import det, reduce_system
 from .formal import auxiliary_matrices, build_ideals, formal_ring
 from .shapes import RibetShape
@@ -43,20 +43,20 @@ WORD_SAMPLES = 12  # seeded word pairs per cocycle check
 
 
 def _m2_mul(x: M2, y: M2, p: int) -> M2:
-    return (
-        (x[0] * y[0] + x[1] * y[2]) % p,
-        (x[0] * y[1] + x[1] * y[3]) % p,
-        (x[2] * y[0] + x[3] * y[2]) % p,
-        (x[2] * y[1] + x[3] * y[3]) % p,
-    )
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
 
 
 def _m2_sub(x: M2, y: M2, p: int) -> M2:
-    return tuple((a - b) % p for a, b in zip(x, y))
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a - e) % p, (b - f) % p, (c - g) % p, (d - h) % p)
 
 
-def _m2_scale(x: M2, c: int, p: int) -> M2:
-    return tuple((c * a) % p for a in x)
+def _m2_scale(x: M2, s: int, p: int) -> M2:
+    a, b, c, d = x
+    return (s * a % p, s * b % p, s * c % p, s * d % p)
 
 
 def _m2_add_scalar(x: M2, c: int, p: int) -> M2:
@@ -118,23 +118,27 @@ class SpecializedInstance:
 
     # -- word evaluation ------------------------------------------------
     def rho_word(self, word: list[int]) -> M2:
-        acc = _ID
+        p, images = self.p, self.rho_images
+        a, b, c, d = _ID
         for g in word:
-            acc = _m2_mul(acc, self.rho_images[g], self.p)
-        return acc
+            e, f, h, k = images[g]
+            a, b, c, d = (a * e + b * h) % p, (a * f + b * k) % p, (c * e + d * h) % p, (c * f + d * k) % p
+        return a, b, c, d
 
     def char_word(self, char: dict[int, int], word: list[int]) -> int:
+        p = self.p
         acc = 1
         for g in word:
-            acc = (acc * char[g]) % self.p
+            acc = acc * char[g] % p
         return acc
 
     def kappa(self, word: list[int]) -> M2:
         """psi(w)^{-1} (rho(w) - psi(w))."""
         p = self.p
         pw = self.char_word(self.psi, word)
-        m = _m2_add_scalar(self.rho_word(word), -pw % p, p)
-        return _m2_scale(m, pow(pw, -1, p), p)
+        a, b, c, d = self.rho_word(word)
+        s = pow(pw, -1, p)
+        return (a - pw) * s % p, b * s % p, c * s % p, (d - pw) * s % p
 
     def to_record(self) -> dict:
         """Full serialization: seed, prime, and every drawn or solved
@@ -301,20 +305,26 @@ def _assemble_matrices(inst: SpecializedInstance):
 
 
 def perturb_alpha(inst: SpecializedInstance) -> SpecializedInstance:
-    """Negative control: corrupt one solved coefficient and reassemble."""
-    import copy
-
-    out = copy.deepcopy(inst)
+    """Negative control: a copy of ``inst`` with one solved coefficient
+    corrupted and E, E' and D reassembled.  It shares no mutable state with
+    ``inst``: its containers are new, the values in them immutable."""
+    out = SpecializedInstance(
+        shape=inst.shape, p=inst.p, seed=inst.seed, rho_images=dict(inst.rho_images),
+        chi=dict(inst.chi), psi=dict(inst.psi),
+        places={v: PlaceData(d.M, dict(d.eta), dict(d.xi)) for v, d in inst.places.items()},
+        eps=[list(row) for row in inst.eps],
+        delta={key: list(row) for key, row in inst.delta.items()},
+        alpha={g: list(row) for g, row in inst.alpha.items()},
+    )
     if out.alpha:
-        g = sorted(out.alpha)[0]
-        out.alpha[g][0] = (out.alpha[g][0] + 1) % out.p
+        row = out.alpha[min(out.alpha)]
     elif out.delta:
-        key = sorted(out.delta)[0]
-        out.delta[key][0] = (out.delta[key][0] + 1) % out.p
+        row = out.delta[min(out.delta)]
     elif out.eps:
-        out.eps[0][0] = (out.eps[0][0] + 1) % out.p
+        row = out.eps[0]
     else:
         raise StructuralError("instance has no solved coefficients to perturb")
+    row[0] = (row[0] + 1) % out.p
     _assemble_matrices(out)
     return out
 
@@ -330,31 +340,17 @@ class SpecializedChecks:
     J_vanishes: bool
 
     def all_pass(self) -> bool:
-        return (
-            self.detE_factorization
-            and self.detEprime_zero
-            and self.cocycle
-            and self.J_vanishes
-        )
+        return self.detE_factorization and self.detEprime_zero and self.cocycle and self.J_vanishes
 
 
 def check_specialized(inst: SpecializedInstance) -> SpecializedChecks:
-    ring = inst.ring
-    p = inst.p
-    shape = inst.shape
-
-    det_e = det(inst.E, ring)
-    det_d = det(inst.D, ring)
+    ring, p, shape = inst.ring, inst.p, inst.shape
     z_prod = 1
     for v in shape.p_places:
-        z_prod = (z_prod * inst.z_val(shape.sigma_v[v])) % p
-    factorization = det_e == (z_prod * det_d) % p
-
+        z_prod = z_prod * inst.z_val(shape.sigma_v[v]) % p
+    factorization = det(inst.E, ring) == z_prod * det(inst.D, ring) % p
     eprime_zero = det(inst.Eprime, ring) == 0
-
-    cocycle = _check_cocycle(inst)
-    j_vanish = _check_j_vanishes(inst)
-    return SpecializedChecks(factorization, eprime_zero, cocycle, j_vanish)
+    return SpecializedChecks(factorization, eprime_zero, _check_cocycle(inst), _check_j_vanishes(inst))
 
 
 def _check_cocycle(inst: SpecializedInstance) -> bool:
@@ -376,14 +372,12 @@ def _check_cocycle(inst: SpecializedInstance) -> bool:
         chi1 = inst.char_word(inst.chi, w1)
         psi1 = inst.char_word(inst.psi, w1)
         psi2 = inst.char_word(inst.psi, w2)
-        k2 = _m2_scale(inst.kappa(w2), chi1 * pow(psi1, -1, p), p)
+        scale = pow(psi1 * psi2, -1, p)  # psi(w1 w2)^{-1}; psi2 * scale is psi(w1)^{-1}
+        k2 = _m2_scale(inst.kappa(w2), chi1 * psi2 * scale, p)
         defect = _m2_sub(_m2_sub(inst.kappa(w1 + w2), inst.kappa(w1), p), k2, p)
-        product = _m2_mul(
-            _m2_add_scalar(inst.rho_word(w1), -chi1 % p, p),
-            _m2_add_scalar(inst.rho_word(w2), -psi2 % p, p),
-            p,
-        )
-        if defect != _m2_scale(product, pow(psi1 * psi2, -1, p), p):
+        product = _m2_mul(_m2_add_scalar(inst.rho_word(w1), -chi1 % p, p),
+                          _m2_add_scalar(inst.rho_word(w2), -psi2 % p, p), p)
+        if defect != _m2_scale(product, scale, p):
             return False
     return True
 
@@ -391,8 +385,7 @@ def _check_cocycle(inst: SpecializedInstance) -> bool:
 def _check_j_vanishes(inst: SpecializedInstance) -> bool:
     """Every relation-ideal generator evaluates to zero at the instance.
     J over GF(p) is the shared construction of formal.build_ideals."""
-    point = _instance_point(inst)
-    return all(g.evaluate(point) == 0 for g in build_ideals(inst.shape, inst.ring).J.generators)
+    return not any(evaluate_all(build_ideals(inst.shape, inst.ring).J.generators, _instance_point(inst)))
 
 
 # Each formal variable kind -> its value at an instance, given the
@@ -412,8 +405,8 @@ def _point_plan(shape: RibetShape, p: int) -> tuple:
     """(index, reader, indices) for each formal variable, reader(inst,
     *indices) being its value at an instance.  Read once per (shape, p)
     from the variable keys of the shared formal ring; the key is the
-    shape's value, not its identity, since perturb_alpha deep-copies the
-    instance, shape included."""
+    shape's value, not its identity, so a copied or re-read shape finds
+    the same entry."""
     return tuple(
         (col, _READERS[kind], tuple(indices))
         for (kind, *indices), col in formal_ring(shape, GF(p)).keys.items()

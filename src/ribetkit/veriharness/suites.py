@@ -139,7 +139,7 @@ def _specialization(shape: RibetShape, seed: int, p: int, control: bool) -> list
     res = check_specialized(inst)
     verdicts: list = [res.detE_factorization, res.detEprime_zero, res.cocycle, res.J_vanishes]
     if control:
-        broken = check_specialized(perturb_alpha(inst))  # perturb_alpha deep-copies
+        broken = check_specialized(perturb_alpha(inst))  # a copy: inst is unchanged
         verdicts.append((not broken.detEprime_zero, "perturbed coefficient must break det(E')=0"))
     return verdicts
 

@@ -1,6 +1,7 @@
 """Polynomial kernel: arithmetic, substitution, evaluation, grading,
 the monomial order, and text round-trips."""
 
+import random
 import re
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from ribetkit.exactpoly import (
     ZZ,
     Polynomial,
     VariableTable,
+    evaluate_all,
     from_text,
     to_text,
 )
@@ -153,6 +155,50 @@ def test_kept_sparse_form_reads_and_errors_as_before(ring):
         assert point.read == {0}
     with pytest.raises(StructuralError, match=r"missing assignment for \['y', 'z'\]"):
         f.evaluate({0: 1})
+
+
+def _naive_value(f, point):
+    """Reference: every factor of every dense term, exponent 0 included,
+    raised by pow, over the rationals (mod p over GF(p))."""
+    p = f.ring.p
+    total = 0
+    for m, c in f.terms.items():
+        for i, e in enumerate(m):
+            c = c * pow(point[i] % p, e, p) % p if p else c * pow(Fraction(point[i]), e)
+        total += c
+    return total % p if p else f.ring.normalize(total)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(7), GF(1000003)], ids=repr)
+def test_evaluation_kernel_matches_pow_on_every_factor(ring):
+    # Random polynomials with every exponent in 0..3, evaluated one at a
+    # time and all in one pass, at points holding negative, large and (over
+    # QQ) fractional values.
+    rng = random.Random(f"evaluate_all:{ring!r}")
+    for _ in range(40):
+        polys = []
+        for _ in range(rng.randint(1, 5)):
+            terms = {tuple(rng.randint(0, 3) for _ in range(3)): rng.randint(-9, 9)
+                     for _ in range(rng.randint(0, 6))}
+            polys.append(Polynomial(ring, T3, {m: c for m, c in terms.items() if c}))
+        values = [rng.randint(-10**7, 10**7), rng.randint(-3, 3), rng.randint(0, 9)]
+        if ring.kind == "QQ":
+            values[2] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        point = dict(enumerate(values))
+        want = [_naive_value(f, point) for f in polys]
+        assert evaluate_all(polys, point) == want
+        assert [f.evaluate(point) for f in polys] == want
+    assert evaluate_all([], {}) == []
+
+
+def test_evaluation_kernel_errors():
+    # A missing variable is named as evaluate names it, from the first
+    # polynomial that reads it; the polynomials must share one ring.
+    x, y, z = (V(i) for i in range(3))
+    with pytest.raises(StructuralError, match=r"^missing assignment for \['y', 'z'\]$"):
+        evaluate_all([x + 1, x * y + z], {0: 1})
+    with pytest.raises(StructuralError, match="one ring"):
+        evaluate_all([x, V(0, GF(7))], {0: 1})
 
 
 def test_equality_and_hash_ignore_the_sparse_form():

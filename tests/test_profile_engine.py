@@ -30,6 +30,8 @@ def test_profile_sections_run_and_restore_what_they_patch(capsys):
     out = capsys.readouterr().out
     assert "row reductions per generation attempt" in out
     assert "formal constructions of the corpus shapes (cold)" in out
+    control = [line for line in out.splitlines() if line.startswith("  perturbed control: perturb_alpha")]
+    assert len(control) == 1 and control[0].endswith("-> 200 of 200 break det(E') = 0")
     layer = [line for line in out.splitlines() if line.startswith("polynomial layer: det(E')")]
     assert len(layer) == 1 and "products" in layer[0] and "sums" in layer[0]
     # Only the three det ids of the 56 reach the engine.

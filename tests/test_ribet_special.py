@@ -21,6 +21,7 @@ from ribetkit.ribet.shapes import (
 )
 from ribetkit.ribet.specialize import (
     SpecializedInstance,
+    _assemble_matrices,
     _check_j_vanishes,
     _coefficient_matrix,
     _m2_add_scalar,
@@ -146,6 +147,61 @@ def _shape_with_type_v() -> RibetShape:
     )
 
 
+def _perturb_by_deepcopy(inst):
+    """Reference control: a deep copy of the whole instance with the first
+    alpha coefficient (else delta, else eps) moved by one, reassembled."""
+    out = copy.deepcopy(inst)
+    if out.alpha:
+        row = out.alpha[sorted(out.alpha)[0]]
+    elif out.delta:
+        row = out.delta[sorted(out.delta)[0]]
+    else:
+        row = out.eps[0]
+    row[0] = (row[0] + 1) % out.p
+    _assemble_matrices(out)
+    return out
+
+
+def _mutate_everything(inst):
+    """Change every mutable container an instance holds, and the rows in
+    them; the shape is a frozen value."""
+    for rows in (inst.eps, list(inst.delta.values()), list(inst.alpha.values()),
+                 inst.E, inst.Eprime, inst.D):
+        for row in rows:
+            row[0] += 1
+            row.append(0)
+    for table in (inst.chi, inst.psi, *(d.eta for d in inst.places.values()),
+                  *(d.xi for d in inst.places.values())):
+        for g in table:
+            table[g] += 1
+    for g in inst.rho_images:
+        inst.rho_images[g] = (0, 0, 0, 0)
+    for v in inst.places:
+        inst.places[v].M = (0, 0, 0, 0)
+    inst.eps.append([1])
+    inst.delta[(0, 0)] = [1]
+    inst.alpha[0] = [1]
+    inst.places["w"] = None
+    for rows in (inst.E, inst.Eprime, inst.D):
+        rows.append([1])
+
+
+@pytest.mark.parametrize("sh", [shape_specialization(), _shape_with_type_v()], ids=lambda s: s.name)
+def test_perturbed_control_shares_no_mutable_state(sh):
+    for seed in range(4):
+        inst = generate_specialization(sh, seed, P)
+        record = inst.to_record()
+        control = perturb_alpha(inst)
+        assert control.to_record() == _perturb_by_deepcopy(inst).to_record()
+        assert control.shape is inst.shape and inst.to_record() == record
+        control_record = control.to_record()
+        _mutate_everything(control)
+        assert inst.to_record() == record
+        control = perturb_alpha(inst)
+        _mutate_everything(inst)
+        assert control.to_record() == control_record
+
+
 @pytest.mark.parametrize("p", [3, P])
 @pytest.mark.parametrize("sh", [shape_specialization(), _shape_with_type_v()], ids=lambda s: s.name)
 def test_numeric_matrices_are_the_formal_ones_at_the_instance(sh, p):
@@ -203,7 +259,7 @@ def test_relation_ideal_is_built_once_per_shape_and_prime(monkeypatch):
         assert report.summary() == {"pass": 176, "fail": 0, "timeout": 0}
         keys = [(sh.name, QQ) for sh in corpus()] + [("spec-r4", GF(P))]
         assert sorted(calls, key=repr) == sorted(keys, key=repr)
-        # Fresh instances and the deep-copied control find the GF(p) entry.
+        # Fresh instances and the perturbed control find the GF(p) entry.
         calls.clear()
         insts = [generate_specialization(shape_specialization(), seed, P) for seed in range(5)]
         for inst in insts:
