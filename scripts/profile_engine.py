@@ -7,8 +7,8 @@ glance, times the GB of J(sigma-v0-type3) on both coefficient cores
 with a check that the QQ basis reduced mod p is the GF(p) basis, times
 the module path (syzygies and symbolic H1) on R(f) 2x4, an ideal
 quotient over GF(101) in three variables under a step budget that ends
-it in about a second (too few variables for the engine's support index,
-so its reductions scan; it ends in BudgetExceeded), the C -> D
+it in about a second (a module loop, whose reductions scan its
+tail-length-ordered records; it ends in BudgetExceeded), the C -> D
 morphism of full-mixed at cap 3 (with its d^2 = 0 check on D and its
 commuting squares timed again on their own, the two sparse matrix
 product workloads), the trace-identities suite with its engine calls
@@ -171,9 +171,10 @@ def few_variable_quotient():
     """I : f over GF(101) for I = (-3y^2 + 3xz + 3z, -2x^2 - 2y - 1,
     x^3 - 3xyz + y) and f = -x^2y + 2z^3: the lift carries a cofactor of
     every generator, and the module loop runs until the step budget ends
-    it.  Its reducer sets reach 96 records within the budget, but in
-    three variables the support index rules out almost none of them, so
-    the engine scans them."""
+    it.  Its reducer lists reach 96 records within the budget.  Like every
+    pair loop the module loop scans them: in three variables a support
+    index would rule out almost none of them (the ``groebner`` module
+    docstring)."""
     F, table = GF(101), VariableTable(["x", "y", "z"])
     x, y, z = (Polynomial.var(F, table, i) for i in range(3))
     I = IdealSpec([-3 * y**2 + 3 * x * z + 3 * z, -2 * x**2 - 2 * y - 1, x**3 - 3 * x * y * z + y])

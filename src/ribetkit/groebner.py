@@ -46,44 +46,49 @@ not fit: a signature of the signature loop, and an S-polynomial term
 from the tail of a module element, which under position over term can
 outweigh its lead.
 
-Polynomials enter the engine only through ``_Engine.pack``, which packs
-a module element or a scalar passed as ``[f]`` and over QQ scales it to
+Polynomials enter the engine only through ``_lift``, which moves ZZ to
+QQ and requires one field of them all: each entry point lifts its
+generators and targets together, once.  ``_Engine.pack`` then packs a
+module element or a scalar passed as ``[f]`` and over QQ scales it to
 integers by the lcm of its denominators.  Results leave only through
 ``_Engine.to_vector``, which divides by that denominator times the
 scale ``reduce`` returned, for the exact value, or by default by the
-leading coefficient, for a monic one.  ``_Packer.from_key`` and
+leading coefficient, for a monic one.  Targets are reduced through
+``_Engine.divide``, which does both.  ``_Packer.from_key`` and
 ``to_key`` convert a monomial from and to exactpoly's packed layout.
 
-Reducer sets.  ``reduce`` takes a ``reducers.Reducers``, a list of
-records in the order it tries them: least key first, ties to the
-earliest added.  The key is the tail length in both pair loops and the
-list position everywhere else (``_reduced_basis``, ``divide`` and the
-membership batches); the closing certificate scans a plain list.  A
-term is reduced by the first record in that order whose lead divides
-it and, in the signature loop, whose signature times the multiplier is
-below the S-polynomial's.  The scan that finds it tests the leads one
-by one, and an irreducible term costs a test per record.  So a large
-set can find the same record through a support index (Roune & Stillman
-above call divisor queries the dominant cost of a signature engine).  A lead
+Reducer sets.  ``reduce`` tries records in list order: a term is
+reduced by the first record whose lead divides it and, in the signature
+loop, whose signature times the multiplier is below the S-polynomial's.
+Both pair loops keep plain lists in tail-length order, kept by
+``bisect.insort``, which puts a record after those of its tail length,
+and scan them.  Every other set (``_reduced_basis``, ``divide`` and the
+membership batches) is a ``reducers.Reducers``, unsigned records in the
+order they were added, only ever appended to; the closing certificate
+scans a plain list.  The scan tests the leads one by one, and an
+irreducible term costs a test per record.  So a large ``Reducers`` can
+find the same record through a support index (Roune & Stillman above
+call divisor queries the dominant cost of a signature engine).  A lead
 divides a term only if it uses no variable the term lacks.  Adding
 2^bits - 1 to every exponent field sets the guard bit of exactly the
 nonzero exponents, so one addition gives a term's zero pattern.  The
 index keeps, for each variable, the bitset of the record ids whose lead
-uses it, an id being a list position.  For each chunk of five variables
-it keeps a table from a zero pattern of the chunk to the ids it rules
-out.  The ids left are tested in increasing order, as the scan would
-test them, and the first that passes is the scan's record.  A record
-inserted inside the list moves every id above it up by one.
-The selection: a full reduction, not a head-only one, by a set of at
-least 32 records in a ring of at least 8 variables.  Measured, each
-against the scan:
+uses it, an id being a list position, which an append never moves.  For
+each chunk of five variables it keeps a table from a zero pattern of the
+chunk to the ids it rules out.  The ids left are tested in increasing
+order, as the scan would test them, and the first that passes is the
+scan's record.
+The selection: a full reduction by a ``Reducers`` of at least 32
+records in a ring of at least 8 variables.  Measured, each against the
+scan:
   - the reduced basis of J(sigma-v0-type3) over QQ, 20 variables: 23.6
     ms down to 13.3 ms (medians of 9 on a shared 2-vCPU x86 host); its
     3,277 indexed terms meet 269,163 records, of which 2,717 pass the
     support test and 1,676 divide;
-  - the GF(101) quotient of scripts/profile_engine.py, 3 variables: the
-    support test rules out almost nothing, and the index took 2.4 s
-    against 1.3 s to the same BudgetExceeded at 3,000 steps;
+  - the GF(101) quotient of scripts/profile_engine.py, a module loop in
+    3 variables: the support test rules out almost nothing, and the
+    index took 2.4 s against 1.3 s to the same BudgetExceeded at 3,000
+    steps.  So the pair loops, the module loop among them, only scan;
   - whole bases of random sparse quadrics in 8 and 10 variables: within
     the noise (medians 0.85 to 1.07 of the scan's time);
   - head-only reductions: nearly every popped term is reducible and the
@@ -199,7 +204,7 @@ against ``Budget.max_degree``.  Exceeding either raises
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -450,31 +455,27 @@ class _Engine:
         return (lm, lc, terms, tail, max((m & mask for m, _ in tail), default=NEG_INF), signature)
 
     def reduce(
-        self,
-        terms: dict,
-        reducers: list,
-        counter: _Counter,
-        head_only: bool = False,
-        signature: int | None = None,
+        self, terms: dict, reducers: list, counter: _Counter, signature: int | None = None
     ) -> tuple[dict, int]:
-        """Pseudo-reduce a packed term dict by records: a ``Reducers``,
-        or a list of records tried in order.
+        """Pseudo-reduce a packed term dict by records: a ``Reducers``, or
+        a list of records tried in order.
 
         Returns (remainder, scale) with scale > 0 and
         scale * input = (combination of reducers) + remainder.  Over GF(p)
         the scale is 1 and input coefficients may be any representatives:
         each is reduced mod p when its term is popped, and a term that
-        vanishes mod p is dropped.  In head_only mode reduction stops once
-        the leading monomial is irreducible; the untouched tail is
-        returned as part of the remainder.  A record with a signature
-        reduces a term only when its signature times the multiplier is
-        below ``signature``: a regular reduction (module docstring).
+        vanishes mod p is dropped.  Without a ``signature`` the reduction
+        is full.  With one it is the signature loop's regular head-only
+        reduction: a record with a signature reduces a term only when its
+        signature times the multiplier is below ``signature``, and the
+        reduction stops once the leading term is irreducible, returning
+        it with the untouched tail (module docstring).
         """
         if not terms or not reducers:
             return dict(terms), 1
         # A full reduction by a large set may find its reducers through the
         # set's support index; everything else scans (module docstring).
-        find = reducers.finder() if not head_only and isinstance(reducers, Reducers) else None
+        find = reducers.finder() if signature is None and isinstance(reducers, Reducers) else None
         p = self.p
         guard = self.packer.guard
         mask = self.packer.deg_mask
@@ -483,7 +484,7 @@ class _Engine:
         work = dict(terms)
         heap = [-m for m in work]  # heapq is a min-heap; negate for the largest first
         heapq.heapify(heap)
-        remainder: dict[int, tuple[int, int]] = {}  # mono -> (value, scale at extraction)
+        remainder: dict[int, int] = {}
         scale = 1
         while heap:
             m = -heappop(heap)
@@ -503,15 +504,12 @@ class _Engine:
                 else:
                     rec = None
             else:
-                rec = find(m, signature)
+                rec = find(m)
             if rec is None:
-                if head_only:
-                    out = {k: v % p for k, v in work.items() if v % p} if p else dict(work)
-                    for mm, (v, s) in remainder.items():
-                        out[mm] = v * (scale // s)
-                    return out, scale
+                if signature is not None:  # head-only: nothing is in the remainder yet
+                    return ({k: v % p for k, v in work.items() if v % p} if p else work), scale
                 del work[m]
-                remainder[m] = (c, scale)
+                remainder[m] = c
                 continue
             counter.tick()
             del work[m]
@@ -529,8 +527,9 @@ class _Engine:
                     a, b = -a, -b
                 if a != 1:
                     scale *= a
-                    for k in work:
-                        work[k] *= a
+                    for part in (work, remainder):
+                        for k in part:
+                            part[k] *= a
             for mt, ct in tail:
                 mm = mt + shift
                 prev = work.get(mm)
@@ -543,7 +542,7 @@ class _Engine:
                         work[mm] = v
                     else:
                         del work[mm]
-        return {mm: v * (scale // s) for mm, (v, s) in remainder.items()}, scale
+        return remainder, scale
 
     def spoly(self, f: tuple, g: tuple, lcm: int, counter: _Counter) -> dict:
         """S-polynomial of two records whose leading monomials have the
@@ -573,7 +572,8 @@ class _Engine:
 
 
 def _lift(gens: Sequence[Polynomial]) -> list[Polynomial]:
-    """Generators over one field: ZZ lifts to QQ."""
+    """The polynomials over one field, ZZ lifted to QQ: the engine's only
+    way in (module docstring)."""
     lifted = []
     for g in gens:
         if g.ring.kind == "ZZ":
@@ -588,11 +588,16 @@ def _lift(gens: Sequence[Polynomial]) -> list[Polynomial]:
     return lifted
 
 
-def _engine_for(gens: Sequence[Polynomial], degree: int, components: int = 0) -> tuple[_Engine, list[Polynomial]]:
-    """Engine whose packed fields hold degree ``degree`` and every input term."""
-    lifted = _lift(gens)
-    degree = max(degree, _max_degree(lifted))
-    return _Engine(lifted[0].ring, len(lifted[0].table), degree, components), lifted
+def _lift_vectors(vectors: Sequence[Sequence[Polynomial]], rank: int) -> list[list[Polynomial]]:
+    """``_lift`` of the entries of vectors of length ``rank``."""
+    flat = _lift([e for v in vectors for e in v])
+    return [flat[i : i + rank] for i in range(0, len(flat), rank)]
+
+
+def _engine_for(lifted: Sequence[Polynomial], degree: int, components: int = 0) -> _Engine:
+    """Engine for polynomials of one field (``_lift``) whose packed fields
+    hold degree ``degree`` and every term of ``lifted``."""
+    return _Engine(lifted[0].ring, len(lifted[0].table), max(degree, _max_degree(lifted)), components)
 
 
 def _widening(degree: int, run):
@@ -623,12 +628,13 @@ class GroebnerBasis:
         for the sources' degree and under one step counter."""
         if not self.basis:
             return not self.source.generators
-        gens = [_match_field(g, self.basis[0].ring) for g in self.source.generators]
+        lifted = _lift([*self.basis, *self.source.generators])
+        basis, gens = lifted[: len(self.basis)], lifted[len(self.basis) :]
         counter = budget.fresh_counter()
 
         def run(degree: int) -> bool:
-            eng, lifted = _engine_for(self.basis, degree)
-            records = eng.records([g] for g in lifted)
+            eng = _engine_for(basis, degree)
+            records = eng.records([g] for g in basis)
             if _buchberger(eng, [rec[2] for rec in records], counter, check=True) is None:
                 return False
             return not any(eng.divide([g], records, counter)[0] for g in gens)
@@ -636,35 +642,27 @@ class GroebnerBasis:
         return _widening(max(budget.max_degree, _max_degree(gens)), run)
 
 
-def _match_field(f: Polynomial, ring: CoefficientRing) -> Polynomial:
-    if f.ring == ring:
-        return f
-    if f.ring.kind == "ZZ" and ring.kind == "QQ":
-        return f.change_ring(QQ)
-    raise StructuralError(f"cannot move polynomial from {f.ring} to {ring}")
-
-
 def buchberger(spec: IdealSpec, budget: Budget = DEFAULT_BUDGET) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal presented by ``spec`` (ZZ
     lifted to QQ), certified by ``_ideal_basis``."""
     if not spec.generators:
         return GroebnerBasis((), spec)
-    eng, records, _ = _ideal_basis(spec.generators, budget)
+    eng, records, _ = _ideal_basis(_lift(spec.generators), budget)
     basis = tuple(eng.to_vector(rec[2], spec.table)[0] for rec in records)
     return GroebnerBasis(basis, spec)
 
 
 def _ideal_basis(gens, budget: Budget, degree_bound=None, degree: int = 0) -> tuple:
     """(engine, records, counter) of a basis of the ideal of ``gens``,
-    with room for degree ``degree``: the signature loop's d-basis under
-    ``degree_bound`` d, else the reduced basis, largest lead first,
-    certified by reducing every generator to zero against it (its
-    elements are built from the generators)."""
+    of one field (``_lift``), with room for degree ``degree``: the
+    signature loop's d-basis under ``degree_bound`` d, else the reduced
+    basis, largest lead first, certified by reducing every generator to
+    zero against it (its elements are built from the generators)."""
     counter = budget.fresh_counter()
 
     def run(room: int):
-        eng, lifted = _engine_for(gens, max(room, degree))
-        inputs = [eng.pack([g])[0] for g in lifted]
+        eng = _engine_for(gens, max(room, degree))
+        inputs = [eng.pack([g])[0] for g in gens]
         records = _signature_basis(eng, inputs, counter, degree_bound)
         if degree_bound is not None:
             return eng, Reducers(eng.packer, records), counter
@@ -680,17 +678,16 @@ def _buchberger(
     eng: _Engine,
     inputs: list[dict],
     counter: _Counter,
-    head_only: bool = True,
     check: bool = False,
     degree_bound: int | None = None,
 ) -> list[tuple] | None:
     """Records of a Groebner basis of the packed inputs, in the order they
     were added: neither minimal nor interreduced.  S-polynomials are
-    reduced by the records shortest tail first (module docstring).  With
-    ``head_only`` False every new element is fully reduced, and its every
-    term is checked against the degree cap.  With ``check`` the inputs are
-    taken for a basis: the first S-polynomial that does not reduce to
-    zero returns None instead of being added.  With ``degree_bound`` d,
+    fully reduced by the records, shortest tail first (module docstring),
+    and every term of a new element is checked against the degree cap.
+    With ``check`` the inputs are taken for a basis: the first
+    S-polynomial that does not reduce to zero returns None instead of
+    being added.  With ``degree_bound`` d,
     a pair whose lcm has degree above d is never formed, which leaves a
     d-basis of homogeneous inputs, and with ``check`` re-checks one
     (module docstring)."""
@@ -701,7 +698,7 @@ def _buchberger(
     bound = mask if degree_bound is None else degree_bound
 
     G: list[tuple] = []
-    reducers = Reducers(packer, key=_tail_length)  # the records of G
+    reducers: list[tuple] = []  # the records of G, shortest tail first
     leads: list[int] = []
     supports: list[list[tuple[int, int]]] = []  # the leads' (variable, exponent) pairs
     pair_heap: list = []
@@ -710,7 +707,7 @@ def _buchberger(
     def add(terms: dict):
         rec = eng.record(terms)
         lm = rec[0]
-        counter.check_degree(lm & mask if head_only else max(lm & mask, rec[4]))
+        counter.check_degree(max(lm & mask, rec[4]))
         idx = len(G)
         e_new = packer.unpack(lm)
         position = lm >> top  # the module component; 0 for scalars
@@ -721,7 +718,7 @@ def _buchberger(
                     heapq.heappush(pair_heap, (lcm, i, idx))
                     pending.add((i, idx))
         G.append(rec)
-        reducers.add(rec)
+        insort(reducers, rec, key=_tail_length)
         leads.append(lm)
         supports.append(_support(e_new))
 
@@ -750,7 +747,7 @@ def _buchberger(
         s = eng.spoly(G[i], G[j], lcm, counter)
         if not s:
             continue
-        r, _ = eng.reduce(s, reducers, counter, head_only)
+        r, _ = eng.reduce(s, reducers, counter)
         if r:
             if check:
                 return None
@@ -791,7 +788,7 @@ def _signature_basis(
         # signature of a syzygy.  No lead of higher degree divides t.
         prev_leads = sorted((rec[0] for rec in prev), key=lambda lm: lm & mask)
         prev_degrees = [lm & mask for lm in prev_leads]
-        reducers = Reducers(packer, prev, key=_tail_length)
+        reducers = sorted(prev, key=_tail_length)
         syzygies: list[int] = []  # signatures of the zero reductions
         pairs: list[tuple] = []
 
@@ -858,9 +855,9 @@ def _signature_basis(
             counter.tick(formed)
             basis.append(rec)
             supports.append(_support(exps))
-            reducers.add(rec)
+            insort(reducers, rec, key=_tail_length)
 
-        r, _ = eng.reduce(f, reducers, counter, head_only=True, signature=0)
+        r, _ = eng.reduce(f, reducers, counter, signature=0)
         if r:
             add(r, 0)  # signature e_i: the packed monomial 1 is 0
         else:
@@ -892,7 +889,7 @@ def _signature_basis(
                 continue
             last = t
             s = eng.spoly(basis[a], basis[b], lcm, counter)
-            r = eng.reduce(s, reducers, counter, head_only=True, signature=t)[0] if s else s
+            r = eng.reduce(s, reducers, counter, signature=t)[0] if s else s
             if not r:
                 syzygies.append(t)
                 stats["zero"] += 1
@@ -967,10 +964,9 @@ def reduce_by(f: Polynomial, gens: Sequence[Polynomial], budget: Budget = DEFAUL
     gens = [g for g in gens if not g.is_zero()]
     if not gens or f.is_zero():
         return f
-    lifted = _lift(gens)
-    f = _match_field(f, lifted[0].ring)
-    eng, lifted = _engine_for(lifted, max(budget.max_degree, _max_degree([f])))
-    rem, k = eng.divide([f], eng.records([g] for g in lifted), budget.fresh_counter())
+    lifted = _lift([f, *gens])
+    eng, f = _engine_for(lifted, budget.max_degree), lifted[0]
+    rem, k = eng.divide([f], eng.records([g] for g in lifted[1:]), budget.fresh_counter())
     return eng.to_vector(rem, f.table, divisor=k)[0]
 
 
@@ -994,12 +990,12 @@ def _ideal_contains_all(spec: IdealSpec, targets: Sequence[Polynomial], budget: 
         return True
     if not spec.generators:
         return False
-    lifted = _lift(spec.generators)
-    targets = [_match_field(f, lifted[0].ring) for f in targets]
+    lifted = _lift([*targets, *spec.generators])
+    targets, gens = lifted[: len(targets)], lifted[len(targets) :]
     d = _max_degree(targets)
-    homogeneous = all(_is_homogeneous(g) for g in (*targets, *lifted))
-    eng, records, counter = _ideal_basis(lifted, budget, d if homogeneous else None, d)
-    return all(not eng.reduce(eng.pack([f])[0], records, counter)[0] for f in targets)
+    homogeneous = all(_is_homogeneous(g) for g in lifted)
+    eng, records, counter = _ideal_basis(gens, budget, d if homogeneous else None, d)
+    return all(not eng.divide([f], records, counter)[0] for f in targets)
 
 
 # ---------------------------------------------------------------------------
@@ -1091,15 +1087,16 @@ class FreeModuleMatrix:
 
 def _module_basis(vectors, budget: Budget, rank: int, degree: int = 0) -> tuple:
     """(engine, records, counter) of a Groebner basis of the submodule of
-    a rank-``rank`` free module that ``vectors`` generate, with room for
+    a rank-``rank`` free module that ``vectors``, of one field
+    (``_lift_vectors``), generate, with room for
     degree ``degree``: ``_buchberger``'s records, each new one fully
     reduced, on one counter across widening restarts."""
     counter = budget.fresh_counter()
 
     def run(room: int):
-        eng, flat = _engine_for([e for v in vectors for e in v], max(room, degree), rank)
-        inputs = [eng.pack(flat[i : i + rank])[0] for i in range(0, len(flat), rank)]
-        return eng, _buchberger(eng, inputs, counter, head_only=False), counter
+        eng = _engine_for([e for v in vectors for e in v], max(room, degree), rank)
+        inputs = [eng.pack(v)[0] for v in vectors]
+        return eng, _buchberger(eng, inputs, counter), counter
 
     return _widening(budget.max_degree, run)
 
@@ -1108,7 +1105,7 @@ def module_gb(columns: list[list[Polynomial]], budget: Budget = DEFAULT_BUDGET) 
     """Groebner basis of the submodule of R^m generated by the columns, as
     vectors over the coefficient field (not interreduced)."""
     rank = len(columns[0])
-    eng, records, _ = _module_basis(columns, budget, rank)
+    eng, records, _ = _module_basis(_lift_vectors(columns, rank), budget, rank)
     return [eng.to_vector(rec[2], columns[0][0].table, 0, rank) for rec in records]
 
 
@@ -1128,10 +1125,12 @@ def _module_contains_all(vs, generators, budget: Budget) -> bool:
     vs = [v for v in vs if any(not e.is_zero() for e in v)]
     if not vs or not generators:
         return not vs
+    lifted = _lift_vectors([*vs, *generators], len(vs[0]))
+    vs, generators = lifted[: len(vs)], lifted[len(vs) :]
     d = _max_degree([e for v in vs for e in v])
     eng, records, counter = _module_basis(generators, budget, len(vs[0]), d)
     records = Reducers(eng.packer, records)
-    return all(not eng.divide([_match_field(e, eng.ring) for e in v], records, counter)[0] for v in vs)
+    return all(not eng.divide(v, records, counter)[0] for v in vs)
 
 
 def syzygies(M: FreeModuleMatrix, budget: Budget = DEFAULT_BUDGET) -> list[list[Polynomial]]:
@@ -1140,9 +1139,8 @@ def syzygies(M: FreeModuleMatrix, budget: Budget = DEFAULT_BUDGET) -> list[list[
     m, k = M.rows, M.cols
     if k == 0:
         return []
-    flat = _lift([e for row in M.entries for e in row])
-    lifted = FreeModuleMatrix([flat[i : i + k] for i in range(0, len(flat), k)])
-    ring, table = flat[0].ring, flat[0].table
+    lifted = FreeModuleMatrix(_lift_vectors(M.entries, k))
+    ring, table = lifted.entries[0][0].ring, lifted.entries[0][0].table
     one, zero = Polynomial.one(ring, table), Polynomial.zero(ring, table)
     # Column j with the bookkeeping unit in component m + j.
     columns = [[*lifted.column(j), *(one if i == j else zero for i in range(k))] for j in range(k)]

@@ -1,7 +1,8 @@
-"""The reducer sets of the Groebner engine: records in the order
-``groebner._Engine.reduce`` tries them, and the support index that finds
-the same record as that ordered scan on large sets.  The contract, the
-index and the selection are in the ``groebner`` module docstring.
+"""The reducer sets of the Groebner engine: unsigned records in the order
+``groebner._Engine.reduce`` tries them, which is the order they were
+added, and the support index that finds the same record as that ordered
+scan on large sets.  The contract, the index and the selection are in
+the ``groebner`` module docstring.
 
 The type has its own module to keep ``groebner.py``, the package's
 largest source, from growing: every import without cached bytecode
@@ -10,7 +11,6 @@ compiles it, and the compiler's peak memory grows with its length.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Iterable
 
 
@@ -19,21 +19,20 @@ _INDEX_MIN_RECORDS, _INDEX_MIN_VARS, _INDEX_CHUNK = 32, 8, 5
 
 
 class Reducers(list):
-    """Records in the order ``_Engine.reduce`` tries them: least ``key``
-    first, ties to the earliest added; with no key, as given and added.
-    ``packer`` is the engine's ``_Packer``.  Extend it only by ``add``."""
+    """Unsigned records in the order ``_Engine.reduce`` tries them: as
+    given, then as added.  ``packer`` is the engine's ``_Packer``.
+    Extend it only by ``add``, which appends."""
 
-    __slots__ = ("key", "packer", "indexed", "all", "ones", "var_ids", "chunks")
+    __slots__ = ("packer", "indexed", "all", "ones", "var_ids", "chunks")
 
-    def __init__(self, packer, records: Iterable[tuple] = (), key=None):
-        super().__init__(sorted(records, key=key) if key else records)
-        self.key, self.packer, self.indexed = key, packer, False
+    def __init__(self, packer, records: Iterable[tuple] = ()):
+        super().__init__(records)
+        self.packer, self.indexed = packer, False
 
     def add(self, rec: tuple):
-        at = bisect_right(self, self.key(rec), key=self.key) if self.key else len(self)
-        self.insert(at, rec)
+        self.append(rec)
         if self.indexed:
-            self._index(rec, at)
+            self._index(rec)
 
     def finder(self):
         """``find`` once the set is selected for the support index, which
@@ -50,35 +49,31 @@ class Reducers(list):
                 vs = [(v, 1 << (shifts[v] + bits)) for v in range(i, min(i + _INDEX_CHUNK, len(shifts)))]
                 self.chunks.append((sum(g for _, g in vs), {}, vs))
             self.indexed, self.all = True, 0
-            for at, rec in enumerate(self):
-                self._index(rec, at)
+            for rec in self:
+                self._index(rec)
         return self.find
 
-    def _index(self, rec: tuple, at: int):
-        """Index the record now at list position ``at``: an id is a list
-        position, so the ids from ``at`` up move up by one."""
-        bit, low, moved = 1 << at, (1 << at) - 1, self.all >> at
-        self.all = (self.all << 1) | 1
+    def _index(self, rec: tuple):
+        """Index the record given the next id, its list position."""
+        bit = self.all + 1  # all holds the ids 0 .. n - 1, so this is 1 << n
+        self.all |= bit
         used = (rec[0] & self.ones) + self.ones
         for mask, table, vs in self.chunks:
             used_here = used & mask
-            if not (used_here or moved):
+            if not used_here:
                 continue
             for v, g in vs:
-                ids = self.var_ids[v]
-                if moved:
-                    ids = (ids & low) | (ids >> at << at + 1)
-                self.var_ids[v] = ids | bit if used_here & g else ids
+                if used_here & g:
+                    self.var_ids[v] |= bit
             for pattern, ids in table.items():
-                if moved:
-                    ids = (ids & low) | (ids >> at << at + 1)
-                table[pattern] = ids | bit if used_here & ~pattern else ids
+                if used_here & ~pattern:
+                    table[pattern] = ids | bit
 
-    def find(self, m: int, signature: int | None = None):
-        """The record the ordered scan finds for the packed term ``m``
-        under ``signature``, or None: the first in list order that
-        reduces ``m``, tested only among the records whose lead uses no
-        variable that ``m`` lacks."""
+    def find(self, m: int):
+        """The record the ordered scan finds for the packed term ``m``, or
+        None: the first in list order whose lead divides ``m``, tested
+        only among the records whose lead uses no variable that ``m``
+        lacks."""
         ones = self.ones
         nonzero = (m & ones) + ones
         excluded = 0
@@ -99,6 +94,6 @@ class Reducers(list):
             low = candidates & -candidates
             candidates ^= low
             rec = self[low.bit_length() - 1]
-            if (mg - rec[0]) & guard == guard and (rec[5] is None or rec[5] + m - rec[0] < signature):
+            if (mg - rec[0]) & guard == guard:
                 return rec
         return None

@@ -41,17 +41,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        for entry in list_suites():
-            anchors = ", ".join(entry["anchors"])
-            print(f"{entry['name']:24s} {entry['description']}")
-            print(f"{'':24s} anchors: {anchors}")
-        return 0
-
-    if args.suite != "all" and args.suite not in SUITES:
+    if args.command != "list" and args.suite != "all" and args.suite not in SUITES:
         print(f"unknown suite {args.suite!r}; try 'verify list'", file=sys.stderr)
         return 2
     try:
+        if args.command == "list":  # list_suites loads each suite's default config
+            for entry in list_suites():
+                anchors = ", ".join(entry["anchors"])
+                print(f"{entry['name']:24s} {entry['description']}")
+                print(f"{'':24s} anchors: {anchors}")
+            return 0
         cfg = load_config(
             args.suite,
             path=args.config,

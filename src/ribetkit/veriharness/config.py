@@ -9,6 +9,7 @@ sections (see RibetShape.from_mapping).
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..errors import StructuralError
@@ -72,6 +73,10 @@ class SuiteConfig:
                 raise StructuralError(f"shape file {path!r} does not exist")
         if not self.seeds:
             raise StructuralError("seed list must be nonempty")
+        # A repeated seed would give two checks one id.
+        repeated = sorted(seed for seed, n in Counter(self.seeds).items() if n > 1)
+        if repeated:
+            raise StructuralError(f"seeds repeat {repeated}")
         for key, value, least in (("degree_cap", self.degree_cap, 0), ("jobs", self.jobs, 1),
                                   ("budget_steps", self.budget.max_steps, 0),
                                   ("degree_budget", self.budget.max_degree, 0)):
@@ -79,12 +84,16 @@ class SuiteConfig:
                 raise StructuralError(f"{key} = {value} is below {least}")
 
     def load_shapes(self) -> list[RibetShape]:
-        shapes = []
+        """The shapes of ``shape_paths``; two with one ``name`` would give
+        two checks one id, and raise StructuralError."""
+        shapes = {}
         for path in self.shape_paths:
             with open(path, "r", encoding="utf-8") as fh:
-                mapping = parse_flat_config(fh.read())[""]
-            shapes.append(RibetShape.from_mapping(mapping))
-        return shapes
+                shape = RibetShape.from_mapping(parse_flat_config(fh.read())[""])
+            if shape.name in shapes:
+                raise StructuralError(f"shapes lists two shape files with name = {shape.name}")
+            shapes[shape.name] = shape
+        return list(shapes.values())
 
 
 def load_config(

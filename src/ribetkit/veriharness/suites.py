@@ -64,7 +64,7 @@ from ..ribet import (
     shape_r2_two_type2,
     shape_specialization,
 )
-from .config import SuiteConfig
+from .config import SuiteConfig, load_config
 from .report import CheckResult, Report
 
 
@@ -337,64 +337,59 @@ def _suite_cd_morphism(cfg: SuiteConfig) -> list[Check]:
     ]
 
 
-SUITES: dict[str, tuple[str, list[str], Callable[[SuiteConfig], list[Check]]]] = {
+SUITES: dict[str, tuple[str, Callable[[SuiteConfig], list[Check]]]] = {
     "trace-identities": (
         "trace and determinant congruence identities for words in shifted generic matrices",
-        ["l:tr-char", "l:dets"],
         _suite_trace_identities,
     ),
     "example-r2": (
         "the closed-form r=2 difference identity modulo its eight coefficient relations",
-        ["e:example"],
         _suite_example_r2,
     ),
     "stability": (
         "adjoint transformation law for every relation quadruple (Borel stability)",
-        ["l:stable"],
         _suite_stability,
     ),
     "tau-invariance": (
         "unipotent invariance of det(E') modulo the b-coefficient ideal",
-        ["l:ebar", "l:ei"],
         _suite_tau_invariance,
     ),
     "specialization": (
         "finite-field instances: determinant factorization and vanishing, cocycle defect, relation vanishing",
-        ["l:detzero", "s:cocycle", "e:zidef", "e:pibst"],
         _suite_specialization,
     ),
     "quotient-presentation": (
         "collapse of the relation ideal under the canonical substitution",
-        ["l:pia"],
         _suite_quotient_presentation,
     ),
     "koszul-br": (
         "complex axioms and exactness evidence for Koszul and Buchsbaum-Rim complexes",
-        ["p:br-exact", "l:tensor"],
         _suite_koszul_br,
     ),
     "regularity": (
         "ideal-quotient regularity criteria for 2-row maps and linear sequences",
-        ["l:reg", "c:genericb", "p:regular-seq-inhomog"],
         _suite_regularity,
     ),
     "cd-morphism": (
         "commuting inclusion of the b-coefficient resolution into the full relation complex",
-        ["t:comm"],
         _suite_cd_morphism,
     ),
 }
 
 
 def list_suites() -> list[dict]:
+    """Each suite with the anchors that the checks its builder makes
+    under ``load_config(name)`` carry, in the order first carried; then
+    "all", with every anchor, sorted."""
     out = []
-    for name, (description, anchors, _builder) in sorted(SUITES.items()):
-        out.append({"name": name, "description": description, "anchors": anchors})
+    for name, (description, build) in sorted(SUITES.items()):
+        carried = (anchor for check in build(load_config(name)) for _cid, anchor in check.ids)
+        out.append({"name": name, "description": description, "anchors": list(dict.fromkeys(carried))})
     out.append(
         {
             "name": "all",
             "description": "every suite above, merged into one report",
-            "anchors": sorted({a for _d, anchors, _b in SUITES.values() for a in anchors}),
+            "anchors": sorted({a for entry in out for a in entry["anchors"]}),
         }
     )
     return out
@@ -442,7 +437,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
         names = [cfg.suite]
     else:
         raise StructuralError(f"unknown suite {cfg.suite!r}")
-    checks = [c for name in names for c in SUITES[name][2](cfg.suites.get(name, cfg))]
+    checks = [c for name in names for c in SUITES[name][1](cfg.suites.get(name, cfg))]
 
     workers = min(cfg.jobs, os.cpu_count() or 1, len(checks))
     if workers > 1:

@@ -330,16 +330,35 @@ def test_a_module_tail_above_the_lead_widens_the_fields(ring, packer_rooms, spol
 
 def test_gf_remainders_drop_terms_that_cancel_mod_p():
     # Over GF(p) coefficients are reduced when their term is popped; what
-    # the loop returns, head-only or full, holds no multiple of p.
+    # the loop returns, head-only (with a signature) or full, holds no
+    # multiple of p.
     p = 101
     eng = groebner._Engine(GF(p), 2, 40)
     x2, xy, y2 = (_packed(eng.packer, m) for m in ((2, 0), (1, 1), (0, 2)))
     reducers = [eng.record({y2: 1})]
     terms = {x2: 3, xy: p, y2: 2 * p + 5}
     counter = Budget().fresh_counter()
-    assert eng.reduce(terms, reducers, counter, head_only=True) == ({x2: 3, y2: 5}, 1)
+    assert eng.reduce(terms, reducers, counter, signature=0) == ({x2: 3, y2: 5}, 1)
     assert eng.reduce(terms, reducers, counter) == ({x2: 3}, 1)
     assert counter.steps == 1
+
+
+def test_qq_rescaling_scales_the_remainder_already_taken():
+    # Over QQ a reducer whose leading coefficient does not divide the
+    # head's scales everything: the term y^3 already in the remainder as
+    # well as the terms still to reduce.  f = y^3 + xy by g = 2x + 3y:
+    # 2f = y * g + (2y^3 - 3y^2), the remainder with scale 2.  No suite
+    # or benchmark workload reaches this path.
+    x, y = V(0), V(1)
+    f, g = y**3 + x * y, 2 * x + 3 * y
+    eng = groebner._Engine(QQ, 2, 40)
+    terms, denom = eng.pack([f])
+    assert denom == 1
+    counter = Budget().fresh_counter()
+    y3, y2 = (_packed(eng.packer, m) for m in ((0, 3), (0, 2)))
+    assert eng.reduce(terms, eng.records([[g]]), counter) == ({y3: 2, y2: -3}, 2)
+    assert counter.steps == 1
+    assert reduce_by(f, [g]) == y**3 - Fraction(3, 2) * y**2
 
 
 _exps = st.tuples(*[st.integers(0, 20)] * 5)
@@ -661,7 +680,8 @@ def test_bounded_check_accepts_a_d_basis_and_rejects_it_short_of_a_remainder():
     # remainder.  Unbounded, the check rejects them: the full basis of this
     # J is far larger.
     J = build_ideals(shape_one_place_type4()).J
-    eng, gens = groebner._engine_for(groebner._lift(J.generators), Budget().max_degree)
+    gens = groebner._lift(J.generators)
+    eng = groebner._engine_for(gens, Budget().max_degree)
     G = groebner._buchberger(eng, [eng.pack([g])[0] for g in gens], Budget().fresh_counter(), degree_bound=4)
     assert len(G) == 113 and len(gens) == 16
 
@@ -733,7 +753,8 @@ def _both_loops(spec, degree_bound=None):
     loop does not."""
 
     def run(degree):
-        eng, gens = groebner._engine_for(groebner._lift(spec.generators), degree)
+        gens = groebner._lift(spec.generators)
+        eng = groebner._engine_for(gens, degree)
         inputs = [eng.pack([g])[0] for g in gens]
         signature = groebner._signature_basis(eng, inputs, Budget().fresh_counter(), degree_bound)
         try:
@@ -793,7 +814,8 @@ def test_inhomogeneous_verdicts_agree_with_buchberger_records(ideal, data):
     gens, _ = ideal
     spec = IdealSpec(gens)
     assume(spec.generators)
-    eng, lifted = groebner._engine_for(spec.generators, Budget().max_degree)
+    lifted = groebner._lift(spec.generators)
+    eng = groebner._engine_for(lifted, Budget().max_degree)
     G = groebner._buchberger(eng, [eng.pack([g])[0] for g in lifted], Budget().fresh_counter())
     if data.draw(st.booleans()):
         f = eng.to_vector(data.draw(st.sampled_from(G))[2], TXYZ)[0]

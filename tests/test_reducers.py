@@ -1,5 +1,6 @@
 """reducers.Reducers: the support-indexed lookup returns exactly the
-record that the ordered scan of ``_Engine.reduce`` returns."""
+record that the ordered scan of ``_Engine.reduce`` returns, on the
+unsigned, append-only sets the index serves."""
 
 import random
 
@@ -11,12 +12,11 @@ from ribetkit.exactpoly import GF, QQ
 from ribetkit.groebner import Budget
 
 
-def _scan(records, m, guard, signature):
-    """The reference: the first record in order whose lead divides m and
-    whose signature times the multiplier is below ``signature``."""
+def _scan(records, m, guard):
+    """The reference: the first record in order whose lead divides m."""
     mg = m | guard
     for rec in records:
-        if (mg - rec[0]) & guard == guard and (rec[5] is None or rec[5] + m - rec[0] < signature):
+        if (mg - rec[0]) & guard == guard:
             return rec
     return None
 
@@ -31,24 +31,22 @@ def _monomial(rng, packer, nvars, degree, component=0):
     return sum(e * u for e, u in zip(exps, packer.units)) + packer.components[component]
 
 
-def _record(rng, eng, nvars, components, signed):
-    """A record whose lead and tail come from random monomials of one
-    component; tail lengths 0-3 make ties in the key common."""
+def _record(rng, eng, nvars, components):
+    """An unsigned record whose lead and tail come from random monomials
+    of one component."""
     c = rng.randrange(components or 1)
     terms = {_monomial(rng, eng.packer, nvars, 4, c): rng.randint(1, 5) for _ in range(rng.randint(1, 4))}
-    sig = _monomial(rng, eng.packer, nvars, 3) if signed and rng.random() < 0.7 else None
-    return eng.record(terms, sig)
+    return eng.record(terms)
 
 
 def _queries(rng, eng, nvars, components, records, count):
     """Terms that many records divide (a lead times a monomial) and random
-    ones, each with a random signature."""
+    ones."""
     for _ in range(count):
         if records and rng.random() < 0.6:
-            m = rng.choice(records)[0] + _monomial(rng, eng.packer, nvars, 2)
+            yield rng.choice(records)[0] + _monomial(rng, eng.packer, nvars, 2)
         else:
-            m = _monomial(rng, eng.packer, nvars, 6, rng.randrange(components or 1))
-        yield m, _monomial(rng, eng.packer, nvars, 5)
+            yield _monomial(rng, eng.packer, nvars, 6, rng.randrange(components or 1))
 
 
 def _assert_tables_exclude_exactly(indexed):
@@ -64,18 +62,14 @@ def _assert_tables_exclude_exactly(indexed):
 
 
 @pytest.mark.parametrize("nvars", [3, 20])
-@pytest.mark.parametrize("components, signed", [(0, False), (0, True), (3, False)], ids=["scalar", "signed", "module"])
+@pytest.mark.parametrize("components", [0, 3], ids=["scalar", "module"])
 @pytest.mark.parametrize("size", [reducers._INDEX_MIN_RECORDS - 1, 3 * reducers._INDEX_MIN_RECORDS])
-@pytest.mark.parametrize("keyed", [False, True], ids=["by-position", "by-tail-length"])
-def test_indexed_lookup_returns_the_record_of_the_ordered_scan(monkeypatch, nvars, components, signed, size, keyed):
-    # Signatures are scalar monomials, and a set holding signed records
-    # is only asked under a signature, as in the signature loop.
-    rng = random.Random(f"reducers:{nvars}:{components}:{signed}:{size}:{keyed}")
+def test_indexed_lookup_returns_the_record_of_the_ordered_scan(monkeypatch, nvars, components, size):
+    rng = random.Random(f"reducers:{nvars}:{components}:{size}")
     eng = groebner._Engine(QQ, nvars, 40, components)
     guard = eng.packer.guard
-    records = [_record(rng, eng, nvars, components, signed) for _ in range(size)]
-    key = groebner._tail_length if keyed else None
-    scanned = reducers.Reducers(eng.packer, records, key)
+    records = [_record(rng, eng, nvars, components) for _ in range(size)]
+    scanned = reducers.Reducers(eng.packer, records)
     # The selection: an index only for large sets in rings of many variables.
     selected = size >= reducers._INDEX_MIN_RECORDS and nvars >= reducers._INDEX_MIN_VARS
     assert (scanned.finder() is not None) == selected
@@ -83,22 +77,21 @@ def test_indexed_lookup_returns_the_record_of_the_ordered_scan(monkeypatch, nvar
     # is built over the records, then filled as more are added.
     monkeypatch.setattr(reducers, "_INDEX_MIN_RECORDS", 0)
     monkeypatch.setattr(reducers, "_INDEX_MIN_VARS", 0)
-    indexed = reducers.Reducers(eng.packer, records, key)
+    indexed = reducers.Reducers(eng.packer, records)
     find = indexed.finder()
     for _ in range(3):
-        assert list(indexed) == list(scanned)
+        assert list(indexed) == records
         hits = 0
-        for m, sig in _queries(rng, eng, nvars, components, list(indexed), 300):
-            sig = sig if signed else None
-            expected = _scan(indexed, m, guard, sig)
-            assert find(m, sig) is expected
+        for m in _queries(rng, eng, nvars, components, records, 300):
+            expected = _scan(records, m, guard)
+            assert find(m) is expected
             hits += expected is not None
         assert hits > 30
         _assert_tables_exclude_exactly(indexed)
         for _ in range(size // 2 + 1):
-            rec = _record(rng, eng, nvars, components, signed)
+            rec = _record(rng, eng, nvars, components)
             indexed.add(rec)
-            scanned.add(rec)
+            records.append(rec)
 
 
 @pytest.mark.parametrize("ring", [QQ, GF(101)], ids=["QQ", "GF"])
@@ -108,8 +101,8 @@ def test_indexed_reduction_matches_the_scan(ring):
     rng = random.Random(f"reduce:{ring!r}")
     nvars = 20
     eng = groebner._Engine(ring, nvars, 40)
-    records = [_record(rng, eng, nvars, 0, False) for _ in range(2 * reducers._INDEX_MIN_RECORDS)]
-    indexed = reducers.Reducers(eng.packer, records, groebner._tail_length)
+    records = [_record(rng, eng, nvars, 0) for _ in range(2 * reducers._INDEX_MIN_RECORDS)]
+    indexed = reducers.Reducers(eng.packer, records)
     assert indexed.finder() is not None
     for _ in range(20):
         terms = {_monomial(rng, eng.packer, nvars, 6): rng.randint(-9, 9) or 1 for _ in range(8)}

@@ -157,6 +157,29 @@ def test_malformed_shape_files_are_config_errors(tmp_path, capsys, line):
     assert err.startswith("error: ") and line.partition("=")[0].strip() in err
 
 
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("suite, text, key", [
+    ("specialization", "seeds = 3 3", "seeds"),
+    ("specialization", "seeds = 0..4 4..6", "seeds"),
+    ("stability", "shapes = {p1} {p1}", "shapes"),
+    ("stability", "shapes = {p1}\nshapes = {copy}", "shapes"),
+], ids=["seed", "seed-ranges", "shape-twice", "shape-name"])
+def test_repeated_seeds_or_shape_names_are_config_errors(tmp_path, capsys, jobs, suite, text, key):
+    # Either would give two checks one id.  The run refuses the config
+    # before any check runs, and writes no report.
+    p1 = os.path.join(ROOT, "configs", "shapes", "p1-type4.cfg")
+    copy = tmp_path / "copy.cfg"
+    copy.write_text(open(p1, encoding="utf-8").read())
+    cfg_file = tmp_path / "repeat.cfg"
+    cfg_file.write_text(f"[{suite}]\n{text.format(p1=p1, copy=copy)}\n")
+    out = tmp_path / "repeat.json"
+    assert main(["run", suite, "--config", str(cfg_file), "--jobs", jobs, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and key in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_rejects_fails_when_the_check_holds():
     # A negative control passes only when its check returns False.
     assert _rejects("w", lambda: True) == (False, "w")
@@ -422,7 +445,7 @@ def test_run_all_reads_each_suite_section(tmp_path, capsys):
 
 def test_every_check_record_pickles():
     cfg = load_config("all")
-    checks = [c for _d, _a, build in SUITES.values() for c in build(cfg)]
+    checks = [c for _d, build in SUITES.values() for c in build(cfg)]
     assert sum(len(c.ids) for c in checks) == 176
     for c in checks:
         assert pickle.loads(pickle.dumps(c)) == c, c.ids
@@ -516,7 +539,7 @@ def test_every_suite_has_anchors():
     for entry in list_suites():
         name = entry["name"]
         assert entry["anchors"], name
-        builders = [b for _d, _a, b in SUITES.values()] if name == "all" else [SUITES[name][2]]
+        builders = [b for _d, b in SUITES.values()] if name == "all" else [SUITES[name][1]]
         cfg = load_config(name)
         carried = {anchor for build in builders for check in build(cfg) for _cid, anchor in check.ids}
         assert set(entry["anchors"]) == carried, name
