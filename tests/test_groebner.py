@@ -361,6 +361,28 @@ def test_qq_rescaling_scales_the_remainder_already_taken():
     assert reduce_by(f, [g]) == y**3 - Fraction(3, 2) * y**2
 
 
+def test_pair_loop_reducers_stay_in_tail_length_order_ties_first_come():
+    # The pair loops grow their reducer lists by bisect.insort keyed on the
+    # tail length: the list is the stable sort of the records by tail
+    # length, so of two records with one tail length the earlier is tried
+    # first, whatever the lengths of the records inserted in between.
+    import random
+    from bisect import insort
+
+    rng = random.Random("tail-length-order")
+    eng = groebner._Engine(QQ, 3, 40)
+    units = eng.packer.units
+    records, reducers = [], []
+    for _ in range(200):
+        terms = {sum(rng.randrange(5) * u for u in units): rng.randint(1, 9) for _ in range(rng.randint(1, 5))}
+        rec = eng.record(terms)
+        records.append(rec)
+        insort(reducers, rec, key=groebner._tail_length)
+    expected = sorted(records, key=groebner._tail_length)
+    assert len({groebner._tail_length(r) for r in records}) > 2
+    assert all(a is b for a, b in zip(reducers, expected, strict=True))
+
+
 _exps = st.tuples(*[st.integers(0, 20)] * 5)
 
 

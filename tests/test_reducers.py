@@ -64,11 +64,17 @@ def _assert_tables_exclude_exactly(indexed):
 @pytest.mark.parametrize("nvars", [3, 20])
 @pytest.mark.parametrize("components", [0, 3], ids=["scalar", "module"])
 @pytest.mark.parametrize("size", [reducers._INDEX_MIN_RECORDS - 1, 3 * reducers._INDEX_MIN_RECORDS])
-def test_indexed_lookup_returns_the_record_of_the_ordered_scan(monkeypatch, nvars, components, size):
-    rng = random.Random(f"reducers:{nvars}:{components}:{size}")
+@pytest.mark.parametrize("sort", [False, True], ids=["by-position", "by-tail-length"])
+def test_indexed_lookup_returns_the_record_of_the_ordered_scan(monkeypatch, nvars, components, size, sort):
+    # A set takes its records in whatever order it is given: as drawn, or
+    # in the pair loops' tail-length order, which groups similar records.
+    # Ids are list positions either way, and appends come after them.
+    rng = random.Random(f"reducers:{nvars}:{components}:{size}:{sort}")
     eng = groebner._Engine(QQ, nvars, 40, components)
     guard = eng.packer.guard
     records = [_record(rng, eng, nvars, components) for _ in range(size)]
+    if sort:
+        records.sort(key=groebner._tail_length)
     scanned = reducers.Reducers(eng.packer, records)
     # The selection: an index only for large sets in rings of many variables.
     selected = size >= reducers._INDEX_MIN_RECORDS and nvars >= reducers._INDEX_MIN_VARS
