@@ -523,6 +523,31 @@ def test_work_counts_of_j_sigma_v0_type3_on_both_cores():
         }
 
 
+@pytest.mark.parametrize("ring", [QQ, GF(2**31 - 1)], ids=repr)
+def test_work_counts_of_a_degree_5_member_of_j_p1_type4(ring):
+    # A homogeneous question decided on a basis truncated at degree 5, so
+    # the signature loop forms pairs at the degree bound and leaves out
+    # those above it: a pair criterion that forms or prunes one pair more
+    # or less shows here.  The steps are the pairs formed plus the
+    # reduction steps, in the loop and in reducing the target.
+    ideals = build_ideals(shape_one_place_type4(), ring)
+    J = ideals.J
+    member = J.generators[1] * J.generators[4] * ideals.ring.nu(1)
+    budget = _CountingBudget()
+    assert in_ideal(member, J, budget)
+    (counter,) = budget.counters
+    assert counter.steps == 3_841
+    assert counter.stats == {
+        "pairs": 2_031,
+        "queued": 762,
+        "f5": 1_244,
+        "syzygy": 2,
+        "rewrite": 324,
+        "one-per-signature": 75,
+        "zero": 3,
+    }
+
+
 def test_verify_keeps_the_criteria_of_buchberger():
     # The first six relations of J(p1-type4): a 39-element basis.  A
     # verify() that reduced all 741 S-pairs took about 25 s here.
