@@ -4,7 +4,9 @@
 Useful when touching the Groebner kernel: prints wall times for the
 checks that dominate suite runtime so regressions are visible at a
 glance, times the GB of J(sigma-v0-type3) on both coefficient cores
-with a check that the QQ basis reduced mod p is the GF(p) basis, times
+with a check that the QQ basis reduced mod p is the GF(p) basis and
+each split into the signature loop, the reduced basis and the
+conversion to Polynomial, times
 the module path (syzygies and symbolic H1) on R(f) 2x4, an ideal
 quotient over GF(101) in three variables under a step budget that ends
 it in about a second (a module loop, whose reductions scan its
@@ -53,6 +55,7 @@ from collections import Counter
 from itertools import product
 
 import ribetkit.genmat as genmat
+import ribetkit.groebner as groebner
 import ribetkit.linalg as linalg
 import ribetkit.ribet.formal as formal
 import ribetkit.ribet.specialize as specialize
@@ -136,19 +139,49 @@ def print_counts(budgets):
     print(f"{'  counts':55s} {'':9s}  -> " + ", ".join(f"{k} {n}" for k, n in counts.items()))
 
 
+def split_basis(thunk):
+    """``thunk()``, and the seconds it spent in the signature loop, in
+    the reduced basis and in converting records to ``Polynomial``."""
+    parts = ((groebner, "_signature_basis"), (groebner, "_reduced_basis"), (groebner._Engine, "to_vector"))
+    originals = [getattr(owner, name) for owner, name in parts]
+    spent = Counter()
+
+    def timing(name, fn):
+        def wrapper(*args, **kwargs):
+            start = time.monotonic()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[name] += time.monotonic() - start
+
+        return wrapper
+
+    for (owner, name), fn in zip(parts, originals):
+        setattr(owner, name, timing(name, fn))
+    try:
+        return thunk(), [spent[name] for _, name in parts]
+    finally:
+        for (owner, name), fn in zip(parts, originals):
+            setattr(owner, name, fn)
+
+
 def gb_both_cores():
     """GB of J(sigma-v0-type3) over QQ and over GF(2^31-1): the two
-    coefficient cores of the one reduction loop, on the same work."""
+    coefficient cores of the one reduction loop, on the same work, each
+    split into the signature loop, the reduced basis and the conversion
+    of its records to Polynomial."""
     bases = {}
     for label, ring in (("QQ", QQ), ("GF(2^31-1)", GF(P31))):
         J = build_ideals(shape_sigma_type3(), ring).J
         budget = CountingBudget()
-        bases[label] = timed(
+        bases[label], split = timed(
             f"GB of J(sigma-v0-type3) over {label}",
-            lambda: buchberger(J, budget).basis,
-            lambda basis: f"{len(basis)} elements",
+            lambda: split_basis(lambda: buchberger(J, budget).basis),
+            lambda result: f"{len(result[0])} elements",
         )
         print_counts([budget])
+        print(f"{'  signature loop / reduced basis / to Polynomial':55s} {'':9s}  -> "
+              + " / ".join(f"{s:.3f}s" for s in split))
     agree = [g.change_ring(GF(P31)) for g in bases["QQ"]] == list(bases["GF(2^31-1)"])
     print(f"{'QQ basis mod p equals the GF(p) basis':55s} {'':9s}  -> {agree}")
 

@@ -66,37 +66,14 @@ and scan them.  Every other set (``_reduced_basis``, ``divide`` and the
 membership batches) is a ``reducers.Reducers``, unsigned records in the
 order they were added, only ever appended to; the closing certificate
 scans a plain list.  The scan tests the leads one by one, and an
-irreducible term costs a test per record.  So a large ``Reducers`` can
-find the same record through a support index (Roune & Stillman above
-call divisor queries the dominant cost of a signature engine).  A lead
-divides a term only if it uses no variable the term lacks.  Adding
-2^bits - 1 to every exponent field sets the guard bit of exactly the
-nonzero exponents, so one addition gives a term's zero pattern.  The
-index keeps, for each variable, the bitset of the record ids whose lead
-uses it, an id being a list position, which an append never moves.  For
-each chunk of five variables it keeps a table from a zero pattern of the
-chunk to the ids it rules out.  The ids left are tested in increasing
-order, as the scan would test them, and the first that passes is the
-scan's record.
-The selection: a full reduction by a ``Reducers`` of at least 32
-records in a ring of at least 8 variables.  Measured, each against the
-scan:
-  - the reduced basis of J(sigma-v0-type3) over QQ, 20 variables: 23.6
-    ms down to 13.3 ms (medians of 9 on a shared 2-vCPU x86 host); its
-    3,277 indexed terms meet 269,163 records, of which 2,717 pass the
-    support test and 1,676 divide;
-  - the GF(101) quotient of scripts/profile_engine.py, a module loop in
-    3 variables: the support test rules out almost nothing, and the
-    index took 2.4 s against 1.3 s to the same BudgetExceeded at 3,000
-    steps.  So the pair loops, the module loop among them, only scan;
-  - whole bases of random sparse quadrics in 8 and 10 variables: within
-    the noise (medians 0.85 to 1.07 of the scan's time);
-  - head-only reductions: nearly every popped term is reducible and the
-    scan meets a reducer early, so the index saved nothing on
-    J(sigma-v0-type3) and was about 1.4 times slower on random sparse
-    quadrics in 10 variables;
-  - below 32 records, the truncated bases of a suite run stay scans; 16
-    would have saved under 1 ms on J(sigma-v0-type3).
+irreducible term costs a test per record, so a large ``Reducers`` finds
+the same record through a support index (``reducers``; Roune & Stillman
+below call divisor queries the dominant cost of a signature engine).
+The signature loop asks the same index its own divisor queries, over the
+leads of its earlier phases (``reducers.EarlierLeads``).  The selection,
+for both: a set of at least 32 records in a ring of at least 8
+variables, and for ``Reducers`` a full reduction; everything else scans.
+Measurements are in the ``reducers`` docstring.
 
 Modules.  The two guarded fields on top hold a module element's
 component c of a rank-C module, as C - c and c; scalars have neither.
@@ -149,7 +126,11 @@ times the multiplier is below the S-polynomial's, so the result keeps
 its signature.  A pair is skipped when
   - F5: the lead of an element g = sum h_j f_j of the earlier phases
     divides its monomial t (then t e_i is the signature of a multiple
-    of the syzygy g e_i - f_i sum h_j e_j);
+    of the syzygy g e_i - f_i sum h_j e_j).  The lead of the pair's
+    earlier-phase element is tried first: it divides t exactly when its
+    gcd with the new lead divides the signature.  A pair of coprime
+    leads, one of the earlier phases, is pruned by that lead, so on an
+    indexed phase such pairs are counted in bulk, never visited;
   - syzygy: the signature of a zero reduction divides its signature;
   - rewrite (Roune & Stillman): an element c of the phase whose
     signature divides it rewrites the pair's element a, that is
@@ -204,10 +185,9 @@ against ``Budget.max_degree``.  Exceeding either raises
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -223,7 +203,7 @@ from .exactpoly import (
     mono_from_fields,
     mono_pairs,
 )
-from .reducers import Reducers
+from .reducers import EarlierLeads, Reducers
 
 
 @dataclass
@@ -777,43 +757,43 @@ def _signature_basis(
     heappush, heappop = heapq.heappush, heapq.heappop
 
     prev: list[tuple] = []  # a basis of the ideal of the earlier phases
+    support_of: dict[int, list] = {}  # each lead's (variable, exponent) pairs
     for f in sorted(_distinct(inputs), key=lambda t: (max(t) & mask, len(t))):
         # The running phase: signatures are the packed monomials t of
         # t e_i, for the phase's input f_i.  Every record of ``prev`` has
         # a smaller signature, so it reduces without restriction.
         basis = list(prev)
         first = len(prev)
-        supports = [_support(packer.unpack(rec[0])) for rec in prev]
-        # F5: a lead of the earlier phases that divides t makes t e_i the
-        # signature of a syzygy.  No lead of higher degree divides t.
-        prev_leads = sorted((rec[0] for rec in prev), key=lambda lm: lm & mask)
-        prev_degrees = [lm & mask for lm in prev_leads]
+        supports = [support_of[rec[0]] for rec in prev]
+        earlier = EarlierLeads(packer, prev)  # the divisor queries on prev (reducers.py)
         reducers = sorted(prev, key=_tail_length)
         syzygies: list[int] = []  # signatures of the zero reductions
         pairs: list[tuple] = []
 
-        f5_lead = None  # the lead of ``prev`` that last pruned a pair by F5
-
         def add(terms: dict, sig: int):
-            nonlocal f5_lead
             rec = eng.record(terms, sig)
             lm = rec[0]
             counter.check_degree(lm & mask)
             exps = packer.unpack(lm)
             idx = len(basis)
             formed = f5 = queued = 0
-            # A lead of degree d pairs within the bound d only with the
-            # leads that divide it, and a lead above the bound with none.
-            at_bound, lg = lm & mask == bound, lm | guard
+            # The ids of the records to visit, and the bitset of the
+            # earlier-phase leads coprime to lm within the bound, whose
+            # pairs F5 prunes: formed, counted, never visited.  A lead of
+            # degree d pairs within the bound d only with the leads that
+            # divide it, and a lead above the bound with none.
+            slack, lg = bound - (lm & mask), lm | guard
+            ids, coprime = earlier.partners(lm, slack, idx)
             try:
-                for i, (other, support) in enumerate(zip(basis, supports) if lm & mask <= bound else ()):
-                    if at_bound:
+                for i in ids:
+                    other = basis[i]
+                    if not slack:
                         if (lg - other[0]) & guard != guard:
                             continue
                         lcm = lm
                     else:
                         lcm = lm  # _Packer.lcm, inlined
-                        for v, e in support:
+                        for v, e in supports[i]:
                             if e > exps[v]:
                                 lcm += (e - exps[v]) * units[v]
                         if lcm & mask > bound:
@@ -831,30 +811,25 @@ def _signature_basis(
                         if t_other > t:
                             t, a, b = t_other, i, idx
                     if t & mask > room:
+                        coprime &= (1 << i) - 1  # the scan formed only those before i
                         raise _FieldOverflow(room)
-                    # F5 only asks whether some lead divides t, so the lead
-                    # that pruned last is tried first.
-                    tg = t | guard
-                    if f5_lead is not None and (tg - f5_lead) & guard == guard:
+                    # F5 only asks whether some lead of ``prev`` divides t:
+                    # that of b, past the room check, then any (reducers.py).
+                    if other[5] is None and ((t | guard) - other[0]) & guard == guard or earlier.divides(t):
                         f5 += 1
-                        continue
-                    for lead in islice(prev_leads, bisect_right(prev_degrees, t & mask)):
-                        if (tg - lead) & guard == guard:
-                            f5 += 1
-                            f5_lead = lead
-                            break
                     else:
                         heappush(pairs, (t, a, b, lcm))
                         queued += 1
             finally:
-                stats["f5"] += f5
+                stats["f5"] += f5 + coprime.bit_count()
                 stats["queued"] += queued
             # Each pair formed costs a step: on a large ideal the criteria,
             # not the reductions, are most of this loop's work.
+            formed += coprime.bit_count()
             stats["pairs"] += formed
             counter.tick(formed)
             basis.append(rec)
-            supports.append(_support(exps))
+            supports.append(support_of.setdefault(lm, _support(exps)))
             insort(reducers, rec, key=_tail_length)
 
         r, _ = eng.reduce(f, reducers, counter, signature=0)
@@ -907,9 +882,7 @@ def _signature_basis(
         # it reduced without restriction: only the phase's leads can make
         # an element redundant.
         new = _minimal(basis[first:], guard)
-        prev = [
-            rec for rec in prev if not any(((rec[0] | guard) - h[0]) & guard == guard for h in new)
-        ] + [rec[:5] + (None,) for rec in new]
+        prev = earlier.without_multiples([h[0] for h in new]) + [rec[:5] + (None,) for rec in new]
     return prev
 
 

@@ -7,6 +7,7 @@ from itertools import product
 from hypothesis import assume, example, given, reject, settings, strategies as st
 
 import ribetkit.groebner as groebner
+import ribetkit.reducers as reducers
 from ribetkit.errors import BudgetExceeded, StructuralError
 from ribetkit.exactpoly import (
     GF,
@@ -47,6 +48,7 @@ from ribetkit.ribet import (
 
 TXY = VariableTable(["x", "y"])
 TXYZ = VariableTable(["x", "y", "z"])
+TXYZW = VariableTable(["x", "y", "z", "w"])
 _X, _Y, _Z = (Polynomial.var(QQ, TXYZ, i) for i in range(3))
 _X7, _Y7, _Z7 = (Polynomial.var(GF(7), TXYZ, i) for i in range(3))
 
@@ -846,6 +848,107 @@ def test_signature_loop_agrees_with_buchberger(ideal, d):
         low = [[g for g in reduced(G) if g.total_degree() <= d] for G in (signature, plain)]
         assert low[0] == low[1]
         assert checked(signature, d)
+
+
+def _signature_run(spec, degree_bound=None, budget=Budget()):
+    """The signature loop's records for the generators of ``spec``, with
+    the steps and the counts of its one counter, widening as
+    ``_ideal_basis`` does."""
+    counter = budget.fresh_counter()
+
+    def run(degree):
+        gens = groebner._lift(spec.generators)
+        eng = groebner._engine_for(gens, degree)
+        return groebner._signature_basis(eng, [eng.pack([g])[0] for g in gens], counter, degree_bound)
+
+    return groebner._widening(budget.max_degree, run), counter.steps, counter.stats
+
+
+def _forcing_the_index(monkeypatch):
+    """Select the support index for every reducer set and every phase,
+    however small."""
+    monkeypatch.setattr(reducers, "_INDEX_MIN_RECORDS", 0)
+    monkeypatch.setattr(reducers, "_INDEX_MIN_VARS", 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ideals(), st.integers(1, 4))
+@example(([_X7**2 + _X7 * _Y7 + 5 * _Y7**2 + 6 * _Y7, 2 * _Z7**2, _X7**2 * _Z7 + 5], False), 1)
+def test_indexed_divisor_queries_give_the_records_and_counts_of_the_scans(ideal, d):
+    # The ideals of test_signature_loop_agrees_with_buchberger are too
+    # small for the selection, so they run the scans; with the index
+    # forced, the signature loop must build the same records with the
+    # same steps and counts, for the whole basis and for the d-basis.
+    gens, homogeneous = ideal
+    spec = IdealSpec(gens)
+    assume(spec.generators)
+    for bound in (None, d) if homogeneous else (None,):
+        scanned = _signature_run(spec, bound)
+        with pytest.MonkeyPatch.context() as mp:
+            _forcing_the_index(mp)
+            assert _signature_run(spec, bound) == scanned
+
+
+def _overflowing(ring, which):
+    """Ideals whose bases at max_degree=7 overflow the packed fields once
+    with a signature: that of
+    test_a_signature_above_the_room_widens_the_fields; one whose pair
+    that overflows is an earlier-phase pair whose element's lead divides
+    the pair's signature; and that one with w^5 put between its two
+    phases, a lead coprime to the last phase's leads, whose id comes
+    after that of the pair that overflows."""
+    if which == "widens":
+        x, y, z = (Polynomial.var(ring, TXYZ, i) for i in range(3))
+        return IdealSpec([y**2 * z + 4 * x * z + 5, 5 * x**2 * z, 6 * y**3])
+    x, y, z, w = (Polynomial.var(ring, TXYZW, i) for i in range(4))
+    first, last = 53 * x**2 * y**3, 68 * x**3 * y * z + 19 * z**2
+    return IdealSpec([first, last] if which == "own-lead" else [first, w**5, last])
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(101)], ids=repr)
+def test_an_overflowing_attempt_counts_only_the_pairs_before_the_overflow(
+    ring, packer_rooms, signature_overflows, monkeypatch
+):
+    # The discarded attempt's F5 and queued counts stay on the run's
+    # counter, but not the pair that overflowed, although the lead of its
+    # earlier-phase element divides its true signature: the room check
+    # comes before every F5 test, since past the room a packed signature
+    # is no monomial.
+    counters = _recorded_counters(monkeypatch)
+    gb = buchberger(_overflowing(ring, "own-lead"), Budget(max_degree=7))
+    assert len(gb.basis) == 5
+    assert packer_rooms[:2] == [7, 15]
+    assert signature_overflows == [7]
+    (counter,) = counters
+    assert counter.steps == 15
+    assert counter.stats == {
+        "pairs": 13,
+        "queued": 5,
+        "f5": 8,
+        "syzygy": 0,
+        "rewrite": 0,
+        "one-per-signature": 0,
+        "zero": 0,
+    }
+
+
+@pytest.mark.parametrize("which", ["widens", "own-lead", "coprime"])
+@pytest.mark.parametrize("ring", [QQ, GF(101)], ids=repr)
+def test_an_indexed_phase_that_overflows_counts_what_the_scan_counts(ring, which, monkeypatch):
+    # With the index forced, the same records, steps and counts as the
+    # scans, among them the F5 and queued counts that the discarded
+    # attempt flushed when it overflowed, which take only the coprime
+    # pairs before the one that overflowed.
+    spec, budget = _overflowing(ring, which), Budget(max_degree=7)
+    scanned = _signature_run(spec, budget=budget)
+    _forcing_the_index(monkeypatch)
+    assert _signature_run(spec, budget=budget) == scanned
+    counters = _recorded_counters(monkeypatch)
+    basis = buchberger(spec, budget).basis
+    if which == "widens":
+        assert [c.steps for c in counters] == [109]
+        assert basis == (Polynomial.one(ring, TXYZ),)
+    assert basis == buchberger(spec).basis
 
 
 @settings(max_examples=150, deadline=None)

@@ -2,9 +2,11 @@
 library functions they patch to count calls."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import ribetkit.genmat as genmat
+import ribetkit.groebner as groebner
 import ribetkit.linalg as linalg
 import ribetkit.ribet.specialize as specialize
 from ribetkit.exactpoly import Polynomial
@@ -21,12 +23,15 @@ def _load_script():
 
 def test_profile_sections_run_and_restore_what_they_patch(capsys):
     script = _load_script()
-    patched = [linalg._eliminate, specialize._try_generate, genmat.in_ideal, Polynomial.__mul__, Polynomial.__add__]
+    def patchable():
+        return [linalg._eliminate, specialize._try_generate, genmat.in_ideal, Polynomial.__mul__,
+                Polynomial.__add__, groebner._signature_basis, groebner._reduced_basis, groebner._Engine.to_vector]
+
+    patched = patchable()
     for section in (script.cold_constructions, script.specialization_phases, script.cached_layers,
-                    script.module_path, script.trace_suite, script.polynomial_layer):
+                    script.module_path, script.trace_suite, script.polynomial_layer, script.gb_both_cores):
         section()
-    after = [linalg._eliminate, specialize._try_generate, genmat.in_ideal, Polynomial.__mul__, Polynomial.__add__]
-    assert all(a is b for a, b in zip(after, patched))
+    assert all(a is b for a, b in zip(patchable(), patched))
     out = capsys.readouterr().out
     assert "row reductions per generation attempt" in out
     assert "formal constructions of the corpus shapes (cold)" in out
@@ -37,3 +42,6 @@ def test_profile_sections_run_and_restore_what_they_patch(capsys):
     # Only the three det ids of the 56 reach the engine.
     calls = [line for line in out.splitlines() if line.startswith("  engine calls / ids")]
     assert len(calls) == 1 and calls[0].endswith("-> 3 / 56")
+    # The basis of J(sigma-v0-type3) on each core, split into three parts.
+    split = [line for line in out.splitlines() if line.startswith("  signature loop / reduced basis / to Polynomial")]
+    assert len(split) == 2 and all(re.search(r"-> \d+\.\d{3}s / \d+\.\d{3}s / \d+\.\d{3}s$", line) for line in split)

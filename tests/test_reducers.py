@@ -115,3 +115,50 @@ def test_indexed_reduction_matches_the_scan(ring):
         by_index, by_scan = Budget().fresh_counter(), Budget().fresh_counter()
         assert eng.reduce(terms, indexed, by_index) == eng.reduce(terms, list(indexed), by_scan)
         assert by_index.steps == by_scan.steps
+
+
+@pytest.mark.parametrize("nvars", [3, 20])
+@pytest.mark.parametrize("forced", [False, True], ids=["as-selected", "indexed"])
+def test_earlier_leads_answer_the_signature_loop_queries_like_the_scans(monkeypatch, nvars, forced):
+    # Each query against its brute-force reference: partners visits or
+    # counts every pair the scan forms, counting only coprime leads within
+    # the slack; divides is any lead dividing; without_multiples keeps the
+    # records no given lead divides.  The set is large enough for the
+    # selection, so the index answers when the ring has 8 variables or
+    # more, and always when forced.
+    rng = random.Random(f"earlier:{nvars}:{forced}")
+    eng = groebner._Engine(QQ, nvars, 40)
+    packer, guard, mask = eng.packer, eng.packer.guard, eng.packer.deg_mask
+    records = [_record(rng, eng, nvars, 0) for _ in range(3 * reducers._INDEX_MIN_RECORDS)]
+    if forced:
+        monkeypatch.setattr(reducers, "_INDEX_MIN_RECORDS", 0)
+        monkeypatch.setattr(reducers, "_INDEX_MIN_VARS", 0)
+    earlier = reducers.EarlierLeads(packer, records)
+    assert earlier.indexed == (forced or nvars >= reducers._INDEX_MIN_VARS)
+
+    def divides(a, b):
+        return ((b | guard) - a) & guard == guard
+
+    def lcm_degree(a, b):
+        return sum(map(max, packer.unpack(a), packer.unpack(b)))
+
+    n = len(records)
+    for _ in range(300):
+        lm = _monomial(rng, packer, nvars, 4)
+        slack, end = rng.randint(-1, 4), n + rng.randint(0, 3)
+        ids, coprime = earlier.partners(lm, slack, end)
+        ids = list(ids)
+        assert ids == sorted(set(ids))
+        assert ids[len(ids) - (end - n) :] == ([*range(n, end)] if slack >= 0 else [])
+        for i, rec in enumerate(records):
+            formed = slack > 0 and lcm_degree(lm, rec[0]) <= (lm & mask) + slack or not slack and divides(rec[0], lm)
+            if coprime >> i & 1:
+                assert i not in ids and lcm_degree(lm, rec[0]) == (lm & mask) + (rec[0] & mask) and formed
+            elif i not in ids:
+                assert not formed
+        t = _monomial(rng, packer, nvars, 6) if rng.random() < 0.5 else rng.choice(records)[0] + _monomial(rng, packer, nvars, 2)
+        assert earlier.divides(t) == any(divides(rec[0], t) for rec in records)
+    for _ in range(20):
+        new = [_monomial(rng, packer, nvars, 3) for _ in range(rng.randint(0, 4))]
+        expected = [rec for rec in records if not any(divides(h, rec[0]) for h in new)]
+        assert earlier.without_multiples(new) == expected
