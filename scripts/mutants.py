@@ -83,6 +83,22 @@ MUTANTS = (
         "tests/test_ribet_special.py::test_j_vanishes_check_rejects_a_point_off_j",
     ),
     Mutant(
+        "the det congruence check always holds",
+        "src/ribetkit/genmat.py",
+        "    target, terms = _det_terms(r, indices, word_cap)\n"
+        "    return sum((q * g for q, g in terms), Polynomial.zero(target.ring, target.table)) == target\n",
+        "    target, terms = _det_terms(r, indices, word_cap)\n"
+        "    return True\n",
+        "tests/test_genmat.py::test_det_congruence_fails_with_a_wrong_or_missing_pair",
+    ),
+    Mutant(
+        "element_e never raises",
+        "src/ribetkit/ribet/formal.py",
+        """        raise StructuralError("det(E') - det(E) escaped I_R")\n""",
+        "        pass\n",
+        "tests/test_ribet_formal.py::test_element_e_rejects_a_perturbed_e_prime",
+    ),
+    Mutant(
         "_rejects always passes",
         "src/ribetkit/veriharness/suites.py",
         "return not fn(*args), witness",

@@ -13,8 +13,9 @@ it in about a second (a module loop, whose reductions scan its
 tail-length-ordered records; it ends in BudgetExceeded), the C -> D
 morphism of full-mixed at cap 3 (with its d^2 = 0 check on D and its
 commuting squares timed again on their own, the two sparse matrix
-product workloads), the trace-identities suite with its engine calls
-against its number of ids (3 of 56, all from the det ids), the 24
+product workloads), the det congruence of r = 3, indices (1, 2, 3, 1)
+by its cofactors against ``in_ideal``, the trace-identities suite with
+its engine calls against its number of ids (0 of 56), the 24
 rotation classes of r = 3 trace words of length 4, a degree-4 negative
 control in the full J(p1-type4) and the generator sets of that J against
 its presentation scaled by 2, all decided on a basis truncated at the
@@ -54,7 +55,6 @@ import time
 from collections import Counter
 from itertools import product
 
-import ribetkit.genmat as genmat
 import ribetkit.groebner as groebner
 import ribetkit.linalg as linalg
 import ribetkit.ribet.formal as formal
@@ -64,6 +64,7 @@ from ribetkit.errors import BudgetExceeded
 from ribetkit.exactpoly import GF, QQ, Polynomial, VariableTable
 from ribetkit.genmat import (
     GenericModel,
+    Mat2,
     Word,
     det_congruence_check,
     trace_congruence_check,
@@ -225,16 +226,18 @@ def few_variable_quotient():
 
 
 def trace_suite():
-    """One run_suite of trace-identities, with its engine calls counted:
-    the trace ids are checked by closed-form cofactors, so only the det
-    ids call in_ideal."""
+    """One run_suite of trace-identities, with its engine calls counted at
+    ``groebner._engine_for``, where every engine entry point builds its
+    engine: the trace and det ids are checked by closed-form cofactors,
+    so none of them reaches the engine."""
     calls = []
+    engine_for = groebner._engine_for
 
-    def counting_in_ideal(*args, **kwargs):
+    def counting_engine_for(*args, **kwargs):
         calls.append(args[0])
-        return in_ideal(*args, **kwargs)
+        return engine_for(*args, **kwargs)
 
-    genmat.in_ideal = counting_in_ideal
+    groebner._engine_for = counting_engine_for
     try:
         report = timed(
             "trace-identities suite",
@@ -242,8 +245,29 @@ def trace_suite():
             lambda report: report.summary(),
         )
     finally:
-        genmat.in_ideal = in_ideal
+        groebner._engine_for = engine_for
     print(f"{'  engine calls / ids':55s} {'':9s}  -> {len(calls)} / {len(report.checks)}")
+
+
+def det_closed_form():
+    """The det congruence of r = 3, indices (1, 2, 3, 1) at its default
+    cap 4, by its closed-form cofactors, against ``in_ideal`` on the
+    question's 240 generators (the tr and det defects of the words of
+    length at most 4 over 1, 2, 3)."""
+    r, indices = 3, (1, 2, 3, 1)
+    names = tuple(f"c_{k}" for k in range(1, len(indices) + 1))
+    model = GenericModel(r, extra=names)
+    target = Mat2.zero(model.ring, model.table)
+    for name, i in zip(names, indices):
+        target = target + model.extra_var(name) * model.rho(i)
+    words = [w for n in range(1, len(indices) + 1) for w in product(sorted(set(indices)), repeat=n)]
+    spec = IdealSpec([f for w in words for f in (model.trace_defect(w), model.det_defect(w))])
+    start = time.monotonic()
+    closed = det_congruence_check(r, indices)
+    middle = time.monotonic()
+    engine = in_ideal(target.det(), spec)
+    print(f"{'det r=3 (1,2,3,1): cofactors, then in_ideal':55s} {middle - start:8.3f}s  -> "
+          f"{closed}; in_ideal {time.monotonic() - middle:.3f}s -> {engine}")
 
 
 def truncated_membership():
@@ -437,6 +461,7 @@ def main():
     timed("example-r2 (negative control)", lambda: check_example_r2(omit_relation=7))
     timed("trace X1.X2.X3 over r=3", lambda: trace_congruence_check(Word.parse("X1.X2.X3"), 3))
     timed("det pair cap 2", lambda: det_congruence_check(2, [1, 2], word_cap=2))
+    det_closed_form()
     budget = CountingBudget()
     timed("tau-invariance one-place shape", lambda: check_e_tau_invariance(shape_one_place_type4(), budget=budget))
     print_counts([budget])

@@ -51,7 +51,6 @@ class TauAction:
     """
 
     base: VariableTable
-    param_name: str = "x"
     table: VariableTable = field(init=False)
     param: int = field(init=False)
     _maps_by_ring: dict = field(init=False, default_factory=dict, repr=False, compare=False)
@@ -66,7 +65,7 @@ class TauAction:
                 "a matrix variable's name must be its role letter followed by "
                 f"its indices: {', '.join(misnamed)}"
             )
-        name = self.param_name
+        name = "x"  # the parameter, "_"-prefixed while its name is taken
         while name in self.base.names:
             name = "_" + name
         self.table = self.base.extend([name], ["param"])

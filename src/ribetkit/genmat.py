@@ -1,7 +1,6 @@
 """2x2 matrices over polynomial rings: generic matrices, word products,
-trace/determinant invariants, and the congruence checks: the trace
-congruence is checked by its closed-form cofactors, the determinant
-congruence by ideal membership in trace and determinant defects.
+trace/determinant invariants, and the congruence checks, each decided
+by its closed-form cofactors with no Groebner engine call.
 
 The model ring for the congruence checks carries one generic matrix
 rho_i = [[a_i, b_i], [c_i, d_i]] per generator index plus free unit
@@ -20,12 +19,12 @@ check here ever divides by them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
 from .errors import StructuralError
 from .exactpoly import QQ, CoefficientRing, Polynomial, VariableTable
-from .groebner import Budget, DEFAULT_BUDGET, IdealSpec, in_ideal
+from .groebner import IdealSpec
 
 
 @dataclass(frozen=True)
@@ -243,6 +242,33 @@ def _trace_terms(
     return target, terms
 
 
+def _det_terms(r: int, indices: Sequence[int], word_cap: int | None) -> tuple[Polynomial, list]:
+    """The target det(sum_k c_k rho_{i_k}) of the det congruence and its
+    (cofactor, generator) pairs: with T_w = trace_defect(w), D_i =
+    det_defect([i]), tr rho_i = T_i + chi_i - psi_i and det rho_i = D_i -
+    psi_i T_i, det(A + B) = det A + det B + tr A tr B - tr(AB) gives
+    c_k^2 (D_{i_k} - psi_{i_k} T_{i_k}) per position k and, per k < l,
+    c_k c_l (T_{i_k} (T_{i_l} + chi_{i_l}) + chi_{i_k} T_{i_l} - T_{i_k i_l}),
+    or 2 c_k c_l (D_i - psi_i T_i) if i_k = i_l = i."""
+    if any(i < 1 or i > r for i in indices):
+        raise StructuralError("indices out of range")
+    need = min(2, len(set(indices)))  # the longest generator word; never above the default cap
+    if word_cap is not None and word_cap < need:
+        raise StructuralError(f"word_cap {word_cap} is below {need}, the word length the det cofactors need")
+    model = GenericModel(r, extra=tuple(f"c_{k}" for k in range(1, len(indices) + 1)))
+    c = [model.extra_var(name) for name in model.extra]
+    target = sum((ck * model.rho(i) for ck, i in zip(c, indices)), Mat2.zero(model.ring, model.table)).det()
+    terms = []
+    for (k, i), (l, j) in combinations_with_replacement(enumerate(indices), 2):
+        cc, t_i, t_j = c[k] * c[l], model.trace_defect([i]), model.trace_defect([j])
+        if i == j:
+            cc = cc if k == l else 2 * cc
+            terms += [(cc, model.det_defect([i])), (-cc * model.psi(i), t_i)]
+        else:
+            terms += [(cc * (t_j + model.chi(j)), t_i), (cc * model.chi(i), t_j), (-cc, model.trace_defect([i, j]))]
+    return target, terms
+
+
 def trace_congruence_question(
     w: Word, r: int, model: GenericModel | None = None
 ) -> tuple[Polynomial, IdealSpec]:
@@ -278,37 +304,11 @@ def _char_diff_product(model: GenericModel, letters: Sequence[int]) -> Polynomia
     return acc
 
 
-def det_congruence_check(
-    r: int,
-    indices: Sequence[int],
-    word_cap: int | None = None,
-    budget: Budget = DEFAULT_BUDGET,
-) -> bool:
-    """Check det(sum_i c_i (rhohat_i - psi_i)), that is det(sum_i c_i
-    rho_i), lies in the ideal of char-poly congruence defects of words of
-    bounded length.
-
-    The combination coefficients c_i are fresh symbolic variables.  The
-    generator ideal holds tr and det defects of every word of length at
-    most ``word_cap`` (default: the number of combined terms, minimum 1)
-    in the shifted matrices, with chi and psi extended multiplicatively.
-    """
-    if any(i < 1 or i > r for i in indices):
-        raise StructuralError("indices out of range")
-    cap = word_cap if word_cap is not None else max(1, len(indices))
-    coeff_names = tuple(f"c_{k}" for k in range(1, len(indices) + 1))
-    model = GenericModel(r, extra=coeff_names)
-    elem = Mat2.zero(model.ring, model.table)
-    for name, i in zip(coeff_names, indices):
-        c = model.extra_var(name)
-        elem = elem + c * model.rho(i)
-    target = elem.det()
-    if target.is_zero():
-        return True
-    alphabet = sorted(set(indices))
-    gens = []
-    for length in range(1, cap + 1):
-        for letters in product(alphabet, repeat=length):
-            gens.append(model.trace_defect(letters))
-            gens.append(model.det_defect(letters))
-    return in_ideal(target, IdealSpec(gens), budget)
+def det_congruence_check(r: int, indices: Sequence[int], word_cap: int | None = None) -> bool:
+    """Check det(sum_k c_k rho_{i_k}), c_k fresh symbols, lies in the
+    ideal of the tr and det defects of the words of length at most
+    ``word_cap`` (default max(1, len(indices))) over ``indices``, by the
+    closed-form cofactors of ``_det_terms``; a cap too small for them
+    raises StructuralError."""
+    target, terms = _det_terms(r, indices, word_cap)
+    return sum((q * g for q, g in terms), Polynomial.zero(target.ring, target.table)) == target

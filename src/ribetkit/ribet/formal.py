@@ -366,17 +366,13 @@ def _build_ideals(F: FormalRing) -> FormalIdeals:
 # ---------------------------------------------------------------------------
 # Identity checks.
 
-def element_e(
-    shape: RibetShape,
-    budget: Budget = DEFAULT_BUDGET,
-    matrices: FormalMatrices | None = None,
-) -> Polynomial:
-    """e = det(E') - det(E); asserts membership in I_R, decided by
-    ``in_ideal`` like every other membership question.  The determinants
-    are the ones ``matrices`` keeps."""
+def element_e(shape: RibetShape, matrices: FormalMatrices | None = None) -> Polynomial:
+    """e = det(E') - det(E), from the determinants ``matrices`` keeps;
+    asserts e lies in I_R, the kernel of ``_quotient_map``, that is, that
+    the map sends e to 0."""
     mats = matrices or build_matrices(shape)
     e = mats.det_Eprime - mats.det_E
-    if not in_ideal(e, build_ideals(shape).I_R, budget):
+    if not e.substitute(_quotient_map(mats.ring)).is_zero():
         raise StructuralError("det(E') - det(E) escaped I_R")
     return e
 
@@ -445,15 +441,18 @@ def check_e_tau_invariance(
     return in_ideal(diff, IdealSpec([g.lift(act.table) for g in jp]), budget)
 
 
+def _quotient_map(F: FormalRing) -> dict[int, Polynomial]:
+    """a_i -> -nu_i and b_i, c_i, d_i -> 0: R onto its other variables, with kernel I_R."""
+    return {
+        col: -F.nu(*indices) if kind == "a" else F.zero()
+        for (kind, *indices), col in F.keys.items()
+        if kind in ("a", "b", "c", "d")
+    }
+
+
 def quotient_presentation_images(ideals: FormalIdeals) -> list[Polynomial]:
-    """Images of the J generators under a_i -> -nu_i, b_i, c_i, d_i -> 0."""
-    F = ideals.ring
-    mapping: dict[int, Polynomial] = {}
-    for (kind, *indices), col in F.keys.items():
-        if kind == "a":
-            mapping[col] = -F.nu(*indices)
-        elif kind in ("b", "c", "d"):
-            mapping[col] = F.zero()
+    """Images of the J generators under ``_quotient_map``."""
+    mapping = _quotient_map(ideals.ring)
     return [g.substitute(mapping) for g in ideals.J.generators]
 
 

@@ -13,8 +13,8 @@ with the error's message as the witness.
 Records that certify several ids share work between them: the four
 numeric checks of one specialization seed run on one generated
 instance, and the trace congruences of every word over r generators
-are checked by their closed-form cofactors on one generic model, which
-spends no budget.
+share one generic model.  The congruences (by their cofactors) and
+element e (by the quotient map of I_R) run no engine and spend no budget.
 """
 
 from __future__ import annotations
@@ -144,10 +144,10 @@ def _specialization(shape: RibetShape, seed: int, p: int, control: bool) -> list
     return verdicts
 
 
-def _element_e(shape: RibetShape, budget: Budget) -> tuple[bool, str]:
+def _element_e(shape: RibetShape) -> tuple[bool, str]:
     # element_e raises a StructuralError when det(E') - det(E) escapes
     # I_R, which _execute reports as a fail with its message as witness.
-    e = element_e(shape, budget=budget)
+    e = element_e(shape)
     return True, f"{e.num_terms()} terms"
 
 
@@ -241,9 +241,9 @@ def _suite_trace_identities(cfg: SuiteConfig) -> list[Check]:
         words = tuple(Word(letters) for n in (1, 2, 3) for letters in iproduct(range(1, r + 1), repeat=n))
         ids = tuple((f"trace-r{r}-{w}", "l:tr-char") for w in words)
         checks.append(Check(ids, _trace_congruences, (words, r)))
-    checks.append(_check("det-single-1", "l:dets", det_congruence_check, 2, (1,), None, cfg.budget))
-    checks.append(_check("det-single-2", "l:dets", det_congruence_check, 2, (2,), None, cfg.budget))
-    checks.append(_check("det-pair-12", "l:dets", det_congruence_check, 2, (1, 2), 2, cfg.budget))
+    checks.append(_check("det-single-1", "l:dets", det_congruence_check, 2, (1,)))
+    checks.append(_check("det-single-2", "l:dets", det_congruence_check, 2, (2,)))
+    checks.append(_check("det-pair-12", "l:dets", det_congruence_check, 2, (1, 2), 2))
     return checks
 
 
@@ -298,7 +298,7 @@ def _suite_quotient_presentation(cfg: SuiteConfig) -> list[Check]:
     checks: list[Check] = []
     for sh in shapes:
         checks.append(_check(f"quotient-presentation-{sh.name}", "l:pia", check_quotient_presentation, sh))
-        checks.append(_check(f"element-e-in-IR-{sh.name}", "l:pia", _element_e, sh, cfg.budget))
+        checks.append(_check(f"element-e-in-IR-{sh.name}", "l:pia", _element_e, sh))
     return checks
 
 

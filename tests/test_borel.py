@@ -68,15 +68,18 @@ def test_tau_is_ring_homomorphism(f, g):
 
 def test_one_parameter_subgroup_law():
     # Applying tau with parameter x then y equals tau with parameter x+y.
-    act_x = TauAction(T, "x")
-    act_y = TauAction(act_x.table, "y")
-    act_z = TauAction(T, "z")
-    x = Polynomial.var(QQ, act_y.table, act_y.table.index("x"))
-    y = Polynomial.var(QQ, act_y.table, act_y.table.index("y"))
+    # The second action's parameter clashes with the first's, x, so it is
+    # named _x.
+    act_x = TauAction(T)
+    act_y = TauAction(act_x.table)
+    act_z = TauAction(T)
+    assert act_y.table.names[len(T):] == ("x", "_x")
+    x = Polynomial.var(QQ, act_y.table, act_x.param)
+    y = Polynomial.var(QQ, act_y.table, act_y.param)
     for name in ("a1", "b1", "c1", "d1", "a2", "b2", "c2", "d2", "s"):
         two_step = act_y.apply(act_x.apply(V(name)))
         one_step = act_z.apply(V(name))
-        zidx = act_z.table.index("z")
+        zidx = act_z.param
         rebased = Polynomial.zero(QQ, act_y.table)
         for m, c in one_step.terms.items():
             base = Polynomial(QQ, act_y.table, {m[: len(T)] + (0, 0): c})

@@ -15,6 +15,7 @@ from ribetkit.genmat import (
     trace_congruence_check,
     trace_congruence_question,
 )
+from ribetkit.groebner import IdealSpec, in_ideal
 
 
 def test_word_parse_round_trip():
@@ -63,6 +64,59 @@ def test_det_congruence_examples():
     assert det_congruence_check(2, [1])
     assert det_congruence_check(2, [])
     assert det_congruence_check(2, [1, 2], word_cap=2)
+
+
+def _det_question(r, indices, word_cap):
+    """The det congruence as a membership question, built apart from the
+    check: det(sum_k c_k rho_{i_k}) and the tr and det defects of every
+    word of length at most the cap over the letters of ``indices``."""
+    names = tuple(f"c_{k}" for k in range(1, len(indices) + 1))
+    model = GenericModel(r, extra=names)
+    elem = Mat2.zero(model.ring, model.table)
+    for name, i in zip(names, indices):
+        elem = elem + model.extra_var(name) * model.rho(i)
+    cap = word_cap if word_cap is not None else max(1, len(indices))
+    words = [w for n in range(1, cap + 1) for w in product(sorted(set(indices)), repeat=n)]
+    return elem.det(), IdealSpec([f for w in words for f in (model.trace_defect(w), model.det_defect(w))])
+
+
+@pytest.mark.parametrize(
+    "r, indices, word_cap",
+    [(3, (3,), None), (2, (1, 2), 2), (3, (2, 1), 2), (2, (1, 1), 1), (3, (1, 1, 2), None),
+     (3, (1, 2, 3), None), (2, (), None), (2, (2, 2, 2), None), (3, (1, 2, 3, 1), 2)],
+)
+def test_det_congruence_agrees_with_in_ideal(r, indices, word_cap):
+    import ribetkit.genmat as genmat
+
+    # The cofactors' target is the question's, each generator they use is
+    # one of the question's, and the engine, the test-only second
+    # opinion, gives the same verdict.
+    target, pairs = genmat._det_terms(r, indices, word_cap)
+    question, spec = _det_question(r, indices, word_cap)
+    assert target == question
+    assert {g for _q, g in pairs} <= set(spec.generators)
+    assert det_congruence_check(r, indices, word_cap) is in_ideal(question, spec) is True
+
+
+@pytest.mark.parametrize("r, indices, word_cap", [(2, (1,), None), (2, (1, 2), 2), (2, (1, 1), 1), (3, (1, 1, 2), None)])
+def test_det_congruence_fails_with_a_wrong_or_missing_pair(r, indices, word_cap, monkeypatch):
+    import ribetkit.genmat as genmat
+
+    target, pairs = genmat._det_terms(r, indices, word_cap)
+    for k in range(len(pairs)):
+        q, g = pairs[k]
+        for changed in (pairs[:k] + pairs[k + 1:], pairs[:k] + [(-q, g)] + pairs[k + 1:]):
+            monkeypatch.setattr(genmat, "_det_terms", lambda *args, c=changed: (target, c))
+            assert det_congruence_check(r, indices, word_cap) is False, (indices, k)
+    monkeypatch.setattr(genmat, "_det_terms", lambda *args: (target, pairs))
+    assert det_congruence_check(r, indices, word_cap) is True
+
+
+@pytest.mark.parametrize("r, indices, word_cap", [(2, (1, 2), 1), (3, (1, 1, 2), 1), (2, (1,), 0), (2, (2, 2), 0)])
+def test_det_congruence_rejects_a_word_cap_below_its_cofactors(r, indices, word_cap):
+    # The cofactors need T_i and D_i, and T_ij once two indices differ.
+    with pytest.raises(StructuralError, match=f"word_cap {word_cap} is below"):
+        det_congruence_check(r, indices, word_cap)
 
 
 def random_mat(rng, model, max_terms=3):

@@ -167,17 +167,23 @@ def test_element_e_lies_in_ir_for_corpus():
         element_e(sh)  # raises on membership failure
 
 
+def _perturbed_r2_matrices():
+    """The matrices of the r=2 example with nu1 added to the top left
+    entry of E'."""
+    mats = build_matrices(shape_r2_two_type2())
+    rows = [list(row) for row in mats.Eprime.entries]
+    rows[0][0] = rows[0][0] + mats.ring.nu(1)
+    return FormalMatrices(mats.ring, mats.D, mats.E, FreeModuleMatrix(rows))
+
+
 def test_element_e_rejects_a_perturbed_e_prime():
     # Negative control: E' of the r=2 example with nu1 added to its top
     # left entry.  I_R vanishes under a_i -> -nu_i, b_i, c_i, d_i -> 0 and
     # the perturbed e does not: that, not the engine, proves it is
     # outside I_R.
     sh = shape_r2_two_type2()
-    mats = build_matrices(sh)
-    F = mats.ring
-    rows = [list(row) for row in mats.Eprime.entries]
-    rows[0][0] = rows[0][0] + F.nu(1)
-    perturbed = FormalMatrices(F, mats.D, mats.E, FreeModuleMatrix(rows))
+    perturbed = _perturbed_r2_matrices()
+    F = perturbed.ring
     point = {}
     for k, (name, role) in enumerate(zip(F.table.names, F.table.roles)):
         if role == "a":
@@ -189,6 +195,23 @@ def test_element_e_rejects_a_perturbed_e_prime():
     assert e.substitute(point) == F.nu(1) * F.delta(2, 1, 2)
     with pytest.raises(StructuralError, match="escaped I_R"):
         element_e(sh, matrices=perturbed)
+
+
+def test_element_e_decides_ir_membership_like_the_engine():
+    # The engine, the test-only second opinion, agrees with element_e's
+    # verdict, taken by the quotient map, on every corpus shape and on
+    # the perturbed E' above.
+    cases = [(sh, build_matrices(sh)) for sh in corpus()] + [(shape_r2_two_type2(), _perturbed_r2_matrices())]
+    verdicts = []
+    for sh, mats in cases:
+        try:
+            element_e(sh, mats)
+            verdict = True
+        except StructuralError:
+            verdict = False
+        assert verdict == in_ideal(mats.det_Eprime - mats.det_E, build_ideals(sh).I_R), sh.name
+        verdicts.append(verdict)
+    assert verdicts == [True] * len(corpus()) + [False]
 
 
 def test_check_example_r2_variants():

@@ -1,5 +1,6 @@
 """Suite runner: config parsing, reports, determinism, CLI."""
 
+import inspect
 import json
 import os
 import pickle
@@ -308,29 +309,76 @@ def test_generation_failure_fails_all_four_checks_of_a_seed(monkeypatch):
         assert (c.status, c.witness) == ("fail", witness), c.id
 
 
-def test_trace_suite_reaches_the_engine_only_for_the_det_ids(monkeypatch):
-    import ribetkit.genmat as genmat
+def _groebner_calls(run):
+    """``run()`` and the module-level functions of ``groebner`` it called,
+    by name: every engine entry point, however the caller imported it."""
+    import ribetkit.groebner as groebner
+
+    functions = {f.__code__ for f in vars(groebner).values() if inspect.isfunction(f) and f.__module__ == groebner.__name__}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in functions:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        return run(), calls
+    finally:
+        sys.setprofile(None)
+
+
+def test_no_trace_identities_record_reaches_the_engine():
     import ribetkit.veriharness.suites as suites
 
-    # The 53 trace ids are two records, one per r, decided by closed-form
-    # cofactors; only the 3 det checks call in_ideal, once each.
-    callers = []
-    real = genmat.in_ideal
-
-    def counting_in_ideal(*args, **kwargs):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(genmat, "in_ideal", counting_in_ideal)
+    # The 53 trace ids are two records, one per r, and the 3 det ids one
+    # record each; all are decided by closed-form cofactors.
     cfg = SuiteConfig(suite="trace-identities")
     trace = [c for c in suites._suite_trace_identities(cfg) if c.ids[0][1] == "l:tr-char"]
     assert [len(c.ids) for c in trace] == [14, 39]
-    report = run_suite(cfg)
-    assert callers == ["det_congruence_check"] * 3
+    report, calls = _groebner_calls(lambda: run_suite(cfg))
+    assert calls == []
     assert report.summary() == {"pass": 56, "fail": 0, "timeout": 0}
-    # No budget is spent on a trace id, so none can time out.
+    # No budget is spent on any of the 56 ids, so none can time out.
     starved = run_suite(SuiteConfig(suite="trace-identities", budget=Budget(max_steps=1)))
-    assert {c.status for c in starved.checks if c.id.startswith("trace-")} == {"pass"}
+    assert starved.summary() == {"pass": 56, "fail": 0, "timeout": 0}
+
+
+def test_no_element_e_record_reaches_the_engine():
+    import ribetkit.ribet.formal as formal
+    import ribetkit.veriharness.suites as suites
+
+    # From a cold cache, so the formal construction runs inside the probe.
+    formal._formal_ring.cache_clear()
+    cfg = SuiteConfig(suite="quotient-presentation")
+    records = [c for c in suites._suite_quotient_presentation(cfg) if c.ids[0][0].startswith("element-e-in-IR-")]
+    assert len(records) == 5
+    results, calls = _groebner_calls(lambda: [r for c in records for r in suites._execute(c)])
+    assert calls == []
+    assert {r.status for r in results} == {"pass"}
+
+
+def test_det_suite_fails_exactly_the_ids_whose_identity_breaks(monkeypatch):
+    import ribetkit.genmat as genmat
+
+    # det-single-2 has its first cofactor's sign flipped and det-pair-12
+    # loses its last (cofactor, generator) pair; det-single-1 and every
+    # trace id still pass.
+    terms = genmat._det_terms
+
+    def broken(r, indices, word_cap):
+        target, pairs = terms(r, indices, word_cap)
+        if tuple(indices) == (2,):
+            q, g = pairs[0]
+            pairs = [(-q, g)] + pairs[1:]
+        if tuple(indices) == (1, 2):
+            pairs = pairs[:-1]
+        return target, pairs
+
+    monkeypatch.setattr(genmat, "_det_terms", broken)
+    report = run_suite(SuiteConfig(suite="trace-identities"))
+    failed = [(c.id, c.status) for c in report.checks if c.status != "pass"]
+    assert failed == [("det-pair-12", "fail"), ("det-single-2", "fail")]
 
 
 def test_trace_suite_fails_exactly_the_words_whose_identity_breaks(monkeypatch):
@@ -484,17 +532,28 @@ def test_structural_error_in_a_check_exits_2(tmp_path, capsys, jobs):
 
 
 def test_structural_error_from_element_e_fails_its_ids(monkeypatch):
-    # With every membership refused, element_e raises "escaped I_R": the
-    # element-e ids fail with that witness and the rest of the run goes on.
+    # With the quotient map broken to the identity, element_e raises
+    # "escaped I_R" for every shape whose e is nonzero: those element-e
+    # ids fail with that witness, r2-two-type1 (e = 0) still passes, the
+    # quotient presentations, which read the same map, fail, and the rest
+    # of the run goes on.
     import ribetkit.ribet.formal as formal
 
-    monkeypatch.setattr(formal, "in_ideal", lambda *args: False)
+    monkeypatch.setattr(formal, "_quotient_map", lambda F: {})
     report = run_suite(SuiteConfig(suite="all", jobs=1))
     assert len(report.checks) == 176
-    element_e_ids = [c for c in report.checks if c.id.startswith("element-e-in-IR-")]
-    assert len(element_e_ids) == 5
-    for c in element_e_ids:
-        assert (c.status, c.witness) == ("fail", "det(E') - det(E) escaped I_R"), c.id
+    escaped = ("fail", "det(E') - det(E) escaped I_R")
+    element_e = {c.id: (c.status, c.witness) for c in report.checks if c.id.startswith("element-e-in-IR-")}
+    assert element_e == {
+        "element-e-in-IR-r2-two-type2": escaped,
+        "element-e-in-IR-r2-two-type1": ("pass", "0 terms"),
+        "element-e-in-IR-p1-type4": escaped,
+        "element-e-in-IR-sigma-v0-type3": escaped,
+        "element-e-in-IR-full-mixed": escaped,
+    }
+    failed = {c.id for c in report.checks if c.status != "pass"}
+    presentations = {c.id for c in report.checks if c.id.startswith("quotient-presentation-")}
+    assert failed == presentations | {cid for cid, outcome in element_e.items() if outcome == escaped}
     assert report.exit_code() == 2
 
 
