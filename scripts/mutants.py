@@ -99,6 +99,30 @@ MUTANTS = (
         "tests/test_ribet_formal.py::test_element_e_rejects_a_perturbed_e_prime",
     ),
     Mutant(
+        "formal imports the engine when it loads",
+        "src/ribetkit/ribet/formal.py",
+        "from ..algebra import DEFAULT_BUDGET, Budget, FreeModuleMatrix, IdealSpec\n",
+        "from ..algebra import DEFAULT_BUDGET, Budget, FreeModuleMatrix, IdealSpec\n"
+        "from ..groebner import in_ideal\n",
+        "tests/test_import_layering.py::test_a_specialization_and_its_control_leave_the_engine_unloaded",
+    ),
+    Mutant(
+        "member-always",
+        "src/ribetkit/groebner.py",
+        "    return all(not eng.divide([f], records, counter)[0] for f in targets)\n",
+        "    return True\n",
+        "tests/test_ribet_formal.py::test_tau_invariance_positive_and_negative",
+    ),
+    Mutant(
+        "the trace congruence check always holds",
+        "src/ribetkit/genmat.py",
+        "    target, terms = _trace_terms(w, r, model)\n"
+        "    return sum((q * g for q, g in terms), Polynomial.zero(target.ring, target.table)) == target\n",
+        "    target, terms = _trace_terms(w, r, model)\n"
+        "    return True\n",
+        "tests/test_veriharness.py::test_trace_suite_fails_exactly_the_words_whose_identity_breaks",
+    ),
+    Mutant(
         "_rejects always passes",
         "src/ribetkit/veriharness/suites.py",
         "return not fn(*args), witness",

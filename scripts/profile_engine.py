@@ -47,13 +47,21 @@ to zero.  After symbolic H1 of R(f) 2x4 it prints its counters and
 steps: one counter for the syzygies and one for the membership batch;
 after the quotient, the steps of its one counter.
 The Buchberger loop behind a module basis keeps no pair counts.
+Before all of this it times ``import ribetkit.ribet`` and ``import
+ribetkit.veriharness``, each in a few fresh interpreters, and names which
+of ``groebner``, ``reducers`` and ``brcomplex`` each left loaded.
 
 Run: PYTHONPATH=src python scripts/profile_engine.py
 """
 
+import os
+import statistics
+import subprocess
+import sys
 import time
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import ribetkit.groebner as groebner
 import ribetkit.linalg as linalg
@@ -100,6 +108,11 @@ from ribetkit.veriharness import SuiteConfig, load_config, run_suite
 P31 = 2**31 - 1
 # Ends the GF(101) quotient in BudgetExceeded after about a second.
 QUOTIENT_STEPS = 2_500
+# Fresh interpreters per cold import.
+COLD_RUNS = 5
+# The ribetkit modules a cold import reports as loaded or not: the
+# engine, and brcomplex, through which the harness loads it.
+COLD_WATCHED = ("groebner", "reducers", "brcomplex")
 
 
 def timed(label, thunk, show=lambda result: result):
@@ -164,6 +177,28 @@ def split_basis(thunk):
     finally:
         for (owner, name), fn in zip(parts, originals):
             setattr(owner, name, fn)
+
+
+def cold_imports():
+    """``import ribetkit.ribet`` and ``import ribetkit.veriharness``, each
+    timed in ``COLD_RUNS`` fresh interpreters that inherit this one's
+    environment and bytecode setting, so without a bytecode cache they
+    compile every module they load: the median import time, and which
+    of ``COLD_WATCHED`` the import left loaded."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    flags = ["-B"] if sys.flags.dont_write_bytecode else []
+    for module in ("ribetkit.ribet", "ribetkit.veriharness"):
+        code = (f"import sys, time\nstart = time.perf_counter()\nimport {module}\n"
+                f"print(time.perf_counter() - start)\n"
+                f"print(', '.join(m for m in {COLD_WATCHED!r} if 'ribetkit.' + m in sys.modules))")
+        times = []
+        for _ in range(COLD_RUNS):
+            seconds, loaded = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True,
+                                             text=True, check=True).stdout.splitlines()
+            times.append(float(seconds))
+        print(f"{'cold import ' + module:55s} {statistics.median(times):8.3f}s  -> "
+              f"loads {loaded or 'none of ' + ', '.join(COLD_WATCHED)}")
 
 
 def gb_both_cores():
@@ -455,6 +490,7 @@ def polynomial_layer():
 
 
 def main():
+    cold_imports()
     cold_constructions()
     polynomial_layer()
     timed("example-r2 (positive)", check_example_r2)

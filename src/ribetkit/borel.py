@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .algebra import DEFAULT_BUDGET, Budget, IdealSpec
 from .errors import StructuralError
 from .exactpoly import Polynomial, VariableTable
-from .groebner import Budget, DEFAULT_BUDGET, IdealSpec, buchberger, in_ideal
 
 
 def _tau_images(a, b, c, d, x) -> tuple[Polynomial, ...]:
@@ -149,6 +149,8 @@ def invariant_mod(
     generated by the lifted generators of I) and that f reduces modulo I
     to an isobaric normal form of torus weight 0.
     """
+    # A call-time import: loading borel does not load the engine.
+    from .groebner import buchberger, in_ideal
     act = action or TauAction(f.table)
     diff = act.apply(f) - f.lift(act.table)
     if not diff.is_zero():

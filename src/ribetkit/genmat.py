@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
+from .algebra import IdealSpec
 from .errors import StructuralError
 from .exactpoly import QQ, CoefficientRing, Polynomial, VariableTable
-from .groebner import IdealSpec
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,9 @@ loop's pair criteria cost more than its reductions), one counter per
 call, which its widening restarts share, and monomials are checked
 against ``Budget.max_degree``.  Exceeding either raises
 :class:`BudgetExceeded` -- a resource report, never a wrong answer.
+
+The input types ``IdealSpec``, ``FreeModuleMatrix`` and ``Budget`` live
+in ``algebra``, which does not load the engine; they are re-exported here.
 """
 
 from __future__ import annotations
@@ -192,6 +195,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Sequence
 
+from .algebra import DEFAULT_BUDGET, Budget, FreeModuleMatrix, IdealSpec, _Counter
 from .errors import BudgetExceeded, StructuralError
 from .exactpoly import (
     DEGREE_MASK,
@@ -204,70 +208,6 @@ from .exactpoly import (
     mono_pairs,
 )
 from .reducers import EarlierLeads, Reducers
-
-
-@dataclass
-class Budget:
-    """Resource limits shared by all engine entry points."""
-
-    max_steps: int = 1_000_000
-    max_degree: int = 40
-
-    def fresh_counter(self) -> "_Counter":
-        return _Counter(self)
-
-
-class _Counter:
-    """Steps spent against one budget.  ``stats`` holds the pair and
-    zero-reduction counts of the signature loops that used the counter,
-    if any did (``_signature_basis``)."""
-
-    __slots__ = ("budget", "steps", "stats")
-
-    def __init__(self, budget: Budget):
-        self.budget = budget
-        self.steps = 0
-        self.stats = None
-
-    def tick(self, n: int = 1):
-        self.steps += n
-        if self.steps > self.budget.max_steps:
-            raise BudgetExceeded(
-                f"Groebner step budget exceeded ({self.budget.max_steps})"
-            )
-
-    def check_degree(self, d: int):
-        if d > self.budget.max_degree:
-            raise BudgetExceeded(
-                f"degree cap exceeded ({d} > {self.budget.max_degree})"
-            )
-
-
-DEFAULT_BUDGET = Budget()
-
-
-@dataclass(frozen=True)
-class IdealSpec:
-    """The generator list of an ideal; its nonzero generators, in order."""
-
-    generators: tuple[Polynomial, ...]
-
-    def __init__(self, generators: Sequence[Polynomial]):
-        gens = tuple(g for g in generators if not g.is_zero())
-        if gens:
-            ring, table = gens[0].ring, gens[0].table
-            for g in gens:
-                if g.ring != ring or g.table != table:
-                    raise StructuralError("ideal generators must share ring and table")
-        object.__setattr__(self, "generators", gens)
-
-    @property
-    def ring(self):
-        return self.generators[0].ring if self.generators else None
-
-    @property
-    def table(self):
-        return self.generators[0].table if self.generators else None
 
 
 # ---------------------------------------------------------------------------
@@ -974,90 +914,6 @@ def _ideal_contains_all(spec: IdealSpec, targets: Sequence[Polynomial], budget: 
 # ---------------------------------------------------------------------------
 # Free modules and syzygies.
 
-@dataclass(frozen=True)
-class FreeModuleMatrix:
-    """Rectangular matrix of polynomials sharing one ring and table.
-
-    Products are sparse: only pairs of nonzero entries are multiplied,
-    and an output entry that no pair reaches is one shared zero."""
-
-    entries: tuple[tuple[Polynomial, ...], ...]
-
-    def __init__(self, entries: Sequence[Sequence[Polynomial]]):
-        rows = tuple(tuple(r) for r in entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise StructuralError("matrix must be rectangular")
-            probe = rows[0][0] if width else None
-            if probe is not None:
-                ring, table = probe.ring, probe.table
-                for r in rows:
-                    for e in r:
-                        if e.ring is ring and e.table is table:
-                            continue
-                        if e.ring != ring or e.table != table:
-                            raise StructuralError("matrix entries must share ring and table")
-        object.__setattr__(self, "entries", rows)
-
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def column(self, j: int) -> list[Polynomial]:
-        return [self.entries[i][j] for i in range(self.rows)]
-
-    def _zero(self) -> Polynomial:
-        probe = self.entries[0][0]
-        return Polynomial.zero(probe.ring, probe.table)
-
-    def apply(self, v: Sequence[Polynomial]) -> list[Polynomial]:
-        if len(v) != self.cols:
-            raise StructuralError("vector length mismatch")
-        if not v:  # no entry to take a ring from: one None per row
-            return [None] * self.rows
-        zero = self._zero()
-        pairs = [(j, x) for j, x in enumerate(v) if x._terms]
-        out = []
-        for row in self.entries:
-            acc = None
-            for j, x in pairs:
-                a = row[j]
-                if a._terms:
-                    t = a * x
-                    acc = t if acc is None else acc + t
-            out.append(zero if acc is None else acc)
-        return out
-
-    def matmul(self, other: "FreeModuleMatrix") -> "FreeModuleMatrix":
-        if self.cols != other.rows:
-            raise StructuralError("matrix dimension mismatch")
-        if not other.cols:  # covers a zero inner dimension: a factor with no rows has no columns
-            return FreeModuleMatrix([[] for _ in range(self.rows)])
-        zero = self._zero()
-        # The nonzero (j, entry) pairs of each row of the right factor.  The
-        # tests read the term dicts: a __bool__ call per entry is slow.
-        right = [[(j, b) for j, b in enumerate(row) if b._terms] for row in other.entries]
-        out = []
-        for row in self.entries:
-            acc: dict[int, Polynomial] = {}
-            for a, pairs in zip(row, right):
-                if not a._terms:
-                    continue
-                for j, b in pairs:
-                    t = a * b
-                    acc[j] = acc[j] + t if j in acc else t
-            out.append([acc.get(j, zero) for j in range(other.cols)])
-        return FreeModuleMatrix(out)
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
-
-
 def _module_basis(vectors, budget: Budget, rank: int, degree: int = 0) -> tuple:
     """(engine, records, counter) of a Groebner basis of the submodule of
     a rank-``rank`` free module that ``vectors``, of one field
@@ -1109,10 +965,15 @@ def _module_contains_all(vs, generators, budget: Budget) -> bool:
 def syzygies(M: FreeModuleMatrix, budget: Budget = DEFAULT_BUDGET) -> list[list[Polynomial]]:
     """Generating set of {v : M v = 0}; every returned v satisfies
     M v = 0 exactly (asserted before returning)."""
-    m, k = M.rows, M.cols
-    if k == 0:
+    if M.cols == 0:
         return []
-    lifted = FreeModuleMatrix(_lift_vectors(M.entries, k))
+    return _syzygies(FreeModuleMatrix(_lift_vectors(M.entries, M.cols)), budget)
+
+
+def _syzygies(lifted: FreeModuleMatrix, budget: Budget) -> list[list[Polynomial]]:
+    """``syzygies`` of a matrix with at least one column whose entries
+    are already of one field (``_lift``)."""
+    m, k = lifted.rows, lifted.cols
     ring, table = lifted.entries[0][0].ring, lifted.entries[0][0].table
     one, zero = Polynomial.one(ring, table), Polynomial.zero(ring, table)
     # Column j with the bookkeeping unit in component m + j.
@@ -1138,4 +999,4 @@ def ideal_quotient(spec: IdealSpec, f: Polynomial, budget: Budget = DEFAULT_BUDG
     if not spec.generators:
         return IdealSpec([])
     row = _lift([f, *spec.generators])
-    return IdealSpec([v[0] for v in syzygies(FreeModuleMatrix([row]), budget)])
+    return IdealSpec([v[0] for v in _syzygies(FreeModuleMatrix([row]), budget)])

@@ -37,17 +37,11 @@ import functools
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
+from ..algebra import DEFAULT_BUDGET, Budget, FreeModuleMatrix, IdealSpec
 from ..borel import TauAction
 from ..errors import StructuralError
 from ..exactpoly import QQ, CoefficientRing, Polynomial, VariableTable
 from ..genmat import Mat2
-from ..groebner import (
-    Budget,
-    DEFAULT_BUDGET,
-    FreeModuleMatrix,
-    IdealSpec,
-    in_ideal,
-)
 from .shapes import RibetShape, shape_r2_two_type2
 
 
@@ -402,6 +396,8 @@ def check_example_r2(
     ``omit_relation`` drops one of the eight generators (0..7) to turn
     the check into its negative control.
     """
+    # A call-time import: loading ribet does not load the engine.
+    from ..groebner import in_ideal
     shape = shape_r2_two_type2()
     mats = build_matrices(shape, ring)
     F = mats.ring
@@ -425,6 +421,8 @@ def check_e_tau_invariance(
     ``drop_pair_generator`` removes the first local B(sigma, tau)
     generator from J' (negative control for shapes with places).
     """
+    # A call-time import: loading ribet does not load the engine.
+    from ..groebner import in_ideal
     mats = build_matrices(shape, ring)
     ideals = build_ideals(shape, ring)
     jp = list(ideals.Jprime.generators)

@@ -12,9 +12,9 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 
+from ..algebra import Budget
 from ..errors import StructuralError
 from ..exactpoly import GF
-from ..groebner import Budget
 from ..ribet.shapes import RibetShape, _int
 
 

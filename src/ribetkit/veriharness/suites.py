@@ -26,15 +26,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Callable
 
-from ..borel import TauAction, adjoint_quadruple_check
-from ..errors import BudgetExceeded, GenerationFailure, StructuralError
-from ..exactpoly import QQ, Polynomial
-from ..genmat import (
-    GenericModel,
-    Word,
-    det_congruence_check,
-    trace_congruence_check,
-)
+# brcomplex first: it loads the engine before the ribet layer (see __init__).
 from ..brcomplex import (
     br_complexes,
     build_cd_morphism,
@@ -47,7 +39,16 @@ from ..brcomplex import (
     symbolic_h1,
     tensor,
 )
-from ..groebner import Budget, FreeModuleMatrix
+from ..algebra import Budget, FreeModuleMatrix
+from ..borel import TauAction, adjoint_quadruple_check
+from ..errors import BudgetExceeded, GenerationFailure, StructuralError
+from ..exactpoly import QQ, Polynomial
+from ..genmat import (
+    GenericModel,
+    Word,
+    det_congruence_check,
+    trace_congruence_check,
+)
 from ..ribet import (
     RibetShape,
     build_ideals,

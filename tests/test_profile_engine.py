@@ -27,13 +27,19 @@ def test_profile_sections_run_and_restore_what_they_patch(capsys):
                 Polynomial.__add__, groebner._signature_basis, groebner._reduced_basis, groebner._Engine.to_vector]
 
     patched = patchable()
-    for section in (script.cold_constructions, script.specialization_phases, script.cached_layers,
+    for section in (script.cold_imports, script.cold_constructions, script.specialization_phases, script.cached_layers,
                     script.module_path, script.trace_suite, script.det_closed_form, script.polynomial_layer,
                     script.gb_both_cores):
         section()
     assert all(a is b for a, b in zip(patchable(), patched))
     out = capsys.readouterr().out
     assert "row reductions per generation attempt" in out
+    # The specialization layer loads without the engine; the harness loads it through brcomplex.
+    cold = [line for line in out.splitlines() if line.startswith("cold import ")]
+    assert len(cold) == 2
+    assert cold[0].startswith("cold import ribetkit.ribet ")
+    assert cold[0].endswith("-> loads none of groebner, reducers, brcomplex")
+    assert cold[1].endswith("-> loads groebner, reducers, brcomplex")
     assert "formal constructions of the corpus shapes (cold)" in out
     control = [line for line in out.splitlines() if line.startswith("  perturbed control: perturb_alpha")]
     assert len(control) == 1 and control[0].endswith("-> 200 of 200 break det(E') = 0")
