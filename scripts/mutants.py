@@ -129,6 +129,28 @@ MUTANTS = (
         "return True, witness",
         "tests/test_veriharness.py::test_rejects_fails_when_the_check_holds",
     ),
+    Mutant(
+        "check_commutes never compares",
+        "src/ribetkit/brcomplex/free_complex.py",
+        "            if lhs is None or rhs is None or lhs.entries != rhs.entries:\n"
+        "                return False\n",
+        "",
+        "tests/test_brcomplex.py::test_check_commutes_reads_a_missing_differential_as_zero",
+    ),
+    Mutant(
+        "homology_at_point returns all zeros",
+        "src/ribetkit/brcomplex/free_complex.py",
+        "return [C.ranks[k] - ranks_d[k] - ranks_d[k + 1] for k in range(C.top_degree + 1)]",
+        "return [0] * (C.top_degree + 1)",
+        "tests/test_brcomplex.py::test_homology_at_point_examples",
+    ),
+    Mutant(
+        "the tensor boundary drops its (-1)^p sign",
+        "src/ribetkit/brcomplex/free_complex.py",
+        "yield (p, q - 1, j1, i2), -e if p % 2 else e",
+        "yield (p, q - 1, j1, i2), e",
+        "tests/test_brcomplex.py::test_tensor_differentials_match_dense_koszul_sign_reference",
+    ),
 )
 
 

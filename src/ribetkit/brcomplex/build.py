@@ -3,9 +3,12 @@ plus the regularity criteria used to certify exactness.
 
 Each complex is written as its bases plus its boundary formula: the
 basis keys of every degree and a generator of the (row key,
-coefficient) pairs of d_k on one key.  One scaffold, ``_complex``,
-turns those into the differential matrices, so the three constructors
-below hold no matrix assembly of their own.
+coefficient) pairs of d_k on one key.  The package's one scaffold,
+``free_complex._complex``, turns those into the differential matrices,
+as it does for tensor products and subcomplexes, so the three
+constructors below hold no matrix assembly of their own.  Each passes
+only its nonempty degrees: its top degree is the most that its wedge
+words can reach, a count of the column labels with distinct keys.
 
 For f with matrix columns f(e_i) = (b_i, b_i') and r_ij = b_i b_j' -
 b_j b_i', two complexes are built:
@@ -38,11 +41,11 @@ to pairwise-distinct keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product, takewhile
-from typing import Callable, Iterable, Sequence
+from itertools import combinations, product
+from typing import Callable, Sequence
 
 from ..errors import StructuralError
-from ..exactpoly import QQ, CoefficientRing, Polynomial, VariableTable
+from ..exactpoly import QQ, Polynomial, VariableTable
 from ..groebner import (
     Budget,
     DEFAULT_BUDGET,
@@ -51,37 +54,11 @@ from ..groebner import (
     _ideal_contains_all,
     ideal_quotient,
 )
-from .free_complex import FreeComplex
+from .free_complex import FreeComplex, _complex
 
 
 # ---------------------------------------------------------------------------
-# The scaffold: a complex is its bases plus its boundary formula.
-
-def _complex(
-    ring: CoefficientRing,
-    table: VariableTable,
-    bases: Iterable[list],
-    label: Callable[[int, object], object],
-    boundary: Callable[[int, object], Iterable[tuple[object, Polynomial]]],
-) -> FreeComplex:
-    """The complex whose degree-k basis is ``bases[k]``, up to the first
-    empty degree.  ``label(k, b)`` names the basis key b, and
-    ``boundary(k, b)`` yields the (row key, coefficient) pairs of d_k(b);
-    every row key must lie in the basis one degree down."""
-    bases = list(takewhile(bool, bases))
-    zero = Polynomial.zero(ring, table)
-    diffs: list[FreeModuleMatrix | None] = [None]
-    for k in range(1, len(bases)):
-        pos_of = {b: i for i, b in enumerate(bases[k - 1])}
-        M = [[zero] * len(bases[k]) for _ in bases[k - 1]]
-        for col, b in enumerate(bases[k]):
-            for key, coeff in boundary(k, b):
-                row = pos_of[key]
-                M[row][col] = M[row][col] + coeff
-        diffs.append(FreeModuleMatrix(M))
-    labels = [[label(k, b) for b in base] for k, base in enumerate(bases)]
-    return FreeComplex(ring, table, [len(b) for b in bases], diffs, labels)
-
+# Helpers of the boundary formulas.
 
 def _sign(e: Polynomial, n: int) -> Polynomial:
     """(-1)^n e."""
@@ -93,12 +70,12 @@ def _drop(S: tuple, *positions: int) -> tuple:
     return tuple(x for t, x in enumerate(S) if t not in positions)
 
 
-def _distinct(labels: Sequence, distinct_key: Callable[[object], object] | None) -> bool:
-    """True unless ``distinct_key`` maps two of ``labels`` to one key."""
+def _slots(labels: Sequence, distinct_key: Callable[[object], object] | None) -> int:
+    """How many distinct keys ``distinct_key`` gives ``labels``, each
+    label its own key without one: the most labels a wedge word holds."""
     if distinct_key is None:
-        return True
-    keys = [distinct_key(lab) for lab in labels]
-    return len(set(keys)) == len(keys)
+        return len(labels)
+    return len({distinct_key(lab) for lab in labels})
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +97,17 @@ def koszul_general(
         raise StructuralError("koszul needs at least one element")
     names = [lab for lab, _ in columns]
     n = len(columns)
-    top = n if cap is None else min(cap, n)
+    slots = _slots(names, distinct_key)
+    top = slots if cap is None else min(cap, slots)
 
     def boundary(k, idxs):
         for pos, i in enumerate(idxs):
             yield _drop(idxs, pos), _sign(columns[i][1], pos)
 
-    bases = (
-        [c for c in combinations(range(n), k) if _distinct([names[i] for i in c], distinct_key)]
+    bases = [
+        [c for c in combinations(range(n), k) if _slots([names[i] for i in c], distinct_key) == k]
         for k in range(top + 1)
-    )
+    ]
     image = columns[0][1]
     return _complex(
         image.ring, image.table, bases, lambda k, c: tuple(names[i] for i in c), boundary
@@ -206,7 +184,7 @@ def br_f(f: FreeModuleMatrix, cap: int | None = None) -> FreeComplex:
                         yield (_drop(S, pos), (ua, ub)), _sign(coord, pos)
 
     ring, table = cols[0].b.ring, cols[0].b.table
-    return _complex(ring, table, (basis(k) for k in range(top + 1)), label, boundary)
+    return _complex(ring, table, [basis(k) for k in range(top + 1)], label, boundary)
 
 
 def br_detf(
@@ -221,7 +199,8 @@ def br_detf(
     n = len(cols)
     ring, table = cols[0].b.ring, cols[0].b.table
     one = Polynomial.one(ring, table)
-    full = max(1, 2 * (n - 1))
+    # Degree k >= 1 needs k + 1 columns with distinct keys.
+    full = _slots([c.label for c in cols], distinct_key) - 1
     top = full if cap is None else min(cap, full)
 
     def basis(k):
@@ -231,7 +210,7 @@ def br_detf(
             (word, S)
             for word in product(((1,), (2,), (1, 2)), repeat=k - 1)
             for S in combinations(range(n), 2 + sum(len(s) for s in word))
-            if _distinct([cols[i].label for i in S], distinct_key)
+            if _slots([cols[i].label for i in S], distinct_key) == len(S)
         ]
 
     def label(k, b):
@@ -263,7 +242,7 @@ def br_detf(
                 coeff = _r_of(cols, S[p], S[q])
                 yield (word[:-1], _drop(S, p, q)), _sign(coeff, p + q + k - 2)
 
-    return _complex(ring, table, (basis(k) for k in range(top + 1)), label, boundary)
+    return _complex(ring, table, [basis(k) for k in range(top + 1)], label, boundary)
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Finite complexes of free modules with polynomial differentials.
+"""Finite complexes of free modules with polynomial differentials, and
+the one scaffold that builds every complex and chain map of the package.
 
 A FreeComplex stores ranks by homological degree 0..n, the differential
 matrices d_k : C_k -> C_{k-1} for k >= 1, a basis label per summand
@@ -7,10 +8,21 @@ matrices d_k : C_k -> C_{k-1} for k >= 1, a basis label per summand
 Twists never alter differentials; they are metadata for the grading
 arguments that live outside this package's scope.
 
-A tensor product stores no layout of its own: ``_tensor_layout`` derives
-the block offsets from the factor ranks, for ``tensor`` and for
-``tensor_morphism`` alike, and ``_put_kron`` writes every Kronecker block
-(d (x) id, id (x) d and phi (x) psi).
+A complex is written as its bases plus its boundary formula: the basis
+keys of each degree and a generator of the (row key, coefficient) pairs
+of d_k on one key.  ``_complex`` turns those into the differentials, and
+its twin ``_chain_map`` turns a formula for the image of each source
+label, as (target label, coefficient) pairs, into a chain map.  Both
+fill their matrices through ``_matrix``; nothing else writes one:
+
+* the Koszul and Buchsbaum-Rim builders (``build``) give their own keys;
+* ``subcomplex`` keys the kept positions and reads the columns of d;
+* ``tensor`` keys (p, q, j1, j2) and takes d1 (x) id + (-1)^p id (x) d2,
+  which is also how the Koszul complex arises from one-element ones;
+* ``tensor_morphism`` sends a label to its image under phi (x) psi, and
+  the C -> D inclusion (``morphism``) each label to itself.
+
+A map into or out of a zero module is stored as None.
 
 d^2 = 0 is checked, not assumed: construction functions return whatever
 their formulas produce and ``check_d2`` verifies the complex axiom
@@ -20,7 +32,8 @@ symbolically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from ..errors import StructuralError
 from ..exactpoly import GF, CoefficientRing, Polynomial, VariableTable
@@ -49,6 +62,10 @@ class FreeComplex:
         if len(self.diffs) != len(self.ranks) or len(self.labels) != len(self.ranks):
             raise StructuralError("ranks, diffs, labels must align")
         for k, d in enumerate(self.diffs):
+            if len(self.labels[k]) != self.ranks[k]:
+                raise StructuralError(
+                    f"degree {k} has {len(self.labels[k])} labels for rank {self.ranks[k]}"
+                )
             if k == 0:
                 continue
             if d is None:
@@ -79,10 +96,67 @@ class FreeComplex:
         return Polynomial.zero(self.ring, self.table)
 
 
+# ---------------------------------------------------------------------------
+# The scaffold: a complex is its bases plus its boundary formula, a chain
+# map its image formula.
+
+def _matrix(
+    zero: Polynomial,
+    rows: Sequence,
+    cols: Sequence,
+    column: Callable[[object], Iterable[tuple[object, Polynomial]]],
+) -> FreeModuleMatrix | None:
+    """The matrix with row keys ``rows`` and column keys ``cols`` whose
+    column b holds the (row key, coefficient) pairs that ``column(b)``
+    yields, a repeated row key adding up; None when either side is
+    empty.  Every column is read, so a row key outside ``rows`` raises
+    even then."""
+    pos_of = {key: i for i, key in enumerate(rows)}
+    if len(pos_of) != len(rows):
+        raise StructuralError("a basis repeats a key")
+    M = [[zero] * len(cols) for _ in rows]
+    for j, b in enumerate(cols):
+        for key, coeff in column(b):
+            try:
+                row = M[pos_of[key]]
+            except KeyError:
+                raise StructuralError(f"the image of {b!r} leaves the basis at {key!r}") from None
+            # A cell that still holds the shared zero takes the coefficient as it is.
+            row[j] = coeff if row[j] is zero else row[j] + coeff
+    return FreeModuleMatrix(M) if rows and cols else None
+
+
+def _complex(
+    ring: CoefficientRing,
+    table: VariableTable,
+    bases: Sequence[list],
+    label: Callable[[int, object], object],
+    boundary: Callable[[int, object], Iterable[tuple[object, Polynomial]]],
+) -> FreeComplex:
+    """The complex whose degree-k basis is ``bases[k]``.  ``label(k, b)``
+    names the basis key b, and ``boundary(k, b)`` yields the (row key,
+    coefficient) pairs of d_k(b); every row key must lie in
+    ``bases[k - 1]``."""
+    zero = Polynomial.zero(ring, table)
+    diffs = [None] + [
+        _matrix(zero, bases[k - 1], bases[k], partial(boundary, k)) for k in range(1, len(bases))
+    ]
+    labels = [[label(k, b) for b in base] for k, base in enumerate(bases)]
+    return FreeComplex(ring, table, [len(b) for b in bases], diffs, labels)
+
+
+def _columns(M: FreeModuleMatrix | None, n: int) -> list[list[tuple[int, Polynomial]]]:
+    """The (row, entry) pairs of the nonzero entries of each of the n
+    columns of M, found by the entries' term dicts; a missing (None)
+    matrix has none."""
+    entries = M.entries if M is not None else ()
+    return [[(i, row[j]) for i, row in enumerate(entries) if row[j]._terms] for j in range(n)]
+
+
 def unit_complex(ring, table) -> FreeComplex:
     """The complex 0 -> R concentrated in degree 0, its basis labelled
     "unit"."""
-    return FreeComplex(ring, table, [1], [None], [["unit"]])
+    return _complex(ring, table, [["unit"]], lambda k, b: b, None)
 
 
 def check_d2(C: FreeComplex) -> bool:
@@ -140,86 +214,34 @@ def symbolic_h1(C: FreeComplex, budget: Budget = DEFAULT_BUDGET) -> H1Report:
 
 
 def subcomplex(C: FreeComplex, keep: Callable[[object], bool]) -> FreeComplex:
-    """Restrict to the basis elements whose label satisfies ``keep``.
+    """Restrict to the basis elements whose label satisfies ``keep``,
+    dropping the empty degrees at the top.
 
     Raises if the restriction is not closed under the differential
     (a kept column with a nonzero entry in a dropped row).
     """
-    kept_idx = [[i for i, lab in enumerate(C.labels[k]) if keep(lab)] for k in range(len(C.ranks))]
-    new_ranks = [len(idx) for idx in kept_idx]
-    new_labels = [[C.labels[k][i] for i in kept_idx[k]] for k in range(len(C.ranks))]
-    new_diffs: list[FreeModuleMatrix | None] = [None]
-    for k in range(1, C.top_degree + 1):
-        d = C.diffs[k]
-        if d is not None:
-            kept_rows = set(kept_idx[k - 1])
-            dropped = [i for i in range(C.ranks[k - 1]) if i not in kept_rows]
-            if any(not d.entries[i][j].is_zero() for j in kept_idx[k] for i in dropped):
-                raise StructuralError("subcomplex not closed under d")
-        if d is None or new_ranks[k] == 0 or new_ranks[k - 1] == 0:
-            new_diffs.append(None)
-        else:
-            new_diffs.append(
-                FreeModuleMatrix([[d.entries[i][j] for j in kept_idx[k]] for i in kept_idx[k - 1]])
-            )
-    while len(new_ranks) > 1 and new_ranks[-1] == 0:
-        new_ranks.pop()
-        new_diffs.pop()
-        new_labels.pop()
-    return FreeComplex(C.ring, C.table, new_ranks, new_diffs, new_labels, C.shift)
+    bases = [[i for i, lab in enumerate(labels) if keep(lab)] for labels in C.labels]
+    while len(bases) > 1 and not bases[-1]:
+        bases.pop()
+    columns = [_columns(d, r) for d, r in zip(C.diffs, C.ranks)]
+    sub = _complex(C.ring, C.table, bases, lambda k, i: C.labels[k][i], lambda k, j: columns[k][j])
+    return sub.twist(C.shift)
 
 
-def _tensor_layout(r1: list[int], r2: list[int], top: int) -> tuple[list[dict], list[int]]:
-    """Block layout of the total complex of factors with ranks r1 and r2,
-    in degrees 0..top.
-
-    ``layout[n]`` maps each (p, q = n - p) with r1[p] and r2[q] nonzero to
-    the offset of its block in degree n, by ascending p; ``ranks[n]`` is
-    the total rank.  Inside a block, basis (j1, j2) sits at j1 * r2[q] + j2.
-    """
-    layout, ranks = [], []
-    for n in range(top + 1):
-        blocks, size = {}, 0
-        for p in range(max(0, n - len(r2) + 1), min(n, len(r1) - 1) + 1):
-            q = n - p
-            if r1[p] and r2[q]:
-                blocks[(p, q)] = size
-                size += r1[p] * r2[q]
-        layout.append(blocks)
-        ranks.append(size)
-    return layout, ranks
-
-
-def _nonzero(M: FreeModuleMatrix | None) -> list[tuple]:
-    """The nonzero (i, j, entry) triples of M (none for a missing map),
-    found by the entries' term dicts, as in ``FreeModuleMatrix.matmul``."""
-    if M is None:
-        return []
-    return [(i, j, e) for i, row in enumerate(M.entries) for j, e in enumerate(row) if e._terms]
-
-
-def _identity(n: int) -> list[tuple]:
-    """Triples of the n x n identity; the entry None stands for 1."""
-    return [(i, i, None) for i in range(n)]
-
-
-def _put_kron(grid, row: int, col: int, A, B, b_shape: tuple[int, int], negate: bool = False):
-    """Write A (x) B, or its negative, into ``grid`` with its top-left
-    corner at (row, col).
-
-    A and B are triple lists (``_nonzero``, ``_identity``) and B is
-    b_shape = (rows, cols), so A[i1][j1] B[i2][j2] lands at
-    (row + i1 * rows + i2, col + j1 * cols + j2).  An identity entry is
-    never multiplied: the other factor's entry is used as it is.  Each
-    cell is written once and must still hold zero: the blocks that
-    ``tensor`` and ``tensor_morphism`` write do not overlap.
-    """
-    b_rows, b_cols = b_shape
-    for i1, j1, a in A:
-        r0, c0 = row + i1 * b_rows, col + j1 * b_cols
-        for i2, j2, b in B:
-            e = b if a is None else a if b is None else a * b
-            grid[r0 + i2][c0 + j2] = -e if negate else e
+def _tensor_bases(r1: list[int], r2: list[int], top: int) -> list[list[tuple]]:
+    """Basis keys (p, q, j1, j2) of degrees 0..top of the tensor product
+    of complexes with ranks r1 and r2: by ascending p, then row-major in
+    (j1, j2) inside the (p, q) block."""
+    return [
+        [
+            (p, n - p, j1, j2)
+            for p in range(len(r1))
+            if 0 <= n - p < len(r2)
+            for j1 in range(r1[p])
+            for j2 in range(r2[n - p])
+        ]
+        for n in range(top + 1)
+    ]
 
 
 def tensor(C1: FreeComplex, C2: FreeComplex, cap: int | None = None) -> FreeComplex:
@@ -227,40 +249,29 @@ def tensor(C1: FreeComplex, C2: FreeComplex, cap: int | None = None) -> FreeComp
     convention d(a (x) b) = da (x) b + (-1)^{deg a} a (x) db.
 
     Degree-n summands are ordered by ascending first-factor degree p, then
-    row-major within the (p, q = n-p) block (``_tensor_layout``); twists
+    row-major within the (p, q = n-p) block (``_tensor_bases``); twists
     add through the shift bookkeeping.  With ``cap``, only degrees
     0..cap are built, which gives ``truncate(tensor(C1, C2), cap)``.
     """
     if C1.ring != C2.ring or C1.table != C2.table:
         raise StructuralError("tensor factors must share ring and table")
-    r1, r2 = C1.ranks, C2.ranks
     top = C1.top_degree + C2.top_degree
-    layout, ranks = _tensor_layout(r1, r2, top if cap is None else min(top, cap))
-    nonzero1 = [_nonzero(d) for d in C1.diffs[: len(ranks)]]
-    nonzero2 = [_nonzero(d) for d in C2.diffs[: len(ranks)]]
-    labels = [
-        [("tensor", p, q, l1, l2) for p, q in blocks for l1 in C1.labels[p] for l2 in C2.labels[q]]
-        for blocks in layout
-    ]
-    zero = C1.zero_entry()
-    diffs: list[FreeModuleMatrix | None] = [None]
-    for n in range(1, len(ranks)):
-        if ranks[n] == 0 or ranks[n - 1] == 0:
-            diffs.append(None)
-            continue
-        M = [[zero] * ranks[n] for _ in range(ranks[n - 1])]
-        below = layout[n - 1]
-        for (p, q), off in layout[n].items():
-            # d1 (x) id: (p, q) -> (p - 1, q)
-            if (p - 1, q) in below:
-                A, B = nonzero1[p], _identity(r2[q])
-                _put_kron(M, below[(p - 1, q)], off, A, B, (r2[q], r2[q]))
-            # (-1)^p id (x) d2: (p, q) -> (p, q - 1)
-            if (p, q - 1) in below:
-                A, B = _identity(r1[p]), nonzero2[q]
-                _put_kron(M, below[(p, q - 1)], off, A, B, (r2[q - 1], r2[q]), negate=p % 2 == 1)
-        diffs.append(FreeModuleMatrix(M))
-    return FreeComplex(C1.ring, C1.table, ranks, diffs, labels, C1.shift + C2.shift)
+    bases = _tensor_bases(C1.ranks, C2.ranks, top if cap is None else min(top, cap))
+    columns1 = [_columns(d, r) for d, r in zip(C1.diffs, C1.ranks)]
+    columns2 = [_columns(d, r) for d, r in zip(C2.diffs, C2.ranks)]
+
+    def label(n, key):
+        p, q, j1, j2 = key
+        return ("tensor", p, q, C1.labels[p][j1], C2.labels[q][j2])
+
+    def boundary(n, key):
+        p, q, j1, j2 = key
+        for i1, e in columns1[p][j1]:  # d1 (x) id
+            yield (p - 1, q, i1, j2), e
+        for i2, e in columns2[q][j2]:  # (-1)^p id (x) d2
+            yield (p, q - 1, j1, i2), -e if p % 2 else e
+
+    return _complex(C1.ring, C1.table, bases, label, boundary).twist(C1.shift + C2.shift)
 
 
 def truncate(C: FreeComplex, cap: int) -> FreeComplex:
@@ -307,29 +318,49 @@ def _compose(a: FreeModuleMatrix | None, b: FreeModuleMatrix | None) -> FreeModu
     return None if a is None or b is None else a.matmul(b)
 
 
+def _chain_map(
+    source: FreeComplex,
+    target: FreeComplex,
+    image: Callable[[int, object], Iterable[tuple[object, Polynomial]]],
+) -> ComplexMorphism:
+    """The chain map sending the degree-k source basis element labelled
+    lab to the sum of the (target label, coefficient) pairs that
+    ``image(k, lab)`` yields; a label the target lacks in degree k
+    raises.  A degree above the target's top maps to zero (None)."""
+    zero = source.zero_entry()
+    maps = [
+        _matrix(zero, target.labels[k], labels, partial(image, k)) if k <= target.top_degree else None
+        for k, labels in enumerate(source.labels)
+    ]
+    return ComplexMorphism(source, target, maps)
+
+
 def tensor_morphism(
     phi: ComplexMorphism, psi: ComplexMorphism, sourceT: FreeComplex, targetT: FreeComplex
 ) -> ComplexMorphism:
     """Tensor of chain maps between tensor(phi.source, psi.source) and
     tensor(phi.target, psi.target), or truncations of them, given as
     sourceT and targetT.  Raises if their ranks do not fit the factors."""
-    src_layout, src_ranks = _tensor_layout(phi.source.ranks, psi.source.ranks, sourceT.top_degree)
-    tgt_layout, tgt_ranks = _tensor_layout(phi.target.ranks, psi.target.ranks, targetT.top_degree)
-    if src_ranks != sourceT.ranks or tgt_ranks != targetT.ranks:
-        raise StructuralError("tensor morphism: complexes do not match the factor layouts")
-    s2, t2 = psi.source.ranks, psi.target.ranks
-    zero = sourceT.zero_entry()
-    maps: list[FreeModuleMatrix | None] = []
-    for n, blocks in enumerate(src_layout):
-        if src_ranks[n] == 0:
-            maps.append(None)
-            continue
-        targets = tgt_layout[n] if n < len(tgt_layout) else {}
-        rows = tgt_ranks[n] if n < len(tgt_ranks) else 0
-        M = [[zero] * src_ranks[n] for _ in range(rows)]
-        for (p, q), off in blocks.items():
-            if (p, q) in targets:
-                A, B = _nonzero(phi.maps[p]), _nonzero(psi.maps[q])
-                _put_kron(M, targets[(p, q)], off, A, B, (t2[q], s2[q]))
-        maps.append(FreeModuleMatrix(M))
-    return ComplexMorphism(sourceT, targetT, maps)
+    for T, C1, C2 in ((sourceT, phi.source, psi.source), (targetT, phi.target, psi.target)):
+        if T.ranks != [len(b) for b in _tensor_bases(C1.ranks, C2.ranks, T.top_degree)]:
+            raise StructuralError("tensor morphism: complexes do not match the factors")
+
+    def images(f: ComplexMorphism) -> list[dict]:
+        # Per degree, each source label's image as (target label, entry) pairs.
+        return [
+            {
+                lab: [(f.target.labels[k][i], e) for i, e in col]
+                for lab, col in zip(labels, _columns(f.maps[k], len(labels)))
+            }
+            for k, labels in enumerate(f.source.labels)
+        ]
+
+    images1, images2 = images(phi), images(psi)
+
+    def image(n, lab):
+        _, p, q, l1, l2 = lab
+        for m1, a in images1[p][l1]:
+            for m2, b in images2[q][l2]:
+                yield ("tensor", p, q, m1, m2), a * b
+
+    return _chain_map(sourceT, targetT, image)

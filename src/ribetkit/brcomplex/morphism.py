@@ -24,8 +24,10 @@ D^1 -> D^0 = R generates the full relation ideal J.
 Each C factor is built together with its D factor, and C's basis
 carries its B-layer labels: the Koszul slot of row i is (i, B) and the
 R(det f_v) column of sigma is (sigma, B), the labels those coefficients
-have in D.  So the inclusion C -> D is the identity on labels, built
-once on the tensor products.  Commutativity of every square is verified
+have in D.  So the inclusion C -> D is the identity on labels: one
+image formula, each label to itself with coefficient 1, that the
+chain-map scaffold ``free_complex._chain_map`` turns into matrices on
+the tensor products.  Commutativity of every square is verified
 symbolically, never assumed.
 """
 
@@ -34,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..borel import TauAction, adjoint_quadruple_check
-from ..errors import StructuralError
 from ..exactpoly import Polynomial
 from ..groebner import (
     Budget,
@@ -46,7 +47,7 @@ from ..groebner import (
 from ..ribet.formal import FormalIdeals, FormalRing, _sign_canonical, build_ideals
 from ..ribet.shapes import RibetShape
 from .build import br_detf, koszul_general
-from .free_complex import ComplexMorphism, FreeComplex, tensor, unit_complex
+from .free_complex import ComplexMorphism, FreeComplex, _chain_map, tensor, unit_complex
 
 
 def ideal_generator_sets_match(
@@ -62,27 +63,6 @@ def ideal_generator_sets_match(
     return _ideal_contains_all(b, a.generators, budget) and _ideal_contains_all(
         a, b.generators, budget
     )
-
-
-def _identity_on_labels(source: FreeComplex, target: FreeComplex) -> ComplexMorphism:
-    """Chain map sending each source basis element to the target basis
-    element with the same label, with coefficient +1; raises if the
-    target has no such label.  Every degree gets a matrix, so no map is
-    missing (None), which ``check_commutes`` would read as zero."""
-    ring, table = source.ring, source.table
-    zero = Polynomial.zero(ring, table)
-    one = Polynomial.one(ring, table)
-    maps = []
-    for k in range(source.top_degree + 1):
-        rows = target.ranks[k] if k <= target.top_degree else 0
-        M = [[zero] * source.ranks[k] for _ in range(rows)]
-        index = {lab: i for i, lab in enumerate(target.labels[k])} if rows else {}
-        for j, lab in enumerate(source.labels[k]):
-            if lab not in index:
-                raise StructuralError(f"morphism image label missing: {lab!r}")
-            M[index[lab]][j] = one
-        maps.append(FreeModuleMatrix(M))
-    return ComplexMorphism(source, target, maps)
 
 
 def _named_br_detf(f: FreeModuleMatrix, names, cap: int, distinct_key=None) -> FreeComplex:
@@ -162,7 +142,8 @@ def build_cd_morphism(
     C, D = factors[0]
     for cf, df in factors[1:]:
         C, D = tensor(C, cf, cap), tensor(D, df, cap)
-    inc = _identity_on_labels(C, D)
+    one = Polynomial.one(F.ring, F.table)
+    inc = _chain_map(C, D, lambda k, lab: ((lab, one),))
 
     commutes = inc.check_commutes()
 

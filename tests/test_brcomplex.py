@@ -355,6 +355,15 @@ def test_subcomplex_rejects_a_kept_column_hitting_a_dropped_row():
         subcomplex(K, lambda lab: lab in ((), (1,), (1, 2)))
 
 
+def test_free_complex_rejects_a_label_list_shorter_than_its_rank():
+    # Degree 1 has rank 2 but one label; accepted, it made
+    # subcomplex(C, lambda lab: True) keep one summand of the two.
+    M, b, bp = bvars(1)
+    x = b[0]
+    with pytest.raises(StructuralError):
+        FreeComplex(QQ, x.table, [1, 2], [None, FreeModuleMatrix([[x, x]])], [["w"], ["e"]])
+
+
 def test_koszul_general_distinct_keys():
     M, b, bp = bvars(2)
     cols = [((1, "A"), b[0]), ((1, "B"), bp[0]), ((2, "A"), b[1]), ((2, "B"), bp[1])]

@@ -43,6 +43,20 @@ def test_cd_morphism_full_mixed_cap3():
     assert cd.inclusion.check_commutes()
 
 
+def test_no_cd_morphism_reaches_the_engine():
+    from test_veriharness import _groebner_calls
+
+    # The pair relations are exactly the 2 x 2 minors that d_1 of the
+    # R(det f) factors produces, so both degree-1 images match their
+    # ideals by the sign-canonical sets and never fall back to
+    # _ideal_contains_all.
+    for sh in corpus():
+        for cap in (1, 2, 3):
+            cd, calls = _groebner_calls(lambda: build_cd_morphism(sh, cap=cap))
+            assert calls == [], (sh.name, cap)
+            assert cd.all_pass(), (sh.name, cap)
+
+
 def test_h0_identification():
     # im(D1 -> D0) literally generates the relation ideal.
     cd = build_cd_morphism(shape_full_mixed(), cap=1)

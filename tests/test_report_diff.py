@@ -2,6 +2,8 @@
 reports count, and its exit codes."""
 
 import copy
+import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -88,3 +90,28 @@ def test_wrong_argument_count_exits_2(tmp_path):
         )
         assert out.returncode == 2
         assert "report_diff.py A.json B.json" in out.stderr
+
+
+# sha256 of the report of `verify run all --seed S --jobs 1` without what
+# report_diff ignores (generated_at and each runtime_s): the budget,
+# prime, seeds, summary and every check's id, anchor, status and witness.
+# A change that moves any of them, at either seed, changes its digest.
+REPORT_DIGESTS = {
+    0: "047a4517459ddbfa7b5ec39285d73aa8f5fe4f683d10695abbbdf483f1be4e67",
+    3: "ade5d8dff0256a42b982ad506930883e9c70ba8dd44eca22f390abe74e47e387",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
+def test_the_default_report_replays_the_pinned_digest(tmp_path, monkeypatch, capsys, seed):
+    from ribetkit.veriharness.cli import main
+
+    monkeypatch.delenv("VERIFY_BUDGET_STEPS", raising=False)
+    spec = importlib.util.spec_from_file_location("report_diff", SCRIPT)
+    report_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report_diff)
+    path = tmp_path / "report.json"
+    assert main(["run", "all", "--seed", str(seed), "--jobs", "1", "--out", str(path)]) == 0
+    top, checks = report_diff.load(path)
+    text = json.dumps([top, checks], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[seed]
