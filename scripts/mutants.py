@@ -5,8 +5,9 @@ A mutant is (name, file, old text, new text, killer test): the old text,
 which occurs exactly once in the file, is replaced by the new one.  Each
 makes a check permissive or a pair criterion wrong, so it must fail its
 killer test.  ``tests/test_mutants.py`` checks only that every old text
-still occurs exactly once, so the list cannot rot silently; running the
-mutants is this script, not a Tier-1 step.
+still occurs exactly once and that every killer names a test function
+its file defines, so the list cannot rot silently; running the mutants
+is this script, not a Tier-1 step.
 
 For each mutant named (all by default) the script copies the repository,
 without its git data and caches, to a temporary directory, applies the
@@ -150,6 +151,28 @@ MUTANTS = (
         "yield (p, q - 1, j1, i2), -e if p % 2 else e",
         "yield (p, q - 1, j1, i2), e",
         "tests/test_brcomplex.py::test_tensor_differentials_match_dense_koszul_sign_reference",
+    ),
+    Mutant(
+        "ideal_quotient returns I",
+        "src/ribetkit/groebner.py",
+        "    return IdealSpec([v[0] for v in _syzygies(FreeModuleMatrix([row]), budget)])\n",
+        "    return spec\n",
+        "tests/test_veriharness.py::test_the_degenerate_regularity_control_fails_in_a_computed_quotient",
+    ),
+    Mutant(
+        "the colon criterion skips its containment test",
+        "src/ribetkit/brcomplex/build.py",
+        "        if not _ideal_contains_all(IdealSpec(target), quotient.generators, budget):\n"
+        "            return False\n",
+        "",
+        "tests/test_brcomplex.py::test_regularity_examples",
+    ),
+    Mutant(
+        "tau_fixed_mod holds on a nonzero difference",
+        "src/ribetkit/borel.py",
+        "    return in_ideal(diff, IdealSpec([g.lift(act.table) for g in generators]), budget)\n",
+        "    return True\n",
+        "tests/test_ribet_formal.py::test_tau_invariance_positive_and_negative",
     ),
 )
 

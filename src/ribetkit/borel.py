@@ -20,6 +20,7 @@ generated by its torus and lower unipotent one-parameter subgroup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .algebra import DEFAULT_BUDGET, Budget, IdealSpec
 from .errors import StructuralError
@@ -137,6 +138,24 @@ def adjoint_quadruple_check(
     return weights == (0, 1, -1, 0)
 
 
+def tau_fixed_mod(
+    f: Polynomial,
+    generators: Sequence[Polynomial],
+    budget: Budget,
+    action: TauAction | None = None,
+) -> bool:
+    """Whether tau_x(f) - f lies in I.R[x], the extension of the ideal I
+    of ``generators`` to the x-extended ring (l:ebar): the difference is
+    0, or a member of the ideal of the lifted generators."""
+    # A call-time import: loading borel does not load the engine.
+    from .groebner import in_ideal
+    act = action or TauAction(f.table)
+    diff = act.apply(f) - f.lift(act.table)
+    if diff.is_zero():
+        return True
+    return in_ideal(diff, IdealSpec([g.lift(act.table) for g in generators]), budget)
+
+
 def invariant_mod(
     f: Polynomial,
     ideal: IdealSpec,
@@ -145,21 +164,13 @@ def invariant_mod(
 ) -> bool:
     """Borel invariance of f modulo an ideal.
 
-    Checks tau_x(f) - f in I.R[x] (membership in the extended ring,
-    generated by the lifted generators of I) and that f reduces modulo I
-    to an isobaric normal form of torus weight 0.
+    Checks ``tau_fixed_mod`` and that f reduces modulo I to an isobaric
+    normal form of torus weight 0.
     """
-    # A call-time import: loading borel does not load the engine.
-    from .groebner import buchberger, in_ideal
-    act = action or TauAction(f.table)
-    diff = act.apply(f) - f.lift(act.table)
-    if not diff.is_zero():
-        lifted = [g.lift(act.table) for g in ideal.generators]
-        if not lifted:
-            return False
-        if not in_ideal(diff, IdealSpec(lifted), budget):
-            return False
+    if not tau_fixed_mod(f, ideal.generators, budget, action):
+        return False
     if ideal.generators:
+        from .groebner import buchberger
         nf = buchberger(ideal, budget).normal_form(f, budget)
     else:
         nf = f

@@ -42,18 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
+from ..algebra import DEFAULT_BUDGET, Budget, FreeModuleMatrix, IdealSpec
 from ..errors import StructuralError
 from ..exactpoly import QQ, Polynomial, VariableTable
-from ..groebner import (
-    Budget,
-    DEFAULT_BUDGET,
-    FreeModuleMatrix,
-    IdealSpec,
-    _ideal_contains_all,
-    ideal_quotient,
-)
+from ..groebner import _ideal_contains_all, ideal_quotient
 from .free_complex import FreeComplex, _complex
 
 
@@ -263,21 +257,35 @@ def br_complexes(f: FreeModuleMatrix, cap: int | None = None) -> BRComplexes:
 # ---------------------------------------------------------------------------
 # Regularity criteria.
 
+def _colon_criterion(
+    steps: Iterable[tuple[Sequence[Polynomial], Polynomial, Sequence[Polynomial]]],
+    budget: Budget,
+) -> bool:
+    """Whether (prior) : f lies in (target) at every step (prior, f,
+    target) of ``steps``, prior and target given by their generators:
+    regularity by ideal quotients (Cox-Little-O'Shea, Ideals, Varieties,
+    and Algorithms, section 4.4).  Stops at the first step that fails."""
+    for prior, f, target in steps:
+        quotient = ideal_quotient(IdealSpec(prior), f, budget)
+        if not _ideal_contains_all(IdealSpec(target), quotient.generators, budget):
+            return False
+    return True
+
+
 def regularity_check(f: FreeModuleMatrix, budget: Budget = DEFAULT_BUDGET) -> bool:
     """Ideal-quotient regularity criterion for a 2-row matrix: for each
     k = 2..n, ((r_12, ..., r_1(k-1)) : r_1k) must be contained in
     (r_ij : i, j < k)."""
     cols = _cols_of(f)
-    n = len(cols)
-    for k in range(2, n + 1):
-        prior = [_r_of(cols, 0, j) for j in range(1, k - 1)]
-        quotient = ideal_quotient(IdealSpec(prior), _r_of(cols, 0, k - 1), budget)
-        target_gens = [
-            _r_of(cols, i, j) for i in range(k - 1) for j in range(i + 1, k - 1)
-        ]
-        if not _ideal_contains_all(IdealSpec(target_gens), quotient.generators, budget):
-            return False
-    return True
+    steps = (
+        (
+            [_r_of(cols, 0, j) for j in range(1, k - 1)],
+            _r_of(cols, 0, k - 1),
+            [_r_of(cols, i, j) for i in range(k - 1) for j in range(i + 1, k - 1)],
+        )
+        for k in range(2, len(cols) + 1)
+    )
+    return _colon_criterion(steps, budget)
 
 
 def generic_2xn(n: int) -> FreeModuleMatrix:
@@ -300,20 +308,10 @@ def inhomogeneous_regular_check(m: int, n: int, budget: Budget = DEFAULT_BUDGET)
     names += [f"c{i}" for i in range(1, m + 1)]
     names += [f"X{j}" for j in range(1, n + 1)]
     table = VariableTable(names)
-    ring = QQ
-
-    def v(name):
-        return Polynomial.var(ring, table, table.index(name))
-
     L = []
     for i in range(1, m + 1):
-        acc = -v(f"c{i}")
+        acc = -Polynomial.var(QQ, table, f"c{i}")
         for j in range(1, n + 1):
-            acc = acc + v(f"A{i}_{j}") * v(f"X{j}")
+            acc = acc + Polynomial.var(QQ, table, f"A{i}_{j}") * Polynomial.var(QQ, table, f"X{j}")
         L.append(acc)
-    for i in range(2, m + 1):
-        prior = IdealSpec(L[: i - 1])
-        quotient = ideal_quotient(prior, L[i - 1], budget)
-        if not _ideal_contains_all(prior, quotient.generators, budget):
-            return False
-    return True
+    return _colon_criterion(((L[: i - 1], L[i - 1], L[: i - 1]) for i in range(2, m + 1)), budget)

@@ -37,13 +37,8 @@ from typing import Callable, Iterable, Sequence
 
 from ..errors import StructuralError
 from ..exactpoly import GF, CoefficientRing, Polynomial, VariableTable
-from ..groebner import (
-    Budget,
-    DEFAULT_BUDGET,
-    FreeModuleMatrix,
-    _module_contains_all,
-    syzygies,
-)
+from ..algebra import DEFAULT_BUDGET, Budget, FreeModuleMatrix
+from ..groebner import _module_contains_all, syzygies
 from ..linalg import rank as field_rank
 
 

@@ -35,15 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..borel import TauAction, adjoint_quadruple_check
+from ..algebra import DEFAULT_BUDGET, Budget, FreeModuleMatrix, IdealSpec
 from ..exactpoly import Polynomial
-from ..groebner import (
-    Budget,
-    DEFAULT_BUDGET,
-    FreeModuleMatrix,
-    IdealSpec,
-    _ideal_contains_all,
-)
+from ..groebner import _ideal_contains_all
 from ..ribet.formal import FormalIdeals, FormalRing, _sign_canonical, build_ideals
 from ..ribet.shapes import RibetShape
 from .build import br_detf, koszul_general
@@ -156,11 +150,7 @@ def build_cd_morphism(
     im_c1_ok = ideal_generator_sets_match(im_c1, ideals.Jprime, budget)
     im_d1_ok = ideal_generator_sets_match(im_d1, ideals.J, budget)
 
-    act = TauAction(F.table)
-    quads_ok = all(
-        adjoint_quadruple_check(*q.matrix.entries(), action=act)
-        for q in ideals.quadruples
-    )
+    quads_ok = ideals.first_non_adjoint() is None
 
     return CDMorphism(
         shape, F, ideals, C, D, inc, commutes, im_c1_ok, im_d1_ok, quads_ok

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from itertools import product as iproduct
 
 from ..algebra import DEFAULT_BUDGET, Budget, FreeModuleMatrix, IdealSpec
-from ..borel import TauAction
+from ..borel import TauAction, adjoint_quadruple_check, tau_fixed_mod
 from ..errors import StructuralError
 from ..exactpoly import QQ, CoefficientRing, Polynomial, VariableTable
 from ..genmat import Mat2
@@ -295,6 +295,15 @@ class FormalIdeals:
     I_R: IdealSpec
     quadruples: tuple[RelationQuadruple, ...]
 
+    def first_non_adjoint(self) -> RelationQuadruple | None:
+        """The first quadruple that fails the adjoint law (l:stable,
+        ``adjoint_quadruple_check`` under one TauAction), or None."""
+        act = TauAction(self.ring.table)
+        return next(
+            (q for q in self.quadruples if not adjoint_quadruple_check(*q.matrix.entries(), action=act)),
+            None,
+        )
+
 
 def relation_quadruples(F: FormalRing) -> tuple[RelationQuadruple, ...]:
     shape = F.shape
@@ -416,13 +425,11 @@ def check_e_tau_invariance(
     budget: Budget = DEFAULT_BUDGET,
     drop_pair_generator: bool = False,
 ) -> bool:
-    """tau_x(det E') - det E' lies in J'.R[x].
+    """tau_x(det E') - det E' lies in J'.R[x] (``tau_fixed_mod``).
 
     ``drop_pair_generator`` removes the first local B(sigma, tau)
     generator from J' (negative control for shapes with places).
     """
-    # A call-time import: loading ribet does not load the engine.
-    from ..groebner import in_ideal
     mats = build_matrices(shape, ring)
     ideals = build_ideals(shape, ring)
     jp = list(ideals.Jprime.generators)
@@ -431,12 +438,7 @@ def check_e_tau_invariance(
         if not pair_bs:
             raise StructuralError("shape has no local pair generator to drop")
         jp = [g for g in jp if g != pair_bs[0]]
-    det_ep = mats.det_Eprime
-    act = TauAction(mats.ring.table)
-    diff = act.apply(det_ep) - det_ep.lift(act.table)
-    if diff.is_zero():
-        return True
-    return in_ideal(diff, IdealSpec([g.lift(act.table) for g in jp]), budget)
+    return tau_fixed_mod(mats.det_Eprime, jp, budget)
 
 
 def _quotient_map(F: FormalRing) -> dict[int, Polynomial]:

@@ -40,9 +40,9 @@ from ..brcomplex import (
     tensor,
 )
 from ..algebra import Budget, FreeModuleMatrix
-from ..borel import TauAction, adjoint_quadruple_check
+from ..borel import adjoint_quadruple_check
 from ..errors import BudgetExceeded, GenerationFailure, StructuralError
-from ..exactpoly import QQ, Polynomial
+from ..exactpoly import QQ, Polynomial, VariableTable
 from ..genmat import (
     GenericModel,
     Word,
@@ -109,10 +109,9 @@ def _example_r2(budget: Budget) -> bool:
 
 def _stability(shape: RibetShape) -> tuple[bool, str]:
     ideals = build_ideals(shape)
-    act = TauAction(ideals.ring.table)
-    for q in ideals.quadruples:
-        if not adjoint_quadruple_check(*q.matrix.entries(), action=act):
-            return False, f"quadruple {q.origin} fails the adjoint law"
+    q = ideals.first_non_adjoint()
+    if q is not None:
+        return False, f"quadruple {q.origin} fails the adjoint law"
     return True, f"{len(ideals.quadruples)} quadruples"
 
 
@@ -155,17 +154,11 @@ def _element_e(shape: RibetShape) -> tuple[bool, str]:
 def _br_exact_instance():
     """Smallest nontrivial tensor instance: one 2-element block and one
     generic linear form in one extra variable."""
-    from ..exactpoly import VariableTable
-
     names = ["b1", "b2", "b3", "bp1", "bp2", "V1", "V2", "V3"]
-    roles = ["b", "b", "b"] + ["other"] * 5
-    table = VariableTable(names, roles)
-
-    def v(name):
-        return Polynomial.var(QQ, table, table.index(name))
-
-    f1 = FreeModuleMatrix([[v("b1"), v("b2")], [v("bp1"), v("bp2")]])
-    L = v("V1") * v("b1") + v("V2") * v("b2") + v("V3") * v("b3")
+    table = VariableTable(names, ["b", "b", "b"] + ["other"] * 5)
+    b1, b2, b3, bp1, bp2, V1, V2, V3 = (Polynomial.var(QQ, table, name) for name in names)
+    f1 = FreeModuleMatrix([[b1, b2], [bp1, bp2]])
+    L = V1 * b1 + V2 * b2 + V3 * b3
     block = br_complexes(f1).Rdetf
     lin = koszul([L])
     return tensor(block, lin)
@@ -212,9 +205,10 @@ def _regularity_generic(n: int, budget: Budget) -> bool:
 
 
 def _degenerate_is_regular(budget: Budget) -> bool:
-    M = generic_2xn(3)
-    b1, bp1 = M.entries[0][0], M.entries[1][0]
-    bad = FreeModuleMatrix([[b1, b1, M.entries[0][2]], [bp1, bp1, M.entries[1][2]]])
+    # Columns (b1, bp1), (b2, bp2), (b1 b2, b1 bp2): r_13 = b1 r_12, so
+    # the k = 3 step's quotient (r_12) : r_13 is (1), outside (r_12).
+    (b1, b2), (bp1, bp2) = generic_2xn(2).entries
+    bad = FreeModuleMatrix([[b1, b2, b1 * b2], [bp1, bp2, b1 * bp2]])
     return regularity_check(bad, budget)
 
 

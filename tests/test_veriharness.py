@@ -358,6 +358,35 @@ def test_no_element_e_record_reaches_the_engine():
     assert {r.status for r in results} == {"pass"}
 
 
+def test_the_degenerate_regularity_control_fails_in_a_computed_quotient(monkeypatch):
+    import ribetkit.brcomplex.build as build
+    import ribetkit.veriharness.suites as suites
+    from ribetkit.groebner import in_ideal
+
+    # Its columns make r_13 = b1 r_12, so the control fails at the k = 3
+    # step: a nonzero element against the nonempty prior ideal (r_12),
+    # whose quotient (1) is computed there, not the f = 0 shortcut's (1).
+    quotient, calls = build.ideal_quotient, []
+
+    def probe(spec, f, budget):
+        q = quotient(spec, f, budget)
+        calls.append((spec, f, q))
+        return q
+
+    monkeypatch.setattr(build, "ideal_quotient", probe)
+    [control] = [
+        c for c in suites._suite_regularity(SuiteConfig(suite="regularity"))
+        if c.ids[0][0] == "regularity-degenerate-control"
+    ]
+    [result] = suites._execute(control)
+    assert (result.status, result.witness) == ("pass", "degenerate matrix must fail")
+    assert len(calls) == 2
+    spec, f, q = calls[-1]
+    assert len(spec.generators) == 1 and not f.is_zero()
+    assert in_ideal(Polynomial.one(f.ring, f.table), q)
+    assert not in_ideal(Polynomial.one(f.ring, f.table), spec)
+
+
 def test_det_suite_fails_exactly_the_ids_whose_identity_breaks(monkeypatch):
     import ribetkit.genmat as genmat
 
